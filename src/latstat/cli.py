@@ -89,6 +89,13 @@ def _default_budget() -> int:
     return value
 
 
+def _require_positive(args, *flags) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise InputError(f"--{flag} must be >= 1, got {value}")
+
+
 def _emit(args, command: str, config_echo: dict, result, started: float) -> None:
     timing = (time.perf_counter() - started) if getattr(args, "timing", False) else None
     report = make_report(command, config_echo, result, timing_seconds=timing)
@@ -164,10 +171,11 @@ def _cmd_ordstats(args) -> int:
 
 def _cmd_check(args) -> int:
     started = time.perf_counter()
+    _require_positive(args, "trials", "jobs", "budget")
     lattice = lattice_from_json(load_json_file(args.lattice))
     functional = functional_from_json(load_json_file(args.functional), lattice)
     rel = TransitiveRelation.from_name(args.relation)
-    budget = args.budget if args.budget else _default_budget()
+    budget = args.budget if args.budget is not None else _default_budget()
     kwargs = dict(mode=args.mode, seed=args.seed, trials=args.trials,
                   budget=budget, jobs=args.jobs)
     if args.k == "n":
@@ -185,8 +193,8 @@ def _cmd_check(args) -> int:
         labels = _maybe_labels(lattice, report.witness.args)
         if labels is not None:
             result["witness_labels"] = labels
-    # jobs is execution plumbing and stays out of the echo so reports are
-    # byte-identical across worker counts
+    # jobs is accepted but does not change execution; it stays out of the
+    # echo so reports are byte-identical across worker counts
     echo = {"lattice": args.lattice, "functional": args.functional,
             "relation": args.relation, "k": k_echo, "mode": args.mode,
             "seed": args.seed, "trials": args.trials, "budget": budget}
@@ -447,7 +455,8 @@ def _cmd_ahke(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    budget = args.budget if args.budget else _default_budget()
+    _require_positive(args, "budget")
+    budget = args.budget if args.budget is not None else _default_budget()
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]

@@ -107,6 +107,17 @@ def fn_elem_from_json(obj, width: Optional[int], ptr: str = "") -> tuple:
 
 # --- lattices ---
 
+def _labels_from_json(obj, ptr: str):
+    labels = obj.get("labels")
+    if labels is None:
+        return None
+    for i, label in enumerate(_expect_list(labels, f"{ptr}/labels")):
+        if isinstance(label, (list, dict)):
+            raise InputError(f"{ptr}/labels/{i}: expected a scalar label, "
+                             "not an array or object")
+    return labels
+
+
 def lattice_from_json(obj, ptr: str = ""):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{ptr}/kind: missing lattice kind")
@@ -116,12 +127,12 @@ def lattice_from_json(obj, ptr: str = ""):
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
         return TableLattice(n, _expect_list(obj["meet"], f"{ptr}/meet"),
                             _expect_list(obj["join"], f"{ptr}/join"),
-                            labels=obj.get("labels"))
+                            labels=_labels_from_json(obj, ptr))
     if kind == "order":
         _expect_object(obj, ptr, ("kind", "n", "leq_pairs"), ("labels",))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
         return lattice_from_order(n, _expect_list(obj["leq_pairs"], f"{ptr}/leq_pairs"),
-                                  labels=obj.get("labels"))
+                                  labels=_labels_from_json(obj, ptr))
     if kind == "fn":
         _expect_object(obj, ptr, ("kind", "ground_size", "chain_max"),
                        ("chain_min", "max_ground", "max_chain"))

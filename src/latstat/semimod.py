@@ -6,14 +6,18 @@ statistics.  The pair-swap (window k = 2) variant, the relaxed sorted-prefix
 variant, and the constructive rearrangement chain that sorts a tuple into
 its order statistics by adjacent meet/join swaps are all implemented
 exactly, with deterministic first witnesses.
+
+All three checks run through one scan engine, `_scan`, in a single process:
+the full check is the one window of width n, the windowed check slides a
+k-wide window, and the relaxed check feeds its sorted-prefix instances.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .lattice import (
@@ -123,42 +127,30 @@ class InsertionChain:
 
 # --- scan engine ---
 
-def _decode_odometer(index: int, base: int, width: int) -> tuple:
-    digits = []
-    for _ in range(width):
-        digits.append(index % base)
-        index //= base
-    return tuple(reversed(digits))
-
-
-def _exhaustive_scan(total: int, check_at: Callable[[int], Optional[Witness]],
-                     jobs: int = 1):
-    """Evaluate check_at on 0..total-1; return the witness with the smallest
-    index, or None.  The full range is always scanned so reported instance
-    counts are true counts, and the merge is deterministic for any jobs."""
-    if jobs <= 1 or total < 4096:
-        first = None
-        for i in range(total):
-            w = check_at(i)
-            if w is not None and first is None:
-                first = (i, w)
-        return first
-    nchunks = min(total, jobs * 4)
-    bounds = [(total * c // nchunks, total * (c + 1) // nchunks) for c in range(nchunks)]
-
-    def work(rng):
-        lo, hi = rng
-        for i in range(lo, hi):
-            w = check_at(i)
-            if w is not None:
-                return (i, w)
-        return None
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = [r for r in ex.map(work, bounds) if r is not None]
-    if not results:
-        return None
-    return min(results, key=lambda r: r[0])
+def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances) -> tuple:
+    """Compare rel(lam(f), lam(g)) over (f, g, note) instances with one value
+    memo.  Returns (instance count, first witness or None); every instance
+    is evaluated, so the count is the true count and the witness is the
+    first in instance order.  Ends with the transitivity filter on the
+    values seen."""
+    fn = lam.fn
+    memo: dict = {}
+    count = 0
+    first = None
+    for f, g, note in instances:
+        count += 1
+        a = memo.get(f)
+        if a is None:
+            a = fn(f)
+            memo[f] = a
+        b = memo.get(g)
+        if b is None:
+            b = fn(g)
+            memo[g] = b
+        if not rel.holds(a, b) and first is None:
+            first = Witness(args=f, lhs=a, rhs=b, note=note)
+    rel.check_transitive(list(memo.values()))
+    return count, first
 
 
 def _require_budget(total: int, budget: int, what: str):
@@ -169,14 +161,57 @@ def _require_budget(total: int, budget: int, what: str):
 
 
 def _derive_seed(seed: int, i: int) -> int:
-    # 64-bit splitmix-style stream derivation so trial i is independent of jobs
+    # 64-bit splitmix-style stream derivation so trial i depends on (seed, i) only
     x = (seed + (i + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
 
 
+def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
+                 mode: str, seed: Optional[int], trials: int, budget: int,
+                 windowed: bool) -> CheckReport:
+    """Scan (f, f with its k-wide window at j sorted into order statistics).
+    The full check is the single window k = n with windowed=False: its
+    witnesses carry no window note and sampled trials draw no window."""
+    n = lam.arity
+    elems = L.elements()
+    m = len(elems)
+    windows = n - k + 1
+    notes = [f"window start {j}" if windowed else "" for j in range(windows)]
+
+    def instance(j: int, f: tuple):
+        stats = tuple(_order_statistic_unchecked(L, f[j:j + k], idx)
+                      for idx in range(1, k + 1))
+        return f, f[:j] + stats + f[j + k:], notes[j]
+
+    if mode == "exhaustive":
+        total = windows * m ** n
+        what = "exhaustive windowed scan" if windowed else "exhaustive scan"
+        _require_budget(total, budget, f"{what} of L^{n}")
+        count, first = _scan(lam, rel, (instance(j, f) for j in range(windows)
+                                        for f in product(elems, repeat=n)))
+        return CheckReport(holds=first is None, instances_checked=count,
+                           witness=first, mode="exhaustive")
+    if mode == "sampled":
+        if seed is None:
+            raise InputError("sampled mode requires a seed")
+
+        def draws():
+            for i in range(trials):
+                rng = random.Random(_derive_seed(seed, i))
+                j = rng.randrange(windows) if windowed else 0
+                yield instance(j, tuple(elems[rng.randrange(m)] for _ in range(n)))
+
+        count, first = _scan(lam, rel, draws())
+        return CheckReport(holds=first is None, instances_checked=count,
+                           witness=first, mode="sampled", seed=seed)
+    raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
+
+
 # --- the checkers ---
+# jobs is accepted for interface stability and does not change execution:
+# every scan runs in this process.
 
 def check_generalized_n(L, lam: TupleFunctional, rel: TransitiveRelation, *,
                         mode: str = "exhaustive", seed: Optional[int] = None,
@@ -187,50 +222,7 @@ def check_generalized_n(L, lam: TupleFunctional, rel: TransitiveRelation, *,
     if n == 1:
         return CheckReport(holds=True, instances_checked=0, mode=mode, seed=seed,
                            detail={"vacuous": "1-tuples equal their order statistics"})
-    elems = L.elements()
-    m = len(elems)
-    memo: dict = {}
-
-    def value(t: tuple):
-        v = memo.get(t)
-        if v is None:
-            v = lam.fn(t)
-            memo[t] = v
-        return v
-
-    def check_at(i: int) -> Optional[Witness]:
-        f = tuple(elems[d] for d in _decode_odometer(i, m, n))
-        stats = tuple(_order_statistic_unchecked(L, f, j) for j in range(1, n + 1))
-        a, b = value(f), value(stats)
-        if rel.holds(a, b):
-            return None
-        return Witness(args=f, lhs=a, rhs=b)
-
-    if mode == "exhaustive":
-        total = m ** n
-        _require_budget(total, budget, f"exhaustive scan of L^{n}")
-        if rel.kind == "custom":
-            jobs = 1
-        found = _exhaustive_scan(total, check_at, jobs)
-        rel.check_transitive(list(memo.values()))
-        witness = found[1] if found else None
-        return CheckReport(holds=witness is None, instances_checked=total,
-                           witness=witness, mode="exhaustive")
-    if mode == "sampled":
-        if seed is None:
-            raise InputError("sampled mode requires a seed")
-        first = None
-        for i in range(trials):
-            rng = random.Random(_derive_seed(seed, i))
-            f = tuple(elems[rng.randrange(m)] for _ in range(n))
-            stats = tuple(_order_statistic_unchecked(L, f, j) for j in range(1, n + 1))
-            a, b = value(f), value(stats)
-            if not rel.holds(a, b) and first is None:
-                first = Witness(args=f, lhs=a, rhs=b)
-        rel.check_transitive(list(memo.values()))
-        return CheckReport(holds=first is None, instances_checked=trials,
-                           witness=first, mode="sampled", seed=seed)
-    raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
+    return _window_scan(L, lam, n, rel, mode, seed, trials, budget, windowed=False)
 
 
 def check_generalized_nk(L, lam: TupleFunctional, k: int, rel: TransitiveRelation, *,
@@ -246,58 +238,7 @@ def check_generalized_nk(L, lam: TupleFunctional, k: int, rel: TransitiveRelatio
     if k == 1:
         return CheckReport(holds=True, instances_checked=0, mode=mode, seed=seed,
                            detail={"vacuous": "1-wide windows equal their order statistics"})
-    elems = L.elements()
-    m = len(elems)
-    windows = n - k + 1
-    memo: dict = {}
-
-    def value(t: tuple):
-        v = memo.get(t)
-        if v is None:
-            v = lam.fn(t)
-            memo[t] = v
-        return v
-
-    def check_pair(j: int, f: tuple) -> Optional[Witness]:
-        w = f[j:j + k]
-        stats = tuple(_order_statistic_unchecked(L, w, idx) for idx in range(1, k + 1))
-        g = f[:j] + stats + f[j + k:]
-        a, b = value(f), value(g)
-        if rel.holds(a, b):
-            return None
-        return Witness(args=f, lhs=a, rhs=b, note=f"window start {j}")
-
-    if mode == "exhaustive":
-        per_window = m ** n
-        total = windows * per_window
-        _require_budget(total, budget, f"exhaustive windowed scan of L^{n}")
-        if rel.kind == "custom":
-            jobs = 1
-
-        def check_at(i: int) -> Optional[Witness]:
-            j, r = divmod(i, per_window)
-            return check_pair(j, tuple(elems[d] for d in _decode_odometer(r, m, n)))
-
-        found = _exhaustive_scan(total, check_at, jobs)
-        rel.check_transitive(list(memo.values()))
-        witness = found[1] if found else None
-        return CheckReport(holds=witness is None, instances_checked=total,
-                           witness=witness, mode="exhaustive")
-    if mode == "sampled":
-        if seed is None:
-            raise InputError("sampled mode requires a seed")
-        first = None
-        for i in range(trials):
-            rng = random.Random(_derive_seed(seed, i))
-            j = rng.randrange(windows)
-            f = tuple(elems[rng.randrange(m)] for _ in range(n))
-            w = check_pair(j, f)
-            if w is not None and first is None:
-                first = w
-        rel.check_transitive(list(memo.values()))
-        return CheckReport(holds=first is None, instances_checked=trials,
-                           witness=first, mode="sampled", seed=seed)
-    raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
+    return _window_scan(L, lam, k, rel, mode, seed, trials, budget, windowed=True)
 
 
 def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *,
@@ -309,33 +250,19 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
     if n < 2:
         raise InputError("relaxed hypothesis needs arity >= 2")
     elems = L.elements()
-    m = len(elems)
-    _require_budget((n - 1) * m ** n, budget, "relaxed-hypothesis scan")
-    memo: dict = {}
+    _require_budget((n - 1) * len(elems) ** n, budget, "relaxed-hypothesis scan")
 
-    def value(t: tuple):
-        v = memo.get(t)
-        if v is None:
-            v = lam.fn(t)
-            memo[t] = v
-        return v
+    def instances():
+        for j in range(1, n):  # 1-based length of the sorted prefix
+            note = f"sorted prefix length {j}"
+            for f in product(elems, repeat=n):
+                if any(not L.leq(f[i], f[i + 1]) for i in range(j - 1)):
+                    continue
+                a, b = f[j - 1], f[j]
+                yield f, f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:], note
 
-    checked = 0
-    first = None
-    from itertools import product as _product
-    for j in range(1, n):  # 1-based length of the sorted prefix
-        for idx in _product(range(m), repeat=n):
-            f = tuple(elems[d] for d in idx)
-            if any(not L.leq(f[i], f[i + 1]) for i in range(j - 1)):
-                continue
-            a, b = f[j - 1], f[j]
-            g = f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:]
-            checked += 1
-            va, vb = value(f), value(g)
-            if not rel.holds(va, vb) and first is None:
-                first = Witness(args=f, lhs=va, rhs=vb, note=f"sorted prefix length {j}")
-    rel.check_transitive(list(memo.values()))
-    return CheckReport(holds=first is None, instances_checked=checked, witness=first)
+    count, first = _scan(lam, rel, instances())
+    return CheckReport(holds=first is None, instances_checked=count, witness=first)
 
 
 # --- the rearrangement chain ---
@@ -502,7 +429,7 @@ def run_counterexample_m3() -> dict:
 
 def reduction_regression(generator: Callable, trials: int, seed: int, *,
                          rel: Optional[TransitiveRelation] = None,
-                         budget: int = DEFAULT_BUDGET, jobs: int = 1) -> CheckReport:
+                         budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Generate functionals from families built to pass the pair-window check
     and confirm each also passes the full check on its (distributive)
     carrier.  A functional failing its own pair-window precondition is
@@ -518,11 +445,11 @@ def reduction_regression(generator: Callable, trials: int, seed: int, *,
     first = None
     for t in range(trials):
         L, lam = generator(rng)
-        pair = check_generalized_nk(L, lam, 2, rel, budget=budget, jobs=jobs)
+        pair = check_generalized_nk(L, lam, 2, rel, budget=budget)
         if not pair.holds:
             flagged += 1
             continue
-        full = check_generalized_n(L, lam, rel, budget=budget, jobs=jobs)
+        full = check_generalized_n(L, lam, rel, budget=budget)
         verified += 1
         if not full.holds and first is None:
             first = Witness(args=full.witness.args, lhs=full.witness.lhs,

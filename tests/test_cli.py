@@ -259,6 +259,14 @@ def test_input_errors_exit_2_with_pointer(write, capsys):
     assert "/measure/0/den" in err
 
 
+def test_array_label_exit_2_with_pointer(write, capsys):
+    lat = write("m3.json", dict(M3_ORDER, labels=[1, [2], 3, 4, 5]))
+    code, _, err = run_cli(capsys, "lattice", "validate", "--lattice", lat)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "/labels/1" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "demo", "m3")
     assert code == 0
@@ -293,6 +301,24 @@ def test_jobs_flag_does_not_change_output(write, capsys):
     _, out4, _ = run_cli(capsys, "check", "--lattice", lat, "--functional", fun,
                          "--k", "2", "--jobs", "4")
     assert out1 == out4
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--mode", "sampled", "--seed", "1", "--trials", "-3"),
+    ("check", "--jobs", "0"),
+    ("check", "--jobs", "-2"),
+    ("check", "--budget", "0"),
+    ("reproduce", "--budget", "0"),
+])
+def test_count_flags_below_one_exit_2(write, capsys, argv):
+    if argv[0] == "check":
+        argv += ("--lattice", write("m3.json", M3_ORDER),
+                 "--functional", write("f.json", M3_FUNCTIONAL))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "must be >= 1" in err
 
 
 def test_reproduce_subset(capsys):

@@ -23,7 +23,9 @@ from latstat import (
     verify_chain_sortedness,
 )
 from latstat.generators import random_multiadd_functional, random_schur_functional
+from latstat.report import Witness
 from latstat.semimod import (
+    _derive_seed,
     chain_point_multisets_conserved,
     m3_quadratic,
     scalar_quadratic,
@@ -95,6 +97,16 @@ def test_k_equals_n_matches_full_check():
     assert full.instances_checked == windowed.instances_checked
 
 
+def test_full_check_has_no_window_note():
+    L = build_m3()
+    lam = m3_quadratic(L)
+    windowed = check_generalized_nk(L, lam, 3, GE)
+    full = check_generalized_n(L, lam, GE)
+    assert windowed.witness.note == "window start 0"
+    assert full.witness.note == ""
+    assert full.witness.args == windowed.witness.args
+
+
 def test_k_one_vacuous():
     L = build_m3()
     report = check_generalized_nk(L, m3_quadratic(L), 1, GE)
@@ -121,6 +133,29 @@ def test_relaxed_hypothesis_on_m3_quadratic():
             if all(L.leq(f[i], f[i + 1]) for i in range(j - 1)):
                 expected += 1
     assert report.instances_checked == expected
+
+
+def test_relaxed_hypothesis_witness():
+    # sum(f3) - sum(f2) holds under the (1,2) swap but fails under the (2,3)
+    # swap of incomparable entries, so the witness needs the prefix filter
+    L = FnLattice.zero_to(2, 1)
+    lam = TupleFunctional(arity=3, fn=lambda f: sum(f[2]) - sum(f[1]), tag="diff")
+    report = check_relaxed_hypothesis(L, lam, GE)
+    expected, count = None, 0
+    for j in (1, 2):
+        for f in product(L.elements(), repeat=3):
+            if not all(L.leq(f[i], f[i + 1]) for i in range(j - 1)):
+                continue
+            count += 1
+            a, b = f[j - 1], f[j]
+            g = f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:]
+            if expected is None and not lam(f) >= lam(g):
+                expected = Witness(args=f, lhs=lam(f), rhs=lam(g),
+                                   note=f"sorted prefix length {j}")
+    assert expected is not None and expected.note == "sorted prefix length 2"
+    assert not report.holds
+    assert report.witness == expected
+    assert report.instances_checked == count
 
 
 def test_pair_window_pass_implies_relaxed_pass():
@@ -287,6 +322,26 @@ def test_sampled_mode_deterministic():
     assert a.mode == "sampled" and a.seed == 42 and a.instances_checked == 50
     with pytest.raises(InputError):
         check_generalized_n(L, lam, EQ, mode="sampled")
+
+
+def test_sampled_full_check_witness_draws_no_window():
+    # the identity functional under EQ fails on every unsorted tuple, so the
+    # witness is fixed by the first few trials' draws
+    L = FnLattice.zero_to(2, 2)
+    lam = TupleFunctional(arity=3, fn=lambda f: f, tag="identity")
+    elems = L.elements()
+    seed, trials = 9, 50
+    report = check_generalized_n(L, lam, EQ, mode="sampled", seed=seed, trials=trials)
+    expected = None
+    for i in range(trials):
+        rng = random.Random(_derive_seed(seed, i))
+        f = tuple(elems[rng.randrange(len(elems))] for _ in range(3))
+        g = order_statistics_tuple(L, f)
+        if expected is None and f != g:
+            expected = Witness(args=f, lhs=f, rhs=g)
+    assert expected is not None
+    assert report.witness == expected
+    assert report.instances_checked == trials
 
 
 def test_parallel_scan_matches_sequential():
