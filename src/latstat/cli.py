@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = inequality holds / demo reproduced / all criteria pass,
-1 = violated, 2 = input error, 3 = evaluation budget exceeded.
+1 = violated, 2 = input error, 3 = evaluation budget exceeded,
+4 = internal error (any other exception, reported on one stderr line).
 Reports are JSON on stdout (or --out) and are byte-deterministic for a
 fixed config and seed; --timing adds a wall-clock field at the cost of
 that determinism.  LATSTAT_BUDGET overrides the default evaluation budget.
@@ -555,6 +556,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: never exit 1 without a witness
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

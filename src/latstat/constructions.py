@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
-from .lattice import FnLattice, fn_diff, fn_meet, pointwise_order_statistics
+from .lattice import FnLattice, _PairTable, fn_diff, fn_meet, pointwise_order_statistics
 from .report import CheckReport, Witness
 from .scalars import (
     ConventionMode,
@@ -170,9 +170,13 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctiona
     def fn(f):
         return combiner(tuple(vals[a] for a in f))
 
+    def on_ids(elems):
+        at = [vals[e] for e in elems].__getitem__
+        return lambda ids: combiner(tuple(map(at, ids)))
+
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"schur({spec.lam_name},{spec.combiner_name})",
-                           lattice=spec.lattice)
+                           lattice=spec.lattice, on_ids=on_ids)
 
 
 # --- set functions from relations ---
@@ -306,9 +310,23 @@ def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
                 total += transform(d) - base
         return total
 
+    pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
+
+    def on_ids(elems):
+        m = len(elems)
+        term = _PairTable(lambda a, b: transform(tuple(
+            x - y for x, y in zip(elems[a], elems[b]))) - base, m)
+
+        def evaluate(ids):
+            total = Fraction(0)
+            for j, k in pairs:  # fn's (j, k) order
+                total += term[ids[j] * m + ids[k]]
+            return total
+        return evaluate
+
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
-                           lattice=spec.carrier)
+                           lattice=spec.carrier, on_ids=on_ids)
 
 
 def potential_pair_transform(spec: PotentialSpec, g: tuple) -> Fraction:

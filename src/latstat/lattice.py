@@ -3,9 +3,14 @@
 Two element representations share one abstract interface (elements /
 meet / join / leq): explicit meet-join tables, and lattices of
 finite-valued functions on a small ground set with pointwise min/max.
-Order statistics are computed literally from their defining subset
-formulas; the pointwise per-point sort is provided separately for
-function elements.
+The public order-statistic functions evaluate the defining subset
+formulas literally and serve as the oracle; the pointwise per-point sort is
+provided separately for function elements.  Scans go through
+`_CompiledLattice` instead: elements become ids in `elements()` order,
+meet and join become id tables filled lazily per pair, and order
+statistics come from the adjacent meet/join insertion network where that
+equals the subset formula (pairs and distributive lattices), else from the
+subset formula on the id tables.
 """
 
 from __future__ import annotations
@@ -155,6 +160,7 @@ class TableLattice:
             if len(labels) != n_elems or len(set(labels)) != n_elems:
                 raise InputError("labels must be distinct and match the element count")
         self.labels = labels
+        self._embedding = None  # (ambient, mapping, inverse) once insertion_chain embeds
 
     @property
     def size(self) -> int:
@@ -358,6 +364,72 @@ def _order_statistic_dual_unchecked(L, f, j):
 def order_statistics_dual_tuple(L, f: Sequence) -> tuple:
     _validate_tuple(L, f)
     return tuple(_order_statistic_dual_unchecked(L, f, j) for j in range(1, len(f) + 1))
+
+
+class _PairTable(dict):
+    """A function of id pairs (a, b), keyed a * m + b and filled one pair at a
+    time on first use, so a scan pays only for the pairs it meets."""
+
+    __slots__ = ("fn", "m")
+
+    def __init__(self, fn, m: int):
+        super().__init__()
+        self.fn = fn
+        self.m = m
+
+    def __missing__(self, key: int):
+        value = self[key] = self.fn(*divmod(key, self.m))
+        return value
+
+
+class _CompiledLattice:
+    """A lattice's elements as ids 0..m-1 in `L.elements()` order, with lazy
+    meet and join id tables.  A sampled scan of a large lattice touches only
+    the pairs it draws, never all m^2."""
+
+    def __init__(self, L):
+        elems = self.elems = L.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        self.m = len(elems)
+        self.meet = _PairTable(lambda a, b: index[L.meet(elems[a], elems[b])], self.m)
+        self.join = _PairTable(lambda a, b: index[L.join(elems[a], elems[b])], self.m)
+
+    def order_statistics(self, k: int, network: bool):
+        """The map from a k-tuple of ids to the ids of its order statistics.
+
+        With network=True it runs the adjacent insertion network, the meet/join
+        comparators of `insertion_chain`; that equals the subset formula for
+        k = 2 and on distributive lattices (the Birkhoff embedding is a
+        homomorphism into 0/1 coordinates, each of which the network sorts).
+        Otherwise it evaluates the subset formula on the id tables."""
+        meet, join, m = self.meet, self.join, self.m
+        if network:
+            def stats(w):
+                row = [w[0]]
+                for x in w[1:]:
+                    row.append(x)
+                    for i in range(len(row) - 2, -1, -1):
+                        a, b = row[i], row[i + 1]
+                        lo = meet[a * m + b]
+                        if lo == a:  # a <= b: the rest of the row is a chain
+                            break
+                        row[i], row[i + 1] = lo, join[a * m + b]
+                return tuple(row)
+            return stats
+        subsets = [list(combinations(range(k), j)) for j in range(1, k + 1)]
+
+        def stats(w):
+            out = []
+            for combos in subsets:
+                best = None
+                for J in combos:
+                    v = w[J[0]]
+                    for i in J[1:]:
+                        v = join[v * m + w[i]]
+                    best = v if best is None else meet[best * m + v]
+                out.append(best)
+            return tuple(out)
+        return stats
 
 
 def pointwise_order_statistics(fs: Sequence[tuple]) -> tuple:

@@ -10,6 +10,12 @@ exactly, with deterministic first witnesses.
 All three checks run through one scan engine, `_scan`, in a single process:
 the full check is the one window of width n, the windowed check slides a
 k-wide window, and the relaxed check feeds its sorted-prefix instances.
+Scans run on element ids in `L.elements()` order, so they visit tuples in
+the same order as a scan of elements would and report the same first
+witness, mapped back to elements.  Order statistics come from the meet/join
+insertion network on distributive carriers and pairs, and from the subset
+formula on id tables elsewhere (`lattice._CompiledLattice`); a functional
+with an `on_ids` factory is evaluated on ids directly.
 """
 
 from __future__ import annotations
@@ -22,12 +28,14 @@ from typing import Callable, Optional, Sequence
 
 from .lattice import (
     DEFAULT_BUDGET,
+    FnLattice,
     TableLattice,
     birkhoff_embed,
     build_m3,
+    is_distributive,
     order_statistics_dual_tuple,
     order_statistics_tuple,
-    _order_statistic_unchecked,
+    _CompiledLattice,
     _validate_tuple,
 )
 from .report import CheckReport, Witness
@@ -104,12 +112,15 @@ class TransitiveRelation:
 class TupleFunctional:
     """A total, deterministic map from n-tuples of lattice elements to an
     ordered codomain.  The optional lattice field records the carrier the
-    functional was constructed for."""
+    functional was constructed for.  The optional on_ids factory takes a
+    carrier's element list and returns an evaluator on tuples of indices
+    into it, equal to fn on the mapped elements; scans use it when given."""
 
     arity: int
     fn: Callable[[tuple], object]
     tag: str = ""
     lattice: object = None
+    on_ids: Optional[Callable[[list], Callable[[tuple], object]]] = None
 
     def __call__(self, args: tuple):
         return self.fn(args)
@@ -127,13 +138,21 @@ class InsertionChain:
 
 # --- scan engine ---
 
-def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances) -> tuple:
-    """Compare rel(lam(f), lam(g)) over (f, g, note) instances with one value
-    memo.  Returns (instance count, first witness or None); every instance
-    is evaluated, so the count is the true count and the witness is the
-    first in instance order.  Ends with the transitivity filter on the
-    values seen."""
+def _evaluator(lam: TupleFunctional, elems: list) -> Callable[[tuple], object]:
+    if lam.on_ids is not None:
+        return lam.on_ids(elems)
     fn = lam.fn
+    at = elems.__getitem__
+    return lambda ids: fn(tuple(map(at, ids)))
+
+
+def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list) -> tuple:
+    """Compare rel(lam(f), lam(g)) over (f, g, note) instances of id tuples
+    with one value memo.  Returns (instance count, first witness or None,
+    with its ids mapped to elements); every instance is evaluated, so the
+    count is the true count and the witness is the first in instance order.
+    Ends with the transitivity filter on the values seen."""
+    fn = _evaluator(lam, elems)
     memo: dict = {}
     count = 0
     first = None
@@ -148,7 +167,7 @@ def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances) -> tuple:
             b = fn(g)
             memo[g] = b
         if not rel.holds(a, b) and first is None:
-            first = Witness(args=f, lhs=a, rhs=b, note=note)
+            first = Witness(args=tuple(elems[i] for i in f), lhs=a, rhs=b, note=note)
     rel.check_transitive(list(memo.values()))
     return count, first
 
@@ -168,6 +187,16 @@ def _derive_seed(seed: int, i: int) -> int:
     return x ^ (x >> 31)
 
 
+def _network_sorts(L, k: int, m: int, instances: int) -> bool:
+    """Whether the insertion network gives the subset formula's order
+    statistics of k-tuples: always for pairs and on function lattices, and
+    on a distributive table lattice.  Distributivity is tested once, and
+    only when its m^3 triples are no more than the scan's instances."""
+    if k == 2 or isinstance(L, FnLattice):
+        return True
+    return m ** 3 <= instances and is_distributive(L, budget=instances).holds
+
+
 def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
                  mode: str, seed: Optional[int], trials: int, budget: int,
                  windowed: bool) -> CheckReport:
@@ -175,38 +204,38 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     The full check is the single window k = n with windowed=False: its
     witnesses carry no window note and sampled trials draw no window."""
     n = lam.arity
-    elems = L.elements()
-    m = len(elems)
+    m = len(L.elements())
     windows = n - k + 1
-    notes = [f"window start {j}" if windowed else "" for j in range(windows)]
-
-    def instance(j: int, f: tuple):
-        stats = tuple(_order_statistic_unchecked(L, f[j:j + k], idx)
-                      for idx in range(1, k + 1))
-        return f, f[:j] + stats + f[j + k:], notes[j]
-
     if mode == "exhaustive":
         total = windows * m ** n
         what = "exhaustive windowed scan" if windowed else "exhaustive scan"
         _require_budget(total, budget, f"{what} of L^{n}")
-        count, first = _scan(lam, rel, (instance(j, f) for j in range(windows)
-                                        for f in product(elems, repeat=n)))
-        return CheckReport(holds=first is None, instances_checked=count,
-                           witness=first, mode="exhaustive")
-    if mode == "sampled":
+    elif mode == "sampled":
         if seed is None:
             raise InputError("sampled mode requires a seed")
+        total = trials
+    else:
+        raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
+    compiled = _CompiledLattice(L)
+    stats = compiled.order_statistics(k, _network_sorts(L, k, m, total))
+    notes = [f"window start {j}" if windowed else "" for j in range(windows)]
 
+    def instance(j: int, f: tuple):
+        return f, f[:j] + stats(f[j:j + k]) + f[j + k:], notes[j]
+
+    if mode == "exhaustive":
+        instances = (instance(j, f) for j in range(windows)
+                     for f in product(range(m), repeat=n))
+    else:
         def draws():
             for i in range(trials):
                 rng = random.Random(_derive_seed(seed, i))
                 j = rng.randrange(windows) if windowed else 0
-                yield instance(j, tuple(elems[rng.randrange(m)] for _ in range(n)))
-
-        count, first = _scan(lam, rel, draws())
-        return CheckReport(holds=first is None, instances_checked=count,
-                           witness=first, mode="sampled", seed=seed)
-    raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
+                yield instance(j, tuple(rng.randrange(m) for _ in range(n)))
+        instances = draws()
+    count, first = _scan(lam, rel, instances, compiled.elems)
+    return CheckReport(holds=first is None, instances_checked=count, witness=first,
+                       mode=mode, seed=seed if mode == "sampled" else None)
 
 
 # --- the checkers ---
@@ -249,19 +278,32 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
     n = lam.arity
     if n < 2:
         raise InputError("relaxed hypothesis needs arity >= 2")
-    elems = L.elements()
-    _require_budget((n - 1) * len(elems) ** n, budget, "relaxed-hypothesis scan")
+    m = len(L.elements())
+    _require_budget((n - 1) * m ** n, budget, "relaxed-hypothesis scan")
+    compiled = _CompiledLattice(L)
+    meet, join = compiled.meet, compiled.join
+    # ids above a, ascending; only chains of length >= 2 need them
+    up = [[b for b in range(m) if meet[a * m + b] == a] for a in range(m)] if n > 2 else []
+
+    def chains(length: int):
+        """Id chains c_1 <= ... <= c_length, in lexicographic order."""
+        if length == 1:
+            yield from ((a,) for a in range(m))
+            return
+        for c in chains(length - 1):
+            for b in up[c[-1]]:
+                yield c + (b,)
 
     def instances():
         for j in range(1, n):  # 1-based length of the sorted prefix
             note = f"sorted prefix length {j}"
-            for f in product(elems, repeat=n):
-                if any(not L.leq(f[i], f[i + 1]) for i in range(j - 1)):
-                    continue
-                a, b = f[j - 1], f[j]
-                yield f, f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:], note
+            for prefix in chains(j):
+                for rest in product(range(m), repeat=n - j):
+                    f = prefix + rest
+                    key = f[j - 1] * m + f[j]
+                    yield f, f[:j - 1] + (meet[key], join[key]) + f[j + 1:], note
 
-    count, first = _scan(lam, rel, instances())
+    count, first = _scan(lam, rel, instances(), compiled.elems)
     return CheckReport(holds=first is None, instances_checked=count, witness=first)
 
 
@@ -273,8 +315,12 @@ def insertion_chain(L, f: Sequence) -> InsertionChain:
     (refusing non-distributive input) and mapped back."""
     _validate_tuple(L, f)
     if isinstance(L, TableLattice):
-        ambient, mapping, _ = birkhoff_embed(L)
-        inverse = {v: key for key, v in mapping.items()}
+        if L._embedding is None:
+            # kept only once it succeeds, so non-distributive input is
+            # refused on every call
+            ambient, mapping, _ = birkhoff_embed(L)
+            L._embedding = ambient, mapping, {v: key for key, v in mapping.items()}
+        ambient, mapping, inverse = L._embedding
         fn_chain = _insertion_chain_fn(ambient, tuple(mapping[a] for a in f))
         rows = tuple(tuple(inverse[e] for e in row) for row in fn_chain.rows)
         return InsertionChain(rows=rows)

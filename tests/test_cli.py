@@ -321,6 +321,19 @@ def test_count_flags_below_one_exit_2(write, capsys, argv):
     assert "must be >= 1" in err
 
 
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    import latstat.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_demo", broken)
+    code, out, err = run_cli(capsys, "demo", "m3")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
 def test_reproduce_subset(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--criteria", "1,10")
     assert code == 0

@@ -179,6 +179,21 @@ def test_potential_arity_one_and_constant_tuples_are_zero():
         assert lam3.fn((e, e, e)) == 0
 
 
+def test_schur_and_potential_provide_id_evaluators():
+    # the full agreement sweep is in test_differential; here: the factories
+    # supply on_ids, including the pairless arity-1 potential
+    L = FnLattice.zero_to(2, 1)
+    schur = schur_construct(SchurSpec(L, lambda f: Fraction(sum(f)), min, "sum", "min"), 3)
+    spec = random_potential_spec(random.Random(2), "concave")
+    for lam, carrier in ((schur, L), (potential_construct(spec, 1), spec.carrier),
+                         (potential_construct(spec, 3), spec.carrier)):
+        assert lam.on_ids is not None
+        elems = carrier.elements()
+        evaluate = lam.on_ids(elems)
+        ids = tuple(range(len(elems)))[-lam.arity:]
+        assert evaluate(ids) == lam.fn(tuple(elems[i] for i in ids))
+
+
 def test_potential_directions_by_curvature():
     rng = random.Random(6)
     for curvature, rel in (("concave", GE), ("convex", TransitiveRelation.le())):

@@ -23,7 +23,7 @@ from latstat import (
     product_of_chains,
     validate_table_lattice,
 )
-from latstat.lattice import fn_diff, fn_join, fn_meet
+from latstat.lattice import _CompiledLattice, fn_diff, fn_join, fn_meet
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +220,41 @@ def test_pointwise_matches_subset_formula(fn22):
         n = rng.randint(1, 4)
         f = tuple(elems[rng.randrange(len(elems))] for _ in range(n))
         assert pointwise_order_statistics(f) == order_statistics_tuple(fn22, f)
+
+
+@pytest.mark.parametrize("make", [lambda: FnLattice.zero_to(2, 2),
+                                  lambda: product_of_chains([2, 3]), build_m3],
+                         ids=["fn", "chains", "m3"])
+def test_compiled_order_statistics_match_subset_formula(make):
+    L = make()
+    compiled = _CompiledLattice(L)
+    elems = compiled.elems
+    distributive = is_distributive(L).holds
+    for k in (2, 3):
+        engines = [compiled.order_statistics(k, network=False)]
+        if k == 2 or distributive:
+            engines.append(compiled.order_statistics(k, network=True))
+        for ids in product(range(len(elems)), repeat=k):
+            expected = order_statistics_tuple(L, tuple(elems[i] for i in ids))
+            for stats in engines:
+                assert tuple(elems[i] for i in stats(ids)) == expected
+
+
+def test_network_is_not_the_subset_formula_on_m3(m3):
+    # why scans test distributivity before using the network for k >= 3
+    network = _CompiledLattice(m3).order_statistics(3, network=True)
+    ids = lab(m3, 2, 3, 4)
+    assert order_statistics_tuple(m3, ids) == lab(m3, 1, 5, 5)
+    assert network(ids) != lab(m3, 1, 5, 5)
+
+
+def test_compiled_tables_fill_lazily():
+    L = FnLattice.zero_to(6, 5)
+    compiled = _CompiledLattice(L)
+    a, b = 7, 40000
+    assert compiled.elems[compiled.meet[a * compiled.m + b]] == L.meet(
+        compiled.elems[a], compiled.elems[b])
+    assert len(compiled.meet) == 1 and len(compiled.join) == 0
 
 
 def test_pointwise_monotone_and_multiset_preserving(fn22):

@@ -22,7 +22,9 @@ from latstat import (
     run_counterexample_m3,
     verify_chain_sortedness,
 )
+from latstat import semimod
 from latstat.generators import random_multiadd_functional, random_schur_functional
+from latstat.lattice import birkhoff_embed, lattice_from_order
 from latstat.report import Witness
 from latstat.semimod import (
     _derive_seed,
@@ -158,6 +160,31 @@ def test_relaxed_hypothesis_witness():
     assert report.instances_checked == count
 
 
+@pytest.mark.parametrize("L", [
+    product_of_chains([2, 3]),
+    # ids against the order: 3 <= 2 <= 1 <= 0, so a chain prefix climbs to lower ids
+    lattice_from_order(4, [(3, 2), (2, 1), (1, 0), (3, 1), (3, 0), (2, 0)]),
+], ids=["product_2x3", "reversed_chain"])
+def test_relaxed_hypothesis_matches_filter_loop(L):
+    lam = TupleFunctional(arity=3, fn=lambda f: Fraction(4 * f[0] - 3 * f[1] + f[2]),
+                          tag="affine")
+    report = check_relaxed_hypothesis(L, lam, GE)
+    expected, count = None, 0
+    for j in (1, 2):
+        for f in product(L.elements(), repeat=3):
+            if j == 2 and not L.leq(f[0], f[1]):
+                continue
+            count += 1
+            a, b = f[j - 1], f[j]
+            g = f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:]
+            if expected is None and not lam(f) >= lam(g):
+                expected = Witness(args=f, lhs=lam(f), rhs=lam(g),
+                                   note=f"sorted prefix length {j}")
+    assert expected is not None
+    assert report.witness == expected
+    assert report.instances_checked == count
+
+
 def test_pair_window_pass_implies_relaxed_pass():
     rng = random.Random(5)
     for _ in range(5):
@@ -202,6 +229,31 @@ def test_chain_on_table_lattice_routes_through_embedding():
         f = tuple(elems[rng.randrange(len(elems))] for _ in range(n))
         chain = insertion_chain(L, f)
         assert chain.rows[-1] == order_statistics_tuple(L, f)
+
+
+def test_chain_caches_table_embedding(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return birkhoff_embed(t)
+
+    monkeypatch.setattr(semimod, "birkhoff_embed", counted)
+    L = product_of_chains([2, 3])
+    f = (5, 1, 3, 2)
+    first = insertion_chain(L, f)
+    second = insertion_chain(L, f)
+    assert len(calls) == 1
+    ambient, mapping, _ = birkhoff_embed(L)
+    inverse = {v: key for key, v in mapping.items()}
+    uncached = insertion_chain(ambient, tuple(mapping[a] for a in f))
+    assert first.rows == second.rows == tuple(tuple(inverse[e] for e in row)
+                                              for row in uncached.rows)
+    m3 = build_m3()
+    for _ in range(2):
+        with pytest.raises(InputError):
+            insertion_chain(m3, (1, 2, 3))
+    assert len(calls) == 3
 
 
 def test_chain_refuses_non_distributive():
