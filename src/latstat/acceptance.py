@@ -23,7 +23,6 @@ from .constructions import (
     potential_pair_inequality_check,
     power_inequality_check,
     supinf_check,
-    _sorted_rows,
 )
 from .correlation import (
     corollary_ahke_check,
@@ -50,6 +49,7 @@ from .lattice import (
     is_distributive,
     order_statistics_dual_tuple,
     order_statistics_tuple,
+    pointwise_order_statistics,
     product_of_chains,
 )
 from .semimod import (
@@ -161,7 +161,7 @@ def _criterion_5(budget: int) -> str:
                   for _ in range(d)]
         report = perm_orderstat_check(matrix)
         assert report.holds, report.witness
-        pre_sorted = _sorted_rows(matrix)
+        pre_sorted = pointwise_order_statistics(matrix)
         again = perm_orderstat_check(pre_sorted)
         assert again.holds
         assert again.detail["rows_sorted"] == again.detail["permanent"]
@@ -172,7 +172,6 @@ def _criterion_5(budget: int) -> str:
 
 def _criterion_6(budget: int) -> str:
     rng = random.Random(66066)
-    from .lattice import pointwise_order_statistics
     for _ in range(500):
         width = rng.randint(1, 3)
         n = rng.randint(2, 4)

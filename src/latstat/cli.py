@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .acceptance import run_all
@@ -28,31 +27,26 @@ from .constructions import (
     supinf_check,
 )
 from .correlation import (
-    ExplicitSublattice,
     aharoni_keich_check,
     corollary_ahke_check,
     corollary_fkg_check,
     fkg_check,
     nonreversibility_demo,
 )
-from .generators import rand_fraction
+from .generators import perm_orderstat_batch
 from .jsonio import (
+    ahke_config_from_json,
+    construction_from_json,
+    corollary_config_from_json,
     dump_report,
-    element_from_json,
     element_to_json,
-    fn_elem_from_json,
+    elements_from_json,
+    fkg_config_from_json,
     functional_from_json,
     lattice_from_json,
     load_json_file,
     make_report,
-    measure_from_json,
-    parse_config,
-    psi_from_json,
-    scalar_from_json,
     value_to_json,
-    _expect_int,
-    _expect_list,
-    _expect_object,
 )
 from .lattice import (
     DEFAULT_BUDGET,
@@ -75,6 +69,16 @@ from .semimod import (
     check_generalized_nk,
     run_counterexample_m3,
 )
+
+_COROLLARY_CHECKS = {
+    "perm": perm_orderstat_check,
+    "esym": esym_orderstat_check,
+    "psi": psi_transform_check,
+    "power": power_inequality_check,
+    "supinf": supinf_check,
+    "sets": product_measure_check,
+    "indep": indep_association_check,
+}
 
 
 def _default_budget() -> int:
@@ -151,9 +155,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_ordstats(args) -> int:
     started = time.perf_counter()
     lattice = lattice_from_json(load_json_file(args.lattice))
-    raw = load_json_file(args.tuple)
-    elems = tuple(element_from_json(e, lattice, f"/{i}")
-                  for i, e in enumerate(_expect_list(raw, "")))
+    elems = elements_from_json(load_json_file(args.tuple), lattice)
     stats = order_statistics_tuple(lattice, elems)
     result = {"order_statistics": [element_to_json(e) for e in stats]}
     labels = _maybe_labels(lattice, stats)
@@ -219,127 +221,27 @@ def _cmd_demo(args) -> int:
     raise InputError(f"unknown demo {args.which!r}")
 
 
-def _tuple_from_config(cfg, key, width, ptr):
-    raw = _expect_list(cfg[key], f"{ptr}/{key}")
-    return [fn_elem_from_json(e, width, f"{ptr}/{key}/{i}") for i, e in enumerate(raw)]
-
-
 def _cmd_corollary(args) -> int:
     started = time.perf_counter()
     name = args.which
-    if name == "perm":
-        cfg = parse_config(args.config, (), ("matrix", "random"))
-        if "matrix" in cfg:
-            matrix = [[scalar_from_json(v, f"/matrix/{i}/{j}")
-                       for j, v in enumerate(_expect_list(row, f"/matrix/{i}"))]
-                      for i, row in enumerate(_expect_list(cfg["matrix"], "/matrix"))]
-            report = perm_orderstat_check(matrix)
-        elif "random" in cfg:
-            spec = _expect_object(cfg["random"], "/random", ("count", "seed"),
-                                  ("max_rows", "max_cols"))
-            import random as _random
-            rng = _random.Random(_expect_int(spec["seed"], "/random/seed"))
-            count = _expect_int(spec["count"], "/random/count", 1)
-            max_rows = _expect_int(spec.get("max_rows", 5), "/random/max_rows", 1)
-            max_cols = _expect_int(spec.get("max_cols", 7), "/random/max_cols", 1)
-            failed = None
-            for _ in range(count):
-                matrix = [[rand_fraction(rng, max_num=6, max_den=4)
-                           for _ in range(rng.randint(1, max_cols))]
-                          for _ in range(rng.randint(1, max_rows))]
-                width = max(len(r) for r in matrix)
-                matrix = [r + [Fraction(0)] * (width - len(r)) for r in matrix]
-                one = perm_orderstat_check(matrix)
-                if not one.holds and failed is None:
-                    failed = one
-            report = failed if failed is not None else one
-            report.detail["batch"] = count
-        else:
-            raise InputError("/matrix: provide 'matrix' or 'random'")
-    elif name == "esym":
-        cfg = parse_config(args.config, ("measure", "tuple"), ("k",))
-        measure = measure_from_json(cfg["measure"], "/measure")
-        fs = _tuple_from_config(cfg, "tuple", measure.size, "")
-        if not fs:
-            raise InputError("/tuple: must be nonempty")
-        if "k" in cfg:
-            report = esym_orderstat_check(measure, fs,
-                                          _expect_int(cfg["k"], "/k", 1))
-        else:
-            report = None
-            for k in range(1, len(fs) + 1):
-                one = esym_orderstat_check(measure, fs, k)
-                if report is None or (report.holds and not one.holds):
-                    report = one
-    elif name == "psi":
-        cfg = parse_config(args.config, ("measure", "tuple", "psi"), ())
-        measure = measure_from_json(cfg["measure"], "/measure")
-        fs = _tuple_from_config(cfg, "tuple", measure.size, "")
-        psi, direction = psi_from_json(cfg["psi"], "/psi")
-        report = psi_transform_check(psi, direction, measure, fs)
-    elif name == "power":
-        cfg = parse_config(args.config, ("measure", "tuple", "p", "r"), ())
-        measure = measure_from_json(cfg["measure"], "/measure")
-        fs = _tuple_from_config(cfg, "tuple", measure.size, "")
-        report = power_inequality_check(parse_rational(cfg["p"]),
-                                        parse_rational(cfg["r"]), measure, fs)
-    elif name == "supinf":
-        cfg = parse_config(args.config, ("tuple",), ())
-        raw = _expect_list(cfg["tuple"], "/tuple")
-        width = None
-        fs = []
-        for i, e in enumerate(raw):
-            elem = fn_elem_from_json(e, width, f"/tuple/{i}")
-            width = len(elem)
-            fs.append(elem)
-        report = supinf_check(fs)
-    elif name == "sets":
-        cfg = parse_config(args.config, ("ground_size", "k", "weights", "sets"), ())
-        ground = _expect_int(cfg["ground_size"], "/ground_size", 1)
-        k = _expect_int(cfg["k"], "/k", 1)
-        weights = {}
-        for i, entry in enumerate(_expect_list(cfg["weights"], "/weights")):
-            entry = _expect_list(entry, f"/weights/{i}")
-            if len(entry) != 2:
-                raise InputError(f"/weights/{i}: expected [[points...], weight]")
-            key = tuple(_expect_int(s, f"/weights/{i}/0/{j}", 0)
-                        for j, s in enumerate(_expect_list(entry[0], f"/weights/{i}/0")))
-            weights[key] = scalar_from_json(entry[1], f"/weights/{i}/1")
-        sets = [frozenset(_expect_int(s, f"/sets/{i}/{j}", 0)
-                          for j, s in enumerate(_expect_list(A, f"/sets/{i}")))
-                for i, A in enumerate(_expect_list(cfg["sets"], "/sets"))]
-        report = product_measure_check(weights, sets, k, ground)
-    elif name == "indep":
-        cfg = parse_config(args.config, ("marginals",), ())
-        marginals = []
-        for i, marg in enumerate(_expect_list(cfg["marginals"], "/marginals")):
-            pts = []
-            for j, pair in enumerate(_expect_list(marg, f"/marginals/{i}")):
-                pair = _expect_list(pair, f"/marginals/{i}/{j}")
-                if len(pair) != 2:
-                    raise InputError(f"/marginals/{i}/{j}: expected [value, prob]")
-                pts.append((scalar_from_json(pair[0], f"/marginals/{i}/{j}/0"),
-                            scalar_from_json(pair[1], f"/marginals/{i}/{j}/1")))
-            marginals.append(pts)
-        report = indep_association_check(marginals)
+    kwargs = corollary_config_from_json(name, args.config)
+    if name == "perm" and "matrix" not in kwargs:
+        report = perm_orderstat_batch(**kwargs)
+    elif name == "esym" and "k" not in kwargs:
+        report = None
+        for k in range(1, len(kwargs["fs"]) + 1):
+            one = esym_orderstat_check(k=k, **kwargs)
+            if report is None or (report.holds and not one.holds):
+                report = one
     else:
-        raise InputError(f"unknown corollary {name!r}")
+        report = _COROLLARY_CHECKS[name](**kwargs)
     _emit(args, f"corollary {name}", {"config": args.config}, report, started)
     return 0 if report.holds else 1
 
 
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
-    params = load_json_file(args.params)
-    if not isinstance(params, dict):
-        raise InputError("/: expected a params object")
-    lattice_spec = params.get("lattice")
-    if lattice_spec is None:
-        raise InputError("/lattice: construction params must embed the carrier lattice")
-    lattice = lattice_from_json(lattice_spec, "/lattice")
-    descriptor = dict(params)
-    descriptor["family"] = args.family
-    functional_from_json(descriptor, lattice)  # validates every invariant
+    descriptor = construction_from_json(load_json_file(args.params), args.family)
     text = dump_report(make_report("construct", {"params": args.params},
                                    {"functional": descriptor, "verified": True}))
     if args.emit:
@@ -351,106 +253,23 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _func_from_json(obj, width, ptr):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "linear":
-        _expect_object(obj, ptr, ("kind", "coeffs"), ("const",))
-        coeffs = [scalar_from_json(v, f"{ptr}/coeffs/{i}")
-                  for i, v in enumerate(_expect_list(obj["coeffs"], f"{ptr}/coeffs"))]
-        if len(coeffs) != width:
-            raise InputError(f"{ptr}/coeffs: expected {width} coefficients")
-        const = scalar_from_json(obj.get("const", 0), f"{ptr}/const")
-        return lambda h: sum((c * v for c, v in zip(coeffs, h)), const)
-    if kind == "table":
-        _expect_object(obj, ptr, ("kind", "values"), ())
-        table = {}
-        for i, entry in enumerate(_expect_list(obj["values"], f"{ptr}/values")):
-            entry = _expect_list(entry, f"{ptr}/values/{i}")
-            if len(entry) != 2:
-                raise InputError(f"{ptr}/values/{i}: expected [element, value]")
-            table[fn_elem_from_json(entry[0], width, f"{ptr}/values/{i}/0")] = \
-                scalar_from_json(entry[1], f"{ptr}/values/{i}/1")
-
-        def func(h, _t=table):
-            if tuple(h) not in _t:
-                raise InputError(f"function table has no value at {h}")
-            return _t[tuple(h)]
-
-        return func
-    raise InputError(f"{ptr}/kind: unknown function kind {kind!r}")
-
-
-def _families_from_config(cfg, ptr):
-    fams = []
-    width = None
-    for i, fam in enumerate(_expect_list(cfg["families"], f"{ptr}/families")):
-        elems = []
-        for j, e in enumerate(_expect_list(fam, f"{ptr}/families/{i}")):
-            elem = fn_elem_from_json(e, width, f"{ptr}/families/{i}/{j}")
-            width = len(elem)
-            elems.append(elem)
-        fams.append(elems)
-    return fams, width
-
-
 def _cmd_fkg(args) -> int:
     started = time.perf_counter()
-    cfg = parse_config(args.config, ("elements", "F", "G", "weight"), ())
-    width = None
-    elems = []
-    for i, e in enumerate(_expect_list(cfg["elements"], "/elements")):
-        elem = fn_elem_from_json(e, width, f"/elements/{i}")
-        width = len(elem)
-        elems.append(elem)
-    sub = ExplicitSublattice(elems)
-    F = _func_from_json(cfg["F"], sub.width, "/F")
-    G = _func_from_json(cfg["G"], sub.width, "/G")
-    weight = _expect_object(cfg["weight"], "/weight", ("kind",),
-                            ("measure", "r", "values", "mode"))
-    kind = weight["kind"]
-    if kind == "power":
-        measure = measure_from_json(weight["measure"], "/weight/measure",
-                                    width=sub.width)
-        report = corollary_fkg_check(sub, F, G, measure=measure,
-                                     r=_expect_int(weight["r"], "/weight/r"))
-    elif kind == "inf":
-        report = corollary_fkg_check(sub, F, G, use_inf=True)
-    elif kind == "table":
-        nu = _func_from_json({"kind": "table", "values": weight["values"]},
-                             sub.width, "/weight")
-        mode = ConventionMode.from_name(weight["mode"]) if "mode" in weight else None
-        report = fkg_check(sub, nu, F, G, mode)
-    else:
-        raise InputError(f"/weight/kind: unknown weight kind {kind!r}")
+    sub, F, G, weight = fkg_config_from_json(args.config)
+    check = fkg_check if "nu" in weight else corollary_fkg_check
+    report = check(sub, F=F, G=G, **weight)
     _emit(args, "fkg", {"config": args.config}, report, started)
     return 0 if report.holds else 1
 
 
 def _cmd_ahke(args) -> int:
     started = time.perf_counter()
-    cfg = parse_config(args.config, ("families",), ("weight", "alphas", "betas"))
-    fams, width = _families_from_config(cfg, "")
-    if "weight" in cfg:
-        weight = _expect_object(cfg["weight"], "/weight", ("kind",), ("measure", "r"))
-        kind = weight["kind"]
-        if kind == "power":
-            measure = measure_from_json(weight["measure"], "/weight/measure",
-                                        width=width)
-            report = corollary_ahke_check(fams, measure=measure,
-                                          r=_expect_int(weight["r"], "/weight/r"))
-        elif kind == "inf":
-            report = corollary_ahke_check(fams, use_inf=True)
-        else:
-            raise InputError(f"/weight/kind: unknown weight kind {kind!r}")
-    elif "alphas" in cfg and "betas" in cfg:
-        alphas = [_func_from_json(a, width, f"/alphas/{i}")
-                  for i, a in enumerate(_expect_list(cfg["alphas"], "/alphas"))]
-        betas = [_func_from_json(b, width, f"/betas/{i}")
-                 for i, b in enumerate(_expect_list(cfg["betas"], "/betas"))]
-        report = aharoni_keich_check(alphas, betas, fams,
-                                     mode=ConventionMode.ZERO)
+    families, kwargs = ahke_config_from_json(args.config)
+    if "alphas" in kwargs:
+        report = aharoni_keich_check(families=families, mode=ConventionMode.ZERO,
+                                     **kwargs)
     else:
-        raise InputError("/weight: provide 'weight' or both 'alphas' and 'betas'")
+        report = corollary_ahke_check(families, **kwargs)
     _emit(args, "ahke", {"config": args.config}, report, started)
     return 0 if report.holds else 1
 

@@ -235,15 +235,10 @@ class PotentialSpec:
     curvature: str  # "concave" or "convex"
     phi_name: str = "phi"
     psi_name: str = "psi"
-    sign_mode: str = ""  # "sub" (>= direction) or "super" (<=); derived if empty
 
     def __post_init__(self):
         if self.curvature not in ("concave", "convex"):
             raise InputError("curvature must be 'concave' or 'convex'")
-        if not self.sign_mode:
-            self.sign_mode = "sub" if self.curvature == "concave" else "super"
-        if self.sign_mode not in ("sub", "super"):
-            raise InputError("sign_mode must be 'sub' or 'super'")
         if self.measure.size != self.carrier.ground.size:
             raise InputError("measure and carrier ground sets differ")
 
@@ -494,19 +489,26 @@ def integral_of_product(measure: Measure, k: int) -> MultiadditiveFn:
     return MultiadditiveFn(arity=k, fn=fn, tag="integral-of-product")
 
 
-def tensor_multiadditive(weights: dict, k: int, ground_size: int) -> MultiadditiveFn:
-    """General multilinear form from sparse nonnegative weights on k-tuples of
-    ground points."""
+def _point_weights(weights: dict, k: int, ground_size: int, noun: str) -> dict:
+    """Validate finite nonnegative weights keyed by k-tuples of ground points;
+    `noun` names the weights in error messages."""
     table = {}
     for key, w in weights.items():
         key = tuple(key)
         if len(key) != k or any(not 0 <= s < ground_size for s in key):
             raise InputError(f"weight key {key!r} is not a valid point {k}-tuple")
         w = as_scalar(w)
-        require_nonneg(w, "tensor weight")
+        require_nonneg(w, f"{noun} weight")
         if is_inf(w):
-            raise InputError("tensor weights must be finite")
+            raise InputError(f"{noun} weights must be finite")
         table[key] = w
+    return table
+
+
+def tensor_multiadditive(weights: dict, k: int, ground_size: int) -> MultiadditiveFn:
+    """General multilinear form from sparse nonnegative weights on k-tuples of
+    ground points."""
+    table = _point_weights(weights, k, ground_size, "tensor")
 
     def fn(*args):
         if len(args) != k:
@@ -556,11 +558,6 @@ def permanent(matrix: Sequence[Sequence]) -> Fraction:
     return Fraction(total) / scale
 
 
-def _sorted_rows(matrix):
-    cols = [sorted(col) for col in zip(*matrix)]
-    return [[col[i] for col in cols] for i in range(len(matrix))]
-
-
 def perm_orderstat_check(matrix: Sequence[Sequence]) -> CheckReport:
     """Verify the permanent does not increase when the rows are replaced by
     their pointwise order statistics, nor when the columns are."""
@@ -569,7 +566,7 @@ def perm_orderstat_check(matrix: Sequence[Sequence]) -> CheckReport:
         for x in row:
             require_nonneg(x, "matrix entry")
     base = permanent(rows)
-    row_sorted = _sorted_rows(rows)
+    row_sorted = pointwise_order_statistics(rows)
     col_sorted = [sorted(row) for row in rows]
     perm_rows = permanent(row_sorted)
     perm_cols = permanent(col_sorted)
@@ -862,16 +859,7 @@ def product_measure_check(weights: dict, sets: Sequence, k: int,
     """Sum over injective placements of k of the n sets of the weight of
     their Cartesian product; the order-statistic sets never beat the
     originals."""
-    table = {}
-    for key, w in weights.items():
-        key = tuple(key)
-        if len(key) != k or any(not 0 <= s < ground_size for s in key):
-            raise InputError(f"weight key {key!r} is not a valid point {k}-tuple")
-        w = as_scalar(w)
-        require_nonneg(w, "product-measure weight")
-        if is_inf(w):
-            raise InputError("product-measure weights must be finite")
-        table[key] = w
+    table = _point_weights(weights, k, ground_size, "product-measure")
     fams = [frozenset(A) for A in sets]
     for A in fams:
         if any(not 0 <= s < ground_size for s in A):

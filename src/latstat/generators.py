@@ -21,10 +21,12 @@ from .constructions import (
     schur_construct,
     tensor_multiadditive,
     multiadd_symmetric_sum,
+    perm_orderstat_check,
     verify_multiadditive,
 )
 from .correlation import ExplicitSublattice
 from .lattice import FnLattice
+from .report import CheckReport
 from .scalars import INF
 from .semimod import TupleFunctional
 
@@ -237,3 +239,24 @@ def random_families(rng: random.Random, *, n: int, width: int,
         fam = {tuple(rng.choice(vals) for _ in range(width)) for _ in range(size)}
         fams.append(sorted(fam))
     return fams
+
+
+def perm_orderstat_batch(count: int, seed: int, max_rows: int,
+                         max_cols: int) -> CheckReport:
+    """Run `perm_orderstat_check` on `count` seeded random matrices (rows of
+    random lengths, padded with zeros); returns the first failing report,
+    else the last, with the batch size in its detail."""
+    rng = random.Random(seed)
+    failed = None
+    for _ in range(count):
+        matrix = [[rand_fraction(rng, max_num=6, max_den=4)
+                   for _ in range(rng.randint(1, max_cols))]
+                  for _ in range(rng.randint(1, max_rows))]
+        width = max(len(r) for r in matrix)
+        matrix = [r + [Fraction(0)] * (width - len(r)) for r in matrix]
+        one = perm_orderstat_check(matrix)
+        if not one.holds and failed is None:
+            failed = one
+    report = failed if failed is not None else one
+    report.detail["batch"] = count
+    return report

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
@@ -26,20 +27,23 @@ from .constructions import (
     SchurSpec,
     SetRelation,
 )
+from .correlation import ExplicitSublattice
 from .lattice import FnLattice, TableLattice, lattice_from_order
 from .report import CheckReport, Witness
 from .scalars import (
     INF,
+    ConventionMode,
     InputError,
     as_scalar,
     is_inf,
+    parse_rational,
     scalar_from_json,
     scalar_to_json,
 )
 from .semimod import TupleFunctional, scalar_quadratic
 
 
-# --- validation helpers ---
+# --- shapes shared by every config ---
 
 def _expect_object(obj, ptr: str, required: tuple, optional: tuple = ()) -> dict:
     if not isinstance(obj, dict):
@@ -54,6 +58,17 @@ def _expect_object(obj, ptr: str, required: tuple, optional: tuple = ()) -> dict
     return obj
 
 
+def _expect_kind(obj, ptr: str, noun: str, kinds: dict) -> str:
+    """Validate an object whose "kind" field selects its schema: `kinds`
+    maps each kind to its (required, optional) fields besides "kind"."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InputError(f"{ptr}/kind: unknown {noun} kind {kind!r}")
+    required, optional = kinds[kind]
+    _expect_object(obj, ptr, ("kind",) + required, optional)
+    return kind
+
+
 def _expect_int(v, ptr: str, minimum: Optional[int] = None) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise InputError(f"{ptr}: expected an integer")
@@ -62,10 +77,45 @@ def _expect_int(v, ptr: str, minimum: Optional[int] = None) -> int:
     return v
 
 
+_natural = partial(_expect_int, minimum=0)
+_positive = partial(_expect_int, minimum=1)
+
+
+def _finite_scalar(v, ptr: str):
+    x = scalar_from_json(v, ptr)
+    if is_inf(x):
+        raise InputError(f"{ptr}: must be finite")
+    return x
+
+
 def _expect_list(v, ptr: str) -> list:
     if not isinstance(v, list):
         raise InputError(f"{ptr}: expected a list")
     return v
+
+
+def _list_of(v, ptr: str, decode) -> list:
+    """Decode each entry of a list with `decode(entry, pointer)`."""
+    return [decode(x, f"{ptr}/{i}") for i, x in enumerate(_expect_list(v, ptr))]
+
+
+def _pair(v, ptr: str, what: str, first, second) -> tuple:
+    """Decode an [a, b] list; `what` names its entries in the error."""
+    pair = _expect_list(v, ptr)
+    if len(pair) != 2:
+        raise InputError(f"{ptr}: expected {what}")
+    return first(pair[0], f"{ptr}/0"), second(pair[1], f"{ptr}/1")
+
+
+def _pairs(v, ptr: str, what: str, first, second) -> list:
+    return _list_of(v, ptr, lambda x, p: _pair(x, p, what, first, second))
+
+
+def _point_table(v, ptr: str) -> dict:
+    """A [[points...], weight] table: tuples of ground points -> weights."""
+    return dict(_pairs(v, ptr, "[[points...], weight]",
+                       lambda key, p: tuple(_list_of(key, p, _natural)),
+                       scalar_from_json))
 
 
 def _rational_key(text, ptr: str) -> Fraction:
@@ -91,6 +141,10 @@ def element_from_json(obj, lattice, ptr: str = ""):
     raise InputError(f"{ptr}: expected an element id or a scalar array")
 
 
+def elements_from_json(obj, lattice, ptr: str = "") -> tuple:
+    return tuple(_list_of(obj, ptr, lambda e, p: element_from_json(e, lattice, p)))
+
+
 def element_to_json(e):
     if isinstance(e, tuple):
         return [scalar_to_json(as_scalar(v)) for v in e]
@@ -98,11 +152,31 @@ def element_to_json(e):
 
 
 def fn_elem_from_json(obj, width: Optional[int], ptr: str = "") -> tuple:
-    vals = _expect_list(obj, ptr)
-    elem = tuple(scalar_from_json(v, f"{ptr}/{i}") for i, v in enumerate(vals))
+    elem = tuple(_list_of(obj, ptr, scalar_from_json))
     if width is not None and len(elem) != width:
         raise InputError(f"{ptr}: expected {width} values, got {len(elem)}")
     return elem
+
+
+def fn_elems_from_json(obj, ptr: str, width: Optional[int] = None) -> list:
+    """A list of function elements that share one width: `width`, or else
+    the first element's."""
+    elems = []
+    for i, e in enumerate(_expect_list(obj, ptr)):
+        elems.append(fn_elem_from_json(e, width, f"{ptr}/{i}"))
+        width = len(elems[-1])
+    return elems
+
+
+def _families_from_json(obj, ptr: str) -> tuple:
+    """Lists of function elements sharing one width across all lists;
+    returns (families, width), width None when every list is empty."""
+    fams, width = [], None
+    for i, fam in enumerate(_expect_list(obj, ptr)):
+        fams.append(fn_elems_from_json(fam, f"{ptr}/{i}", width))
+        if fams[-1]:
+            width = len(fams[-1][0])
+    return fams, width
 
 
 # --- lattices ---
@@ -121,115 +195,100 @@ def _labels_from_json(obj, ptr: str):
 def lattice_from_json(obj, ptr: str = ""):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{ptr}/kind: missing lattice kind")
-    kind = obj["kind"]
+    kind = _expect_kind(obj, ptr, "lattice", {
+        "table": (("n", "meet", "join"), ("labels",)),
+        "order": (("n", "leq_pairs"), ("labels",)),
+        "fn": (("ground_size", "chain_max"), ("chain_min", "max_ground", "max_chain")),
+    })
     if kind == "table":
-        _expect_object(obj, ptr, ("kind", "n", "meet", "join"), ("labels",))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
-        return TableLattice(n, _expect_list(obj["meet"], f"{ptr}/meet"),
-                            _expect_list(obj["join"], f"{ptr}/join"),
+        return TableLattice(n, _list_of(obj["meet"], f"{ptr}/meet", _expect_list),
+                            _list_of(obj["join"], f"{ptr}/join", _expect_list),
                             labels=_labels_from_json(obj, ptr))
     if kind == "order":
-        _expect_object(obj, ptr, ("kind", "n", "leq_pairs"), ("labels",))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
-        return lattice_from_order(n, _expect_list(obj["leq_pairs"], f"{ptr}/leq_pairs"),
-                                  labels=_labels_from_json(obj, ptr))
-    if kind == "fn":
-        _expect_object(obj, ptr, ("kind", "ground_size", "chain_max"),
-                       ("chain_min", "max_ground", "max_chain"))
-        size = _expect_int(obj["ground_size"], f"{ptr}/ground_size", 1)
-        top = _expect_int(obj["chain_max"], f"{ptr}/chain_max")
-        lo = _expect_int(obj.get("chain_min", 0), f"{ptr}/chain_min")
-        if lo > top:
-            raise InputError(f"{ptr}/chain_min: exceeds chain_max")
-        kw = {}
-        if "max_ground" in obj:
-            kw["max_ground"] = _expect_int(obj["max_ground"], f"{ptr}/max_ground", 1)
-        if "max_chain" in obj:
-            kw["max_chain"] = _expect_int(obj["max_chain"], f"{ptr}/max_chain", 1)
-        return FnLattice(size, [Fraction(v) for v in range(lo, top + 1)], **kw)
-    raise InputError(f"{ptr}/kind: unknown lattice kind {kind!r}")
+        pairs = _list_of(obj["leq_pairs"], f"{ptr}/leq_pairs", _expect_list)
+        return lattice_from_order(n, pairs, labels=_labels_from_json(obj, ptr))
+    size = _expect_int(obj["ground_size"], f"{ptr}/ground_size", 1)
+    top = _expect_int(obj["chain_max"], f"{ptr}/chain_max")
+    lo = _expect_int(obj.get("chain_min", 0), f"{ptr}/chain_min")
+    if lo > top:
+        raise InputError(f"{ptr}/chain_min: exceeds chain_max")
+    kw = {}
+    if "max_ground" in obj:
+        kw["max_ground"] = _expect_int(obj["max_ground"], f"{ptr}/max_ground", 1)
+    if "max_chain" in obj:
+        kw["max_chain"] = _expect_int(obj["max_chain"], f"{ptr}/max_chain", 1)
+    return FnLattice(size, [Fraction(v) for v in range(lo, top + 1)], **kw)
 
 
 # --- measures ---
 
 def measure_from_json(obj, ptr: str = "", width: Optional[int] = None) -> Measure:
     if isinstance(obj, list):
-        weights = tuple(scalar_from_json(v, f"{ptr}/{i}") for i, v in enumerate(obj))
+        weights = _list_of(obj, ptr, scalar_from_json)
         prob = False
     else:
         _expect_object(obj, ptr, ("weights",), ("probability",))
-        raw = _expect_list(obj["weights"], f"{ptr}/weights")
-        weights = tuple(scalar_from_json(v, f"{ptr}/weights/{i}")
-                        for i, v in enumerate(raw))
-        prob = bool(obj.get("probability", False))
+        weights = _list_of(obj["weights"], f"{ptr}/weights", scalar_from_json)
+        prob = obj.get("probability", False)
+        if not isinstance(prob, bool):
+            raise InputError(f"{ptr}/probability: expected a boolean")
     if width is not None and len(weights) != width:
         raise InputError(f"{ptr}: expected {width} weights, got {len(weights)}")
-    return Measure(weights, probability=prob)
+    return Measure(tuple(weights), probability=prob)
 
 
 # --- functionals ---
 
 def _schur_lam_from_json(obj, lattice, ptr: str):
-    kind = obj.get("kind")
+    kind = _expect_kind(obj, ptr, "one-argument map", {
+        "modular": (("point_weights",), ()),
+        "capped_modular": (("point_weights", "cap"), ()),
+        "max_value": ((), ("shift",)),
+        "relation_image": (("pairs", "target_weights"), ()),
+    })
     if kind == "modular":
-        _expect_object(obj, ptr, ("kind", "point_weights"))
-        ws = [scalar_from_json(v, f"{ptr}/point_weights/{i}")
-              for i, v in enumerate(_expect_list(obj["point_weights"], f"{ptr}/point_weights"))]
+        ws = _list_of(obj["point_weights"], f"{ptr}/point_weights", _finite_scalar)
         return (lambda f: sum((w * v for w, v in zip(ws, f)), Fraction(0)),
                 "modular")
     if kind == "capped_modular":
-        _expect_object(obj, ptr, ("kind", "point_weights", "cap"))
-        ws = [scalar_from_json(v, f"{ptr}/point_weights/{i}")
-              for i, v in enumerate(_expect_list(obj["point_weights"], f"{ptr}/point_weights"))]
+        ws = _list_of(obj["point_weights"], f"{ptr}/point_weights", _finite_scalar)
         cap = scalar_from_json(obj["cap"], f"{ptr}/cap")
         return (lambda f: min(cap, sum((w * v for w, v in zip(ws, f)), Fraction(0))),
                 "capped_modular")
     if kind == "max_value":
-        _expect_object(obj, ptr, ("kind",), ("shift",))
-        shift = scalar_from_json(obj.get("shift", 0), f"{ptr}/shift")
+        shift = _finite_scalar(obj.get("shift", 0), f"{ptr}/shift")
         return (lambda f: max(f) + shift, "max_value")
-    if kind == "relation_image":
-        _expect_object(obj, ptr, ("kind", "pairs", "target_weights"))
-        raw_pairs = _expect_list(obj["pairs"], f"{ptr}/pairs")
-        tw = [scalar_from_json(v, f"{ptr}/target_weights/{i}")
-              for i, v in enumerate(_expect_list(obj["target_weights"], f"{ptr}/target_weights"))]
-        pairs = []
-        for i, pr in enumerate(raw_pairs):
-            pr = _expect_list(pr, f"{ptr}/pairs/{i}")
-            if len(pr) != 2:
-                raise InputError(f"{ptr}/pairs/{i}: expected [source, target]")
-            pairs.append((_expect_int(pr[0], f"{ptr}/pairs/{i}/0", 0),
-                          _expect_int(pr[1], f"{ptr}/pairs/{i}/1", 0)))
-        width = lattice.ground.size
-        target = max((t for _, t in pairs), default=-1) + 1
-        target = max(target, len(tw))
-        rel = SetRelation(frozenset(pairs), width, target)
-        if len(tw) < target:
-            raise InputError(f"{ptr}/target_weights: need {target} weights")
-        return relation_image_measure(rel, tw), "relation_image"
-    raise InputError(f"{ptr}/kind: unknown one-argument map kind {kind!r}")
+    pairs = _pairs(obj["pairs"], f"{ptr}/pairs", "[source, target]", _natural, _natural)
+    tw = _list_of(obj["target_weights"], f"{ptr}/target_weights", scalar_from_json)
+    width = lattice.ground.size
+    target = max(max((t for _, t in pairs), default=-1) + 1, len(tw))
+    rel = SetRelation(frozenset(pairs), width, target)
+    if len(tw) < target:
+        raise InputError(f"{ptr}/target_weights: need {target} weights")
+    return relation_image_measure(rel, tw), "relation_image"
 
 
 def _schur_combiner_from_json(obj, ptr: str):
-    kind = obj.get("kind")
+    kind = _expect_kind(obj, ptr, "combiner", {
+        "min": ((), ()), "sum": ((), ()), "sum_smallest": (("k",), ())})
     if kind == "min":
         return (lambda xs: min(xs)), "min"
     if kind == "sum":
         return (lambda xs: sum(xs, Fraction(0))), "sum"
-    if kind == "sum_smallest":
-        _expect_object(obj, ptr, ("kind", "k"))
-        k = _expect_int(obj["k"], f"{ptr}/k", 1)
-        return (lambda xs: sum(sorted(xs)[:k], Fraction(0))), f"sum_smallest({k})"
-    raise InputError(f"{ptr}/kind: unknown combiner kind {kind!r}")
+    k = _expect_int(obj["k"], f"{ptr}/k", 1)
+    return (lambda xs: sum(sorted(xs)[:k], Fraction(0))), f"sum_smallest({k})"
 
 
 def psi_from_json(obj, ptr: str = ""):
     """Monotone transform registry: returns (callable, direction)."""
-    kind = obj.get("kind") if isinstance(obj, dict) else None
+    kind = _expect_kind(obj, ptr, "transform", {
+        "identity": ((), ()), "power": (("t",), ()), "one_over_one_plus": ((), ()),
+        "table": (("points", "direction"), ())})
     if kind == "identity":
         return (lambda x: x), "nondecreasing"
     if kind == "power":
-        _expect_object(obj, ptr, ("kind", "t"))
         t = _expect_int(obj["t"], f"{ptr}/t", 1)
 
         def psi(x, _t=t):
@@ -241,54 +300,38 @@ def psi_from_json(obj, ptr: str = ""):
             return Fraction(0) if is_inf(x) else Fraction(1) / (1 + x)
 
         return psi, "nonincreasing"
-    if kind == "table":
-        _expect_object(obj, ptr, ("kind", "points", "direction"))
-        table = {}
-        for i, pair in enumerate(_expect_list(obj["points"], f"{ptr}/points")):
-            pair = _expect_list(pair, f"{ptr}/points/{i}")
-            if len(pair) != 2:
-                raise InputError(f"{ptr}/points/{i}: expected [x, y]")
-            table[scalar_from_json(pair[0], f"{ptr}/points/{i}/0")] = \
-                scalar_from_json(pair[1], f"{ptr}/points/{i}/1")
-        direction = obj["direction"]
-        if direction not in ("nondecreasing", "nonincreasing"):
-            raise InputError(f"{ptr}/direction: must be nondecreasing or nonincreasing")
+    table = dict(_pairs(obj["points"], f"{ptr}/points", "[x, y]",
+                        scalar_from_json, scalar_from_json))
+    direction = obj["direction"]
+    if direction not in ("nondecreasing", "nonincreasing"):
+        raise InputError(f"{ptr}/direction: must be nondecreasing or nonincreasing")
 
-        def psi(x, _t=table):
-            if x not in _t:
-                raise InputError(f"transform has no tabulated value at {x}")
-            return _t[x]
+    def psi(x, _t=table):
+        if x not in _t:
+            raise InputError(f"transform has no tabulated value at {x}")
+        return _t[x]
 
-        return psi, direction
-    raise InputError(f"{ptr}/kind: unknown transform kind {kind!r}")
+    return psi, direction
 
 
 def _potential_phi_from_json(obj, ptr: str):
-    kind = obj.get("kind")
+    kind = _expect_kind(obj, ptr, "inner map", {
+        "relu": ((), ("scale", "shift")), "step": ((), ("shift",))})
     if kind == "relu":
-        _expect_object(obj, ptr, ("kind",), ("scale", "shift"))
-        scale = scalar_from_json(obj.get("scale", 1), f"{ptr}/scale")
-        shift = scalar_from_json(obj.get("shift", 0), f"{ptr}/shift")
+        scale = _finite_scalar(obj.get("scale", 1), f"{ptr}/scale")
+        shift = _finite_scalar(obj.get("shift", 0), f"{ptr}/shift")
         return (lambda u: max(scale * (u - shift), Fraction(0))), "relu"
-    if kind == "step":
-        _expect_object(obj, ptr, ("kind",), ("shift",))
-        shift = scalar_from_json(obj.get("shift", 0), f"{ptr}/shift")
-        return (lambda u: Fraction(1) if u > shift else Fraction(0)), "step"
-    raise InputError(f"{ptr}/kind: unknown inner map kind {kind!r}")
+    shift = scalar_from_json(obj.get("shift", 0), f"{ptr}/shift")
+    return (lambda u: Fraction(1) if u > shift else Fraction(0)), "step"
 
 
 def _potential_psi_from_json(obj, ptr: str):
     _expect_object(obj, ptr, ("kind", "pieces"), ())
-    kind = obj.get("kind")
+    kind = obj["kind"]
     if kind not in ("min_affine", "max_affine"):
         raise InputError(f"{ptr}/kind: expected min_affine or max_affine")
-    pieces = []
-    for i, pair in enumerate(_expect_list(obj["pieces"], f"{ptr}/pieces")):
-        pair = _expect_list(pair, f"{ptr}/pieces/{i}")
-        if len(pair) != 2:
-            raise InputError(f"{ptr}/pieces/{i}: expected [slope, intercept]")
-        pieces.append((scalar_from_json(pair[0], f"{ptr}/pieces/{i}/0"),
-                       scalar_from_json(pair[1], f"{ptr}/pieces/{i}/1")))
+    pieces = _pairs(obj["pieces"], f"{ptr}/pieces", "[slope, intercept]",
+                    _finite_scalar, _finite_scalar)
     if not pieces:
         raise InputError(f"{ptr}/pieces: must be nonempty")
     if kind == "min_affine":
@@ -309,11 +352,7 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
         max_idx = 0
         for key, idx in coeffs.items():
             c = _rational_key(key, f"{ptr}/coeffs/{key}")
-            idx = _expect_list(idx, f"{ptr}/coeffs/{key}")
-            if len(idx) != 2:
-                raise InputError(f"{ptr}/coeffs/{key}: expected an index pair")
-            i = _expect_int(idx[0], f"{ptr}/coeffs/{key}/0", 1)
-            j = _expect_int(idx[1], f"{ptr}/coeffs/{key}/1", 1)
+            i, j = _pair(idx, f"{ptr}/coeffs/{key}", "an index pair", _positive, _positive)
             terms.append((c, i, j))
             max_idx = max(max_idx, i, j)
         n = _expect_int(obj.get("n", max_idx), f"{ptr}/n", 1)
@@ -321,14 +360,15 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
     if family == "schur":
         _expect_object(obj, ptr, ("family", "n", "lambda", "F"), ("lattice", "seed"))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
+        if not isinstance(lattice, FnLattice):
+            raise InputError(f"{ptr}: schur functionals need a function lattice")
         lam, lam_name = _schur_lam_from_json(obj["lambda"], lattice, f"{ptr}/lambda")
         combiner, comb_name = _schur_combiner_from_json(obj["F"], f"{ptr}/F")
         spec = SchurSpec(lattice, lam, combiner, lam_name=lam_name,
                          combiner_name=comb_name)
-        return schur_construct(spec, n, seed=int(obj.get("seed", 0)))
+        return schur_construct(spec, n, seed=_expect_int(obj.get("seed", 0), f"{ptr}/seed"))
     if family == "potential":
-        _expect_object(obj, ptr, ("family", "n", "phi", "psi", "measure"),
-                       ("lattice", "sign_mode"))
+        _expect_object(obj, ptr, ("family", "n", "phi", "psi", "measure"), ("lattice",))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
         if not isinstance(lattice, FnLattice):
             raise InputError(f"{ptr}: potential functionals need a function lattice")
@@ -338,8 +378,7 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
         psi, curvature = _potential_psi_from_json(obj["psi"], f"{ptr}/psi")
         spec = PotentialSpec(carrier=lattice, measure=measure, phi=phi, psi=psi,
                              curvature=curvature, phi_name=phi_name,
-                             psi_name=obj["psi"]["kind"],
-                             sign_mode=obj.get("sign_mode", ""))
+                             psi_name=obj["psi"]["kind"])
         return potential_construct(spec, n)
     if family == "multiadd":
         _expect_object(obj, ptr, ("family", "n", "k", "m"), ("lattice", "seed"))
@@ -348,38 +387,169 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
         if not isinstance(lattice, FnLattice):
             raise InputError(f"{ptr}: multiadditive functionals need a function lattice")
         m = _multiadditive_from_json(obj["m"], k, lattice, f"{ptr}/m")
-        verify_multiadditive(m, lattice, seed=int(obj.get("seed", 0)))
+        verify_multiadditive(m, lattice, seed=_expect_int(obj.get("seed", 0), f"{ptr}/seed"))
         return multiadd_symmetric_sum(m, n, lattice)
     raise InputError(f"{ptr}/family: unknown family {family!r}")
 
 
 def _multiadditive_from_json(obj, k: int, lattice: FnLattice, ptr: str):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
+    kind = _expect_kind(obj, ptr, "multiadditive", {
+        "prod_integrals": (("measures",), ()),
+        "integral_of_product": (("weights",), ()),
+        "tensor": (("weights",), ()),
+    })
     width = lattice.ground.size
     if kind == "prod_integrals":
-        _expect_object(obj, ptr, ("kind", "measures"))
-        raw = _expect_list(obj["measures"], f"{ptr}/measures")
-        if len(raw) != k:
+        measures = _list_of(obj["measures"], f"{ptr}/measures",
+                            lambda m, p: measure_from_json(m, p, width=width))
+        if len(measures) != k:
             raise InputError(f"{ptr}/measures: expected {k} measures")
-        return product_of_integrals(
-            [measure_from_json(m, f"{ptr}/measures/{i}", width=width)
-             for i, m in enumerate(raw)])
+        return product_of_integrals(measures)
     if kind == "integral_of_product":
-        _expect_object(obj, ptr, ("kind", "weights"))
         return integral_of_product(
             measure_from_json(obj["weights"], f"{ptr}/weights", width=width), k)
-    if kind == "tensor":
-        _expect_object(obj, ptr, ("kind", "weights"))
-        weights = {}
-        for i, entry in enumerate(_expect_list(obj["weights"], f"{ptr}/weights")):
-            entry = _expect_list(entry, f"{ptr}/weights/{i}")
-            if len(entry) != 2:
-                raise InputError(f"{ptr}/weights/{i}: expected [[points...], weight]")
-            key = tuple(_expect_int(s, f"{ptr}/weights/{i}/0/{j}", 0)
-                        for j, s in enumerate(_expect_list(entry[0], f"{ptr}/weights/{i}/0")))
-            weights[key] = scalar_from_json(entry[1], f"{ptr}/weights/{i}/1")
-        return tensor_multiadditive(weights, k, width)
-    raise InputError(f"{ptr}/kind: unknown multiadditive kind {kind!r}")
+    return tensor_multiadditive(_point_table(obj["weights"], f"{ptr}/weights"), k, width)
+
+
+def construction_from_json(params, family: str) -> dict:
+    """Validate the params of `latstat construct <family>`, which embed the
+    carrier lattice; returns the functional descriptor they make."""
+    if not isinstance(params, dict):
+        raise InputError("/: expected a params object")
+    if params.get("lattice") is None:
+        raise InputError("/lattice: construction params must embed the carrier lattice")
+    lattice = lattice_from_json(params["lattice"], "/lattice")
+    descriptor = dict(params, family=family)
+    functional_from_json(descriptor, lattice)  # validates every invariant
+    return descriptor
+
+
+# --- correlation configs ---
+
+def _function_table(obj, width: Optional[int], ptr: str):
+    table = dict(_pairs(obj, ptr, "[element, value]",
+                        lambda e, p: fn_elem_from_json(e, width, p), scalar_from_json))
+
+    def func(h):
+        if tuple(h) not in table:
+            raise InputError(f"function table has no value at {h}")
+        return table[tuple(h)]
+
+    return func
+
+
+def _function_from_json(obj, width: Optional[int], ptr: str):
+    kind = _expect_kind(obj, ptr, "function", {
+        "linear": (("coeffs",), ("const",)), "table": (("values",), ())})
+    if kind == "table":
+        return _function_table(obj["values"], width, f"{ptr}/values")
+    coeffs = _list_of(obj["coeffs"], f"{ptr}/coeffs", _finite_scalar)
+    if len(coeffs) != width:
+        raise InputError(f"{ptr}/coeffs: expected {width} coefficients")
+    const = _finite_scalar(obj.get("const", 0), f"{ptr}/const")
+    return lambda h: sum((c * v for c, v in zip(coeffs, h)), const)
+
+
+def _weight_from_json(obj, width: Optional[int], kinds: tuple, ptr: str = "/weight") -> dict:
+    """The fkg/ahke weight, one of `kinds`: "power" (a measure and an
+    exponent r), "inf", or "table" (values and an optional convention
+    mode).  Returns the keyword arguments of `corollary_fkg_check` /
+    `corollary_ahke_check`, or for a table those of `fkg_check`."""
+    fields = {"power": (("measure", "r"), ()), "inf": ((), ()),
+              "table": (("values",), ("mode",))}
+    kind = _expect_kind(obj, ptr, "weight", {kind: fields[kind] for kind in kinds})
+    if kind == "power":
+        return {"measure": measure_from_json(obj["measure"], f"{ptr}/measure", width=width),
+                "r": _expect_int(obj["r"], f"{ptr}/r")}
+    if kind == "inf":
+        return {"use_inf": True}
+    nu = _function_table(obj["values"], width, f"{ptr}/values")
+    return {"nu": nu, "mode": ConventionMode.from_name(obj["mode"]) if "mode" in obj else None}
+
+
+def fkg_config_from_json(path: str) -> tuple:
+    """Decode a `latstat fkg` config into (sublattice, F, G, weight keyword
+    arguments)."""
+    cfg = parse_config(path, ("elements", "F", "G", "weight"))
+    sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements"))
+    return (sub, _function_from_json(cfg["F"], sub.width, "/F"),
+            _function_from_json(cfg["G"], sub.width, "/G"),
+            _weight_from_json(cfg["weight"], sub.width, ("power", "inf", "table")))
+
+
+def ahke_config_from_json(path: str) -> tuple:
+    """Decode a `latstat ahke` config into (families, keyword arguments):
+    those of `corollary_ahke_check` for a weight, else the alphas and betas
+    of `aharoni_keich_check`."""
+    cfg = parse_config(path, ("families",), ("weight", "alphas", "betas"))
+    fams, width = _families_from_json(cfg["families"], "/families")
+    if "weight" in cfg:
+        return fams, _weight_from_json(cfg["weight"], width, ("power", "inf"))
+    if "alphas" in cfg and "betas" in cfg:
+        return fams, {key: _list_of(cfg[key], f"/{key}",
+                                    lambda a, p: _function_from_json(a, width, p))
+                      for key in ("alphas", "betas")}
+    raise InputError("/weight: provide 'weight' or both 'alphas' and 'betas'")
+
+
+# --- corollary configs ---
+
+def _measure_and_tuple(cfg) -> dict:
+    measure = measure_from_json(cfg["measure"], "/measure")
+    return {"measure": measure, "fs": fn_elems_from_json(cfg["tuple"], "/tuple", measure.size)}
+
+
+def corollary_config_from_json(name: str, path: str) -> dict:
+    """Decode the config of `latstat corollary <name>` into the keyword
+    arguments of its checker; a random permanent batch gives those of
+    `generators.perm_orderstat_batch`, and an esym config without "k"
+    leaves it out."""
+    if name == "perm":
+        cfg = parse_config(path, (), ("matrix", "random"))
+        if "matrix" in cfg:
+            return {"matrix": _list_of(cfg["matrix"], "/matrix",
+                                       lambda row, p: _list_of(row, p, _finite_scalar))}
+        if "random" not in cfg:
+            raise InputError("/matrix: provide 'matrix' or 'random'")
+        spec = _expect_object(cfg["random"], "/random", ("count", "seed"),
+                              ("max_rows", "max_cols"))
+        return {"seed": _expect_int(spec["seed"], "/random/seed"),
+                "count": _expect_int(spec["count"], "/random/count", 1),
+                "max_rows": _expect_int(spec.get("max_rows", 5), "/random/max_rows", 1),
+                "max_cols": _expect_int(spec.get("max_cols", 7), "/random/max_cols", 1)}
+    if name == "esym":
+        cfg = parse_config(path, ("measure", "tuple"), ("k",))
+        out = _measure_and_tuple(cfg)
+        if not out["fs"]:
+            raise InputError("/tuple: must be nonempty")
+        if "k" in cfg:
+            out["k"] = _expect_int(cfg["k"], "/k", 1)
+        return out
+    if name == "psi":
+        cfg = parse_config(path, ("measure", "tuple", "psi"))
+        out = _measure_and_tuple(cfg)
+        out["psi"], out["direction"] = psi_from_json(cfg["psi"], "/psi")
+        return out
+    if name == "power":
+        cfg = parse_config(path, ("measure", "tuple", "p", "r"))
+        return dict(_measure_and_tuple(cfg), p=parse_rational(cfg["p"]),
+                    r=parse_rational(cfg["r"]))
+    if name == "supinf":
+        return {"fs": fn_elems_from_json(parse_config(path, ("tuple",))["tuple"], "/tuple")}
+    if name == "sets":
+        cfg = parse_config(path, ("ground_size", "k", "weights", "sets"))
+        return {"ground_size": _expect_int(cfg["ground_size"], "/ground_size", 1),
+                "k": _expect_int(cfg["k"], "/k", 1),
+                "weights": _point_table(cfg["weights"], "/weights"),
+                "sets": _list_of(cfg["sets"], "/sets",
+                                 lambda A, p: frozenset(_list_of(A, p, _natural)))}
+    if name == "indep":
+        cfg = parse_config(path, ("marginals",))
+        return {"marginals": _list_of(
+            cfg["marginals"], "/marginals",
+            lambda marg, p: _pairs(marg, p, "[value, prob]", scalar_from_json,
+                                   scalar_from_json))}
+    raise InputError(f"unknown corollary {name!r}")
 
 
 # --- report serialization ---
@@ -443,12 +613,7 @@ def load_json_file(path: str):
         raise InputError(f"{path}: invalid JSON ({exc})")
 
 
-def parse_config(path: str, required: tuple = (), optional: tuple = ()) -> dict:
+def parse_config(path: str, required: tuple, optional: tuple = ()) -> dict:
     """Load a config file and validate its field names against the schema of
     the command consuming it."""
-    obj = load_json_file(path)
-    if required or optional:
-        _expect_object(obj, "", required, optional)
-    elif not isinstance(obj, dict):
-        raise InputError("/: expected a config object")
-    return obj
+    return _expect_object(load_json_file(path), "", required, optional)

@@ -160,7 +160,7 @@ class TableLattice:
             if len(labels) != n_elems or len(set(labels)) != n_elems:
                 raise InputError("labels must be distinct and match the element count")
         self.labels = labels
-        self._embedding = None  # (ambient, mapping, inverse) once insertion_chain embeds
+        self._embeds = False  # set once birkhoff_embed accepts this table (insertion_chain)
 
     @property
     def size(self) -> int:

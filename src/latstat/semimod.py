@@ -311,19 +311,16 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
 
 def insertion_chain(L, f: Sequence) -> InsertionChain:
     """Build the adjacent meet/join rearrangement that sorts f into its order
-    statistics.  Table lattices are routed through the Birkhoff embedding
-    (refusing non-distributive input) and mapped back."""
+    statistics.  A table lattice must have a Birkhoff embedding (non-lattice
+    and non-distributive tables are refused); the chain then runs on its own
+    meet/join tables, giving the rows the embedding would map back, since
+    the embedding is an injective lattice homomorphism."""
     _validate_tuple(L, f)
-    if isinstance(L, TableLattice):
-        if L._embedding is None:
-            # kept only once it succeeds, so non-distributive input is
-            # refused on every call
-            ambient, mapping, _ = birkhoff_embed(L)
-            L._embedding = ambient, mapping, {v: key for key, v in mapping.items()}
-        ambient, mapping, inverse = L._embedding
-        fn_chain = _insertion_chain_fn(ambient, tuple(mapping[a] for a in f))
-        rows = tuple(tuple(inverse[e] for e in row) for row in fn_chain.rows)
-        return InsertionChain(rows=rows)
+    if isinstance(L, TableLattice) and not L._embeds:
+        # flagged only once it succeeds, so a refused table is refused on
+        # every call
+        birkhoff_embed(L)
+        L._embeds = True
     return _insertion_chain_fn(L, tuple(f))
 
 

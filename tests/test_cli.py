@@ -19,6 +19,24 @@ M3_FUNCTIONAL = {
 
 FN_LATTICE = {"kind": "fn", "ground_size": 2, "chain_max": 2}
 
+SYM_LATTICE = {"kind": "fn", "ground_size": 1, "chain_min": -1, "chain_max": 1}
+
+SCHUR_FUNCTIONAL = {"family": "schur", "n": 3,
+                    "lambda": {"kind": "modular", "point_weights": [1, 2]},
+                    "F": {"kind": "sum"}}
+
+POTENTIAL_FUNCTIONAL = {"family": "potential", "n": 3, "phi": {"kind": "relu"},
+                        "psi": {"kind": "min_affine", "pieces": [[1, 0], [2, -1]]},
+                        "measure": [1]}
+
+FKG_CONFIG = {"elements": [[0, 0], [0, 1], [1, 0], [1, 1]],
+              "F": {"kind": "linear", "coeffs": [1, 2]},
+              "G": {"kind": "linear", "coeffs": [2, 1], "const": 1},
+              "weight": {"kind": "inf"}}
+
+AHKE_CONFIG = {"families": [[[1, 2], [2, 1]], [[1, 1]]],
+               "weight": {"kind": "power", "r": -1, "measure": [1, 1]}}
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -166,6 +184,9 @@ def test_corollary_esym_and_power_and_supinf(write, capsys):
     supinf = write("supinf.json", {"tuple": [[1, 0], [0, "inf"]]})
     code, out, _ = run_cli(capsys, "corollary", "supinf", "--config", supinf)
     assert code == 0
+    every_k = write("esym_all.json", {"measure": [1, 1], "tuple": [[1, 0], [0, 1], [2, 1]]})
+    code, out, _ = run_cli(capsys, "corollary", "esym", "--config", every_k)
+    assert code == 0
 
 
 def test_corollary_psi_sets_indep(write, capsys):
@@ -235,6 +256,18 @@ def test_fkg_and_ahke_configs(write, capsys):
     })
     code, _, _ = run_cli(capsys, "ahke", "--config", ahke)
     assert code == 0
+    table = write("fkg_table.json", dict(FKG_CONFIG, weight={
+        "kind": "table", "mode": "zero",
+        "values": [[[0, 0], 1], [[0, 1], 1], [[1, 0], 1], [[1, 1], 2]]}))
+    code, out, _ = run_cli(capsys, "fkg", "--config", table)
+    assert code == 0
+    assert json.loads(out)["result"]["holds"]
+    linear = {"kind": "linear", "coeffs": [1, 1]}
+    pairs = write("ahke_ab.json", {"families": AHKE_CONFIG["families"],
+                                   "alphas": [linear, linear], "betas": [linear, linear]})
+    code, out, _ = run_cli(capsys, "ahke", "--config", pairs)
+    assert code == 0
+    assert json.loads(out)["result"]["detail"]["stat_family_sizes"] == [1, 2]
 
 
 def test_input_errors_exit_2_with_pointer(write, capsys):
@@ -383,3 +416,54 @@ def test_corollary_psi_table_kind(write, capsys):
     })
     code, _, _ = run_cli(capsys, "corollary", "psi", "--config", cfg)
     assert code == 0
+
+
+def check_schur(functional, lattice=FN_LATTICE):
+    return ("check", "--lattice", lattice, "--functional", functional, "--k", "2")
+
+
+def check_potential(functional):
+    return check_schur(functional, SYM_LATTICE)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("fkg", "--config", dict(FKG_CONFIG, weight={"kind": "power", "r": -1})),
+     "/weight/measure: missing required field"),
+    (("fkg", "--config", dict(FKG_CONFIG, weight={"kind": "table"})),
+     "/weight/values: missing required field"),
+    (("ahke", "--config", dict(AHKE_CONFIG, weight={"kind": "power", "measure": [1, 1]})),
+     "/weight/r: missing required field"),
+    (check_schur(dict(SCHUR_FUNCTIONAL, **{"lambda": [1]})),
+     "/lambda/kind: unknown one-argument map kind None"),
+    (check_schur(dict(SCHUR_FUNCTIONAL, F="min")), "/F/kind: unknown combiner kind None"),
+    (check_potential(dict(POTENTIAL_FUNCTIONAL, phi=3)),
+     "/phi/kind: unknown inner map kind None"),
+    (check_schur(dict(SCHUR_FUNCTIONAL, seed="x")), "/seed: expected an integer"),
+    (check_schur(dict(SCHUR_FUNCTIONAL, seed=1.5)), "/seed: expected an integer"),
+    (check_schur(dict(SCHUR_FUNCTIONAL, **{"lambda": {"kind": "max_value", "shift": "inf"}})),
+     "/lambda/shift: must be finite"),
+    (check_potential(dict(POTENTIAL_FUNCTIONAL,
+                          measure={"weights": [1], "probability": "yes"})),
+     "/measure/probability: expected a boolean"),
+    (check_potential(dict(POTENTIAL_FUNCTIONAL, sign_mode="sub")), "/sign_mode: unknown field"),
+    (check_schur(dict(SCHUR_FUNCTIONAL, **{"lambda": {"kind": "modular",
+                                                      "point_weights": [1, "inf"]}})),
+     "/lambda/point_weights/1: must be finite"),
+    (check_potential(dict(POTENTIAL_FUNCTIONAL, phi={"kind": "relu", "scale": "inf"})),
+     "/phi/scale: must be finite"),
+    (check_potential(dict(POTENTIAL_FUNCTIONAL,
+                          psi={"kind": "min_affine", "pieces": [[1, "inf"]]})),
+     "/psi/pieces/0/1: must be finite"),
+    (("fkg", "--config", dict(FKG_CONFIG, F={"kind": "linear", "coeffs": ["inf", 1]})),
+     "/F/coeffs/0: must be finite"),
+    (("corollary", "perm", "--config", {"matrix": [[1, "inf"]]}), "/matrix/0/1: must be finite"),
+    (("lattice", "validate", "--lattice", dict(M3_ORDER, leq_pairs=[[0, 1], 3])),
+     "/leq_pairs/1: expected a list"),
+    (check_schur(SCHUR_FUNCTIONAL, M3_ORDER), ": schur functionals need a function lattice"),
+])
+def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
+    argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(argv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
