@@ -104,6 +104,28 @@ def majorizes(x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
 
 # --- Schur composition ---
 
+@dataclass(frozen=True)
+class MultisetCombiner:
+    """A Schur combiner that reads only the multiset of its arguments:
+    "min", "sum", or "sum_smallest" (the sum of the k smallest).  A
+    SchurSpec with one builds a symmetric functional, which scans evaluate
+    once per multiset; any other callable may read argument order."""
+
+    kind: str
+    k: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("min", "sum", "sum_smallest"):
+            raise InputError(f"unknown multiset combiner {self.kind!r}")
+
+    def __call__(self, xs):
+        if self.kind == "min":
+            return min(xs)
+        if self.kind == "sum":
+            return sum(xs, Fraction(0))
+        return sum(sorted(xs)[:self.k], Fraction(0))
+
+
 @dataclass
 class SchurSpec:
     """A one-argument submodular nondecreasing map on a small carrier lattice
@@ -176,7 +198,8 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctiona
 
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"schur({spec.lam_name},{spec.combiner_name})",
-                           lattice=spec.lattice, on_ids=on_ids)
+                           lattice=spec.lattice, on_ids=on_ids,
+                           symmetric=isinstance(combiner, MultisetCombiner))
 
 
 # --- set functions from relations ---
@@ -321,7 +344,7 @@ def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
 
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
-                           lattice=spec.carrier, on_ids=on_ids)
+                           lattice=spec.carrier, on_ids=on_ids, symmetric=True)
 
 
 def potential_pair_transform(spec: PotentialSpec, g: tuple) -> Fraction:
@@ -426,21 +449,27 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
     k = m.arity
     if k > n:
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
-    memo: dict = {}
+    placements = list(permutations(range(n), k))
 
     def fn(f):
-        total = Fraction(0)
-        for perm in permutations(range(n), k):
-            args = tuple(f[i] for i in perm)
-            v = memo.get(args)
-            if v is None:
-                v = m.fn(*args)
-                memo[args] = v
-            total += v
-        return total
+        return sum((m.fn(*(f[i] for i in perm)) for perm in placements), Fraction(0))
+
+    def on_ids(elems):
+        table: dict = {}  # k-tuple of ids -> m on their elements, filled on first use
+
+        def evaluate(ids):
+            total = Fraction(0)
+            for perm in placements:
+                key = tuple([ids[i] for i in perm])
+                v = table.get(key)
+                if v is None:
+                    v = table[key] = m.fn(*(elems[i] for i in key))
+                total += v
+            return total
+        return evaluate
 
     return TupleFunctional(arity=n, fn=fn, tag=f"multiadd({m.tag},k={k})",
-                           lattice=lattice)
+                           lattice=lattice, on_ids=on_ids, symmetric=True)
 
 
 def multiadd_sum_via_symmetrized(m: MultiadditiveFn, n: int, f: Sequence) -> Fraction:
@@ -473,7 +502,10 @@ def product_of_integrals(measures: Sequence[Measure]) -> MultiadditiveFn:
 
 
 def integral_of_product(measure: Measure, k: int) -> MultiadditiveFn:
-    """m(f_1, ..., f_k) as the integral of the pointwise product."""
+    """m(f_1, ..., f_k) as the integral of the pointwise product; the
+    weights must be finite."""
+    if any(is_inf(w) for w in measure.weights):
+        raise InputError("integral-of-product weights must be finite")
 
     def fn(*args):
         if len(args) != k:

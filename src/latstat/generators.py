@@ -12,6 +12,7 @@ from typing import Callable, Optional
 
 from .constructions import (
     Measure,
+    MultisetCombiner,
     PotentialSpec,
     SchurSpec,
     SetRelation,
@@ -99,13 +100,6 @@ def _relation_image_lam(rng: random.Random, width: int) -> tuple[Callable, str]:
     return relation_image_measure(rel, weights), f"image({sorted(pairs)})"
 
 
-def _sum_of_smallest(k: int) -> Callable:
-    def combiner(xs):
-        return sum(sorted(xs)[:k], Fraction(0))
-
-    return combiner
-
-
 def random_schur_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctional]:
     """A random verified Schur composition on a small function lattice."""
     n = rng.choice((3, 4))
@@ -121,7 +115,7 @@ def random_schur_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctio
         lam, lam_name = rng.choice((_modular_lam, _capped_modular_lam, _max_value_lam))(
             rng, width)
     k = rng.randint(1, n)
-    spec = SchurSpec(lattice, lam, _sum_of_smallest(k),
+    spec = SchurSpec(lattice, lam, MultisetCombiner("sum_smallest", k),
                      lam_name=lam_name, combiner_name=f"sum_of_{k}_smallest")
     return lattice, schur_construct(spec, n, seed=rng.randrange(2 ** 30))
 

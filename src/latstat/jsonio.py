@@ -15,6 +15,7 @@ from typing import Optional
 from . import SCHEMA_VERSION, __version__
 from .constructions import (
     Measure,
+    MultisetCombiner,
     integral_of_product,
     potential_construct,
     product_of_integrals,
@@ -151,20 +152,25 @@ def element_to_json(e):
     return e
 
 
-def fn_elem_from_json(obj, width: Optional[int], ptr: str = "") -> tuple:
-    elem = tuple(_list_of(obj, ptr, scalar_from_json))
+def fn_elem_from_json(obj, width: Optional[int], ptr: str = "",
+                      finite: bool = False) -> tuple:
+    elem = tuple(_list_of(obj, ptr, _finite_scalar if finite else scalar_from_json))
     if width is not None and len(elem) != width:
         raise InputError(f"{ptr}: expected {width} values, got {len(elem)}")
     return elem
 
 
-def fn_elems_from_json(obj, ptr: str, width: Optional[int] = None) -> list:
+def fn_elems_from_json(obj, ptr: str, width: Optional[int] = None,
+                       finite: bool = False) -> list:
     """A list of function elements that share one width: `width`, or else
-    the first element's."""
+    the first element's.  Elements need at least one value: the checkers
+    take maxima, minima and integrals over the points."""
     elems = []
     for i, e in enumerate(_expect_list(obj, ptr)):
-        elems.append(fn_elem_from_json(e, width, f"{ptr}/{i}"))
+        elems.append(fn_elem_from_json(e, width, f"{ptr}/{i}", finite))
         width = len(elems[-1])
+        if not width:
+            raise InputError(f"{ptr}/{i}: expected at least one value")
     return elems
 
 
@@ -224,13 +230,15 @@ def lattice_from_json(obj, ptr: str = ""):
 
 # --- measures ---
 
-def measure_from_json(obj, ptr: str = "", width: Optional[int] = None) -> Measure:
+def measure_from_json(obj, ptr: str = "", width: Optional[int] = None,
+                      finite: bool = False) -> Measure:
+    weight = _finite_scalar if finite else scalar_from_json
     if isinstance(obj, list):
-        weights = _list_of(obj, ptr, scalar_from_json)
+        weights = _list_of(obj, ptr, weight)
         prob = False
     else:
         _expect_object(obj, ptr, ("weights",), ("probability",))
-        weights = _list_of(obj["weights"], f"{ptr}/weights", scalar_from_json)
+        weights = _list_of(obj["weights"], f"{ptr}/weights", weight)
         prob = obj.get("probability", False)
         if not isinstance(prob, bool):
             raise InputError(f"{ptr}/probability: expected a boolean")
@@ -273,12 +281,10 @@ def _schur_lam_from_json(obj, lattice, ptr: str):
 def _schur_combiner_from_json(obj, ptr: str):
     kind = _expect_kind(obj, ptr, "combiner", {
         "min": ((), ()), "sum": ((), ()), "sum_smallest": (("k",), ())})
-    if kind == "min":
-        return (lambda xs: min(xs)), "min"
-    if kind == "sum":
-        return (lambda xs: sum(xs, Fraction(0))), "sum"
+    if kind != "sum_smallest":
+        return MultisetCombiner(kind), kind
     k = _expect_int(obj["k"], f"{ptr}/k", 1)
-    return (lambda xs: sum(sorted(xs)[:k], Fraction(0))), f"sum_smallest({k})"
+    return MultisetCombiner(kind, k), f"sum_smallest({k})"
 
 
 def psi_from_json(obj, ptr: str = ""):
@@ -407,7 +413,7 @@ def _multiadditive_from_json(obj, k: int, lattice: FnLattice, ptr: str):
         return product_of_integrals(measures)
     if kind == "integral_of_product":
         return integral_of_product(
-            measure_from_json(obj["weights"], f"{ptr}/weights", width=width), k)
+            measure_from_json(obj["weights"], f"{ptr}/weights", width=width, finite=True), k)
     return tensor_multiadditive(_point_table(obj["weights"], f"{ptr}/weights"), k, width)
 
 
@@ -426,9 +432,10 @@ def construction_from_json(params, family: str) -> dict:
 
 # --- correlation configs ---
 
-def _function_table(obj, width: Optional[int], ptr: str):
+def _function_table(obj, width: Optional[int], ptr: str, finite: bool = False):
     table = dict(_pairs(obj, ptr, "[element, value]",
-                        lambda e, p: fn_elem_from_json(e, width, p), scalar_from_json))
+                        lambda e, p: fn_elem_from_json(e, width, p),
+                        _finite_scalar if finite else scalar_from_json))
 
     def func(h):
         if tuple(h) not in table:
@@ -438,11 +445,11 @@ def _function_table(obj, width: Optional[int], ptr: str):
     return func
 
 
-def _function_from_json(obj, width: Optional[int], ptr: str):
+def _function_from_json(obj, width: Optional[int], ptr: str, finite: bool = False):
     kind = _expect_kind(obj, ptr, "function", {
         "linear": (("coeffs",), ("const",)), "table": (("values",), ())})
     if kind == "table":
-        return _function_table(obj["values"], width, f"{ptr}/values")
+        return _function_table(obj["values"], width, f"{ptr}/values", finite)
     coeffs = _list_of(obj["coeffs"], f"{ptr}/coeffs", _finite_scalar)
     if len(coeffs) != width:
         raise InputError(f"{ptr}/coeffs: expected {width} coefficients")
@@ -469,11 +476,13 @@ def _weight_from_json(obj, width: Optional[int], kinds: tuple, ptr: str = "/weig
 
 def fkg_config_from_json(path: str) -> tuple:
     """Decode a `latstat fkg` config into (sublattice, F, G, weight keyword
-    arguments)."""
+    arguments).  Elements and F, G values must be finite: the four sums
+    multiply them in plain arithmetic, and only the weight's products
+    follow a convention mode."""
     cfg = parse_config(path, ("elements", "F", "G", "weight"))
-    sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements"))
-    return (sub, _function_from_json(cfg["F"], sub.width, "/F"),
-            _function_from_json(cfg["G"], sub.width, "/G"),
+    sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements", finite=True))
+    return (sub, _function_from_json(cfg["F"], sub.width, "/F", finite=True),
+            _function_from_json(cfg["G"], sub.width, "/G", finite=True),
             _weight_from_json(cfg["weight"], sub.width, ("power", "inf", "table")))
 
 

@@ -16,6 +16,18 @@ witness, mapped back to elements.  Order statistics come from the meet/join
 insertion network on distributive carriers and pairs, and from the subset
 formula on id tables elsewhere (`lattice._CompiledLattice`); a functional
 with an `on_ids` factory is evaluated on ids directly.
+
+A `symmetric` functional is evaluated once per multiset: every scan keys its
+value memo by the sorted id tuple and evaluates on that key.  Its exhaustive
+full check (one window of width n) also enumerates multisets, as sorted id
+tuples in lexicographic order, instead of all m^n tuples: the order
+statistics are symmetric too, so each permutation of a tuple gives the same
+comparison, and the first violating tuple of the odometer is the sorted
+form of the least violating multiset, which this enumeration meets first.
+`instances_checked` still counts the m^n tuples the check covers, and the
+budget is charged for them.  Custom relations keep per-tuple keys and the
+full odometer, because their transitivity filter subsamples the memo's
+values.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
 
 from .lattice import (
@@ -36,6 +48,7 @@ from .lattice import (
     order_statistics_dual_tuple,
     order_statistics_tuple,
     _CompiledLattice,
+    _PairTable,
     _validate_tuple,
 )
 from .report import CheckReport, Witness
@@ -114,13 +127,22 @@ class TupleFunctional:
     ordered codomain.  The optional lattice field records the carrier the
     functional was constructed for.  The optional on_ids factory takes a
     carrier's element list and returns an evaluator on tuples of indices
-    into it, equal to fn on the mapped elements; scans use it when given."""
+    into it, equal to fn on the mapped elements; scans use it when given.
+
+    symmetric declares that fn is invariant under every permutation of its
+    arguments; scans then evaluate it once per multiset of ids (see the
+    module docstring).  Constructors set it from how they build fn: symmetric
+    sums of multiadditive forms and potentials always, Schur compositions
+    only with a `constructions.MultisetCombiner`, since an arbitrary
+    combiner is only spot-checked for Schur-concavity and may read argument
+    order.  A wrong True gives wrong verdicts, so nothing infers it."""
 
     arity: int
     fn: Callable[[tuple], object]
     tag: str = ""
     lattice: object = None
     on_ids: Optional[Callable[[list], Callable[[tuple], object]]] = None
+    symmetric: bool = False
 
     def __call__(self, args: tuple):
         return self.fn(args)
@@ -146,26 +168,33 @@ def _evaluator(lam: TupleFunctional, elems: list) -> Callable[[tuple], object]:
     return lambda ids: fn(tuple(map(at, ids)))
 
 
+def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
+    """Whether scans of lam under rel may evaluate once per multiset."""
+    return lam.symmetric and rel.kind != "custom"
+
+
 def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list) -> tuple:
     """Compare rel(lam(f), lam(g)) over (f, g, note) instances of id tuples
-    with one value memo.  Returns (instance count, first witness or None,
-    with its ids mapped to elements); every instance is evaluated, so the
-    count is the true count and the witness is the first in instance order.
-    Ends with the transitivity filter on the values seen."""
+    with one value memo, keyed by the sorted tuple when `_by_multiset`.
+    Returns (instance count, first witness or None, with its ids mapped to
+    elements); every instance is compared, so the count is the true count
+    and the witness is the first in instance order.  Ends with the
+    transitivity filter on the values seen."""
     fn = _evaluator(lam, elems)
+    sort = _by_multiset(lam, rel)
     memo: dict = {}
     count = 0
     first = None
     for f, g, note in instances:
         count += 1
-        a = memo.get(f)
+        key = tuple(sorted(f)) if sort else f
+        a = memo.get(key)
         if a is None:
-            a = fn(f)
-            memo[f] = a
-        b = memo.get(g)
+            a = memo[key] = fn(key)
+        key = tuple(sorted(g)) if sort else g
+        b = memo.get(key)
         if b is None:
-            b = fn(g)
-            memo[g] = b
+            b = memo[key] = fn(key)
         if not rel.holds(a, b) and first is None:
             first = Witness(args=tuple(elems[i] for i in f), lhs=a, rhs=b, note=note)
     rel.check_transitive(list(memo.values()))
@@ -223,18 +252,21 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     def instance(j: int, f: tuple):
         return f, f[:j] + stats(f[j:j + k]) + f[j + k:], notes[j]
 
-    if mode == "exhaustive":
-        instances = (instance(j, f) for j in range(windows)
-                     for f in product(range(m), repeat=n))
-    else:
+    if mode == "sampled":
         def draws():
             for i in range(trials):
                 rng = random.Random(_derive_seed(seed, i))
                 j = rng.randrange(windows) if windowed else 0
                 yield instance(j, tuple(rng.randrange(m) for _ in range(n)))
         instances = draws()
-    count, first = _scan(lam, rel, instances, compiled.elems)
-    return CheckReport(holds=first is None, instances_checked=count, witness=first,
+    elif windows == 1 and _by_multiset(lam, rel):
+        instances = (instance(0, f) for f in combinations_with_replacement(range(m), n))
+    else:
+        instances = (instance(j, f) for j in range(windows)
+                     for f in product(range(m), repeat=n))
+    _, first = _scan(lam, rel, instances, compiled.elems)
+    # total counts every tuple covered, also when multisets stand for them
+    return CheckReport(holds=first is None, instances_checked=total, witness=first,
                        mode=mode, seed=seed if mode == "sampled" else None)
 
 
@@ -420,7 +452,19 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
         return sum((c * numeric(f[i]) * numeric(f[j]) for c, i, j in prepared),
                    Fraction(0))
 
-    return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L)
+    def on_ids(elems):
+        m = len(elems)
+        terms = [(_PairTable(lambda a, b, c=c: c * numeric(elems[a]) * numeric(elems[b]), m),
+                  i, j) for c, i, j in prepared]
+
+        def evaluate(ids):
+            total = Fraction(0)
+            for term, i, j in terms:  # fn's term order
+                total += term[ids[i] * m + ids[j]]
+            return total
+        return evaluate
+
+    return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L, on_ids=on_ids)
 
 
 M3_QUADRATIC_TERMS = ((12, 1, 2), (3, 2, 3), (5, 1, 3))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,9 @@ SYM_LATTICE = {"kind": "fn", "ground_size": 1, "chain_min": -1, "chain_max": 1}
 SCHUR_FUNCTIONAL = {"family": "schur", "n": 3,
                     "lambda": {"kind": "modular", "point_weights": [1, 2]},
                     "F": {"kind": "sum"}}
+
+MULTIADD_FUNCTIONAL = {"family": "multiadd", "n": 3, "k": 2,
+                       "m": {"kind": "integral_of_product", "weights": [1, 2]}}
 
 POTENTIAL_FUNCTIONAL = {"family": "potential", "n": 3, "phi": {"kind": "relu"},
                         "psi": {"kind": "min_affine", "pieces": [[1, 0], [2, -1]]},
@@ -318,8 +322,8 @@ def test_out_flag_and_byte_determinism(write, capsys, tmp_path):
             "--k", "2", "--out", out1)
     run_cli(capsys, "check", "--lattice", lat, "--functional", fun,
             "--k", "2", "--out", out2)
-    b1 = open(out1, "rb").read()
-    b2 = open(out2, "rb").read()
+    b1 = Path(out1).read_bytes()
+    b2 = Path(out2).read_bytes()
     assert b1 == b2
     payload = json.loads(b1)
     assert payload["schema_version"] == "1"
@@ -398,10 +402,7 @@ def test_check_potential_functional(write, capsys):
 
 def test_check_multiadd_functional(write, capsys):
     lat = write("fn.json", FN_LATTICE)
-    fun = write("ma.json", {
-        "family": "multiadd", "n": 3, "k": 2,
-        "m": {"kind": "integral_of_product", "weights": [1, 2]},
-    })
+    fun = write("ma.json", MULTIADD_FUNCTIONAL)
     code, out, _ = run_cli(capsys, "check", "--lattice", lat, "--functional", fun,
                            "--relation", "ge", "--k", "n")
     assert code == 0
@@ -460,6 +461,17 @@ def check_potential(functional):
     (("lattice", "validate", "--lattice", dict(M3_ORDER, leq_pairs=[[0, 1], 3])),
      "/leq_pairs/1: expected a list"),
     (check_schur(SCHUR_FUNCTIONAL, M3_ORDER), ": schur functionals need a function lattice"),
+    (check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "integral_of_product",
+                                              "weights": [1, "inf"]})),
+     "/m/weights/1: must be finite"),
+    (("fkg", "--config", dict(FKG_CONFIG, elements=[[0, 0], [0, "inf"]])),
+     "/elements/1/1: must be finite"),
+    (("fkg", "--config", dict(FKG_CONFIG, F={"kind": "table", "values": [
+        [[0, 0], 0], [[0, 1], "inf"], [[1, 0], 1], [[1, 1], 2]]})),
+     "/F/values/1/1: must be finite"),
+    (("corollary", "supinf", "--config", {"tuple": [[]]}), "/tuple/0: expected at least one value"),
+    (("corollary", "esym", "--config", {"measure": [], "tuple": [[]]}),
+     "/tuple/0: expected at least one value"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a

@@ -7,6 +7,7 @@ follow the documented instance order.  Every checker must report the same
 verdict, instance count and first witness.
 """
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -21,13 +22,26 @@ from latstat import (
     build_m3,
     check_generalized_n,
     check_generalized_nk,
+    check_relaxed_hypothesis,
     order_statistics_tuple,
     product_of_chains,
 )
-from latstat.constructions import SchurSpec, potential_construct, schur_construct
-from latstat.generators import random_potential_spec
+from latstat.constructions import (
+    Measure,
+    MultisetCombiner,
+    SchurSpec,
+    integral_of_product,
+    multiadd_symmetric_sum,
+    potential_construct,
+    product_of_integrals,
+    schur_construct,
+    tensor_multiadditive,
+)
+from latstat.generators import random_potential_spec, random_schur_functional
+from latstat.jsonio import functional_from_json, lattice_from_json
 from latstat.report import Witness
-from latstat.semimod import _derive_seed, m3_quadratic
+from latstat.scalars import InputError
+from latstat.semimod import _derive_seed, m3_quadratic, scalar_quadratic
 
 RELATIONS = {name: TransitiveRelation.from_name(name) for name in ("ge", "le", "eq")}
 
@@ -59,6 +73,25 @@ def reference_scan(L, lam, rel, k, windowed, mode, seed=None, trials=0):
         if first is None and not rel.holds(a, b):
             first = Witness(args=f, lhs=a, rhs=b, note=note)
     return first is None, len(instances), first
+
+
+def reference_relaxed(L, lam, rel):
+    """(holds, instances, first witness) of the relaxed-hypothesis check:
+    for each prefix length j, every tuple whose first j entries form a chain
+    against its (j, j+1) meet/join swap."""
+    n = lam.arity
+    count, first = 0, None
+    for j in range(1, n):
+        for f in product(L.elements(), repeat=n):
+            if not all(L.leq(f[i], f[i + 1]) for i in range(j - 1)):
+                continue
+            count += 1
+            a, b = f[j - 1], f[j]
+            g = f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:]
+            if first is None and not rel.holds(lam.fn(f), lam.fn(g)):
+                first = Witness(args=f, lhs=lam.fn(f), rhs=lam.fn(g),
+                                note=f"sorted prefix length {j}")
+    return first is None, count, first
 
 
 def _weight(L, e):
@@ -135,10 +168,7 @@ def test_m3_quadratic_violation_matches_reference():
 
 def _on_ids_agrees(lam, L):
     elems = L.elements()
-    on_ids = getattr(lam, "on_ids", None)
-    if on_ids is None:  # evaluated through fn only: nothing to compare
-        return
-    evaluate = on_ids(elems)
+    evaluate = lam.on_ids(elems)
     for ids in product(range(len(elems)), repeat=lam.arity):
         assert evaluate(ids) == lam.fn(tuple(elems[i] for i in ids)), ids
 
@@ -152,6 +182,109 @@ def test_schur_on_ids_matches_fn():
 def test_potential_on_ids_matches_fn(curvature):
     spec = random_potential_spec(random.Random(3), curvature, width=2)
     _on_ids_agrees(potential_construct(spec, 3), spec.carrier)
+
+
+def _multiadd_forms():
+    """The three multiadditive forms of arity 2 on a ground set of 2 points."""
+    return {
+        "prod-integrals": product_of_integrals([Measure((1, 2)), Measure((3, 1))]),
+        "integral-of-product": integral_of_product(Measure((2, 1)), 2),
+        "tensor": tensor_multiadditive({(0, 1): 2, (1, 1): 1}, 2, 2),
+    }
+
+
+@pytest.mark.parametrize("form", ["prod-integrals", "integral-of-product", "tensor"])
+def test_multiadd_on_ids_matches_fn(form):
+    L = FnLattice.zero_to(2, 2)
+    _on_ids_agrees(multiadd_symmetric_sum(_multiadd_forms()[form], 3, L), L)
+
+
+def test_quadratic_on_ids_matches_fn():
+    _on_ids_agrees(m3_quadratic(), build_m3())
+    L = FnLattice.zero_to(1, 3)
+    _on_ids_agrees(scalar_quadratic(L, ((2, 1, 2), (-3, 3, 3), (1, 2, 1)), 3), L)
+
+
+def _symmetric_families():
+    """(name, carrier, functional, relations that fail): each family holds
+    its own relation on these distributive carriers, so the others fail."""
+    L = FnLattice.zero_to(2, 2)
+    schur = schur_construct(SchurSpec(L, lambda e: min(Fraction(3), Fraction(sum(e))),
+                                      MultisetCombiner("sum_smallest", 2)), 3)
+    multiadd = multiadd_symmetric_sum(_multiadd_forms()["prod-integrals"], 3, L)
+    spec = random_potential_spec(random.Random(4), "convex", width=2)
+    return [("schur", L, schur, ("le", "eq")),
+            ("multiadd", L, multiadd, ("le", "eq")),
+            ("potential", spec.carrier, potential_construct(spec, 3), ("ge", "eq"))]
+
+
+@pytest.mark.parametrize("family", ["schur", "multiadd", "potential"])
+def test_symmetric_scans_match_reference_scan(family):
+    _, L, lam, failing = next(c for c in _symmetric_families() if c[0] == family)
+    assert lam.symmetric
+    sampled = {"mode": "sampled", "seed": 13, "trials": 150}
+    for relation in failing:
+        rel = RELATIONS[relation]
+        runs = [
+            (check_generalized_n(L, lam, rel), reference_scan(L, lam, rel, 3, False, "exhaustive")),
+            (check_generalized_nk(L, lam, 2, rel),
+             reference_scan(L, lam, rel, 2, True, "exhaustive")),
+            (check_generalized_n(L, lam, rel, **sampled),
+             reference_scan(L, lam, rel, 3, False, "sampled", seed=13, trials=150)),
+            (check_generalized_nk(L, lam, 2, rel, **sampled),
+             reference_scan(L, lam, rel, 2, True, "sampled", seed=13, trials=150)),
+            (check_relaxed_hypothesis(L, lam, rel), reference_relaxed(L, lam, rel)),
+        ]
+        for i, (report, expected) in enumerate(runs):
+            assert (report.holds, report.instances_checked, report.witness) == expected, \
+                (relation, i)
+            assert not report.holds, (relation, i)
+
+
+def test_symmetric_is_set_by_the_three_symmetric_families():
+    fn = lattice_from_json({"kind": "fn", "ground_size": 2, "chain_max": 1})
+    lam = {"kind": "modular", "point_weights": [1, 2]}
+    for F in ({"kind": "min"}, {"kind": "sum"}, {"kind": "sum_smallest", "k": 2}):
+        assert functional_from_json({"family": "schur", "n": 3, "lambda": lam, "F": F},
+                                    fn).symmetric
+    multiadd = {"family": "multiadd", "n": 3, "k": 2,
+                "m": {"kind": "integral_of_product", "weights": [1, 2]}}
+    assert functional_from_json(multiadd, fn).symmetric
+    assert random_schur_functional(random.Random(1))[1].symmetric
+    for name, _, family_lam, _ in _symmetric_families():
+        assert family_lam.symmetric, name
+    # symmetric in fact, but built from a plain callable, so not declared
+    spec = SchurSpec(fn, lambda e: Fraction(sum(e)), lambda xs: min(xs))
+    assert not schur_construct(spec, 3).symmetric
+    assert not m3_quadratic().symmetric
+    quadratic = {"family": "quadratic", "coeffs": {"1": [1, 2]}, "n": 2}
+    assert not functional_from_json(quadratic, lattice_from_json(
+        {"kind": "fn", "ground_size": 1, "chain_max": 2})).symmetric
+    assert not TupleFunctional(arity=2, fn=lambda f: Fraction(0)).symmetric
+
+
+def test_custom_relation_ignores_symmetric():
+    _, L, lam, _ = _symmetric_families()[1]
+    plain = dataclasses.replace(lam, symmetric=False)
+    le = TransitiveRelation.custom(lambda a, b: a <= b, name="le")
+    for checker in (lambda f: check_generalized_n(L, f, le),
+                    lambda f: check_generalized_nk(L, f, 2, le),
+                    lambda f: check_relaxed_hypothesis(L, f, le)):
+        on, off = checker(lam), checker(plain)
+        assert not on.holds
+        assert (on.holds, on.instances_checked, on.witness) == \
+            (off.holds, off.instances_checked, off.witness)
+    assert check_generalized_n(L, lam, le).witness == \
+        reference_scan(L, lam, le, 3, False, "exhaustive")[2]
+    # the transitivity filter subsamples the memo's values: the same values
+    # in the same order, so the same refusal
+    differs = TransitiveRelation.custom(lambda a, b: a != b, name="differs")
+    messages = []
+    for f in (lam, plain):
+        with pytest.raises(InputError) as err:
+            check_generalized_n(L, f, differs)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("k", ["n", 3])
