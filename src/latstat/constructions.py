@@ -301,22 +301,30 @@ def verify_potential_spec(spec: PotentialSpec) -> None:
                 f"{spec.psi_name} is not convex at ({u1},{u2},{u3})")
 
 
+def _potential_transform(spec: PotentialSpec) -> Callable[[tuple], Fraction]:
+    """The curved integral transform g -> psi(measure(phi o g)) of a
+    difference function, memoized by g."""
+    memo: dict = {}
+
+    def transform(g: tuple) -> Fraction:
+        v = memo.get(g)
+        if v is None:
+            v = memo[g] = spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
+        return v
+    return transform
+
+
+def _symmetrized(transform: Callable[[tuple], Fraction], g: tuple) -> Fraction:
+    return transform(g) + transform(tuple(-x for x in g))
+
+
 def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
     """Sum over all ordered argument pairs of the curved integral transform of
     their difference, normalized so the zero difference contributes zero
     (constant tuples evaluate to 0)."""
     verify_potential_spec(spec)
-    memo: dict = {}
-    zero = tuple(Fraction(0) for _ in range(spec.carrier.ground.size))
-
-    def transform(g: tuple) -> Fraction:
-        v = memo.get(g)
-        if v is None:
-            v = spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
-            memo[g] = v
-        return v
-
-    base = transform(zero)
+    transform = _potential_transform(spec)
+    base = transform(tuple(Fraction(0) for _ in range(spec.carrier.ground.size)))
 
     def fn(f):
         total = Fraction(0)
@@ -350,9 +358,7 @@ def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
 def potential_pair_transform(spec: PotentialSpec, g: tuple) -> Fraction:
     """Symmetrized transform of a difference function: value at g plus value
     at -g (normalization cancels in comparisons)."""
-    def one(h):
-        return spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in h)))
-    return one(g) + one(tuple(-x for x in g))
+    return _symmetrized(_potential_transform(spec), g)
 
 
 def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
@@ -361,6 +367,7 @@ def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
     |f1 - f2| on sampled carrier pairs: <= under a convex outer map, >=
     under a concave one."""
     verify_potential_spec(spec)
+    transform = _potential_transform(spec)
     rng = random.Random(seed)
     elems = spec.carrier.elements()
     want_le = spec.curvature == "convex"
@@ -370,8 +377,8 @@ def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
         f2 = elems[rng.randrange(len(elems))]
         d = tuple(a - b for a, b in zip(f1, f2))
         ad = tuple(abs(x) for x in d)
-        lhs = potential_pair_transform(spec, d)
-        rhs = potential_pair_transform(spec, ad)
+        lhs = _symmetrized(transform, d)
+        rhs = _symmetrized(transform, ad)
         ok = lhs <= rhs if want_le else lhs >= rhs
         if not ok and first is None:
             first = Witness(args=(f1, f2), lhs=lhs, rhs=rhs,

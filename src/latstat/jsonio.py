@@ -407,7 +407,7 @@ def _multiadditive_from_json(obj, k: int, lattice: FnLattice, ptr: str):
     width = lattice.ground.size
     if kind == "prod_integrals":
         measures = _list_of(obj["measures"], f"{ptr}/measures",
-                            lambda m, p: measure_from_json(m, p, width=width))
+                            lambda m, p: measure_from_json(m, p, width=width, finite=True))
         if len(measures) != k:
             raise InputError(f"{ptr}/measures: expected {k} measures")
         return product_of_integrals(measures)

@@ -8,9 +8,8 @@ formulas literally and serve as the oracle; the pointwise per-point sort is
 provided separately for function elements.  Scans go through
 `_CompiledLattice` instead: elements become ids in `elements()` order,
 meet and join become id tables filled lazily per pair, and order
-statistics come from the adjacent meet/join insertion network where that
-equals the subset formula (pairs and distributive lattices), else from the
-subset formula on the id tables.
+statistics come from the same subset formula on the id tables, memoized by
+the sorted window.
 """
 
 from __future__ import annotations
@@ -394,41 +393,30 @@ class _CompiledLattice:
         self.meet = _PairTable(lambda a, b: index[L.meet(elems[a], elems[b])], self.m)
         self.join = _PairTable(lambda a, b: index[L.join(elems[a], elems[b])], self.m)
 
-    def order_statistics(self, k: int, network: bool):
-        """The map from a k-tuple of ids to the ids of its order statistics.
-
-        With network=True it runs the adjacent insertion network, the meet/join
-        comparators of `insertion_chain`; that equals the subset formula for
-        k = 2 and on distributive lattices (the Birkhoff embedding is a
-        homomorphism into 0/1 coordinates, each of which the network sorts).
-        Otherwise it evaluates the subset formula on the id tables."""
+    def order_statistics(self, k: int):
+        """The map from a k-tuple of ids to the ids of its order statistics,
+        by the subset formula on the id tables.  The formula is symmetric in
+        its arguments on every lattice, so results are memoized by the
+        sorted window."""
         meet, join, m = self.meet, self.join, self.m
-        if network:
-            def stats(w):
-                row = [w[0]]
-                for x in w[1:]:
-                    row.append(x)
-                    for i in range(len(row) - 2, -1, -1):
-                        a, b = row[i], row[i + 1]
-                        lo = meet[a * m + b]
-                        if lo == a:  # a <= b: the rest of the row is a chain
-                            break
-                        row[i], row[i + 1] = lo, join[a * m + b]
-                return tuple(row)
-            return stats
         subsets = [list(combinations(range(k), j)) for j in range(1, k + 1)]
+        memo: dict = {}
 
         def stats(w):
-            out = []
-            for combos in subsets:
-                best = None
-                for J in combos:
-                    v = w[J[0]]
-                    for i in J[1:]:
-                        v = join[v * m + w[i]]
-                    best = v if best is None else meet[best * m + v]
-                out.append(best)
-            return tuple(out)
+            w = tuple(sorted(w))
+            out = memo.get(w)
+            if out is None:
+                out = []
+                for combos in subsets:
+                    best = None
+                    for J in combos:
+                        v = w[J[0]]
+                        for i in J[1:]:
+                            v = join[v * m + w[i]]
+                        best = v if best is None else meet[best * m + v]
+                    out.append(best)
+                out = memo[w] = tuple(out)
+            return out
         return stats
 
 

@@ -12,22 +12,25 @@ the full check is the one window of width n, the windowed check slides a
 k-wide window, and the relaxed check feeds its sorted-prefix instances.
 Scans run on element ids in `L.elements()` order, so they visit tuples in
 the same order as a scan of elements would and report the same first
-witness, mapped back to elements.  Order statistics come from the meet/join
-insertion network on distributive carriers and pairs, and from the subset
-formula on id tables elsewhere (`lattice._CompiledLattice`); a functional
-with an `on_ids` factory is evaluated on ids directly.
+witness, mapped back to elements.  Order statistics come from the subset
+formula on id tables, memoized by the sorted window
+(`lattice._CompiledLattice`); a functional with an `on_ids` factory is
+evaluated on ids directly.
 
 A `symmetric` functional is evaluated once per multiset: every scan keys its
 value memo by the sorted id tuple and evaluates on that key.  Its exhaustive
-full check (one window of width n) also enumerates multisets, as sorted id
-tuples in lexicographic order, instead of all m^n tuples: the order
-statistics are symmetric too, so each permutation of a tuple gives the same
-comparison, and the first violating tuple of the odometer is the sorted
-form of the least violating multiset, which this enumeration meets first.
-`instances_checked` still counts the m^n tuples the check covers, and the
-budget is charged for them.  Custom relations keep per-tuple keys and the
-full odometer, because their transitivity filter subsamples the memo's
-values.
+windowed and full checks (the full check is the window k = n) also enumerate
+window 0 only, as a sorted window followed by a sorted rest, in
+lexicographic order, instead of every window of all m^n tuples.  A
+violation at window j, permuted so that its window comes first, is a
+violation at window 0, and there the verdict depends only on the window's
+multiset and the rest's, since the order statistics are symmetric too.  So
+the odometer's first violating instance is at window 0 with both parts
+sorted, and this enumeration meets it first: the witness is unchanged.
+`instances_checked` still counts the windows * m^n instances the check
+covers, and the budget is charged for them.  Custom relations keep per-tuple
+keys and the full odometer, because their transitivity filter subsamples
+the memo's values.
 """
 
 from __future__ import annotations
@@ -40,11 +43,9 @@ from typing import Callable, Optional, Sequence
 
 from .lattice import (
     DEFAULT_BUDGET,
-    FnLattice,
     TableLattice,
     birkhoff_embed,
     build_m3,
-    is_distributive,
     order_statistics_dual_tuple,
     order_statistics_tuple,
     _CompiledLattice,
@@ -216,22 +217,14 @@ def _derive_seed(seed: int, i: int) -> int:
     return x ^ (x >> 31)
 
 
-def _network_sorts(L, k: int, m: int, instances: int) -> bool:
-    """Whether the insertion network gives the subset formula's order
-    statistics of k-tuples: always for pairs and on function lattices, and
-    on a distributive table lattice.  Distributivity is tested once, and
-    only when its m^3 triples are no more than the scan's instances."""
-    if k == 2 or isinstance(L, FnLattice):
-        return True
-    return m ** 3 <= instances and is_distributive(L, budget=instances).holds
-
-
 def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
                  mode: str, seed: Optional[int], trials: int, budget: int,
                  windowed: bool) -> CheckReport:
     """Scan (f, f with its k-wide window at j sorted into order statistics).
     The full check is the single window k = n with windowed=False: its
-    witnesses carry no window note and sampled trials draw no window."""
+    witnesses carry no window note and sampled trials draw no window.  An
+    exhaustive scan of a symmetric functional under ge, le or eq enumerates
+    window 0 as sorted window times sorted rest (see the module docstring)."""
     n = lam.arity
     m = len(L.elements())
     windows = n - k + 1
@@ -246,7 +239,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     else:
         raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
     compiled = _CompiledLattice(L)
-    stats = compiled.order_statistics(k, _network_sorts(L, k, m, total))
+    stats = compiled.order_statistics(k)
     notes = [f"window start {j}" if windowed else "" for j in range(windows)]
 
     def instance(j: int, f: tuple):
@@ -259,8 +252,10 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
                 j = rng.randrange(windows) if windowed else 0
                 yield instance(j, tuple(rng.randrange(m) for _ in range(n)))
         instances = draws()
-    elif windows == 1 and _by_multiset(lam, rel):
-        instances = (instance(0, f) for f in combinations_with_replacement(range(m), n))
+    elif _by_multiset(lam, rel):
+        instances = (instance(0, w + r) for w, r in product(
+            combinations_with_replacement(range(m), k),
+            combinations_with_replacement(range(m), n - k)))
     else:
         instances = (instance(j, f) for j in range(windows)
                      for f in product(range(m), repeat=n))

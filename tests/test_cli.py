@@ -472,6 +472,9 @@ def check_potential(functional):
     (("corollary", "supinf", "--config", {"tuple": [[]]}), "/tuple/0: expected at least one value"),
     (("corollary", "esym", "--config", {"measure": [], "tuple": [[]]}),
      "/tuple/0: expected at least one value"),
+    (check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "prod_integrals",
+                                              "measures": [[1, "inf"], [1, 1]]})),
+     "/m/measures/0/1: must be finite"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a

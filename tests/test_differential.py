@@ -121,7 +121,7 @@ def _schur(L, n):
 
 CARRIERS = {
     "fn_2x2": (lambda: FnLattice.zero_to(2, 2), 3),
-    "chains_2x3": (lambda: product_of_chains([2, 3]), 3),
+    "chains_2x3": (lambda: product_of_chains([2, 3]), 4),
     "m3": (build_m3, 4),
 }
 
@@ -147,7 +147,7 @@ def test_checkers_match_reference_scan(carrier, relation, mode):
     violated = 0
     for lam in _functionals(carrier, L, n):
         runs = [(n, False, check_generalized_n(L, lam, rel, **sampled))]
-        for k in (2, 3):
+        for k in range(2, n + 1):
             runs.append((k, True, check_generalized_nk(L, lam, k, rel, **sampled)))
         for k, windowed, report in runs:
             expected = reference_scan(L, lam, rel, k, windowed, mode, seed=13, trials=150)
@@ -205,17 +205,21 @@ def test_quadratic_on_ids_matches_fn():
     _on_ids_agrees(scalar_quadratic(L, ((2, 1, 2), (-3, 3, 3), (1, 2, 1)), 3), L)
 
 
-def _symmetric_families():
-    """(name, carrier, functional, relations that fail): each family holds
-    its own relation on these distributive carriers, so the others fail."""
-    L = FnLattice.zero_to(2, 2)
+def _symmetric_families(n=3, carrier=None):
+    """(name, carrier, functional of arity n, relations that fail): each
+    family holds its own relation on these distributive carriers, so the
+    others fail.  A given carrier replaces the default ones, values 0..2 on
+    2 points and, for the potential, values -1..1 on 2 points."""
+    L = carrier or FnLattice.zero_to(2, 2)
     schur = schur_construct(SchurSpec(L, lambda e: min(Fraction(3), Fraction(sum(e))),
-                                      MultisetCombiner("sum_smallest", 2)), 3)
-    multiadd = multiadd_symmetric_sum(_multiadd_forms()["prod-integrals"], 3, L)
+                                      MultisetCombiner("sum_smallest", 2)), n)
+    multiadd = multiadd_symmetric_sum(_multiadd_forms()["prod-integrals"], n, L)
     spec = random_potential_spec(random.Random(4), "convex", width=2)
+    if carrier is not None:
+        spec = dataclasses.replace(spec, carrier=carrier)
     return [("schur", L, schur, ("le", "eq")),
             ("multiadd", L, multiadd, ("le", "eq")),
-            ("potential", spec.carrier, potential_construct(spec, 3), ("ge", "eq"))]
+            ("potential", spec.carrier, potential_construct(spec, n), ("ge", "eq"))]
 
 
 @pytest.mark.parametrize("family", ["schur", "multiadd", "potential"])
@@ -239,6 +243,21 @@ def test_symmetric_scans_match_reference_scan(family):
             assert (report.holds, report.instances_checked, report.witness) == expected, \
                 (relation, i)
             assert not report.holds, (relation, i)
+
+
+@pytest.mark.parametrize("family", ["schur", "multiadd", "potential"])
+def test_symmetric_windows_at_n4_match_reference_scan(family):
+    # k < n enumerates window 0 as sorted window times sorted rest; 0/1
+    # values keep the uncached reference scan short at n = 4
+    families = _symmetric_families(4, FnLattice.zero_to(2, 1))
+    _, L, lam, failing = next(c for c in families if c[0] == family)
+    for relation in failing:
+        rel = RELATIONS[relation]
+        for k in (2, 3, 4):
+            report = check_generalized_nk(L, lam, k, rel)
+            assert (report.holds, report.instances_checked, report.witness) == \
+                reference_scan(L, lam, rel, k, True, "exhaustive"), (relation, k)
+            assert not report.holds, (relation, k)
 
 
 def test_symmetric_is_set_by_the_three_symmetric_families():

@@ -226,26 +226,15 @@ def test_pointwise_matches_subset_formula(fn22):
                                   lambda: product_of_chains([2, 3]), build_m3],
                          ids=["fn", "chains", "m3"])
 def test_compiled_order_statistics_match_subset_formula(make):
+    # every k-tuple, so every permutation of each sorted-window memo key
     L = make()
     compiled = _CompiledLattice(L)
     elems = compiled.elems
-    distributive = is_distributive(L).holds
-    for k in (2, 3):
-        engines = [compiled.order_statistics(k, network=False)]
-        if k == 2 or distributive:
-            engines.append(compiled.order_statistics(k, network=True))
+    for k in (2, 3, 4):
+        stats = compiled.order_statistics(k)
         for ids in product(range(len(elems)), repeat=k):
             expected = order_statistics_tuple(L, tuple(elems[i] for i in ids))
-            for stats in engines:
-                assert tuple(elems[i] for i in stats(ids)) == expected
-
-
-def test_network_is_not_the_subset_formula_on_m3(m3):
-    # why scans test distributivity before using the network for k >= 3
-    network = _CompiledLattice(m3).order_statistics(3, network=True)
-    ids = lab(m3, 2, 3, 4)
-    assert order_statistics_tuple(m3, ids) == lab(m3, 1, 5, 5)
-    assert network(ids) != lab(m3, 1, 5, 5)
+            assert tuple(elems[i] for i in stats(ids)) == expected
 
 
 def test_compiled_tables_fill_lazily():
