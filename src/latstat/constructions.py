@@ -29,6 +29,7 @@ from .scalars import (
     ext_prod,
     ext_sum,
     ext_mul,
+    integer_scale,
     is_inf,
     require_nonneg,
 )
@@ -109,7 +110,9 @@ class MultisetCombiner:
     """A Schur combiner that reads only the multiset of its arguments:
     "min", "sum", or "sum_smallest" (the sum of the k smallest).  A
     SchurSpec with one builds a symmetric functional, which scans evaluate
-    once per multiset; any other callable may read argument order."""
+    once per multiset; any other callable may read argument order.  All
+    three are Schur-concave and nondecreasing by theorem, and commute with
+    a positive scale, so they combine Fractions and scaled integers alike."""
 
     kind: str
     k: int = 0
@@ -117,13 +120,15 @@ class MultisetCombiner:
     def __post_init__(self):
         if self.kind not in ("min", "sum", "sum_smallest"):
             raise InputError(f"unknown multiset combiner {self.kind!r}")
+        if self.kind == "sum_smallest" and self.k < 1:
+            raise InputError("sum_smallest needs k >= 1")
 
     def __call__(self, xs):
         if self.kind == "min":
             return min(xs)
         if self.kind == "sum":
-            return sum(xs, Fraction(0))
-        return sum(sorted(xs)[:self.k], Fraction(0))
+            return sum(xs)
+        return sum(sorted(xs)[:self.k])
 
 
 @dataclass
@@ -142,8 +147,9 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
                       spot_checks: int = 40) -> None:
     """Exhaustively check the one-argument map (submodular, nondecreasing) and
     spot-check the combiner on generated majorization pairs.  The combiner
-    check is a falsification filter, not a proof.  Raises with a witness on
-    failure."""
+    check is a falsification filter, not a proof, and is skipped for a
+    `MultisetCombiner`, whose properties are theorems.  Raises with a
+    witness on failure."""
     elems = spec.lattice.elements()
     vals = {e: Fraction(spec.lam(e)) for e in elems}
     for f in elems:
@@ -158,6 +164,8 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
                 raise InputError(
                     f"{spec.lam_name} is not nondecreasing: {f!r} <= {g!r} "
                     f"but {vals[f]} > {vals[g]}")
+    if isinstance(spec.combiner, MultisetCombiner):
+        return
     rng = random.Random(seed)
     pool = sorted(set(vals.values()))
     for _ in range(spot_checks):
@@ -192,9 +200,15 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctiona
     def fn(f):
         return combiner(tuple(vals[a] for a in f))
 
-    def on_ids(elems):
-        at = [vals[e] for e in elems].__getitem__
-        return lambda ids: combiner(tuple(map(at, ids)))
+    def on_ids(elems, limit=None):
+        # the lcm of the lambda denominators scales a MultisetCombiner's value
+        values = [vals[e] for e in elems]
+        scaled = None
+        if limit is not None and isinstance(combiner, MultisetCombiner):
+            scaled = integer_scale(values)
+        scale, values = scaled or (None, values)
+        at = values.__getitem__
+        return (lambda ids: combiner(tuple(map(at, ids)))), scale
 
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"schur({spec.lam_name},{spec.combiner_name})",
@@ -338,17 +352,22 @@ def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
 
     pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
 
-    def on_ids(elems):
+    def on_ids(elems, limit=None):
         m = len(elems)
         term = _PairTable(lambda a, b: transform(tuple(
             x - y for x, y in zip(elems[a], elems[b]))) - base, m)
+        scaled = None
+        if limit is not None and m * m <= limit:
+            # fill all m^2 pair terms; the lcm of their denominators scales them
+            scaled = integer_scale(term[key] for key in range(m * m))
+        scale, term = scaled or (None, term)
 
         def evaluate(ids):
-            total = Fraction(0)
+            total = 0
             for j, k in pairs:  # fn's (j, k) order
                 total += term[ids[j] * m + ids[k]]
             return total
-        return evaluate
+        return evaluate, scale
 
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
@@ -461,11 +480,20 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
     def fn(f):
         return sum((m.fn(*(f[i] for i in perm)) for perm in placements), Fraction(0))
 
-    def on_ids(elems):
+    def on_ids(elems, limit=None):
         table: dict = {}  # k-tuple of ids -> m on their elements, filled on first use
+        scale = None
+        if limit is not None and len(elems) ** k <= limit:
+            # fill all m^k values; the lcm of their denominators scales them
+            table = {key: m.fn(*(elems[i] for i in key))
+                     for key in product(range(len(elems)), repeat=k)}
+            scaled = integer_scale(table.values())
+            if scaled:
+                scale, values = scaled
+                table = dict(zip(table, values))
 
         def evaluate(ids):
-            total = Fraction(0)
+            total = 0
             for perm in placements:
                 key = tuple([ids[i] for i in perm])
                 v = table.get(key)
@@ -473,7 +501,7 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
                     v = table[key] = m.fn(*(elems[i] for i in key))
                 total += v
             return total
-        return evaluate
+        return evaluate, scale
 
     return TupleFunctional(arity=n, fn=fn, tag=f"multiadd({m.tag},k={k})",
                            lattice=lattice, on_ids=on_ids, symmetric=True)

@@ -379,7 +379,7 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
         if not isinstance(lattice, FnLattice):
             raise InputError(f"{ptr}: potential functionals need a function lattice")
         measure = measure_from_json(obj["measure"], f"{ptr}/measure",
-                                    width=lattice.ground.size)
+                                    width=lattice.ground.size, finite=True)
         phi, phi_name = _potential_phi_from_json(obj["phi"], f"{ptr}/phi")
         psi, curvature = _potential_psi_from_json(obj["psi"], f"{ptr}/psi")
         spec = PotentialSpec(carrier=lattice, measure=measure, phi=phi, psi=psi,
@@ -432,10 +432,13 @@ def construction_from_json(params, family: str) -> dict:
 
 # --- correlation configs ---
 
+def _table_entries(obj, width: Optional[int], ptr: str, finite: bool = False) -> list:
+    return _pairs(obj, ptr, "[element, value]", lambda e, p: fn_elem_from_json(e, width, p),
+                  _finite_scalar if finite else scalar_from_json)
+
+
 def _function_table(obj, width: Optional[int], ptr: str, finite: bool = False):
-    table = dict(_pairs(obj, ptr, "[element, value]",
-                        lambda e, p: fn_elem_from_json(e, width, p),
-                        _finite_scalar if finite else scalar_from_json))
+    table = dict(_table_entries(obj, width, ptr, finite))
 
     def func(h):
         if tuple(h) not in table:
@@ -481,9 +484,33 @@ def fkg_config_from_json(path: str) -> tuple:
     follow a convention mode."""
     cfg = parse_config(path, ("elements", "F", "G", "weight"))
     sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements", finite=True))
-    return (sub, _function_from_json(cfg["F"], sub.width, "/F", finite=True),
-            _function_from_json(cfg["G"], sub.width, "/G", finite=True),
-            _weight_from_json(cfg["weight"], sub.width, ("power", "inf", "table")))
+    F = _function_from_json(cfg["F"], sub.width, "/F", finite=True)
+    G = _function_from_json(cfg["G"], sub.width, "/G", finite=True)
+    weight = _weight_from_json(cfg["weight"], sub.width, ("power", "inf", "table"))
+    if "nu" in weight and weight["mode"] is None:
+        _refuse_zero_times_inf(cfg["weight"]["values"], "/weight/values", sub, F, G)
+    return sub, F, G, weight
+
+
+def _refuse_zero_times_inf(values, ptr: str, sub, F, G) -> None:
+    """Without a mode, refuse an infinite table weight that `fkg_check`
+    would multiply by 0: it multiplies every two weights on the sublattice,
+    and each weight by F, G and F * G at its element.  Names the first such
+    entry (a repeated element takes its last value, as the table does)."""
+    entries = _table_entries(values, sub.width, ptr)
+    on_sub = set(sub.elements())
+    last = {e: i for i, (e, _) in enumerate(entries) if e in on_sub}
+    zero_weight = any(entries[i][1] == 0 for i in last.values())
+    for i in sorted(last.values()):
+        e, w = entries[i]
+        if not is_inf(w):
+            continue
+        zero = ("weight" if zero_weight else "F value" if F(e) == 0
+                else "G value" if G(e) == 0 else None)
+        if zero is not None:
+            raise InputError(
+                f"{ptr}/{i}/1: an infinite weight meets a zero {zero}, and 0 * inf "
+                'is undefined without a convention; set "mode" to "zero" or "inf"')
 
 
 def ahke_config_from_json(path: str) -> tuple:

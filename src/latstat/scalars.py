@@ -8,6 +8,7 @@ combination raise InputError rather than guessing.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
@@ -20,6 +21,10 @@ class InputError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed the evaluation budget; CLI exit 3."""
+
+
+class InternalError(RuntimeError):
+    """A fast path disagreed with its exact oracle; CLI exit 4, never a verdict."""
 
 
 class Infinity:
@@ -103,6 +108,19 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, int):
         return Fraction(x)
     raise InputError(f"not an exact scalar: {x!r}")
+
+
+def integer_scale(values: Iterable):
+    """(D, [v * D for v in values]) for the least positive integer D that
+    makes every value an integer, when every value is a finite rational (an
+    int or a Fraction, not a bool); else None.  Positive D keeps every
+    comparison, and sums of scaled values are the scaled sums."""
+    values = list(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            return None
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def require_nonneg(x: Scalar, what: str = "value") -> Scalar:

@@ -31,10 +31,23 @@ sorted, and this enumeration meets it first: the witness is unchanged.
 covers, and the budget is charged for them.  Custom relations keep per-tuple
 keys and the full odometer, because their transitivity filter subsamples
 the memo's values.
+
+Values are compared as integers over one positive scale D, fixed before the
+scan by the functional's `on_ids` factory (see `TupleFunctional`): the
+memo, ge/le/eq and the choice of the first witness run on machine ints, and
+only that witness's two values are mapped back, as Fraction(v, D).  There
+is no scale, and the scan compares fn's own values, when a value is not a
+finite rational, when the relation is custom, and for a functional without
+`on_ids`.  Before a witness is reported it is replayed through the element
+oracle (`_replayed`): the moved tuple is recomputed by
+`order_statistics_tuple`, or by meet and join for the relaxed check, both
+values by fn, and the relation is tested again; a disagreement raises
+InternalError (CLI exit 4), never a verdict.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,9 +66,10 @@ from .lattice import (
     _validate_tuple,
 )
 from .report import CheckReport, Witness
-from .scalars import BudgetExceededError, InputError
+from .scalars import BudgetExceededError, InputError, InternalError, integer_scale
 
 _TRANSITIVITY_SAMPLE_CAP = 60
+_OPERATORS = {"ge": operator.ge, "le": operator.le, "eq": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -95,13 +109,8 @@ class TransitiveRelation:
             raise InputError(f"unknown relation {name!r}; use ge, le, or eq")
 
     def holds(self, a, b) -> bool:
-        if self.kind == "ge":
-            return a >= b
-        if self.kind == "le":
-            return a <= b
-        if self.kind == "eq":
-            return a == b
-        return bool(self.pred(a, b))
+        op = _OPERATORS.get(self.kind)
+        return op(a, b) if op is not None else bool(self.pred(a, b))
 
     def check_transitive(self, values: Sequence) -> None:
         """Raise InputError if the relation is visibly non-transitive on values."""
@@ -126,9 +135,18 @@ class TransitiveRelation:
 class TupleFunctional:
     """A total, deterministic map from n-tuples of lattice elements to an
     ordered codomain.  The optional lattice field records the carrier the
-    functional was constructed for.  The optional on_ids factory takes a
-    carrier's element list and returns an evaluator on tuples of indices
-    into it, equal to fn on the mapped elements; scans use it when given.
+    functional was constructed for.
+
+    The optional on_ids factory, which scans use when given, takes a
+    carrier's element list and a limit and returns (evaluate, scale):
+    evaluate maps tuples of indices into the list to values.  With scale
+    None they equal fn on the mapped elements.  With a positive integer
+    scale D they are integers, and fn's value is Fraction(v, D); D is fixed
+    before the scan, so a scan compares and memoizes machine integers.  A
+    limit of None asks for fn's own values (a custom relation's predicate
+    receives those); an integer limit allows a scale and caps the table the
+    factory may fill before the scan to find it.  A factory declares no
+    scale when any value is not a finite rational.
 
     symmetric declares that fn is invariant under every permutation of its
     arguments; scans then evaluate it once per multiset of ids (see the
@@ -142,7 +160,7 @@ class TupleFunctional:
     fn: Callable[[tuple], object]
     tag: str = ""
     lattice: object = None
-    on_ids: Optional[Callable[[list], Callable[[tuple], object]]] = None
+    on_ids: Optional[Callable[[list, Optional[int]], tuple]] = None
     symmetric: bool = False
 
     def __call__(self, args: tuple):
@@ -161,12 +179,15 @@ class InsertionChain:
 
 # --- scan engine ---
 
-def _evaluator(lam: TupleFunctional, elems: list) -> Callable[[tuple], object]:
+def _evaluator(lam: TupleFunctional, rel: TransitiveRelation, elems: list,
+               limit: int) -> tuple:
+    """(evaluate on id tuples, scale or None), as `TupleFunctional.on_ids`
+    gives them; a custom relation gets fn's own values."""
     if lam.on_ids is not None:
-        return lam.on_ids(elems)
+        return lam.on_ids(elems, None if rel.kind == "custom" else limit)
     fn = lam.fn
     at = elems.__getitem__
-    return lambda ids: fn(tuple(map(at, ids)))
+    return (lambda ids: fn(tuple(map(at, ids)))), None
 
 
 def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
@@ -174,19 +195,25 @@ def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
     return lam.symmetric and rel.kind != "custom"
 
 
-def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list) -> tuple:
-    """Compare rel(lam(f), lam(g)) over (f, g, note) instances of id tuples
+def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
+          limit: int, oracle: Callable[[int], tuple]) -> tuple:
+    """Compare rel(lam(f), lam(g)) over (f, g, j) instances of id tuples
     with one value memo, keyed by the sorted tuple when `_by_multiset`.
-    Returns (instance count, first witness or None, with its ids mapped to
-    elements); every instance is compared, so the count is the true count
-    and the witness is the first in instance order.  Ends with the
-    transitivity filter on the values seen."""
-    fn = _evaluator(lam, elems)
+    Values are compared on the evaluator's scale (`_evaluator`, with limit
+    the scan's instance total).  Returns (instance count, first witness or
+    None); every instance is compared, so the count is the true count and
+    the witness is the first in instance order.  Ends with the transitivity
+    filter on the values seen, then replays the witness (`_replayed`):
+    oracle(j) gives the move of an instance tagged j, on element tuples,
+    and its note."""
+    fn, scale = _evaluator(lam, rel, elems, limit)
     sort = _by_multiset(lam, rel)
+    holds = _OPERATORS.get(rel.kind, rel.holds)
     memo: dict = {}
     count = 0
     first = None
-    for f, g, note in instances:
+    for instance in instances:
+        f, g, _ = instance
         count += 1
         key = tuple(sorted(f)) if sort else f
         a = memo.get(key)
@@ -196,10 +223,35 @@ def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list)
         b = memo.get(key)
         if b is None:
             b = memo[key] = fn(key)
-        if not rel.holds(a, b) and first is None:
-            first = Witness(args=tuple(elems[i] for i in f), lhs=a, rhs=b, note=note)
+        if not holds(a, b) and first is None:
+            first = instance, a, b
     rel.check_transitive(list(memo.values()))
-    return count, first
+    if first is None:
+        return count, None
+    (f, g, j), a, b = first
+    if scale is not None:
+        a, b = Fraction(a, scale), Fraction(b, scale)
+    move, note = oracle(j)
+    return count, _replayed(lam, rel, tuple(elems[i] for i in f),
+                            tuple(elems[i] for i in g), a, b, move, note)
+
+
+def _replayed(lam: TupleFunctional, rel: TransitiveRelation, f: tuple, g: tuple,
+              lhs, rhs, move: Callable[[tuple], tuple], note: str) -> Witness:
+    """The witness (f, lhs, rhs) of a scan's first violation f -> g,
+    re-proved through the element oracle: `move` recomputes the moved tuple
+    from f through the public order statistics (or meet and join), and both
+    values are recomputed with fn and compared again.  A disagreement is a
+    fault of a fast path, so it raises InternalError and is never reported
+    as a violation."""
+    oracle_g = move(f)
+    want = lam.fn(f), lam.fn(oracle_g)
+    if g != oracle_g or (lhs, rhs) != want or rel.holds(*want):
+        raise InternalError(
+            f"witness replay disagrees at {f!r}: the scan moved it to {g!r} with "
+            f"values {lhs}, {rhs}; the oracle moves it to {oracle_g!r} with values "
+            f"{want[0]}, {want[1]}")
+    return Witness(args=f, lhs=lhs, rhs=rhs, note=note)
 
 
 def _require_budget(total: int, budget: int, what: str):
@@ -224,7 +276,9 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     The full check is the single window k = n with windowed=False: its
     witnesses carry no window note and sampled trials draw no window.  An
     exhaustive scan of a symmetric functional under ge, le or eq enumerates
-    window 0 as sorted window times sorted rest (see the module docstring)."""
+    window 0 as sorted window times sorted rest (see the module docstring).
+    A witness is replayed through `order_statistics_tuple` and fn before it
+    is reported (`_replayed`)."""
     n = lam.arity
     m = len(L.elements())
     windows = n - k + 1
@@ -243,7 +297,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     notes = [f"window start {j}" if windowed else "" for j in range(windows)]
 
     def instance(j: int, f: tuple):
-        return f, f[:j] + stats(f[j:j + k]) + f[j + k:], notes[j]
+        return f, f[:j] + stats(f[j:j + k]) + f[j + k:], j
 
     if mode == "sampled":
         def draws():
@@ -259,9 +313,13 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     else:
         instances = (instance(j, f) for j in range(windows)
                      for f in product(range(m), repeat=n))
-    _, first = _scan(lam, rel, instances, compiled.elems)
+
+    def oracle(j: int):
+        return (lambda f: f[:j] + order_statistics_tuple(L, f[j:j + k]) + f[j + k:]), notes[j]
+
+    _, witness = _scan(lam, rel, instances, compiled.elems, total, oracle)
     # total counts every tuple covered, also when multisets stand for them
-    return CheckReport(holds=first is None, instances_checked=total, witness=first,
+    return CheckReport(holds=witness is None, instances_checked=total, witness=witness,
                        mode=mode, seed=seed if mode == "sampled" else None)
 
 
@@ -306,7 +364,8 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
     if n < 2:
         raise InputError("relaxed hypothesis needs arity >= 2")
     m = len(L.elements())
-    _require_budget((n - 1) * m ** n, budget, "relaxed-hypothesis scan")
+    total = (n - 1) * m ** n
+    _require_budget(total, budget, "relaxed-hypothesis scan")
     compiled = _CompiledLattice(L)
     meet, join = compiled.meet, compiled.join
     # ids above a, ascending; only chains of length >= 2 need them
@@ -323,15 +382,22 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
 
     def instances():
         for j in range(1, n):  # 1-based length of the sorted prefix
-            note = f"sorted prefix length {j}"
             for prefix in chains(j):
                 for rest in product(range(m), repeat=n - j):
                     f = prefix + rest
                     key = f[j - 1] * m + f[j]
-                    yield f, f[:j - 1] + (meet[key], join[key]) + f[j + 1:], note
+                    yield f, f[:j - 1] + (meet[key], join[key]) + f[j + 1:], j
 
-    count, first = _scan(lam, rel, instances(), compiled.elems)
-    return CheckReport(holds=first is None, instances_checked=count, witness=first)
+    def oracle(j: int):
+        def swap(f):
+            if not all(L.leq(f[i], f[i + 1]) for i in range(j - 1)):
+                raise InternalError(f"witness replay: the prefix of {f!r} is not a chain")
+            a, b = f[j - 1], f[j]
+            return f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:]
+        return swap, f"sorted prefix length {j}"
+
+    count, witness = _scan(lam, rel, instances(), compiled.elems, total, oracle)
+    return CheckReport(holds=witness is None, instances_checked=count, witness=witness)
 
 
 # --- the rearrangement chain ---
@@ -447,17 +513,26 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
         return sum((c * numeric(f[i]) * numeric(f[j]) for c, i, j in prepared),
                    Fraction(0))
 
-    def on_ids(elems):
+    def on_ids(elems, limit=None):
+        # scale lcm(den c) * lcm(den v)^2: each term is then a product of integers
         m = len(elems)
-        terms = [(_PairTable(lambda a, b, c=c: c * numeric(elems[a]) * numeric(elems[b]), m),
-                  i, j) for c, i, j in prepared]
+        coeffs = [c for c, _, _ in prepared]
+        vals = [numeric(e) for e in elems]
+        scale = None
+        if limit is not None:
+            scaled_c, scaled_v = integer_scale(coeffs), integer_scale(vals)
+            if scaled_c and scaled_v:
+                (c_scale, coeffs), (v_scale, vals) = scaled_c, scaled_v
+                scale = c_scale * v_scale * v_scale
+        terms = [(_PairTable(lambda a, b, c=c: c * vals[a] * vals[b], m), i, j)
+                 for c, (_, i, j) in zip(coeffs, prepared)]
 
         def evaluate(ids):
-            total = Fraction(0)
+            total = 0
             for term, i, j in terms:  # fn's term order
                 total += term[ids[i] * m + ids[j]]
             return total
-        return evaluate
+        return evaluate, scale
 
     return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L, on_ids=on_ids)
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from latstat import semimod
 from latstat.cli import main
 
 M3_ORDER = {
@@ -408,6 +409,37 @@ def test_check_multiadd_functional(write, capsys):
     assert code == 0
 
 
+def test_fkg_inf_table_weight_without_mode(write, capsys):
+    # no sum meets 0 * inf when F and G are positive where the weight is inf
+    cfg = write("fkg.json", {"elements": [[1, 1], [1, 2], [2, 1], [2, 2]],
+                             "F": {"kind": "linear", "coeffs": [1, 2]},
+                             "G": {"kind": "linear", "coeffs": [2, 1]},
+                             "weight": {"kind": "table", "values": [
+                                 [[1, 1], 1], [[1, 2], 1], [[2, 1], 1], [[2, 2], "inf"]]}})
+    code, out, _ = run_cli(capsys, "fkg", "--config", cfg)
+    assert code == 0
+    assert json.loads(out)["result"]["holds"] is True
+
+
+def test_corrupt_integer_table_exits_4(write, capsys, monkeypatch):
+    # the M3 pair windows hold; a negated integer table makes the scan find
+    # a false violation, which the witness replay refuses
+    real = semimod.integer_scale
+
+    def negated(values):
+        scale, ints = real(values)
+        return scale, [-v for v in ints]
+
+    args = ("check", "--lattice", write("m3.json", M3_ORDER),
+            "--functional", write("q.json", M3_FUNCTIONAL), "--k", "2")
+    assert run_cli(capsys, *args)[0] == 0
+    monkeypatch.setattr(semimod, "integer_scale", negated)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: InternalError: witness replay disagrees at ")
+    assert err.count("\n") == 1
+
+
 def test_corollary_psi_table_kind(write, capsys):
     cfg = write("psi.json", {
         "measure": [1, 1],
@@ -475,6 +507,15 @@ def check_potential(functional):
     (check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "prod_integrals",
                                               "measures": [[1, "inf"], [1, 1]]})),
      "/m/measures/0/1: must be finite"),
+    (("fkg", "--config", {"elements": [[1, 1], [1, 2], [2, 1], [2, 2]],
+                          "F": {"kind": "linear", "coeffs": [1, 1]},
+                          "G": {"kind": "linear", "coeffs": [0, 0]},
+                          "weight": {"kind": "table", "values": [
+                              [[1, 1], 1], [[1, 2], 1], [[2, 1], 1], [[2, 2], "inf"]]}}),
+     '/weight/values/3/1: an infinite weight meets a zero G value, and 0 * inf is '
+     'undefined without a convention; set "mode" to "zero" or "inf"'),
+    (check_potential(dict(POTENTIAL_FUNCTIONAL, measure=["inf"],
+                          phi={"kind": "relu", "shift": -3})), "/measure/0: must be finite"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a

@@ -33,13 +33,16 @@ from latstat import (
     supinf_check,
     symmetrize,
 )
+from latstat import constructions
 from latstat.constructions import (
+    MultisetCombiner,
     integral_of_product,
     multiadd_sum_via_symmetrized,
     potential_pair_inequality_check,
     product_of_integrals,
     subset_order_statistics,
     verify_multiadditive,
+    verify_schur_spec,
 )
 from latstat.generators import rand_fraction, random_potential_spec
 from latstat.lattice import fn_diff, pointwise_order_statistics
@@ -179,6 +182,29 @@ def test_potential_arity_one_and_constant_tuples_are_zero():
         assert lam3.fn((e, e, e)) == 0
 
 
+@pytest.mark.parametrize("kind", ["min", "sum", "sum_smallest"])
+def test_multiset_combiners_pass_the_combiner_spot_check(kind, monkeypatch):
+    # verify_schur_spec skips its spot check for a MultisetCombiner, whose
+    # properties are theorems; wrapped in a plain callable, the same
+    # combiner is spot-checked and passes
+    L = FnLattice.zero_to(2, 2)
+
+    def lam(e):
+        return min(Fraction(3), e[0] + e[1] / 2)
+
+    combiner = MultisetCombiner(kind, 2)
+    for n in (2, 3, 5):
+        for seed in range(4):
+            verify_schur_spec(SchurSpec(L, lam, lambda xs: combiner(xs)), n, seed=seed,
+                              spot_checks=200)
+    with pytest.raises(InputError, match="is not Schur-concave"):
+        verify_schur_spec(SchurSpec(L, lam, max), 3)
+    monkeypatch.setattr(constructions, "majorizes", None)  # a spot check now fails
+    verify_schur_spec(SchurSpec(L, lam, combiner), 3)
+    with pytest.raises(TypeError):
+        verify_schur_spec(SchurSpec(L, lam, lambda xs: combiner(xs)), 3)
+
+
 def test_schur_and_potential_provide_id_evaluators():
     # the full agreement sweep is in test_differential; here: the factories
     # supply on_ids, including the pairless arity-1 potential
@@ -189,7 +215,8 @@ def test_schur_and_potential_provide_id_evaluators():
                          (potential_construct(spec, 3), spec.carrier)):
         assert lam.on_ids is not None
         elems = carrier.elements()
-        evaluate = lam.on_ids(elems)
+        evaluate, scale = lam.on_ids(elems)
+        assert scale is None  # no limit: fn's own values
         ids = tuple(range(len(elems)))[-lam.arity:]
         assert evaluate(ids) == lam.fn(tuple(elems[i] for i in ids))
 

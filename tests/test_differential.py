@@ -28,6 +28,7 @@ from latstat import (
 )
 from latstat.constructions import (
     Measure,
+    MultiadditiveFn,
     MultisetCombiner,
     SchurSpec,
     integral_of_product,
@@ -38,9 +39,9 @@ from latstat.constructions import (
     tensor_multiadditive,
 )
 from latstat.generators import random_potential_spec, random_schur_functional
-from latstat.jsonio import functional_from_json, lattice_from_json
-from latstat.report import Witness
-from latstat.scalars import InputError
+from latstat.jsonio import dump_report, functional_from_json, lattice_from_json, make_report
+from latstat.report import CheckReport, Witness
+from latstat.scalars import INF, InputError, integer_scale, is_inf
 from latstat.semimod import _derive_seed, m3_quadratic, scalar_quadratic
 
 RELATIONS = {name: TransitiveRelation.from_name(name) for name in ("ge", "le", "eq")}
@@ -168,7 +169,8 @@ def test_m3_quadratic_violation_matches_reference():
 
 def _on_ids_agrees(lam, L):
     elems = L.elements()
-    evaluate = lam.on_ids(elems)
+    evaluate, scale = lam.on_ids(elems)
+    assert scale is None  # no limit: fn's own values
     for ids in product(range(len(elems)), repeat=lam.arity):
         assert evaluate(ids) == lam.fn(tuple(elems[i] for i in ids)), ids
 
@@ -320,3 +322,179 @@ def test_sampled_scan_of_large_lattice_stays_fast(k):
                                       seed=1, trials=300)
     assert time.perf_counter() - start < 2.0
     assert report.instances_checked == 300
+
+
+# --- integer scales ---
+
+def _scaled_families():
+    """(name, carrier, functional of arity 3) for every family, with
+    fractional data so that each scale exceeds 1."""
+    L = FnLattice.zero_to(2, 2)
+    half = FnLattice(1, [Fraction(v, 2) for v in range(4)])
+    lam = lambda e: min(Fraction(5, 2), Fraction(1, 3) * e[0] + Fraction(1, 2) * e[1])
+    out = [(f"schur-{kind}", L, schur_construct(SchurSpec(L, lam, MultisetCombiner(kind, 2)), 3))
+           for kind in ("min", "sum", "sum_smallest")]
+    out.append(("quadratic-m3", build_m3(),
+                scalar_quadratic(build_m3(), ((Fraction(12, 5), 1, 2), (Fraction(3, 7), 2, 3),
+                                              (1, 1, 3)), 3)))
+    out.append(("quadratic-halves", half,
+                scalar_quadratic(half, ((Fraction(2, 3), 1, 2), (-3, 3, 3), (1, 2, 1)), 3)))
+    for curvature in ("concave", "convex"):
+        spec = random_potential_spec(random.Random(3), curvature, width=2)
+        spec = dataclasses.replace(spec, measure=Measure((Fraction(1, 3), Fraction(2, 5))))
+        out.append((f"potential-{curvature}", spec.carrier, potential_construct(spec, 3)))
+    forms = {
+        "prod-integrals": product_of_integrals([Measure((Fraction(1, 2), 2)),
+                                                Measure((3, Fraction(1, 3)))]),
+        "integral-of-product": integral_of_product(Measure((Fraction(2, 3), 1)), 2),
+        "tensor": tensor_multiadditive({(0, 1): Fraction(2, 7), (1, 1): 1}, 2, 2),
+    }
+    for name, form in forms.items():
+        out.append((f"multiadd-{name}", L, multiadd_symmetric_sum(form, 3, L)))
+    return out
+
+
+@pytest.mark.parametrize("family", [name for name, _, _ in _scaled_families()])
+def test_scaled_on_ids_matches_fn(family):
+    _, L, lam = next(c for c in _scaled_families() if c[0] == family)
+    elems = L.elements()
+    tuples = list(product(range(len(elems)), repeat=3))
+    evaluate, scale = lam.on_ids(elems, len(tuples))
+    assert type(scale) is int and scale > 1
+    for ids in tuples:
+        v = evaluate(ids)
+        assert type(v) is int, ids
+        assert Fraction(v, scale) == lam.fn(tuple(elems[i] for i in ids)), ids
+
+
+def test_m3_quadratic_scale_is_lcm_of_coefficients_times_values_squared():
+    _, L, lam = next(c for c in _scaled_families() if c[0] == "quadratic-m3")
+    assert lam.on_ids(L.elements(), 1)[1] == 35
+    _, L, lam = next(c for c in _scaled_families() if c[0] == "quadratic-halves")
+    assert lam.on_ids(L.elements(), 1)[1] == 3 * 2 * 2
+
+
+def _report_bytes(report):
+    return dump_report(make_report("check", {}, report))
+
+
+def _reference_bytes(L, lam, rel, k, windowed, **sampled):
+    mode = "sampled" if sampled else "exhaustive"
+    holds, count, witness = reference_scan(L, lam, rel, k, windowed, mode, **sampled)
+    return _report_bytes(CheckReport(holds=holds, instances_checked=count, witness=witness,
+                                     mode=mode, seed=sampled.get("seed")))
+
+
+def _fallback_runs(L, lam, rel):
+    """(report bytes, reference bytes) of the full and k = 2 checks."""
+    n = lam.arity
+    return [(_report_bytes(check_generalized_n(L, lam, rel)),
+             _reference_bytes(L, lam, rel, n, False)),
+            (_report_bytes(check_generalized_nk(L, lam, 2, rel)),
+             _reference_bytes(L, lam, rel, 2, True))]
+
+
+def test_non_fraction_functionals_keep_fn_values():
+    # float values declare no scale: the scan compares fn's own floats
+    spec = random_potential_spec(random.Random(4), "convex", width=2)
+    spec = dataclasses.replace(spec, psi=lambda u, psi=spec.psi: float(psi(u)))
+    potential = potential_construct(spec, 3)
+    form = MultiadditiveFn(2, lambda f, g: float(f[0] * g[1]) + 0.5, "float-form")
+    L = FnLattice.zero_to(2, 1)
+    multiadd = multiadd_symmetric_sum(form, 3, L)
+    for carrier, lam in ((spec.carrier, potential), (L, multiadd)):
+        elems = carrier.elements()
+        assert lam.on_ids(elems, 10 ** 6)[1] is None
+        witnesses = []
+        for rel in RELATIONS.values():
+            for got, want in _fallback_runs(carrier, lam, rel):
+                assert got == want
+            witnesses.append(check_generalized_n(carrier, lam, rel).witness)
+        assert any(w is not None and type(w.lhs) is float for w in witnesses)
+
+
+def test_integer_scale_refuses_non_finite_values():
+    assert integer_scale([Fraction(1, 2), 3]) == (2, [1, 6])
+    assert integer_scale([]) == (1, [])
+    for values in ([Fraction(1), INF], [1, 0.5], [True, 1]):
+        assert integer_scale(values) is None
+
+
+def test_carrier_with_inf_values_matches_reference_scan():
+    # lambda counts the infinite entries, so its values stay finite rationals
+    L = FnLattice(2, [0, 1, INF])
+    spec = SchurSpec(L, lambda e: Fraction(sum(1 for v in e if is_inf(v)), 3),
+                     MultisetCombiner("sum_smallest", 2))
+    lam = schur_construct(spec, 3)
+    assert lam.on_ids(L.elements(), 1)[1] == 3
+    for relation in ("le", "eq"):
+        for got, want in _fallback_runs(L, lam, RELATIONS[relation]):
+            assert got == want
+    # a quadratic over these values has no scale, and fails as fn does
+    q = scalar_quadratic(FnLattice(1, [0, 1, INF]), ((1, 1, 2),), 2)
+    evaluate, scale = q.on_ids(q.lattice.elements(), 10)
+    assert scale is None and evaluate((0, 1)) == 0
+    with pytest.raises(TypeError):
+        evaluate((1, 2))
+
+
+@pytest.mark.parametrize("family", ["schur-sum_smallest", "quadratic-m3", "potential-convex",
+                                    "multiadd-tensor"])
+def test_custom_relation_receives_fn_values(family):
+    def pred(a, b):
+        assert type(a) is Fraction and type(b) is Fraction
+        return a >= b
+
+    rel = TransitiveRelation.custom(pred, name="ge-of-fractions")
+    _, L, lam = next(c for c in _scaled_families() if c[0] == family)
+    for got, want in _fallback_runs(L, lam, rel):
+        assert got == want
+    report = check_relaxed_hypothesis(L, lam, rel)
+    assert (report.holds, report.instances_checked, report.witness) == \
+        reference_relaxed(L, lam, rel)
+
+
+@pytest.mark.parametrize("family", ["potential", "multiadd"])
+def test_sampled_scan_with_more_table_than_trials_stays_lazy(family):
+    calls = []
+    L = FnLattice.zero_to(2, 2)  # m = 9: 81 pair terms or 2-tuples
+
+    def make():
+        # the potential's transform memo lives in its functional: build afresh
+        if family == "multiadd":
+            form = _multiadd_forms()["integral-of-product"]
+            counted = MultiadditiveFn(2, lambda *a: calls.append(a) or form.fn(*a), "counted")
+            lam = multiadd_symmetric_sum(counted, 3, L)
+        else:
+            spec = random_potential_spec(random.Random(4), "convex", width=2)
+            spec = dataclasses.replace(spec, carrier=L,
+                                       phi=lambda u, phi=spec.phi: calls.append(u) or phi(u))
+            lam = potential_construct(spec, 3)
+        calls.clear()
+        return lam
+
+    m = len(L.elements())
+    elems = L.elements()
+    assert make().on_ids(elems, m * m - 1)[1] is None
+    assert make().on_ids(elems, m * m)[1] is not None
+    lam = make()
+    rel = RELATIONS["le" if family == "potential" else "ge"]
+    report = check_generalized_n(L, lam, rel, mode="sampled", seed=5, trials=4)
+    assert (report.holds, report.instances_checked, report.witness) == \
+        reference_scan(L, lam, rel, 3, False, "sampled", seed=5, trials=4)
+    assert report.holds
+    # 4 trials meet at most 8 tuples of 6 placements each, far fewer than 81
+    assert 0 < len(calls) < m * m
+
+
+def test_only_multiset_combiners_are_scaled():
+    # a plain callable need not commute with a scale: it keeps fn's values
+    L = FnLattice.zero_to(2, 1)
+    lam = lambda e: Fraction(sum(e), 2)
+    plain = schur_construct(SchurSpec(L, lam, lambda xs: min(xs) + 1), 3)
+    assert plain.on_ids(L.elements(), 10 ** 6)[1] is None
+    assert schur_construct(SchurSpec(L, lam, MultisetCombiner("min")), 3).on_ids(
+        L.elements(), 10 ** 6)[1] == 2
+    # an empty sum would be the int 0, not a Fraction
+    with pytest.raises(InputError, match="sum_smallest needs k >= 1"):
+        MultisetCombiner("sum_smallest")

@@ -22,10 +22,11 @@ from latstat import (
     run_counterexample_m3,
     verify_chain_sortedness,
 )
-from latstat import semimod
+from latstat import lattice, semimod
 from latstat.generators import random_multiadd_functional, random_schur_functional
 from latstat.lattice import birkhoff_embed, lattice_from_order
 from latstat.report import Witness
+from latstat.scalars import InternalError
 from latstat.semimod import (
     _derive_seed,
     chain_point_multisets_conserved,
@@ -418,3 +419,52 @@ def test_relation_from_name():
     assert TransitiveRelation.from_name("le").holds(Fraction(1), Fraction(2))
     with pytest.raises(InputError):
         TransitiveRelation.from_name("sideways")
+
+
+# --- witness replay ---
+
+def test_witness_replay_refuses_wrong_order_statistics(monkeypatch):
+    # reversed order statistics make the M3 pair windows, which hold, fail
+    real = lattice._CompiledLattice.order_statistics
+
+    def reversed_stats(self, k):
+        stats = real(self, k)
+        return lambda w: stats(w)[::-1]
+
+    L, lam = build_m3(), m3_quadratic()
+    assert check_generalized_nk(L, lam, 2, GE).holds
+    monkeypatch.setattr(lattice._CompiledLattice, "order_statistics", reversed_stats)
+    with pytest.raises(InternalError, match="witness replay disagrees"):
+        check_generalized_nk(L, lam, 2, GE)
+
+
+def test_witness_replay_refuses_wrong_relaxed_swap(monkeypatch):
+    # with strictly decreasing weights the meet must come first; swapped
+    # meet and join tables turn every strict swap into a false violation
+    L = FnLattice.zero_to(2, 1)
+    lam = TupleFunctional(arity=3, fn=lambda f: sum((3 - i) * sum(e) for i, e in enumerate(f)))
+    assert check_relaxed_hypothesis(L, lam, GE).holds
+    real = lattice._CompiledLattice.__init__
+
+    def swapped(self, carrier):
+        real(self, carrier)
+        self.meet, self.join = self.join, self.meet
+
+    monkeypatch.setattr(lattice._CompiledLattice, "__init__", swapped)
+    with pytest.raises(InternalError, match="witness replay disagrees"):
+        check_relaxed_hypothesis(L, lam, GE)
+
+
+def test_witness_replay_refuses_wrong_values(monkeypatch):
+    # a negated integer table makes the holding quadratic fail everywhere
+    # it was strict; the replay through fn refuses the witness
+    real = semimod.integer_scale
+
+    def negated(values):
+        scale, ints = real(values)
+        return scale, [-v for v in ints]
+
+    L, lam = build_m3(), m3_quadratic()
+    monkeypatch.setattr(semimod, "integer_scale", negated)
+    with pytest.raises(InternalError, match="witness replay disagrees"):
+        check_generalized_nk(L, lam, 2, GE)
