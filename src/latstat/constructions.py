@@ -596,33 +596,45 @@ def tensor_multiadditive(weights: dict, k: int, ground_size: int) -> Multiadditi
 def permanent(matrix: Sequence[Sequence]) -> Fraction:
     """Permanent of a rectangular rational matrix: the sum over all injective
     column placements of row-entry products (transposed first when there are
-    more rows than columns, keeping the value transposition-invariant)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    more rows than columns, keeping the value transposition-invariant).
+
+    Computed exactly by a recurrence over column sets.  Each row is scaled
+    to integers by the lcm of its denominators.  After folding in rows
+    1..i, `ways[S]` is the weighted count of placements of those rows onto
+    exactly the column set S (a bitmask); row i + 1 extends each S by each
+    column outside it whose entry is nonzero.  Rectangular matrices need no
+    sign terms or padding.  There are at most C(p, i) sets after i rows,
+    each extended by at most p - i columns, so a d x p matrix (d <= p) costs
+    at most d * sum_{i <= d} C(p, i) integer multiply-adds, against the
+    p! / (p - d)! placements of the literal sum: a 12 x 12 matrix takes
+    24,576 multiply-adds, not 479,001,600 placements."""
+    return _permanent([[Fraction(x) for x in row] for row in matrix])
+
+
+def _permanent(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """`permanent` of rows whose entries are already `Fraction`s."""
     if not rows or not rows[0]:
         raise InputError("permanent needs a nonempty matrix")
     p = len(rows[0])
     if any(len(r) != p for r in rows):
         raise InputError("matrix rows must have equal length")
     if len(rows) > p:
-        rows = [list(col) for col in zip(*rows)]
-        p = len(rows[0])
-    d = len(rows)
-    # integer core: factor a common denominator out of each row
-    scale = Fraction(1)
-    int_rows = []
+        rows = list(zip(*rows))
+    scale = 1
+    ways = {0: 1}
     for row in rows:
         denom = math.lcm(*(x.denominator for x in row))
-        int_rows.append([int(x * denom) for x in row])
         scale *= denom
-    total = 0
-    for cols in permutations(range(p), d):
-        term = 1
-        for i, c in enumerate(cols):
-            term *= int_rows[i][c]
-            if term == 0:
-                break
-        total += term
-    return Fraction(total) / scale
+        entries = [(1 << c, x.numerator * (denom // x.denominator))
+                   for c, x in enumerate(row) if x]
+        folded = {}
+        for cols, w in ways.items():
+            for bit, x in entries:
+                if not cols & bit:
+                    key = cols | bit
+                    folded[key] = folded.get(key, 0) + w * x
+        ways = folded
+    return Fraction(sum(ways.values()), scale)
 
 
 def perm_orderstat_check(matrix: Sequence[Sequence]) -> CheckReport:
@@ -632,11 +644,11 @@ def perm_orderstat_check(matrix: Sequence[Sequence]) -> CheckReport:
     for row in rows:
         for x in row:
             require_nonneg(x, "matrix entry")
-    base = permanent(rows)
+    base = _permanent(rows)
     row_sorted = pointwise_order_statistics(rows)
     col_sorted = [sorted(row) for row in rows]
-    perm_rows = permanent(row_sorted)
-    perm_cols = permanent(col_sorted)
+    perm_rows = _permanent(row_sorted)
+    perm_cols = _permanent(col_sorted)
     detail = {"permanent": base, "rows_sorted": perm_rows, "cols_sorted": perm_cols}
     if perm_rows > base:
         return CheckReport(holds=False, instances_checked=2,

@@ -131,6 +131,20 @@ def _as_func(f):
     return lambda e: table[tuple(e)]
 
 
+class _Memo(dict):
+    """`func` evaluated once per key: `memo[key]` calls `func(key)` on the
+    first lookup of that key only, so every evaluation (and any error it
+    raises) happens at the same call as without the memo."""
+
+    def __init__(self, func: Callable):
+        super().__init__()
+        self.func = func
+
+    def __missing__(self, key):
+        value = self[key] = self.func(key)
+        return value
+
+
 def is_log_supermodular(nu, L, mode: Optional[ConventionMode] = None) -> CheckReport:
     """All pairs satisfy weight(meet) * weight(join) >= weight(f) * weight(g)."""
     nu = _as_func(nu)
@@ -162,8 +176,9 @@ def fkg_check(L, nu, F, G, mode: Optional[ConventionMode] = None) -> CheckReport
     and nondecreasing F and G,
     sum(F*G*w) * sum(w) >= sum(F*w) * sum(G*w).
     Precondition failures are reported with their witnesses rather than
-    asserted away."""
-    nu, F, G = _as_func(nu), _as_func(F), _as_func(G)
+    asserted away.  The weight, F and G are each evaluated once per element,
+    though the checks look them up about 4 |L|^2 times."""
+    nu, F, G = (_Memo(_as_func(f)).__getitem__ for f in (nu, F, G))
     elems = L.elements()
     logsup = is_log_supermodular(nu, L, mode)
     if not logsup.holds:
@@ -276,19 +291,22 @@ def aharoni_keich_check(alphas: Sequence, betas: Sequence,
     n = len(families)
     if len(alphas) != n or len(betas) != n:
         raise InputError("need one alpha and one beta per family")
-    alphas = [_as_func(a) for a in alphas]
-    betas = [_as_func(b) for b in betas]
+    funcs = {"alpha": [_as_func(a) for a in alphas],
+             "beta": [_as_func(b) for b in betas]}
     fams = [[tuple(as_scalar(v) for v in e) for e in fam] for fam in families]
     stat_fams = orderstat_family(fams, budget=budget)
 
-    def val(func, e, name):
-        v = as_scalar(func(e))
+    def value(key):
+        name, j, e = key
+        v = as_scalar(funcs[name][j](e))
         require_nonneg(v, f"{name} value")
         return v
 
-    lhs = ext_prod((ext_sum(val(alphas[j], e, "alpha") for e in fams[j])
+    # one evaluation per (role, j, element); the product loop repeats them
+    val = _Memo(value)
+    lhs = ext_prod((ext_sum(val["alpha", j, e] for e in fams[j])
                     for j in range(n)), mode)
-    rhs = ext_prod((ext_sum(val(betas[j], e, "beta") for e in stat_fams[j])
+    rhs = ext_prod((ext_sum(val["beta", j, e] for e in stat_fams[j])
                     for j in range(n)), mode)
 
     checked = 0
@@ -296,8 +314,8 @@ def aharoni_keich_check(alphas: Sequence, betas: Sequence,
     for f in product(*fams):
         checked += 1
         stats = pointwise_order_statistics(f)
-        h_lhs = ext_prod((val(alphas[j], f[j], "alpha") for j in range(n)), mode)
-        h_rhs = ext_prod((val(betas[j], stats[j], "beta") for j in range(n)), mode)
+        h_lhs = ext_prod((val["alpha", j, f[j]] for j in range(n)), mode)
+        h_rhs = ext_prod((val["beta", j, stats[j]] for j in range(n)), mode)
         if not h_lhs <= h_rhs and hyp_witness is None:
             hyp_witness = Witness(args=f, lhs=h_lhs, rhs=h_rhs,
                                   note="pointwise hypothesis violated")

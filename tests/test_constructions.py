@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -393,6 +395,44 @@ def test_permanent_matches_bruteforce_and_transpose():
         assert value == perm_bruteforce(matrix)
         transpose = [list(col) for col in zip(*matrix)]
         assert permanent(transpose) == value
+
+
+def test_permanent_matches_bruteforce_every_shape_to_6x7():
+    # signed fractions, zero entries, all-zero rows and columns; each matrix
+    # is also checked transposed, so every d > p shape up to 7 x 6 is covered
+    rng = random.Random(12)
+    for d in range(1, 7):
+        for p in range(1, 8):
+            for _ in range(2):
+                matrix = [[rng.choice((-1, 1)) * rand_fraction(rng, max_num=5, max_den=4)
+                           if rng.random() < 0.7 else Fraction(0) for _ in range(p)]
+                          for _ in range(d)]
+                if rng.random() < 0.25:
+                    matrix[rng.randrange(d)] = [0] * p
+                if rng.random() < 0.25:
+                    zero_col = rng.randrange(p)
+                    for row in matrix:
+                        row[zero_col] = 0
+                transpose = [list(col) for col in zip(*matrix)]
+                assert permanent(matrix) == perm_bruteforce(matrix)
+                assert permanent(transpose) == perm_bruteforce(transpose)
+
+
+def test_permanent_of_all_ones_counts_injections():
+    for d in range(1, 9):
+        for p in range(d, 10):
+            injections = math.factorial(p) // math.factorial(p - d)
+            assert permanent([[1] * p for _ in range(d)]) == injections
+            assert permanent([[1] * d for _ in range(p)]) == injections
+
+
+def test_perm_orderstat_12x12_all_ones_under_a_second():
+    started = time.perf_counter()
+    report = perm_orderstat_check([[1] * 12 for _ in range(12)])
+    assert time.perf_counter() - started < 1.0
+    assert report.holds
+    assert report.detail == {"permanent": 479001600, "rows_sorted": 479001600,
+                             "cols_sorted": 479001600}
 
 
 def test_permanent_row_and_column_permutation_invariance():

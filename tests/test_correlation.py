@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +22,11 @@ from latstat import (
     pointwise_order_statistics,
     power_inequality_check,
 )
-from latstat.correlation import inf_weight, power_weight
+from latstat.correlation import _as_func, _check_nondecreasing, inf_weight, power_weight
+from latstat.report import CheckReport, Witness
+from latstat.scalars import (
+    INF, as_scalar, ext_mul, ext_prod, ext_sum, is_inf, require_nonneg,
+)
 from latstat.generators import (
     rand_measure,
     random_families,
@@ -327,6 +333,186 @@ def test_two_family_case_specializes_to_four_sum_regime():
         G = random_monotone_func(rng, sub.width)
         four_sum = corollary_fkg_check(sub, F, G, measure=mu, r=-1)
         assert four_sum.holds, four_sum.witness
+
+
+# --- per-element memo against unmemoized reference copies ---
+
+def _ref_fkg_check(L, nu, F, G, mode=None):
+    """The four-sum check as it reads without a memo: every lookup calls
+    the function again."""
+    nu, F, G = _as_func(nu), _as_func(F), _as_func(G)
+    elems = L.elements()
+    logsup = is_log_supermodular(nu, L, mode)
+    if not logsup.holds:
+        return CheckReport(holds=False, instances_checked=logsup.instances_checked,
+                           witness=logsup.witness,
+                           detail={"precondition_failed": "log-supermodularity"})
+    for func, name in ((F, "F"), (G, "G")):
+        w = _check_nondecreasing(func, name, L)
+        if w is not None:
+            return CheckReport(holds=False, instances_checked=logsup.instances_checked,
+                               witness=w, detail={"precondition_failed": "monotonicity"})
+    if any(is_inf(as_scalar(nu(e))) for e in elems):
+        for func, name in ((F, "F"), (G, "G")):
+            for e in elems:
+                require_nonneg(as_scalar(func(e)),
+                               f"{name} value (required with infinite weights)")
+
+    def agg(func):
+        return ext_sum(ext_mul(as_scalar(func(e)), as_scalar(nu(e)), mode)
+                       for e in elems)
+
+    s_fg = agg(lambda e: as_scalar(F(e)) * as_scalar(G(e)))
+    s_1 = agg(lambda e: Fraction(1))
+    s_f, s_g = agg(F), agg(G)
+    lhs, rhs = ext_mul(s_fg, s_1, mode), ext_mul(s_f, s_g, mode)
+    detail = {"sum_FG": s_fg, "sum_1": s_1, "sum_F": s_f, "sum_G": s_g}
+    checked = logsup.instances_checked + 1
+    if lhs >= rhs:
+        return CheckReport(holds=True, instances_checked=checked, detail=detail)
+    return CheckReport(holds=False, instances_checked=checked,
+                       witness=Witness(args=(), lhs=lhs, rhs=rhs, note="four-sum"),
+                       detail=detail)
+
+
+def _ref_ahke_check(alphas, betas, families, mode=None):
+    """The family check as it reads without a memo."""
+    n = len(families)
+    alphas = [_as_func(a) for a in alphas]
+    betas = [_as_func(b) for b in betas]
+    fams = [[tuple(as_scalar(v) for v in e) for e in fam] for fam in families]
+    stat_fams = orderstat_family(fams)
+
+    def val(func, e, name):
+        v = as_scalar(func(e))
+        require_nonneg(v, f"{name} value")
+        return v
+
+    lhs = ext_prod((ext_sum(val(alphas[j], e, "alpha") for e in fams[j])
+                    for j in range(n)), mode)
+    rhs = ext_prod((ext_sum(val(betas[j], e, "beta") for e in stat_fams[j])
+                    for j in range(n)), mode)
+    checked = 0
+    hyp_witness = None
+    for f in product(*fams):
+        checked += 1
+        stats = pointwise_order_statistics(f)
+        h_lhs = ext_prod((val(alphas[j], f[j], "alpha") for j in range(n)), mode)
+        h_rhs = ext_prod((val(betas[j], stats[j], "beta") for j in range(n)), mode)
+        if not h_lhs <= h_rhs and hyp_witness is None:
+            hyp_witness = Witness(args=f, lhs=h_lhs, rhs=h_rhs,
+                                  note="pointwise hypothesis violated")
+    if hyp_witness is not None:
+        return CheckReport(holds=False, instances_checked=checked, witness=hyp_witness,
+                           detail={"hypothesis_violated": True,
+                                   "informational_lhs": lhs, "informational_rhs": rhs})
+    detail = {"lhs": lhs, "rhs": rhs, "stat_family_sizes": [len(s) for s in stat_fams]}
+    if lhs <= rhs:
+        return CheckReport(holds=True, instances_checked=checked + 1, detail=detail)
+    return CheckReport(holds=False, instances_checked=checked + 1,
+                       witness=Witness(args=(), lhs=lhs, rhs=rhs, note="sum products"),
+                       detail=detail)
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        report = check(*args, **kwargs)
+    except InputError as exc:
+        return "error", str(exc)
+    return report.holds, report.witness, report.detail, report.instances_checked
+
+
+def _counted(func, calls):
+    def counted(e):
+        calls[e] += 1
+        return func(e)
+    return counted
+
+
+def _random_table(rng, elems, values):
+    table = {e: rng.choice(values) for e in elems}
+    return lambda e: table[e]
+
+
+_WEIGHT_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+
+
+def test_fkg_memo_matches_reference_and_calls_once_per_element():
+    rng = random.Random(1021)
+    seen = Counter()
+    for i in range(300):
+        sub = random_sublattice(rng, width=rng.randint(1, 3),
+                                positive=bool(i % 2), seeds=rng.randint(2, 4))
+        elems = sub.elements()
+        weight_kind = i % 4
+        if weight_kind == 0:
+            nu = power_weight(rand_measure(rng, sub.width), -1)
+        elif weight_kind == 1:
+            nu = inf_weight()
+        else:
+            # random tables are mostly not log-supermodular; kind 3 adds inf
+            values = _WEIGHT_VALUES + ((INF,) if weight_kind == 3 else ())
+            nu = _random_table(rng, elems, values)
+        F, G = (random_monotone_func(rng, sub.width) if rng.random() < 0.7
+                else _random_table(rng, elems, (Fraction(-1),) + _WEIGHT_VALUES)
+                for _ in range(2))
+        mode = rng.choice((None, ConventionMode.ZERO, ConventionMode.INF))
+        calls = [Counter() for _ in range(3)]
+        got = _outcome(fkg_check, sub, *(_counted(f, c) for f, c in zip((nu, F, G), calls)),
+                       mode)
+        assert got == _outcome(_ref_fkg_check, sub, nu, F, G, mode)
+        assert all(count == 1 for c in calls for count in c.values())
+        if got[0] == "error":
+            seen["error"] += 1
+            continue
+        if got[0]:
+            seen["holds"] += 1
+        else:
+            seen[got[2].get("precondition_failed") or "four-sum"] += 1
+            seen[got[1].note] += 1
+        if "sum_1" in got[2] and any(is_inf(as_scalar(nu(e))) for e in elems):
+            seen["inf weight summed", mode] += 1
+    # every branch is exercised: each failed precondition (a non-monotone F
+    # and a non-monotone G), errors, and four sums over infinite weights
+    # under both modes
+    for key in ("holds", "error", "log-supermodularity", "F is not nondecreasing",
+                "G is not nondecreasing", ("inf weight summed", ConventionMode.ZERO),
+                ("inf weight summed", ConventionMode.INF)):
+        assert seen[key] > 0, (key, seen)
+
+
+def test_ahke_memo_matches_reference_and_calls_once_per_element():
+    rng = random.Random(1031)
+    seen = Counter()
+    for i in range(300):
+        n = rng.randint(1, 3)
+        families = random_families(rng, n=n, width=rng.randint(1, 2),
+                                   positive=bool(i % 2))
+        pool = sorted({e for fam in orderstat_family(families) for e in fam}
+                      | {e for fam in families for e in fam})
+        values = _WEIGHT_VALUES + ((INF,) if i % 3 == 0 else ()) \
+            + ((Fraction(-1),) if i % 10 == 0 else ())
+        alphas = [_random_table(rng, pool, values) for _ in range(n)]
+        betas = [_random_table(rng, pool, values) for _ in range(n)]
+        if i % 5 == 0:
+            alphas = betas = [power_weight(rand_measure(rng, len(pool[0])), -1)] * n
+        mode = rng.choice((None, ConventionMode.ZERO, ConventionMode.INF))
+        calls = [Counter() for _ in range(2 * n)]
+        counted = [_counted(f, c) for f, c in zip(alphas + betas, calls)]
+        got = _outcome(aharoni_keich_check, counted[:n], counted[n:], families, mode=mode)
+        assert got == _outcome(_ref_ahke_check, alphas, betas, families, mode)
+        assert all(count == 1 for c in calls for count in c.values())
+        if got[0] == "error":
+            seen["error"] += 1
+            continue
+        seen["hypothesis violated" if "hypothesis_violated" in got[2] else got[0]] += 1
+        if any(is_inf(as_scalar(f(e))) for f in alphas + betas for e in pool):
+            seen["inf weight reported", mode] += 1
+    # the conclusion never fails once the hypothesis holds (the theorem)
+    for key in (True, "error", "hypothesis violated",
+                ("inf weight reported", ConventionMode.ZERO),
+                ("inf weight reported", ConventionMode.INF)):
+        assert seen[key] > 0, (key, seen)
 
 
 # --- non-reversibility ---
