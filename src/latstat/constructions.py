@@ -33,7 +33,7 @@ from .scalars import (
     is_inf,
     require_nonneg,
 )
-from .semimod import TupleFunctional
+from .semimod import TupleFunctional, pairwise
 
 
 # --- measures on a finite ground set ---
@@ -192,7 +192,8 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
 
 def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
-    pair-window check (>=) on any distributive carrier."""
+    pair-window check (>=) on any distributive carrier.  The
+    `MultisetCombiner` "sum" makes it a sum of unary pair terms."""
     verify_schur_spec(spec, n, seed=seed)
     vals = {e: Fraction(spec.lam(e)) for e in spec.lattice.elements()}
     combiner = spec.combiner
@@ -210,10 +211,17 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctiona
         at = values.__getitem__
         return (lambda ids: combiner(tuple(map(at, ids)))), scale
 
+    def pair_terms(elems, limit):
+        # a sum has one unary term per argument, read on the table's diagonal
+        scale, values = integer_scale(vals[e] for e in elems)
+        diagonal = {a * (len(elems) + 1): v for a, v in enumerate(values)}
+        return [(diagonal, i, i) for i in range(n)], scale
+
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"schur({spec.lam_name},{spec.combiner_name})",
                            lattice=spec.lattice, on_ids=on_ids,
-                           symmetric=isinstance(combiner, MultisetCombiner))
+                           symmetric=isinstance(combiner, MultisetCombiner),
+                           pair_terms=pair_terms if combiner == MultisetCombiner("sum") else None)
 
 
 # --- set functions from relations ---
@@ -332,6 +340,23 @@ def _symmetrized(transform: Callable[[tuple], Fraction], g: tuple) -> Fraction:
     return transform(g) + transform(tuple(-x for x in g))
 
 
+def _one_pair_term(value: Callable, positions: list) -> tuple:
+    """`semimod.pairwise` factories for the sum of value(f_i, f_j) over the
+    (i, j) positions, in order.  The m^2 table of value on element pairs is
+    filled before the scan, and scaled by the lcm of its denominators, when
+    it has no more entries than the scan's limit; otherwise it keeps value's
+    own results and fills on first use."""
+    def terms_of(elems, limit):
+        m = len(elems)
+        table = _PairTable(lambda a, b: value(elems[a], elems[b]), m)
+        scaled = None
+        if limit is not None and m * m <= limit:
+            scaled = integer_scale(table[key] for key in range(m * m))
+        scale, table = scaled or (None, table)
+        return [(table, i, j) for i, j in positions], scale
+    return pairwise(terms_of)
+
+
 def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
     """Sum over all ordered argument pairs of the curved integral transform of
     their difference, normalized so the zero difference contributes zero
@@ -350,28 +375,13 @@ def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
                 total += transform(d) - base
         return total
 
-    pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
-
-    def on_ids(elems, limit=None):
-        m = len(elems)
-        term = _PairTable(lambda a, b: transform(tuple(
-            x - y for x, y in zip(elems[a], elems[b]))) - base, m)
-        scaled = None
-        if limit is not None and m * m <= limit:
-            # fill all m^2 pair terms; the lcm of their denominators scales them
-            scaled = integer_scale(term[key] for key in range(m * m))
-        scale, term = scaled or (None, term)
-
-        def evaluate(ids):
-            total = 0
-            for j, k in pairs:  # fn's (j, k) order
-                total += term[ids[j] * m + ids[k]]
-            return total
-        return evaluate, scale
-
+    on_ids, pair_terms = _one_pair_term(
+        lambda e, f: transform(tuple(x - y for x, y in zip(e, f))) - base,
+        [(j, k) for j in range(n) for k in range(n) if j != k])
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
-                           lattice=spec.carrier, on_ids=on_ids, symmetric=True)
+                           lattice=spec.carrier, on_ids=on_ids, symmetric=True,
+                           pair_terms=pair_terms)
 
 
 def potential_pair_transform(spec: PotentialSpec, g: tuple) -> Fraction:
@@ -471,7 +481,8 @@ def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:
 def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
                            lattice: Optional[FnLattice] = None) -> TupleFunctional:
     """Sum of m over all injective placements of k of the n arguments;
-    nonnegative multiadditive m makes this pass the pair-window check (>=)."""
+    nonnegative multiadditive m makes this pass the pair-window check (>=).
+    A form of arity 2 makes it a sum of pair terms (`semimod.pairwise`)."""
     k = m.arity
     if k > n:
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
@@ -480,31 +491,36 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
     def fn(f):
         return sum((m.fn(*(f[i] for i in perm)) for perm in placements), Fraction(0))
 
-    def on_ids(elems, limit=None):
-        table: dict = {}  # k-tuple of ids -> m on their elements, filled on first use
-        scale = None
-        if limit is not None and len(elems) ** k <= limit:
-            # fill all m^k values; the lcm of their denominators scales them
-            table = {key: m.fn(*(elems[i] for i in key))
-                     for key in product(range(len(elems)), repeat=k)}
-            scaled = integer_scale(table.values())
-            if scaled:
-                scale, values = scaled
-                table = dict(zip(table, values))
+    pair_terms = None
+    if k == 2:
+        on_ids, pair_terms = _one_pair_term(m.fn, placements)
+    else:
+        def on_ids(elems, limit=None):
+            table: dict = {}  # k-tuple of ids -> m on their elements, filled on first use
+            scale = None
+            if limit is not None and len(elems) ** k <= limit:
+                # fill all m^k values; the lcm of their denominators scales them
+                table = {key: m.fn(*(elems[i] for i in key))
+                         for key in product(range(len(elems)), repeat=k)}
+                scaled = integer_scale(table.values())
+                if scaled:
+                    scale, values = scaled
+                    table = dict(zip(table, values))
 
-        def evaluate(ids):
-            total = 0
-            for perm in placements:
-                key = tuple([ids[i] for i in perm])
-                v = table.get(key)
-                if v is None:
-                    v = table[key] = m.fn(*(elems[i] for i in key))
-                total += v
-            return total
-        return evaluate, scale
+            def evaluate(ids):
+                total = 0
+                for perm in placements:
+                    key = tuple([ids[i] for i in perm])
+                    v = table.get(key)
+                    if v is None:
+                        v = table[key] = m.fn(*(elems[i] for i in key))
+                    total += v
+                return total
+            return evaluate, scale
 
     return TupleFunctional(arity=n, fn=fn, tag=f"multiadd({m.tag},k={k})",
-                           lattice=lattice, on_ids=on_ids, symmetric=True)
+                           lattice=lattice, on_ids=on_ids, symmetric=True,
+                           pair_terms=pair_terms)
 
 
 def multiadd_sum_via_symmetrized(m: MultiadditiveFn, n: int, f: Sequence) -> Fraction:

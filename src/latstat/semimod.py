@@ -43,6 +43,21 @@ oracle (`_replayed`): the moved tuple is recomputed by
 `order_statistics_tuple`, or by meet and join for the relaxed check, both
 values by fn, and the relation is tested again; a disagreement raises
 InternalError (CLI exit 4), never a verdict.
+
+A functional that declares `pair_terms` is a sum of terms over argument
+pairs, and its exhaustive k = 2 checks under ge, le or eq enumerate no
+tuples when the terms have an integer scale (`_pair_windows`).  With the
+window at (j, j + 1) holding (a, b), lam(f) - lam(g) is a window part
+P(a, b) plus one part Q_r(a, b, f_r) per rest position r, so the window
+holds for every rest exactly when P + sum_r min_x Q_r >= 0 for each (a, b)
+(max and <= 0 for le, both for eq).  That costs O(n * m^3) table lookups per
+window instead of m^n tuples.  The first failing window's witness is built
+greedily, position by position, as the least value that still has a
+violating completion, which is the odometer's first violation; it is
+replayed like any other.  `instances_checked` and the budget still count
+the windows * m^n tuples covered.  Sampled checks, custom relations, k >= 3,
+the relaxed check and functionals without a scale keep enumerating, and the
+enumerating scan stays the route's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
 
@@ -154,7 +170,17 @@ class TupleFunctional:
     sums of multiadditive forms and potentials always, Schur compositions
     only with a `constructions.MultisetCombiner`, since an arbitrary
     combiner is only spot-checked for Schur-concavity and may read argument
-    order.  A wrong True gives wrong verdicts, so nothing infers it."""
+    order.  A wrong True gives wrong verdicts, so nothing infers it.
+
+    pair_terms declares that fn is a sum of terms over argument pairs (see
+    `pairwise`): given a carrier's element list and a limit, it returns
+    (terms, scale) with integer tables over the positive scale, or None
+    when there is no integer scale.  It is built only when a check asks
+    for it.  Exhaustive k = 2 checks under ge, le or eq then decide each
+    pair window from the tables instead of enumerating tuples (see the
+    module docstring).  Quadratic forms, potentials, multiadditive sums of
+    form arity 2 and Schur sums set it; like symmetric, it is declared by
+    the constructor, never inferred."""
 
     arity: int
     fn: Callable[[tuple], object]
@@ -162,9 +188,37 @@ class TupleFunctional:
     lattice: object = None
     on_ids: Optional[Callable[[list, Optional[int]], tuple]] = None
     symmetric: bool = False
+    pair_terms: Optional[Callable[[list, int], Optional[tuple]]] = None
 
     def __call__(self, args: tuple):
         return self.fn(args)
+
+
+def pairwise(terms_of: Callable[[list, Optional[int]], tuple]) -> tuple:
+    """(on_ids, pair_terms) for a functional that is a sum of pair terms.
+    terms_of(elems, limit) returns (terms, scale), with terms a list of
+    (table, i, j): the value on an id tuple is the sum of
+    table[ids[i] * m + ids[j]] over the terms, in list order, and i == j
+    makes a unary term.  The tables hold integers over the positive scale,
+    or fn's own values when scale is None; they may fill on first use.
+    on_ids evaluates that sum, and pair_terms gives (terms, scale) only when
+    there is a scale."""
+    def on_ids(elems, limit=None):
+        terms, scale = terms_of(elems, limit)
+        return partial(_term_sum, terms, len(elems)), scale
+
+    def pair_terms(elems, limit):
+        terms, scale = terms_of(elems, limit)
+        return None if scale is None else (terms, scale)
+
+    return on_ids, pair_terms
+
+
+def _term_sum(terms: list, m: int, ids: tuple):
+    total = 0
+    for table, i, j in terms:
+        total += table[ids[i] * m + ids[j]]
+    return total
 
 
 @dataclass(frozen=True)
@@ -226,14 +280,98 @@ def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
         if not holds(a, b) and first is None:
             first = instance, a, b
     rel.check_transitive(list(memo.values()))
+    return count, _reported(lam, rel, first, elems, scale, oracle)
+
+
+def _reported(lam: TupleFunctional, rel: TransitiveRelation, first, elems: list,
+              scale: Optional[int], oracle: Callable[[int], tuple]) -> Optional[Witness]:
+    """The witness of a scan's first violation ((f, g, j), lhs, rhs) on ids
+    and on the scan's scale, or None: values mapped back as
+    Fraction(v, scale), then replayed (`_replayed`)."""
     if first is None:
-        return count, None
+        return None
     (f, g, j), a, b = first
     if scale is not None:
         a, b = Fraction(a, scale), Fraction(b, scale)
     move, note = oracle(j)
-    return count, _replayed(lam, rel, tuple(elems[i] for i in f),
-                            tuple(elems[i] for i in g), a, b, move, note)
+    return _replayed(lam, rel, tuple(elems[i] for i in f),
+                     tuple(elems[i] for i in g), a, b, move, note)
+
+
+def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
+                  stats: Callable[[tuple], tuple]):
+    """The odometer-first violation ((f, g, j), lhs, rhs) of the exhaustive
+    k = 2 check of a sum of integer pair terms (see `pairwise`) under ge,
+    le or eq, or None, without enumerating tuples.
+
+    With the window at (j, j + 1) holding (a, b) moved to (s, t),
+    lam(f) - lam(g) = P(a, b) + sum over rest positions r of
+    Q_r(a, b, f_r): terms within the window make P, terms joining the
+    window to r make Q_r, and the others cancel.  So the smallest and the
+    largest difference over all rests add up the smallest and the largest
+    Q_r of each r; ge fails exactly when some (a, b) gives a negative
+    smallest, le a positive largest, and eq either.  Windows are tried in
+    order, and the failing window's lex-least tuple is built greedily: at
+    each position the least value that keeps a violating completion."""
+    low, high = rel.kind in ("ge", "eq"), rel.kind in ("le", "eq")
+    cells = range(m)
+    zero = [[0] * m] * m
+    # link[w, r][y][x]: the terms joining position w at value y to r at x
+    link: dict = {}
+    for table, i, j in terms:
+        if i == j:
+            continue
+        for w, r, rows in ((i, j, [[table[y * m + x] for x in cells] for y in cells]),
+                           (j, i, [[table[x * m + y] for x in cells] for y in cells])):
+            have = link.get((w, r))
+            link[w, r] = rows if have is None else [
+                [u + v for u, v in zip(row, extra)] for row, extra in zip(have, rows)]
+
+    def fails(lo, hi):
+        return (low and lo < 0) or (high and hi > 0)
+
+    # the windows (a, b) that the order statistics move to (s, t); g = f at the others
+    moves = [(a, b) + stats((a, b)) for a in cells for b in cells]
+    moves = [(a, b, s, t) for a, b, s, t in moves if (s, t) != (a, b)]
+
+    for p in range(n - 1):
+        q = p + 1
+        inner = [(table, i - p, j - p) for table, i, j in terms if {i, j} <= {p, q}]
+        rest = [(r, link.get((p, r), zero), link.get((q, r), zero))
+                for r in range(n) if r not in (p, q)]
+        # [a, b, low sum, high sum, {r: (Q_r row over x, its min, its max)}]
+        cands = []
+        for a, b, s, t in moves:
+            lo = hi = _term_sum(inner, m, (a, b)) - _term_sum(inner, m, (s, t))
+            rows = {}
+            for r, up, uq in rest:
+                row = [w + x - y - z for w, x, y, z in zip(up[a], uq[b], up[s], uq[t])]
+                rows[r] = row, min(row), max(row)
+                lo += rows[r][1]
+                hi += rows[r][2]
+            cands.append([a, b, lo, hi, rows])
+        if not any(fails(c[2], c[3]) for c in cands):
+            continue
+        f = []
+        for pos in range(n):
+            for v in cells:
+                if pos in (p, q):
+                    kept = [c for c in cands if c[pos - p] == v]
+                    if any(fails(c[2], c[3]) for c in kept):
+                        cands = kept
+                        break
+                elif any(fails(c[2] + c[4][pos][0][v] - c[4][pos][1],
+                               c[3] + c[4][pos][0][v] - c[4][pos][2]) for c in cands):
+                    for c in cands:
+                        row, lo, hi = c[4][pos]
+                        c[2] += row[v] - lo
+                        c[3] += row[v] - hi
+                    break
+            f.append(v)
+        f = tuple(f)
+        g = f[:p] + stats(f[p:q + 1]) + f[q + 1:]
+        return (f, g, p), _term_sum(terms, m, f), _term_sum(terms, m, g)
+    return None
 
 
 def _replayed(lam: TupleFunctional, rel: TransitiveRelation, f: tuple, g: tuple,
@@ -276,9 +414,11 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     The full check is the single window k = n with windowed=False: its
     witnesses carry no window note and sampled trials draw no window.  An
     exhaustive scan of a symmetric functional under ge, le or eq enumerates
-    window 0 as sorted window times sorted rest (see the module docstring).
-    A witness is replayed through `order_statistics_tuple` and fn before it
-    is reported (`_replayed`)."""
+    window 0 as sorted window times sorted rest, and an exhaustive k = 2
+    scan with integer pair terms under ge, le or eq enumerates nothing
+    (`_pair_windows`; see the module docstring).  A witness is replayed
+    through `order_statistics_tuple` and fn before it is reported
+    (`_replayed`)."""
     n = lam.arity
     m = len(L.elements())
     windows = n - k + 1
@@ -317,8 +457,17 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     def oracle(j: int):
         return (lambda f: f[:j] + order_statistics_tuple(L, f[j:j + k]) + f[j + k:]), notes[j]
 
-    _, witness = _scan(lam, rel, instances, compiled.elems, total, oracle)
-    # total counts every tuple covered, also when multisets stand for them
+    found = None
+    if mode == "exhaustive" and k == 2 and rel.kind != "custom" and lam.pair_terms:
+        found = lam.pair_terms(compiled.elems, total)
+    if found is not None:
+        terms, scale = found
+        witness = _reported(lam, rel, _pair_windows(rel, terms, m, n, stats),
+                            compiled.elems, scale, oracle)
+    else:
+        _, witness = _scan(lam, rel, instances, compiled.elems, total, oracle)
+    # total counts every tuple covered, also when multisets or pair tables
+    # stand for them
     return CheckReport(holds=witness is None, instances_checked=total, witness=witness,
                        mode=mode, seed=seed if mode == "sampled" else None)
 
@@ -513,9 +662,8 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
         return sum((c * numeric(f[i]) * numeric(f[j]) for c, i, j in prepared),
                    Fraction(0))
 
-    def on_ids(elems, limit=None):
+    def terms_of(elems, limit):
         # scale lcm(den c) * lcm(den v)^2: each term is then a product of integers
-        m = len(elems)
         coeffs = [c for c, _, _ in prepared]
         vals = [numeric(e) for e in elems]
         scale = None
@@ -524,17 +672,12 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
             if scaled_c and scaled_v:
                 (c_scale, coeffs), (v_scale, vals) = scaled_c, scaled_v
                 scale = c_scale * v_scale * v_scale
-        terms = [(_PairTable(lambda a, b, c=c: c * vals[a] * vals[b], m), i, j)
-                 for c, (_, i, j) in zip(coeffs, prepared)]
+        return [(_PairTable(lambda a, b, c=c: c * vals[a] * vals[b], len(elems)), i, j)
+                for c, (_, i, j) in zip(coeffs, prepared)], scale
 
-        def evaluate(ids):
-            total = 0
-            for term, i, j in terms:  # fn's term order
-                total += term[ids[i] * m + ids[j]]
-            return total
-        return evaluate, scale
-
-    return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L, on_ids=on_ids)
+    on_ids, pair_terms = pairwise(terms_of)
+    return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L, on_ids=on_ids,
+                           pair_terms=pair_terms)
 
 
 M3_QUADRATIC_TERMS = ((12, 1, 2), (3, 2, 3), (5, 1, 3))

@@ -440,6 +440,23 @@ def test_corrupt_integer_table_exits_4(write, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_corrupt_pair_table_exits_4(write, capsys, monkeypatch):
+    # negated pair tables make the pairwise route of the holding M3 pair
+    # windows report a false violation: exit 4, never 1
+    from latstat import cli
+    from test_semimod import negated_pair_terms
+
+    real = cli.functional_from_json
+    args = ("check", "--lattice", write("m3.json", M3_ORDER),
+            "--functional", write("q.json", M3_FUNCTIONAL), "--k", "2")
+    monkeypatch.setattr(cli, "functional_from_json",
+                        lambda *a: negated_pair_terms(real(*a)))
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: InternalError: witness replay disagrees at ")
+    assert err.count("\n") == 1
+
+
 def test_corollary_psi_table_kind(write, capsys):
     cfg = write("psi.json", {
         "measure": [1, 1],

@@ -497,11 +497,16 @@ def test_ahke_memo_matches_reference_and_calls_once_per_element():
         if i % 5 == 0:
             alphas = betas = [power_weight(rand_measure(rng, len(pool[0])), -1)] * n
         mode = rng.choice((None, ConventionMode.ZERO, ConventionMode.INF))
-        calls = [Counter() for _ in range(2 * n)]
-        counted = [_counted(f, c) for f, c in zip(alphas + betas, calls)]
+        # one counted wrapper per distinct function, so a weight serving
+        # every alpha and beta role counts all of its calls together
+        calls = {id(f): Counter() for f in alphas + betas}
+        wrapped = {id(f): _counted(f, calls[id(f)]) for f in alphas + betas}
+        counted = [wrapped[id(f)] for f in alphas + betas]
         got = _outcome(aharoni_keich_check, counted[:n], counted[n:], families, mode=mode)
         assert got == _outcome(_ref_ahke_check, alphas, betas, families, mode)
-        assert all(count == 1 for c in calls for count in c.values())
+        assert all(count == 1 for c in calls.values() for count in c.values())
+        if len(calls) == 1 and got[0] != "error":
+            seen["one function in every role"] += 1
         if got[0] == "error":
             seen["error"] += 1
             continue
@@ -509,7 +514,7 @@ def test_ahke_memo_matches_reference_and_calls_once_per_element():
         if any(is_inf(as_scalar(f(e))) for f in alphas + betas for e in pool):
             seen["inf weight reported", mode] += 1
     # the conclusion never fails once the hypothesis holds (the theorem)
-    for key in (True, "error", "hypothesis violated",
+    for key in (True, "error", "hypothesis violated", "one function in every role",
                 ("inf weight reported", ConventionMode.ZERO),
                 ("inf weight reported", ConventionMode.INF)):
         assert seen[key] > 0, (key, seen)

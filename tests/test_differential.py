@@ -498,3 +498,126 @@ def test_only_multiset_combiners_are_scaled():
     # an empty sum would be the int 0, not a Fraction
     with pytest.raises(InputError, match="sum_smallest needs k >= 1"):
         MultisetCombiner("sum_smallest")
+
+
+# --- pair windows of pairwise-additive functionals ---
+
+def _enumerating(lam):
+    """lam without pair terms: its checks enumerate tuples, the oracle of
+    the pairwise route."""
+    return dataclasses.replace(lam, pair_terms=None)
+
+
+def _rank_cap(L, cap):
+    """A submodular nondecreasing lambda: the element's rank, capped."""
+    if isinstance(L, FnLattice):
+        return lambda e: min(Fraction(cap), Fraction(sum(e)))
+    if L.n == 5:  # M3: bottom 0, atoms 1..3, top 4
+        return lambda e: min(Fraction(cap), Fraction((e > 0) + (e == 4)))
+    return lambda e: min(Fraction(cap), Fraction(sum(divmod(e, 3))))  # product_of_chains([2, 3])
+
+
+def _pairwise_cases(family, n, rng):
+    """(carrier, functional of arity n with pair terms) for one family."""
+    chain = FnLattice.zero_to(1, 3)
+    if family == "quadratic":
+        out = []
+        for L in (chain, product_of_chains([2, 3]), build_m3()):
+            for _ in range(4):
+                terms = [(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                          rng.randint(1, n), rng.randint(1, n))
+                         for _ in range(rng.randint(1, 4))]
+                out.append((L, scalar_quadratic(L, terms, n)))
+        return out
+    if family == "schur-sum":
+        return [(L, schur_construct(SchurSpec(L, _rank_cap(L, 1), MultisetCombiner("sum")), n))
+                for L in (chain, product_of_chains([2, 3]), build_m3())]
+    if family.startswith("potential"):
+        specs = [random_potential_spec(rng, family.split("-")[1], width=w) for w in (1, 2)]
+        return [(spec.carrier, potential_construct(spec, n)) for spec in specs]
+    one_point = {
+        "prod-integrals": product_of_integrals([Measure((2,)), Measure((3,))]),
+        "integral-of-product": integral_of_product(Measure((3,)), 2),
+        "tensor": tensor_multiadditive({(0, 0): 2}, 2, 1),
+    }
+    form = family.split("-", 1)[1]
+    return [(chain, multiadd_symmetric_sum(one_point[form], n, chain)),
+            (FnLattice.zero_to(2, 1),
+             multiadd_symmetric_sum(_multiadd_forms()[form], n, FnLattice.zero_to(2, 1)))]
+
+
+@pytest.mark.parametrize("family", ["quadratic", "schur-sum", "potential-concave",
+                                    "potential-convex", "multiadd-prod-integrals",
+                                    "multiadd-integral-of-product", "multiadd-tensor"])
+def test_pair_windows_match_enumerating_scan(family):
+    rng = random.Random(family)
+    verdicts = set()
+    for n in (2, 3, 4, 5):
+        for L, lam in _pairwise_cases(family, n, rng):
+            assert lam.pair_terms(L.elements(), 10 ** 9) is not None, lam.tag
+            for relation, rel in RELATIONS.items():
+                checks = [lambda f: check_generalized_nk(L, f, 2, rel)]
+                if n == 2:  # the full check is the one pair window
+                    checks.append(lambda f: check_generalized_n(L, f, rel))
+                for check in checks:
+                    report = check(lam)
+                    assert report == check(_enumerating(lam)), (lam.tag, n, relation)
+                    verdicts.add(report.holds)
+    # integral-of-product sums are unchanged by every pair window
+    assert verdicts == ({True} if family == "multiadd-integral-of-product" else {True, False})
+
+
+def _spied(lam, calls):
+    real = lam.pair_terms
+
+    def pair_terms(elems, limit):
+        found = real(elems, limit)
+        calls.append(found is not None)
+        return found
+    return dataclasses.replace(lam, pair_terms=pair_terms)
+
+
+def test_pair_route_runs_only_for_exhaustive_k2_with_a_scale():
+    calls = []
+    L = build_m3()
+    lam = _spied(scalar_quadratic(L, ((-1, 1, 2), (2, 2, 4), (1, 3, 3)), 4), calls)
+    custom = TransitiveRelation.custom(lambda a, b: a >= b, name="ge")
+    sampled = {"seed": 5, "trials": 200}
+    runs = [
+        (check_generalized_nk(L, lam, 2, custom), _reference_bytes(L, lam, custom, 2, True)),
+        (check_generalized_nk(L, lam, 2, RELATIONS["ge"], mode="sampled", **sampled),
+         _reference_bytes(L, lam, RELATIONS["ge"], 2, True, **sampled)),
+        (check_generalized_nk(L, lam, 3, RELATIONS["ge"]),
+         _reference_bytes(L, lam, RELATIONS["ge"], 3, True)),
+    ]
+    for report, want in runs:
+        assert not report.holds
+        assert _report_bytes(report) == want
+    assert calls == []
+    # the route itself, for contrast
+    report = check_generalized_nk(L, lam, 2, RELATIONS["ge"])
+    assert calls == [True] and not report.holds
+    assert _report_bytes(report) == _reference_bytes(L, lam, RELATIONS["ge"], 2, True)
+
+
+def test_pair_route_on_carriers_with_inf_values():
+    # lambda counts the infinite entries, so a Schur sum has a scale and
+    # takes the route; a quadratic over the infinite values has none, and
+    # its enumeration fails as fn does
+    calls = []
+    L = FnLattice(2, [0, 1, INF])
+    spec = SchurSpec(L, lambda e: min(Fraction(1), Fraction(sum(1 for v in e if is_inf(v)), 2)),
+                     MultisetCombiner("sum"))
+    lam = _spied(schur_construct(spec, 3), calls)
+    for relation in ("le", "eq"):
+        for got, want in _fallback_runs(L, lam, RELATIONS[relation]):
+            assert got == want
+    assert calls == [True, True]
+    chain = FnLattice(1, [0, 1, INF])
+    q = _spied(scalar_quadratic(chain, ((1, 1, 2),), 3), calls)
+    with pytest.raises(TypeError) as got:
+        check_generalized_nk(chain, q, 2, RELATIONS["ge"])
+    with pytest.raises(TypeError) as want:
+        reference_scan(chain, q, RELATIONS["ge"], 2, True, "exhaustive")
+    assert str(got.value) == str(want.value)
+    assert calls == [True, True, False]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -453,6 +454,27 @@ def test_witness_replay_refuses_wrong_relaxed_swap(monkeypatch):
     monkeypatch.setattr(lattice._CompiledLattice, "__init__", swapped)
     with pytest.raises(InternalError, match="witness replay disagrees"):
         check_relaxed_hypothesis(L, lam, GE)
+
+
+def negated_pair_terms(lam):
+    """lam with every pair table of its pairwise route negated; its own
+    enumeration and fn are untouched."""
+    real = lam.pair_terms
+
+    def pair_terms(elems, limit):
+        terms, scale = real(elems, limit)
+        m = len(elems)
+        return [([-table[key] for key in range(m * m)], i, j) for table, i, j in terms], scale
+    return dataclasses.replace(lam, pair_terms=pair_terms)
+
+
+def test_witness_replay_refuses_corrupt_pair_tables():
+    # the M3 pair windows hold; negated tables make the pairwise route
+    # find a false violation, which the replay through fn refuses
+    L, lam = build_m3(), m3_quadratic()
+    assert check_generalized_nk(L, lam, 2, GE).holds
+    with pytest.raises(InternalError, match="witness replay disagrees"):
+        check_generalized_nk(L, negated_pair_terms(lam), 2, GE)
 
 
 def test_witness_replay_refuses_wrong_values(monkeypatch):
