@@ -78,15 +78,22 @@ class CriterionResult:
                 f"(limit {self.limit:.0f}s) {self.name}: {self.info}")
 
 
+def _require(cond, *message) -> None:
+    """assert that survives `python -O`: an AssertionError with the same
+    message when cond is false."""
+    if not cond:
+        raise AssertionError(*message)
+
+
 def _criterion_1(budget: int) -> str:
     demo = run_counterexample_m3()
-    assert demo["pair_window_check"].holds, "pair-window check failed"
-    assert demo["pair_inequalities"] == 250, demo["pair_inequalities"]
-    assert demo["order_stats_of_234"] == (1, 5, 5)
-    assert demo["value_at_234"] == 148
-    assert demo["value_at_order_stats"] == 160
-    assert not demo["full_check"].holds, "3-ary check unexpectedly holds"
-    assert demo["expected_violation_reproduced"]
+    _require(demo["pair_window_check"].holds, "pair-window check failed")
+    _require(demo["pair_inequalities"] == 250, demo["pair_inequalities"])
+    _require(demo["order_stats_of_234"] == (1, 5, 5))
+    _require(demo["value_at_234"] == 148)
+    _require(demo["value_at_order_stats"] == 160)
+    _require(not demo["full_check"].holds, "3-ary check unexpectedly holds")
+    _require(demo["expected_violation_reproduced"])
     return "250 pair inequalities hold; 148 vs 160 at labels (2,3,4)"
 
 
@@ -100,26 +107,26 @@ def _criterion_2(budget: int) -> str:
         lattices.append(product_of_chains(sizes))
     agree = 0
     for L in lattices:
-        assert L.size <= 16, L
+        _require(L.size <= 16, L)
         if not isinstance(L, FnLattice):
-            assert L.size <= 12
-            assert is_distributive(L).holds, L
+            _require(L.size <= 12)
+            _require(is_distributive(L).holds, L)
         elems = L.elements()
         for n in (1, 2, 3):
             for f in product(elems, repeat=n):
-                assert order_statistics_tuple(L, f) == order_statistics_dual_tuple(L, f)
+                _require(order_statistics_tuple(L, f) == order_statistics_dual_tuple(L, f))
                 agree += 1
     m3 = build_m3()
     dominated = 0
     for f in product(m3.elements(), repeat=3):
         primal = order_statistics_tuple(m3, f)
         dual = order_statistics_dual_tuple(m3, f)
-        assert all(m3.leq(d, p) for d, p in zip(dual, primal)), f
+        _require(all(m3.leq(d, p) for d, p in zip(dual, primal)), f)
         dominated += 1
     gap = tuple(m3.id_of(x) for x in (2, 3, 4))
     primal = tuple(m3.label_of(a) for a in order_statistics_tuple(m3, gap))
     dual = tuple(m3.label_of(a) for a in order_statistics_dual_tuple(m3, gap))
-    assert primal == (1, 5, 5) and dual == (1, 1, 5)
+    _require(primal == (1, 5, 5) and dual == (1, 1, 5))
     return (f"{agree} tuples agree on {len(lattices)} distributive lattices; "
             f"M3 dual dominated on {dominated} tuples with gap (1,1,5) vs (1,5,5)")
 
@@ -127,9 +134,9 @@ def _criterion_2(budget: int) -> str:
 def _criterion_3(budget: int) -> str:
     report = reduction_regression(random_verified_functional, trials=200,
                                   seed=20240601, budget=budget)
-    assert report.holds, f"falsification: {report.witness}"
-    assert report.detail["precondition_failures"] == 0
-    assert report.instances_checked == 200
+    _require(report.holds, f"falsification: {report.witness}")
+    _require(report.detail["precondition_failures"] == 0)
+    _require(report.instances_checked == 200)
     return "200 generated functionals pass pair-window and full checks"
 
 
@@ -144,10 +151,10 @@ def _criterion_4(budget: int) -> str:
         n = rng.randint(1, 5)
         f = tuple(elems[rng.randrange(len(elems))] for _ in range(n))
         chain = insertion_chain(L, f)
-        assert chain.rows[-1] == order_statistics_tuple(L, f), (f, chain.rows[-1])
-        assert chain_point_multisets_conserved(chain), f
+        _require(chain.rows[-1] == order_statistics_tuple(L, f), (f, chain.rows[-1]))
+        _require(chain_point_multisets_conserved(chain), f)
         sorted_report = verify_chain_sortedness(chain)
-        assert sorted_report.holds, (f, sorted_report.witness)
+        _require(sorted_report.holds, (f, sorted_report.witness))
     return f"{trials} random chains end at the order statistics, conserving multisets"
 
 
@@ -160,13 +167,13 @@ def _criterion_5(budget: int) -> str:
         matrix = [[rand_fraction(rng, max_num=6, max_den=4) for _ in range(p)]
                   for _ in range(d)]
         report = perm_orderstat_check(matrix)
-        assert report.holds, report.witness
+        _require(report.holds, report.witness)
         pre_sorted = pointwise_order_statistics(matrix)
         again = perm_orderstat_check(pre_sorted)
-        assert again.holds
-        assert again.detail["rows_sorted"] == again.detail["permanent"]
+        _require(again.holds)
+        _require(again.detail["rows_sorted"] == again.detail["permanent"])
         equalities += 1
-    assert permanent([[1, 2], [3, 0]]) == 6
+    _require(permanent([[1, 2], [3, 0]]) == 6)
     return f"500 random matrices pass; {equalities} pre-sorted matrices give equality"
 
 
@@ -179,17 +186,17 @@ def _criterion_6(budget: int) -> str:
         fs = [rand_nonneg_fn(rng, width, zero_prob=0.15) for _ in range(n)]
         for k in range(1, n + 1):
             report = esym_orderstat_check(measure, fs, k)
-            assert report.holds, (fs, k, report.witness)
+            _require(report.holds, (fs, k, report.witness))
             if k == 1:
                 lhs = elementary_symmetric(1, report.detail["integrals"])
                 rhs = elementary_symmetric(1, report.detail["stat_integrals"])
-                assert lhs == rhs, "k=1 must be an equality"
+                _require(lhs == rhs, "k=1 must be an equality")
         sorted_fs = pointwise_order_statistics(tuple(fs))
         for k in range(1, n + 1):
             report = esym_orderstat_check(measure, sorted_fs, k)
             lhs = elementary_symmetric(k, report.detail["integrals"])
             rhs = elementary_symmetric(k, report.detail["stat_integrals"])
-            assert lhs == rhs, "chain-ordered tuples must give equality"
+            _require(lhs == rhs, "chain-ordered tuples must give equality")
     return "500 instances pass for all k; k=1 and chain-ordered cases are equalities"
 
 
@@ -215,7 +222,7 @@ def _criterion_7(budget: int) -> str:
             if i < 3:  # pin a few all-corner instances into every batch
                 fs = (_power_corners(width) + fs)[:max(n, 2)]
             report = power_inequality_check(p, r, measure, fs)
-            assert report.holds, (p, r, fs, report.witness)
+            _require(report.holds, (p, r, fs, report.witness))
             cases += 1
     for _ in range(500):
         width = rng.randint(1, 3)
@@ -223,7 +230,7 @@ def _criterion_7(budget: int) -> str:
         fs = [rand_nonneg_fn(rng, width, inf_prob=0.2, zero_prob=0.25)
               for _ in range(n)]
         report = supinf_check(fs)
-        assert report.holds, (fs, report.witness)
+        _require(report.holds, (fs, report.witness))
         cases += 2  # the call verifies the sup product and the inf product
     return f"{cases} power/sup/inf inequalities hold, corners with 0 and inf included"
 
@@ -231,10 +238,10 @@ def _criterion_7(budget: int) -> str:
 def _criterion_8(budget: int) -> str:
     fair = [[(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))]] * 2
     report = indep_association_check(fair)
-    assert report.holds
-    assert report.detail["mean_of_product"] == Fraction(1, 4)
+    _require(report.holds)
+    _require(report.detail["mean_of_product"] == Fraction(1, 4))
     prod_means = report.detail["product_of_means"]
-    assert prod_means == Fraction(3, 16)
+    _require(prod_means == Fraction(3, 16))
     rng = random.Random(88088)
     for _ in range(200):
         n = rng.randint(2, 3)
@@ -250,7 +257,7 @@ def _criterion_8(budget: int) -> str:
                 prev = c
             marginals.append(list(zip(values, probs)))
         report = indep_association_check(marginals)
-        assert report.holds, (marginals, report.witness)
+        _require(report.holds, (marginals, report.witness))
     return "fair-coin instance gives 1/4 >= 3/16 exactly; 200 random product spaces pass"
 
 
@@ -261,9 +268,9 @@ def _criterion_9(budget: int) -> str:
         mu = rand_measure(rng, sub.width)
         from .scalars import ConventionMode
         rep_inf = is_log_supermodular(inf_weight(), sub, ConventionMode.INF)
-        assert rep_inf.holds, rep_inf.witness
+        _require(rep_inf.holds, rep_inf.witness)
         rep_pow = is_log_supermodular(power_weight(mu, -1), sub, ConventionMode.INF)
-        assert rep_pow.holds, rep_pow.witness
+        _require(rep_pow.holds, rep_pow.witness)
     for i in range(100):
         sub = random_sublattice(rng, positive=True)
         mu = rand_measure(rng, sub.width)
@@ -273,7 +280,7 @@ def _criterion_9(budget: int) -> str:
             report = corollary_fkg_check(sub, F, G, measure=mu, r=-rng.randint(1, 2))
         else:
             report = corollary_fkg_check(sub, F, G, use_inf=True)
-        assert report.holds, report.witness
+        _require(report.holds, report.witness)
     for i in range(100):
         n = rng.randint(2, 3)
         width = rng.randint(1, 3)
@@ -283,16 +290,16 @@ def _criterion_9(budget: int) -> str:
                                           r=-rng.randint(1, 2))
         else:
             report = corollary_ahke_check(fams, use_inf=True)
-        assert report.holds, (fams, report.witness)
+        _require(report.holds, (fams, report.witness))
     return "100 lattices log-supermodular for inf and reciprocal weights; 100+100 instances pass"
 
 
 def _criterion_10(budget: int) -> str:
     demo = nonreversibility_demo(3, Fraction(1, 1000), Fraction(1, 10000), 1)
-    assert demo["stat_family_sizes"] == (9, 9)
-    assert demo["sizes_are_n_squared"]
+    _require(demo["stat_family_sizes"] == (9, 9))
+    _require(demo["sizes_are_n_squared"])
     ratio = demo["ratio"]
-    assert abs(ratio / Fraction(9) - 1) <= Fraction(1, 10), float(ratio)
+    _require(abs(ratio / Fraction(9) - 1) <= Fraction(1, 10), float(ratio))
     return f"order-statistic families have 9 elements each; ratio {float(ratio):.6f}"
 
 
@@ -306,15 +313,15 @@ def _criterion_11(budget: int) -> str:
             expected = TransitiveRelation.from_name(rel_name)
             report = check_generalized_nk(spec.carrier, lam, 2, expected,
                                           budget=budget)
-            assert report.holds, (curvature, report.witness)
+            _require(report.holds, (curvature, report.witness))
             other = TransitiveRelation.from_name("le" if rel_name == "ge" else "ge")
             flip = check_generalized_nk(spec.carrier, lam, 2, other, budget=budget)
             realized[curvature].add("both" if flip.holds else rel_name)
             pair = potential_pair_inequality_check(spec, seed=rng.randrange(2 ** 30),
                                                    samples=60)
-            assert pair.holds, (curvature, pair.witness)
-    assert realized["concave"] <= {"ge", "both"}
-    assert realized["convex"] <= {"le", "both"}
+            _require(pair.holds, (curvature, pair.witness))
+    _require(realized["concave"] <= {"ge", "both"})
+    _require(realized["convex"] <= {"le", "both"})
     return (f"50+50 specs: concave realizes >= ({sorted(realized['concave'])}), "
             f"convex realizes <= ({sorted(realized['convex'])}); "
             "pair-transform inequality holds under each curvature")

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 from .constructions import (
     esym_orderstat_check,
     indep_association_check,
@@ -279,7 +279,13 @@ def _cmd_reproduce(args) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     numbers = None
     if args.criteria:
-        numbers = [int(x) for x in args.criteria.split(",")]
+        numbers = []
+        for entry in args.criteria.split(","):
+            number = int(entry) if entry.strip().isdecimal() else None
+            if number not in {num for num, _, _, _ in CRITERIA}:
+                raise InputError(f"--criteria: {entry!r} is not a criterion number "
+                                 f"1..{len(CRITERIA)}")
+            numbers.append(number)
     results = run_all(budget=budget, stream=sys.stdout, numbers=numbers)
     return 0 if all(r.passed for r in results) else 1
 

@@ -15,10 +15,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
-from .lattice import FnLattice, _PairTable, fn_diff, fn_meet, pointwise_order_statistics
+from .lattice import FnLattice, _Memo, fn_diff, fn_meet, pointwise_order_statistics
 from .report import CheckReport, Witness
 from .scalars import (
     ConventionMode,
@@ -33,7 +34,7 @@ from .scalars import (
     is_inf,
     require_nonneg,
 )
-from .semimod import TupleFunctional, pairwise
+from .semimod import TupleFunctional, id_table, pair_sum
 
 
 # --- measures on a finite ground set ---
@@ -193,7 +194,8 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
 def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
     pair-window check (>=) on any distributive carrier.  The
-    `MultisetCombiner` "sum" makes it a sum of unary pair terms."""
+    `MultisetCombiner` "sum" makes it a sum of unary pair terms, read on the
+    diagonal of one table."""
     verify_schur_spec(spec, n, seed=seed)
     vals = {e: Fraction(spec.lam(e)) for e in spec.lattice.elements()}
     combiner = spec.combiner
@@ -209,19 +211,16 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctiona
             scaled = integer_scale(values)
         scale, values = scaled or (None, values)
         at = values.__getitem__
-        return (lambda ids: combiner(tuple(map(at, ids)))), scale
-
-    def pair_terms(elems, limit):
-        # a sum has one unary term per argument, read on the table's diagonal
-        scale, values = integer_scale(vals[e] for e in elems)
-        diagonal = {a * (len(elems) + 1): v for a, v in enumerate(values)}
-        return [(diagonal, i, i) for i in range(n)], scale
+        terms = None
+        if scale is not None and combiner == MultisetCombiner("sum"):
+            diagonal = {a * (len(elems) + 1): v for a, v in enumerate(values)}
+            terms = [(diagonal, i, i) for i in range(n)]
+        return (lambda ids: combiner(tuple(map(at, ids)))), scale, terms
 
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"schur({spec.lam_name},{spec.combiner_name})",
                            lattice=spec.lattice, on_ids=on_ids,
-                           symmetric=isinstance(combiner, MultisetCombiner),
-                           pair_terms=pair_terms if combiner == MultisetCombiner("sum") else None)
+                           symmetric=isinstance(combiner, MultisetCombiner))
 
 
 # --- set functions from relations ---
@@ -326,35 +325,13 @@ def verify_potential_spec(spec: PotentialSpec) -> None:
 def _potential_transform(spec: PotentialSpec) -> Callable[[tuple], Fraction]:
     """The curved integral transform g -> psi(measure(phi o g)) of a
     difference function, memoized by g."""
-    memo: dict = {}
-
     def transform(g: tuple) -> Fraction:
-        v = memo.get(g)
-        if v is None:
-            v = memo[g] = spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
-        return v
-    return transform
+        return spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
+    return _Memo(transform).__getitem__
 
 
 def _symmetrized(transform: Callable[[tuple], Fraction], g: tuple) -> Fraction:
     return transform(g) + transform(tuple(-x for x in g))
-
-
-def _one_pair_term(value: Callable, positions: list) -> tuple:
-    """`semimod.pairwise` factories for the sum of value(f_i, f_j) over the
-    (i, j) positions, in order.  The m^2 table of value on element pairs is
-    filled before the scan, and scaled by the lcm of its denominators, when
-    it has no more entries than the scan's limit; otherwise it keeps value's
-    own results and fills on first use."""
-    def terms_of(elems, limit):
-        m = len(elems)
-        table = _PairTable(lambda a, b: value(elems[a], elems[b]), m)
-        scaled = None
-        if limit is not None and m * m <= limit:
-            scaled = integer_scale(table[key] for key in range(m * m))
-        scale, table = scaled or (None, table)
-        return [(table, i, j) for i, j in positions], scale
-    return pairwise(terms_of)
 
 
 def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
@@ -375,19 +352,15 @@ def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
                 total += transform(d) - base
         return total
 
-    on_ids, pair_terms = _one_pair_term(
-        lambda e, f: transform(tuple(x - y for x, y in zip(e, f))) - base,
-        [(j, k) for j in range(n) for k in range(n) if j != k])
+    def on_ids(elems, limit=None):
+        scale, table = id_table(lambda e, f: transform(tuple(x - y for x, y in zip(e, f))) - base,
+                                elems, 2, limit)
+        return pair_sum([(table, j, k) for j in range(n) for k in range(n) if j != k],
+                        len(elems), scale)
+
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
-                           lattice=spec.carrier, on_ids=on_ids, symmetric=True,
-                           pair_terms=pair_terms)
-
-
-def potential_pair_transform(spec: PotentialSpec, g: tuple) -> Fraction:
-    """Symmetrized transform of a difference function: value at g plus value
-    at -g (normalization cancels in comparisons)."""
-    return _symmetrized(_potential_transform(spec), g)
+                           lattice=spec.carrier, on_ids=on_ids, symmetric=True)
 
 
 def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
@@ -482,7 +455,7 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
                            lattice: Optional[FnLattice] = None) -> TupleFunctional:
     """Sum of m over all injective placements of k of the n arguments;
     nonnegative multiadditive m makes this pass the pair-window check (>=).
-    A form of arity 2 makes it a sum of pair terms (`semimod.pairwise`)."""
+    A form of arity 2 makes it a sum of pair terms (`semimod.pair_sum`)."""
     k = m.arity
     if k > n:
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
@@ -491,36 +464,26 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
     def fn(f):
         return sum((m.fn(*(f[i] for i in perm)) for perm in placements), Fraction(0))
 
-    pair_terms = None
-    if k == 2:
-        on_ids, pair_terms = _one_pair_term(m.fn, placements)
-    else:
-        def on_ids(elems, limit=None):
-            table: dict = {}  # k-tuple of ids -> m on their elements, filled on first use
-            scale = None
-            if limit is not None and len(elems) ** k <= limit:
-                # fill all m^k values; the lcm of their denominators scales them
-                table = {key: m.fn(*(elems[i] for i in key))
-                         for key in product(range(len(elems)), repeat=k)}
-                scaled = integer_scale(table.values())
-                if scaled:
-                    scale, values = scaled
-                    table = dict(zip(table, values))
-
-            def evaluate(ids):
-                total = 0
-                for perm in placements:
-                    key = tuple([ids[i] for i in perm])
-                    v = table.get(key)
-                    if v is None:
-                        v = table[key] = m.fn(*(elems[i] for i in key))
-                    total += v
-                return total
-            return evaluate, scale
+    def on_ids(elems, limit=None):
+        scale, table = id_table(m.fn, elems, k, limit)
+        if k == 2:
+            return pair_sum([(table, i, j) for i, j in placements], len(elems), scale)
+        return partial(_form_sum, table, placements, len(elems)), scale, None
 
     return TupleFunctional(arity=n, fn=fn, tag=f"multiadd({m.tag},k={k})",
-                           lattice=lattice, on_ids=on_ids, symmetric=True,
-                           pair_terms=pair_terms)
+                           lattice=lattice, on_ids=on_ids, symmetric=True)
+
+
+def _form_sum(table, placements: list, m: int, ids: tuple):
+    """The sum over placements of table at the placed ids, read as a
+    base-m key (`semimod.id_table`)."""
+    total = 0
+    for perm in placements:
+        key = 0
+        for i in perm:
+            key = key * m + ids[i]
+        total += table[key]
+    return total
 
 
 def multiadd_sum_via_symmetrized(m: MultiadditiveFn, n: int, f: Sequence) -> Fraction:

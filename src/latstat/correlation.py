@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .constructions import Measure
-from .lattice import fn_join, fn_leq, fn_meet, pointwise_order_statistics
+from .lattice import _Memo, fn_join, fn_leq, fn_meet, pointwise_order_statistics
 from .report import CheckReport, Witness
 from .scalars import (
     BudgetExceededError,
@@ -129,20 +129,6 @@ def _as_func(f):
         return f
     table = {tuple(k): v for k, v in dict(f).items()}
     return lambda e: table[tuple(e)]
-
-
-class _Memo(dict):
-    """`func` evaluated once per key: `memo[key]` calls `func(key)` on the
-    first lookup of that key only, so every evaluation (and any error it
-    raises) happens at the same call as without the memo."""
-
-    def __init__(self, func: Callable):
-        super().__init__()
-        self.func = func
-
-    def __missing__(self, key):
-        value = self[key] = self.func(key)
-        return value
 
 
 def is_log_supermodular(nu, L, mode: Optional[ConventionMode] = None) -> CheckReport:

@@ -43,10 +43,6 @@ def rand_measure(rng: random.Random, size: int, positive: bool = True) -> Measur
                          for _ in range(size)))
 
 
-def rand_fn_elem(rng: random.Random, lattice: FnLattice) -> tuple:
-    return tuple(rng.choice(lattice.chain) for _ in range(lattice.ground.size))
-
-
 def rand_nonneg_fn(rng: random.Random, width: int, *, max_num: int = 6,
                    inf_prob: float = 0.0, zero_prob: float = 0.0) -> tuple:
     out = []

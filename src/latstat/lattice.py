@@ -365,19 +365,19 @@ def order_statistics_dual_tuple(L, f: Sequence) -> tuple:
     return tuple(_order_statistic_dual_unchecked(L, f, j) for j in range(1, len(f) + 1))
 
 
-class _PairTable(dict):
-    """A function of id pairs (a, b), keyed a * m + b and filled one pair at a
-    time on first use, so a scan pays only for the pairs it meets."""
+class _Memo(dict):
+    """fn evaluated once per key, on the key's first lookup: `memo[key]`
+    stores and returns fn(key), so every evaluation (and any error it
+    raises) happens at the same lookup as without the memo."""
 
-    __slots__ = ("fn", "m")
+    __slots__ = ("fn",)
 
-    def __init__(self, fn, m: int):
+    def __init__(self, fn):
         super().__init__()
         self.fn = fn
-        self.m = m
 
-    def __missing__(self, key: int):
-        value = self[key] = self.fn(*divmod(key, self.m))
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
 
 
@@ -389,9 +389,10 @@ class _CompiledLattice:
     def __init__(self, L):
         elems = self.elems = L.elements()
         index = {e: i for i, e in enumerate(elems)}
-        self.m = len(elems)
-        self.meet = _PairTable(lambda a, b: index[L.meet(elems[a], elems[b])], self.m)
-        self.join = _PairTable(lambda a, b: index[L.join(elems[a], elems[b])], self.m)
+        m = self.m = len(elems)
+        # keyed a * m + b and filled one pair at a time on first use
+        self.meet = _Memo(lambda key: index[L.meet(elems[key // m], elems[key % m])])
+        self.join = _Memo(lambda key: index[L.join(elems[key // m], elems[key % m])])
 
     def order_statistics(self, k: int):
         """The map from a k-tuple of ids to the ids of its order statistics,

@@ -32,22 +32,22 @@ covers, and the budget is charged for them.  Custom relations keep per-tuple
 keys and the full odometer, because their transitivity filter subsamples
 the memo's values.
 
-Values are compared as integers over one positive scale D, fixed before the
-scan by the functional's `on_ids` factory (see `TupleFunctional`): the
-memo, ge/le/eq and the choice of the first witness run on machine ints, and
-only that witness's two values are mapped back, as Fraction(v, D).  There
-is no scale, and the scan compares fn's own values, when a value is not a
-finite rational, when the relation is custom, and for a functional without
-`on_ids`.  Before a witness is reported it is replayed through the element
-oracle (`_replayed`): the moved tuple is recomputed by
-`order_statistics_tuple`, or by meet and join for the relaxed check, both
-values by fn, and the relation is tested again; a disagreement raises
-InternalError (CLI exit 4), never a verdict.
+Values are compared as integers over one positive scale D, fixed by the
+functional's one id-level hook, `on_ids`, which each check calls once before
+it scans (see `TupleFunctional` and `id_table`): the memo, ge/le/eq and the
+choice of the first witness run on machine ints, and only that witness's two
+values are mapped back, as Fraction(v, D).  There is no scale, and the scan
+compares fn's own values, when a value is not a finite rational, when the
+relation is custom, and for a functional without `on_ids`.  Before a witness
+is reported it is replayed through the element oracle (`_replayed`): the
+moved tuple is recomputed by `order_statistics_tuple`, or by meet and join
+for the relaxed check, both values by fn, and the relation is tested again;
+a disagreement raises InternalError (CLI exit 4), never a verdict.
 
-A functional that declares `pair_terms` is a sum of terms over argument
-pairs, and its exhaustive k = 2 checks under ge, le or eq enumerate no
-tuples when the terms have an integer scale (`_pair_windows`).  With the
-window at (j, j + 1) holding (a, b), lam(f) - lam(g) is a window part
+A functional whose `on_ids` gives pair terms is a sum of terms over
+argument pairs with an integer scale, and its exhaustive k = 2 checks under
+ge, le or eq enumerate no tuples (`_pair_windows`).  With the window at
+(j, j + 1) holding (a, b), lam(f) - lam(g) is a window part
 P(a, b) plus one part Q_r(a, b, f_r) per rest position r, so the window
 holds for every rest exactly when P + sum_r min_x Q_r >= 0 for each (a, b)
 (max and <= 0 for le, both for eq).  That costs O(n * m^3) table lookups per
@@ -78,7 +78,7 @@ from .lattice import (
     order_statistics_dual_tuple,
     order_statistics_tuple,
     _CompiledLattice,
-    _PairTable,
+    _Memo,
     _validate_tuple,
 )
 from .report import CheckReport, Witness
@@ -153,16 +153,22 @@ class TupleFunctional:
     ordered codomain.  The optional lattice field records the carrier the
     functional was constructed for.
 
-    The optional on_ids factory, which scans use when given, takes a
-    carrier's element list and a limit and returns (evaluate, scale):
-    evaluate maps tuples of indices into the list to values.  With scale
-    None they equal fn on the mapped elements.  With a positive integer
-    scale D they are integers, and fn's value is Fraction(v, D); D is fixed
-    before the scan, so a scan compares and memoizes machine integers.  A
-    limit of None asks for fn's own values (a custom relation's predicate
-    receives those); an integer limit allows a scale and caps the table the
-    factory may fill before the scan to find it.  A factory declares no
-    scale when any value is not a finite rational.
+    The optional on_ids factory is the functional's one id-level hook; scans
+    use it when given.  It takes a carrier's element list and a limit and
+    returns (evaluate, scale, terms): evaluate maps tuples of indices into
+    the list to values.  With scale None they equal fn on the mapped
+    elements.  With a positive integer scale D they are integers, and fn's
+    value is Fraction(v, D); D is fixed before the scan, so a scan compares
+    and memoizes machine integers.  A limit of None asks for fn's own
+    values (a custom relation's predicate receives those); an integer limit
+    allows a scale and caps the table the factory may fill before the scan
+    to find it (`id_table`).  A factory declares no scale when any value is
+    not a finite rational.  terms, given only with a scale, declares that
+    fn is a sum of integer pair terms over it (`pair_sum`); exhaustive
+    k = 2 checks under ge, le or eq then decide each pair window from the
+    tables instead of enumerating tuples (see the module docstring).
+    Quadratic forms, potentials, multiadditive sums of form arity 2 and
+    Schur sums give terms, and every other factory gives None.
 
     symmetric declares that fn is invariant under every permutation of its
     arguments; scans then evaluate it once per multiset of ids (see the
@@ -170,17 +176,8 @@ class TupleFunctional:
     sums of multiadditive forms and potentials always, Schur compositions
     only with a `constructions.MultisetCombiner`, since an arbitrary
     combiner is only spot-checked for Schur-concavity and may read argument
-    order.  A wrong True gives wrong verdicts, so nothing infers it.
-
-    pair_terms declares that fn is a sum of terms over argument pairs (see
-    `pairwise`): given a carrier's element list and a limit, it returns
-    (terms, scale) with integer tables over the positive scale, or None
-    when there is no integer scale.  It is built only when a check asks
-    for it.  Exhaustive k = 2 checks under ge, le or eq then decide each
-    pair window from the tables instead of enumerating tuples (see the
-    module docstring).  Quadratic forms, potentials, multiadditive sums of
-    form arity 2 and Schur sums set it; like symmetric, it is declared by
-    the constructor, never inferred."""
+    order.  Like terms, it is declared by the constructor and never
+    inferred: a wrong declaration gives wrong verdicts."""
 
     arity: int
     fn: Callable[[tuple], object]
@@ -188,30 +185,19 @@ class TupleFunctional:
     lattice: object = None
     on_ids: Optional[Callable[[list, Optional[int]], tuple]] = None
     symmetric: bool = False
-    pair_terms: Optional[Callable[[list, int], Optional[tuple]]] = None
 
     def __call__(self, args: tuple):
         return self.fn(args)
 
 
-def pairwise(terms_of: Callable[[list, Optional[int]], tuple]) -> tuple:
-    """(on_ids, pair_terms) for a functional that is a sum of pair terms.
-    terms_of(elems, limit) returns (terms, scale), with terms a list of
-    (table, i, j): the value on an id tuple is the sum of
-    table[ids[i] * m + ids[j]] over the terms, in list order, and i == j
-    makes a unary term.  The tables hold integers over the positive scale,
-    or fn's own values when scale is None; they may fill on first use.
-    on_ids evaluates that sum, and pair_terms gives (terms, scale) only when
-    there is a scale."""
-    def on_ids(elems, limit=None):
-        terms, scale = terms_of(elems, limit)
-        return partial(_term_sum, terms, len(elems)), scale
-
-    def pair_terms(elems, limit):
-        terms, scale = terms_of(elems, limit)
-        return None if scale is None else (terms, scale)
-
-    return on_ids, pair_terms
+def pair_sum(terms: list, m: int, scale: Optional[int]) -> tuple:
+    """The `TupleFunctional.on_ids` result for a sum of pair terms over m
+    ids.  terms is a list of (table, i, j): the value on an id tuple is the
+    sum of table[ids[i] * m + ids[j]] over the terms, in list order, and
+    i == j makes a unary term.  The tables hold integers over the positive
+    scale, or fn's own values when scale is None, and then the terms are
+    not declared."""
+    return partial(_term_sum, terms, m), scale, None if scale is None else terms
 
 
 def _term_sum(terms: list, m: int, ids: tuple):
@@ -219,6 +205,22 @@ def _term_sum(terms: list, m: int, ids: tuple):
     for table, i, j in terms:
         total += table[ids[i] * m + ids[j]]
     return total
+
+
+def id_table(value: Callable, elems: list, arity: int, limit: Optional[int]) -> tuple:
+    """(scale, table) of value on arity-tuples of elems, keyed by their ids
+    read as a base-m number (a * m + b for a pair).  When the limit allows
+    all m^arity entries, they are computed before the scan into a list and
+    scaled to integers over the lcm of their denominators
+    (`integer_scale`), or kept as value's results with scale None when one
+    is not a finite rational.  Otherwise scale is None and the table holds
+    value's results, each computed on the first use of its key."""
+    m = len(elems)
+    if limit is not None and m ** arity <= limit:
+        values = [value(*args) for args in product(elems, repeat=arity)]
+        return integer_scale(values) or (None, values)
+    places = [m ** p for p in reversed(range(arity))]
+    return None, _Memo(lambda key: value(*(elems[key // w % m] for w in places)))
 
 
 @dataclass(frozen=True)
@@ -235,13 +237,14 @@ class InsertionChain:
 
 def _evaluator(lam: TupleFunctional, rel: TransitiveRelation, elems: list,
                limit: int) -> tuple:
-    """(evaluate on id tuples, scale or None), as `TupleFunctional.on_ids`
-    gives them; a custom relation gets fn's own values."""
+    """(evaluate on id tuples, scale or None, pair terms or None), as
+    `TupleFunctional.on_ids` gives them; a custom relation gets fn's own
+    values."""
     if lam.on_ids is not None:
         return lam.on_ids(elems, None if rel.kind == "custom" else limit)
     fn = lam.fn
     at = elems.__getitem__
-    return (lambda ids: fn(tuple(map(at, ids)))), None
+    return (lambda ids: fn(tuple(map(at, ids)))), None, None
 
 
 def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
@@ -250,17 +253,18 @@ def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
 
 
 def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
-          limit: int, oracle: Callable[[int], tuple]) -> tuple:
+          form: tuple, oracle: Callable[[int], tuple]) -> tuple:
     """Compare rel(lam(f), lam(g)) over (f, g, j) instances of id tuples
     with one value memo, keyed by the sorted tuple when `_by_multiset`.
-    Values are compared on the evaluator's scale (`_evaluator`, with limit
-    the scan's instance total).  Returns (instance count, first witness or
-    None); every instance is compared, so the count is the true count and
-    the witness is the first in instance order.  Ends with the transitivity
+    Values come from form, the (evaluate, scale, terms) that `_evaluator`
+    gives for the scan's instance total, and are compared on its scale.
+    Returns (instance count, first witness or None); every instance is
+    compared, so the count is the true count and the witness is the first
+    in instance order.  Ends with the transitivity
     filter on the values seen, then replays the witness (`_replayed`):
     oracle(j) gives the move of an instance tagged j, on element tuples,
     and its note."""
-    fn, scale = _evaluator(lam, rel, elems, limit)
+    fn, scale, _ = form
     sort = _by_multiset(lam, rel)
     holds = _OPERATORS.get(rel.kind, rel.holds)
     memo: dict = {}
@@ -301,7 +305,7 @@ def _reported(lam: TupleFunctional, rel: TransitiveRelation, first, elems: list,
 def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
                   stats: Callable[[tuple], tuple]):
     """The odometer-first violation ((f, g, j), lhs, rhs) of the exhaustive
-    k = 2 check of a sum of integer pair terms (see `pairwise`) under ge,
+    k = 2 check of a sum of integer pair terms (see `pair_sum`) under ge,
     le or eq, or None, without enumerating tuples.
 
     With the window at (j, j + 1) holding (a, b) moved to (s, t),
@@ -434,6 +438,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
     compiled = _CompiledLattice(L)
     stats = compiled.order_statistics(k)
+    form = _evaluator(lam, rel, compiled.elems, total)
     notes = [f"window start {j}" if windowed else "" for j in range(windows)]
 
     def instance(j: int, f: tuple):
@@ -457,15 +462,12 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     def oracle(j: int):
         return (lambda f: f[:j] + order_statistics_tuple(L, f[j:j + k]) + f[j + k:]), notes[j]
 
-    found = None
-    if mode == "exhaustive" and k == 2 and rel.kind != "custom" and lam.pair_terms:
-        found = lam.pair_terms(compiled.elems, total)
-    if found is not None:
-        terms, scale = found
+    terms = form[2]
+    if mode == "exhaustive" and k == 2 and rel.kind != "custom" and terms is not None:
         witness = _reported(lam, rel, _pair_windows(rel, terms, m, n, stats),
-                            compiled.elems, scale, oracle)
+                            compiled.elems, form[1], oracle)
     else:
-        _, witness = _scan(lam, rel, instances, compiled.elems, total, oracle)
+        _, witness = _scan(lam, rel, instances, compiled.elems, form, oracle)
     # total counts every tuple covered, also when multisets or pair tables
     # stand for them
     return CheckReport(holds=witness is None, instances_checked=total, witness=witness,
@@ -545,7 +547,8 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
             return f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:]
         return swap, f"sorted prefix length {j}"
 
-    count, witness = _scan(lam, rel, instances(), compiled.elems, total, oracle)
+    form = _evaluator(lam, rel, compiled.elems, total)
+    count, witness = _scan(lam, rel, instances(), compiled.elems, form, oracle)
     return CheckReport(holds=witness is None, instances_checked=count, witness=witness)
 
 
@@ -662,8 +665,9 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
         return sum((c * numeric(f[i]) * numeric(f[j]) for c, i, j in prepared),
                    Fraction(0))
 
-    def terms_of(elems, limit):
+    def on_ids(elems, limit=None):
         # scale lcm(den c) * lcm(den v)^2: each term is then a product of integers
+        m = len(elems)
         coeffs = [c for c, _, _ in prepared]
         vals = [numeric(e) for e in elems]
         scale = None
@@ -672,12 +676,10 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
             if scaled_c and scaled_v:
                 (c_scale, coeffs), (v_scale, vals) = scaled_c, scaled_v
                 scale = c_scale * v_scale * v_scale
-        return [(_PairTable(lambda a, b, c=c: c * vals[a] * vals[b], len(elems)), i, j)
-                for c, (_, i, j) in zip(coeffs, prepared)], scale
+        return pair_sum([(_Memo(lambda key, c=c: c * vals[key // m] * vals[key % m]), i, j)
+                         for c, (_, i, j) in zip(coeffs, prepared)], m, scale)
 
-    on_ids, pair_terms = pairwise(terms_of)
-    return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L, on_ids=on_ids,
-                           pair_terms=pair_terms)
+    return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L, on_ids=on_ids)
 
 
 M3_QUADRATIC_TERMS = ((12, 1, 2), (3, 2, 3), (5, 1, 3))

@@ -380,6 +380,13 @@ def test_reproduce_subset(capsys):
     assert all("[PASS]" in ln for ln in lines)
 
 
+@pytest.mark.parametrize("criteria,entry", [("1,x", "'x'"), ("99", "'99'")])
+def test_reproduce_unknown_criterion_exits_2(capsys, criteria, entry):
+    code, out, err = run_cli(capsys, "reproduce", "--criteria", criteria)
+    assert (code, out) == (2, "")
+    assert err == f"input error: --criteria: {entry} is not a criterion number 1..11\n"
+
+
 def test_reproduce_tiny_budget_exits_3(capsys):
     code, _, err = run_cli(capsys, "reproduce", "--criteria", "3", "--budget", "5")
     assert code == 3

@@ -217,7 +217,7 @@ def test_schur_and_potential_provide_id_evaluators():
                          (potential_construct(spec, 3), spec.carrier)):
         assert lam.on_ids is not None
         elems = carrier.elements()
-        evaluate, scale = lam.on_ids(elems)
+        evaluate, scale, _ = lam.on_ids(elems)
         assert scale is None  # no limit: fn's own values
         ids = tuple(range(len(elems)))[-lam.arity:]
         assert evaluate(ids) == lam.fn(tuple(elems[i] for i in ids))

@@ -25,6 +25,7 @@ from latstat import (
     check_relaxed_hypothesis,
     order_statistics_tuple,
     product_of_chains,
+    semimod,
 )
 from latstat.constructions import (
     Measure,
@@ -169,7 +170,7 @@ def test_m3_quadratic_violation_matches_reference():
 
 def _on_ids_agrees(lam, L):
     elems = L.elements()
-    evaluate, scale = lam.on_ids(elems)
+    evaluate, scale, _ = lam.on_ids(elems)
     assert scale is None  # no limit: fn's own values
     for ids in product(range(len(elems)), repeat=lam.arity):
         assert evaluate(ids) == lam.fn(tuple(elems[i] for i in ids)), ids
@@ -205,6 +206,76 @@ def test_quadratic_on_ids_matches_fn():
     _on_ids_agrees(m3_quadratic(), build_m3())
     L = FnLattice.zero_to(1, 3)
     _on_ids_agrees(scalar_quadratic(L, ((2, 1, 2), (-3, 3, 3), (1, 2, 1)), 3), L)
+
+
+def _odd_arity_forms(k):
+    """The three multiadditive forms of arity k (1 or 3) on a ground set of
+    2 points, with fractional data so that each scale exceeds 1."""
+    measures = [Measure((Fraction(1, 2), 2)), Measure((3, Fraction(1, 3))), Measure((1, 1))]
+    weights = {1: {(0,): Fraction(2, 7), (1,): 1},
+               3: {(0, 1, 1): Fraction(2, 7), (1, 1, 0): 1}}[k]
+    return {
+        "prod-integrals": product_of_integrals(measures[:k]),
+        "integral-of-product": integral_of_product(Measure((Fraction(2, 3), 1)), k),
+        "tensor": tensor_multiadditive(weights, k, 2),
+    }
+
+
+def test_id_table_keys_ids_in_base_m_whether_eager_or_lazy():
+    # symmetric sums cannot tell a key from its reversal; the table itself can
+    elems = ["a", "b", "c"]
+    for arity in (1, 2, 3):
+        _, eager = semimod.id_table(lambda *args: args, elems, arity, 3 ** arity)
+        _, lazy = semimod.id_table(lambda *args: args, elems, arity, 3 ** arity - 1)
+        assert lazy == {}
+        for key, args in enumerate(product(elems, repeat=arity)):
+            assert eager[key] == lazy[key] == args, (arity, key)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("form", ["prod-integrals", "integral-of-product", "tensor"])
+def test_multiadd_on_ids_of_form_arity_1_and_3_matches_fn(form, k):
+    # a table of all m^k form values is scaled; one entry fewer keeps it lazy
+    L = FnLattice.zero_to(2, 2)
+    elems = L.elements()
+    lam = multiadd_symmetric_sum(_odd_arity_forms(k)[form], 3, L)
+    size = len(elems) ** k
+    (scaled, scale, terms), (lazy, no_scale, no_terms) = \
+        lam.on_ids(elems, size), lam.on_ids(elems, size - 1)
+    assert type(scale) is int and scale > 1 and terms is None
+    assert no_scale is None and no_terms is None
+    for ids in product(range(len(elems)), repeat=3):
+        want = lam.fn(tuple(elems[i] for i in ids))
+        v = scaled(ids)
+        assert type(v) is int and Fraction(v, scale) == want, ids
+        assert lazy(ids) == want, ids
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("form", ["prod-integrals", "integral-of-product", "tensor"])
+def test_multiadd_of_form_arity_1_and_3_matches_reference_scan(form, k):
+    # n = 4 on 0/1 values: the full and --k 3 checks fill the scaled table,
+    # 40 sampled trials keep it lazy
+    L = FnLattice.zero_to(2, 1)
+    lam = multiadd_symmetric_sum(_odd_arity_forms(k)[form], 4, L)
+    sampled = {"seed": 13, "trials": 40}
+    verdicts = set()
+    for relation, rel in RELATIONS.items():
+        runs = [(4, False, {}, check_generalized_n(L, lam, rel)),
+                (3, True, {}, check_generalized_nk(L, lam, 3, rel)),
+                (3, True, sampled, check_generalized_nk(L, lam, 3, rel, mode="sampled",
+                                                        **sampled))]
+        for width, windowed, draws, report in runs:
+            mode = "sampled" if draws else "exhaustive"
+            assert (report.holds, report.instances_checked, report.witness) == \
+                reference_scan(L, lam, rel, width, windowed, mode, **draws), (relation, width)
+            verdicts.add((relation, report.holds))
+    # forms of arity 1 are modular, and integral-of-product sums are
+    # unchanged by pointwise sorting: every relation holds; the others fail le
+    if k == 1 or form == "integral-of-product":
+        assert verdicts == {(relation, True) for relation in RELATIONS}
+    else:
+        assert ("ge", True) in verdicts and ("le", False) in verdicts
 
 
 def _symmetric_families(n=3, carrier=None):
@@ -359,7 +430,7 @@ def test_scaled_on_ids_matches_fn(family):
     _, L, lam = next(c for c in _scaled_families() if c[0] == family)
     elems = L.elements()
     tuples = list(product(range(len(elems)), repeat=3))
-    evaluate, scale = lam.on_ids(elems, len(tuples))
+    evaluate, scale, _ = lam.on_ids(elems, len(tuples))
     assert type(scale) is int and scale > 1
     for ids in tuples:
         v = evaluate(ids)
@@ -432,7 +503,7 @@ def test_carrier_with_inf_values_matches_reference_scan():
             assert got == want
     # a quadratic over these values has no scale, and fails as fn does
     q = scalar_quadratic(FnLattice(1, [0, 1, INF]), ((1, 1, 2),), 2)
-    evaluate, scale = q.on_ids(q.lattice.elements(), 10)
+    evaluate, scale, _ = q.on_ids(q.lattice.elements(), 10)
     assert scale is None and evaluate((0, 1)) == 0
     with pytest.raises(TypeError):
         evaluate((1, 2))
@@ -505,7 +576,11 @@ def test_only_multiset_combiners_are_scaled():
 def _enumerating(lam):
     """lam without pair terms: its checks enumerate tuples, the oracle of
     the pairwise route."""
-    return dataclasses.replace(lam, pair_terms=None)
+    real = lam.on_ids
+
+    def on_ids(elems, limit=None):
+        return real(elems, limit)[:2] + (None,)
+    return dataclasses.replace(lam, on_ids=on_ids)
 
 
 def _rank_cap(L, cap):
@@ -554,7 +629,7 @@ def test_pair_windows_match_enumerating_scan(family):
     verdicts = set()
     for n in (2, 3, 4, 5):
         for L, lam in _pairwise_cases(family, n, rng):
-            assert lam.pair_terms(L.elements(), 10 ** 9) is not None, lam.tag
+            assert lam.on_ids(L.elements(), 10 ** 9)[2] is not None, lam.tag
             for relation, rel in RELATIONS.items():
                 checks = [lambda f: check_generalized_nk(L, f, 2, rel)]
                 if n == 2:  # the full check is the one pair window
@@ -568,16 +643,30 @@ def test_pair_windows_match_enumerating_scan(family):
 
 
 def _spied(lam, calls):
-    real = lam.pair_terms
+    """lam whose on_ids records, per call, whether it declared pair terms."""
+    real = lam.on_ids
 
-    def pair_terms(elems, limit):
-        found = real(elems, limit)
-        calls.append(found is not None)
-        return found
-    return dataclasses.replace(lam, pair_terms=pair_terms)
+    def on_ids(elems, limit=None):
+        form = real(elems, limit)
+        calls.append(form[2] is not None)
+        return form
+    return dataclasses.replace(lam, on_ids=on_ids)
 
 
-def test_pair_route_runs_only_for_exhaustive_k2_with_a_scale():
+@pytest.fixture
+def routes(monkeypatch):
+    """One True per run of the pairwise route, `semimod._pair_windows`."""
+    runs = []
+    real = semimod._pair_windows
+
+    def spy(*args):
+        runs.append(True)
+        return real(*args)
+    monkeypatch.setattr(semimod, "_pair_windows", spy)
+    return runs
+
+
+def test_pair_route_runs_only_for_exhaustive_k2_with_a_scale(routes):
     calls = []
     L = build_m3()
     lam = _spied(scalar_quadratic(L, ((-1, 1, 2), (2, 2, 4), (1, 3, 3)), 4), calls)
@@ -593,14 +682,16 @@ def test_pair_route_runs_only_for_exhaustive_k2_with_a_scale():
     for report, want in runs:
         assert not report.holds
         assert _report_bytes(report) == want
-    assert calls == []
+    assert routes == []
+    # a custom relation gets fn's own values, and so no terms
+    assert calls == [False, True, True]
     # the route itself, for contrast
     report = check_generalized_nk(L, lam, 2, RELATIONS["ge"])
-    assert calls == [True] and not report.holds
+    assert routes == [True] and calls[3:] == [True] and not report.holds
     assert _report_bytes(report) == _reference_bytes(L, lam, RELATIONS["ge"], 2, True)
 
 
-def test_pair_route_on_carriers_with_inf_values():
+def test_pair_route_on_carriers_with_inf_values(routes):
     # lambda counts the infinite entries, so a Schur sum has a scale and
     # takes the route; a quadratic over the infinite values has none, and
     # its enumeration fails as fn does
@@ -612,7 +703,8 @@ def test_pair_route_on_carriers_with_inf_values():
     for relation in ("le", "eq"):
         for got, want in _fallback_runs(L, lam, RELATIONS[relation]):
             assert got == want
-    assert calls == [True, True]
+    # the full and k = 2 checks each get terms; only the k = 2 checks use them
+    assert routes == [True, True] and calls == [True] * 4
     chain = FnLattice(1, [0, 1, INF])
     q = _spied(scalar_quadratic(chain, ((1, 1, 2),), 3), calls)
     with pytest.raises(TypeError) as got:
@@ -620,4 +712,26 @@ def test_pair_route_on_carriers_with_inf_values():
     with pytest.raises(TypeError) as want:
         reference_scan(chain, q, RELATIONS["ge"], 2, True, "exhaustive")
     assert str(got.value) == str(want.value)
-    assert calls == [True, True, False]
+    assert routes == [True, True] and calls == [True] * 4 + [False]
+
+
+def test_each_check_calls_on_ids_once():
+    # one id-level form per check, whichever route or scan uses it
+    custom = TransitiveRelation.custom(lambda a, b: a >= b, name="ge")
+    for name, L, lam in _scaled_families():
+        calls = []
+        spied = _spied(lam, calls)
+        checks = [lambda f, rel: check_generalized_n(L, f, rel),
+                  lambda f, rel: check_generalized_nk(L, f, 2, rel),
+                  lambda f, rel: check_generalized_nk(L, f, 2, rel, mode="sampled",
+                                                      seed=3, trials=20),
+                  lambda f, rel: check_relaxed_hypothesis(L, f, rel)]
+        for i, check in enumerate(checks):
+            for rel in (RELATIONS["le"], custom):
+                before = len(calls)
+                check(spied, rel)
+                assert len(calls) == before + 1, (name, i, rel.name)
+    calls = []
+    one = _spied(scalar_quadratic(build_m3(), ((1, 1, 1),), 1), calls)
+    check_generalized_n(build_m3(), one, RELATIONS["ge"])
+    assert calls == []  # the vacuous 1-ary check evaluates nothing

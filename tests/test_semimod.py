@@ -459,13 +459,14 @@ def test_witness_replay_refuses_wrong_relaxed_swap(monkeypatch):
 def negated_pair_terms(lam):
     """lam with every pair table of its pairwise route negated; its own
     enumeration and fn are untouched."""
-    real = lam.pair_terms
+    real = lam.on_ids
 
-    def pair_terms(elems, limit):
-        terms, scale = real(elems, limit)
+    def on_ids(elems, limit=None):
+        evaluate, scale, terms = real(elems, limit)
         m = len(elems)
-        return [([-table[key] for key in range(m * m)], i, j) for table, i, j in terms], scale
-    return dataclasses.replace(lam, pair_terms=pair_terms)
+        return evaluate, scale, [([-table[key] for key in range(m * m)], i, j)
+                                 for table, i, j in terms]
+    return dataclasses.replace(lam, on_ids=on_ids)
 
 
 def test_witness_replay_refuses_corrupt_pair_tables():
