@@ -1,4 +1,6 @@
-"""Command-line surface.
+"""Command-line surface.  Each handler decodes its input, calls what the
+decoded config selects (the config decoders in `jsonio` return the call of
+their checker), and emits the report.
 
 Exit codes: 0 = inequality holds / demo reproduced / all criteria pass,
 1 = violated, 2 = input error, 3 = evaluation budget exceeded,
@@ -14,26 +16,11 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .acceptance import CRITERIA, run_all
-from .constructions import (
-    esym_orderstat_check,
-    indep_association_check,
-    perm_orderstat_check,
-    power_inequality_check,
-    product_measure_check,
-    psi_transform_check,
-    supinf_check,
-)
-from .correlation import (
-    aharoni_keich_check,
-    corollary_ahke_check,
-    corollary_fkg_check,
-    fkg_check,
-    nonreversibility_demo,
-)
-from .generators import perm_orderstat_batch
+from .correlation import nonreversibility_demo
 from .jsonio import (
     ahke_config_from_json,
     construction_from_json,
@@ -57,29 +44,13 @@ from .lattice import (
     order_statistics_tuple,
     validate_table_lattice,
 )
-from .scalars import (
-    BudgetExceededError,
-    ConventionMode,
-    InputError,
-    parse_rational,
-)
+from .scalars import BudgetExceededError, InputError, parse_rational
 from .semimod import (
     TransitiveRelation,
     check_generalized_n,
     check_generalized_nk,
     run_counterexample_m3,
 )
-
-_COROLLARY_CHECKS = {
-    "perm": perm_orderstat_check,
-    "esym": esym_orderstat_check,
-    "psi": psi_transform_check,
-    "power": power_inequality_check,
-    "supinf": supinf_check,
-    "sets": product_measure_check,
-    "indep": indep_association_check,
-}
-
 
 def _default_budget() -> int:
     env = os.environ.get("LATSTAT_BUDGET")
@@ -221,57 +192,35 @@ def _cmd_demo(args) -> int:
     raise InputError(f"unknown demo {args.which!r}")
 
 
-def _cmd_corollary(args) -> int:
+def _run_config(args, command: str, decode) -> int:
     started = time.perf_counter()
-    name = args.which
-    kwargs = corollary_config_from_json(name, args.config)
-    if name == "perm" and "matrix" not in kwargs:
-        report = perm_orderstat_batch(**kwargs)
-    elif name == "esym" and "k" not in kwargs:
-        report = None
-        for k in range(1, len(kwargs["fs"]) + 1):
-            one = esym_orderstat_check(k=k, **kwargs)
-            if report is None or (report.holds and not one.holds):
-                report = one
-    else:
-        report = _COROLLARY_CHECKS[name](**kwargs)
-    _emit(args, f"corollary {name}", {"config": args.config}, report, started)
+    report = decode(args.config)()
+    _emit(args, command, {"config": args.config}, report, started)
     return 0 if report.holds else 1
+
+
+def _cmd_corollary(args) -> int:
+    return _run_config(args, f"corollary {args.which}",
+                       partial(corollary_config_from_json, args.which))
 
 
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
     descriptor = construction_from_json(load_json_file(args.params), args.family)
-    text = dump_report(make_report("construct", {"params": args.params},
-                                   {"functional": descriptor, "verified": True}))
     if args.emit:
-        import json as _json
         with open(args.emit, "w", encoding="utf-8") as fh:
-            _json.dump(descriptor, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    sys.stdout.write(text)
+            fh.write(dump_report(descriptor))
+    _emit(args, "construct", {"params": args.params},
+          {"functional": descriptor, "verified": True}, started)
     return 0
 
 
 def _cmd_fkg(args) -> int:
-    started = time.perf_counter()
-    sub, F, G, weight = fkg_config_from_json(args.config)
-    check = fkg_check if "nu" in weight else corollary_fkg_check
-    report = check(sub, F=F, G=G, **weight)
-    _emit(args, "fkg", {"config": args.config}, report, started)
-    return 0 if report.holds else 1
+    return _run_config(args, "fkg", fkg_config_from_json)
 
 
 def _cmd_ahke(args) -> int:
-    started = time.perf_counter()
-    families, kwargs = ahke_config_from_json(args.config)
-    if "alphas" in kwargs:
-        report = aharoni_keich_check(families=families, mode=ConventionMode.ZERO,
-                                     **kwargs)
-    else:
-        report = corollary_ahke_check(families, **kwargs)
-    _emit(args, "ahke", {"config": args.config}, report, started)
-    return 0 if report.holds else 1
+    return _run_config(args, "ahke", ahke_config_from_json)
 
 
 def _cmd_reproduce(args) -> int:

@@ -75,9 +75,6 @@ class Measure:
             raise InputError("function element does not match the measure's ground set")
         return ext_sum(ext_mul(as_scalar(v), w, mode) for v, w in zip(h, self.weights))
 
-    def total(self) -> Scalar:
-        return ext_sum(self.weights)
-
 
 def _require_nonneg_fn(f, what="function element"):
     for v in f:
@@ -399,7 +396,6 @@ class MultiadditiveFn:
     arity: int
     fn: Callable[..., Fraction]
     tag: str = ""
-    nonneg: bool = True
 
     def __call__(self, *args):
         return self.fn(*args)
@@ -432,7 +428,7 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
             raise InputError(
                 f"{m.tag or 'map'} is not additive in slot {slot}: "
                 f"{lhs} != {rhs} at f={f}, g={g}")
-        if m.nonneg and lhs < 0:
+        if lhs < 0:
             raise InputError(f"{m.tag or 'map'} is negative at {with_f}")
 
 
@@ -448,7 +444,7 @@ def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:
         return scale * sum((m.fn(*(args[i] for i in perm))
                             for perm in permutations(range(k))), Fraction(0))
 
-    return MultiadditiveFn(arity=k, fn=fn, tag=f"sym({m.tag})", nonneg=m.nonneg)
+    return MultiadditiveFn(arity=k, fn=fn, tag=f"sym({m.tag})")
 
 
 def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
@@ -653,24 +649,27 @@ def elementary_symmetric(k: int, xs: Sequence, mode: Optional[ConventionMode] = 
     return ext_sum(ext_prod((vals[i] for i in J), mode) for J in combinations(range(n), k))
 
 
-def esym_orderstat_check(measure: Measure, fs: Sequence, k: int,
+def esym_orderstat_check(measure: Measure, fs: Sequence, k: Optional[int] = None,
                          mode: ConventionMode = ConventionMode.ZERO) -> CheckReport:
-    """Elementary symmetric function of the integrals dominates its value on
-    the integrals of the pointwise order statistics."""
+    """Elementary symmetric function of order k of the integrals dominates
+    its value on the integrals of the pointwise order statistics.  With no
+    k, every order 1..n is checked; the report is the first failing
+    order's, else order 1's."""
     for f in fs:
         _require_nonneg_fn(f)
     mus = [measure.integral(f, mode) for f in fs]
     stats = pointwise_order_statistics(tuple(fs))
     mus_stats = [measure.integral(g, mode) for g in stats]
-    lhs = elementary_symmetric(k, mus, mode)
-    rhs = elementary_symmetric(k, mus_stats, mode)
     detail = {"integrals": mus, "stat_integrals": mus_stats}
-    if lhs >= rhs:
-        return CheckReport(holds=True, instances_checked=1, detail=detail)
-    return CheckReport(holds=False, instances_checked=1,
-                       witness=Witness(args=tuple(fs), lhs=lhs, rhs=rhs,
-                                       note=f"k={k}"),
-                       detail=detail)
+    reports = []
+    for j in (range(1, len(fs) + 1) if k is None else (k,)):
+        lhs = elementary_symmetric(j, mus, mode)
+        rhs = elementary_symmetric(j, mus_stats, mode)
+        witness = None if lhs >= rhs else Witness(args=tuple(fs), lhs=lhs, rhs=rhs,
+                                                   note=f"k={j}")
+        reports.append(CheckReport(holds=witness is None, instances_checked=1,
+                                   witness=witness, detail=detail))
+    return next((r for r in reports if not r.holds), reports[0])
 
 
 # --- association on independent product spaces ---
@@ -785,9 +784,6 @@ def _mpf_prod(vals, mode: ConventionMode):
     for v in vals:
         out *= v
     return out
-
-
-FLOAT_MODE_TOLERANCE = Fraction(1, 10 ** 9)
 
 
 def power_inequality_check(p, r, measure: Measure, fs: Sequence) -> CheckReport:

@@ -61,6 +61,7 @@ class ExplicitSublattice:
                 if j not in seen:
                     raise InputError(f"not join-closed: {a} join {b} = {j} is missing")
         self._elems = elems
+        self._set = seen
         self.width = width
 
     @classmethod
@@ -89,7 +90,7 @@ class ExplicitSublattice:
         return list(self._elems)
 
     def contains(self, a) -> bool:
-        return tuple(a) in set(self._elems)
+        return tuple(a) in self._set
 
     def meet(self, a, b):
         return fn_meet(a, b)
@@ -103,8 +104,7 @@ class ExplicitSublattice:
 
 @dataclass(frozen=True)
 class LatticeWeight:
-    """Nonnegative weights on lattice elements; aggregates pair a function
-    with the weights pointwise and sum."""
+    """Nonnegative weights on lattice elements, called as a weight function."""
 
     weights: dict
 
@@ -119,17 +119,6 @@ class LatticeWeight:
     def __call__(self, e) -> Scalar:
         return self.weights[tuple(e)]
 
-    def aggregate(self, func: Callable, elements: Sequence,
-                  mode: Optional[ConventionMode] = None) -> Scalar:
-        return ext_sum(ext_mul(as_scalar(func(e)), self(e), mode) for e in elements)
-
-
-def _as_func(f):
-    if callable(f):
-        return f
-    table = {tuple(k): v for k, v in dict(f).items()}
-    return lambda e: table[tuple(e)]
-
 
 def is_log_supermodular(nu, L, mode: Optional[ConventionMode] = None) -> CheckReport:
     """All pairs satisfy weight(meet) * weight(join) >= weight(f) * weight(g).
@@ -139,7 +128,6 @@ def is_log_supermodular(nu, L, mode: Optional[ConventionMode] = None) -> CheckRe
     |L|^2 ordered pairs they cover.  The first violation in row order has f
     at or before g, so the witness is that of the full scan, and row 0 meets
     every element as g, in the same order."""
-    nu = _as_func(nu)
     elems = L.elements()
     first = None
     for i, f in enumerate(elems):
@@ -169,7 +157,7 @@ def fkg_check(L, nu, F, G, mode: Optional[ConventionMode] = None) -> CheckReport
     Precondition failures are reported with their witnesses rather than
     asserted away.  The weight, F and G are each evaluated once per element,
     though the checks look them up about 4 |L|^2 times."""
-    nu, F, G = (_Memo(_as_func(f)).__getitem__ for f in (nu, F, G))
+    nu, F, G = (_Memo(f).__getitem__ for f in (nu, F, G))
     elems = L.elements()
     logsup = is_log_supermodular(nu, L, mode)
     if not logsup.holds:
@@ -282,8 +270,7 @@ def aharoni_keich_check(alphas: Sequence, betas: Sequence,
     n = len(families)
     if len(alphas) != n or len(betas) != n:
         raise InputError("need one alpha and one beta per family")
-    funcs = {"alpha": [_as_func(a) for a in alphas],
-             "beta": [_as_func(b) for b in betas]}
+    funcs = {"alpha": alphas, "beta": betas}
     fams = [[tuple(as_scalar(v) for v in e) for e in fam] for fam in families]
     stat_fams = orderstat_family(fams, budget=budget)
 

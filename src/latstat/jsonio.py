@@ -16,19 +16,33 @@ from . import SCHEMA_VERSION, __version__
 from .constructions import (
     Measure,
     MultisetCombiner,
+    esym_orderstat_check,
+    indep_association_check,
     integral_of_product,
+    perm_orderstat_check,
     potential_construct,
+    power_inequality_check,
+    product_measure_check,
     product_of_integrals,
+    psi_transform_check,
     relation_image_measure,
     schur_construct,
     multiadd_symmetric_sum,
+    supinf_check,
     tensor_multiadditive,
     verify_multiadditive,
     PotentialSpec,
     SchurSpec,
     SetRelation,
 )
-from .correlation import ExplicitSublattice
+from .correlation import (
+    ExplicitSublattice,
+    aharoni_keich_check,
+    corollary_ahke_check,
+    corollary_fkg_check,
+    fkg_check,
+)
+from .generators import perm_orderstat_batch
 from .lattice import FnLattice, TableLattice, lattice_from_order
 from .report import CheckReport, Witness
 from .scalars import (
@@ -306,18 +320,11 @@ def psi_from_json(obj, ptr: str = ""):
             return Fraction(0) if is_inf(x) else Fraction(1) / (1 + x)
 
         return psi, "nonincreasing"
-    table = dict(_pairs(obj["points"], f"{ptr}/points", "[x, y]",
-                        scalar_from_json, scalar_from_json))
+    points = _pairs(obj["points"], f"{ptr}/points", "[x, y]", scalar_from_json, scalar_from_json)
     direction = obj["direction"]
     if direction not in ("nondecreasing", "nonincreasing"):
         raise InputError(f"{ptr}/direction: must be nondecreasing or nonincreasing")
-
-    def psi(x, _t=table):
-        if x not in _t:
-            raise InputError(f"transform has no tabulated value at {x}")
-        return _t[x]
-
-    return psi, direction
+    return _lookup(points, f"{ptr}/points"), direction
 
 
 def _potential_phi_from_json(obj, ptr: str):
@@ -437,13 +444,21 @@ def _table_entries(obj, width: Optional[int], ptr: str, finite: bool = False) ->
                   _finite_scalar if finite else scalar_from_json)
 
 
-def _function_table(obj, width: Optional[int], ptr: str, finite: bool = False):
-    table = dict(_table_entries(obj, width, ptr, finite))
+def _lookup(entries: list, ptr: str):
+    """The function that maps x, a scalar or a function element, to its
+    value among the decoded [x, value] entries at ptr (a repeated x takes
+    its last value).  A missing x is an input error at ptr that writes x as
+    a config would."""
+    table = dict(entries)
 
-    def func(h):
-        if tuple(h) not in table:
-            raise InputError(f"function table has no value at {h}")
-        return table[tuple(h)]
+    def written(v):
+        return int(v) if not is_inf(v) and v.denominator == 1 else scalar_to_json(v)
+
+    def func(x):
+        if x not in table:
+            at = [written(v) for v in x] if isinstance(x, tuple) else written(x)
+            raise InputError(f"{ptr}: no value at {json.dumps(at)}")
+        return table[x]
 
     return func
 
@@ -452,7 +467,8 @@ def _function_from_json(obj, width: Optional[int], ptr: str, finite: bool = Fals
     kind = _expect_kind(obj, ptr, "function", {
         "linear": (("coeffs",), ("const",)), "table": (("values",), ())})
     if kind == "table":
-        return _function_table(obj["values"], width, f"{ptr}/values", finite)
+        return _lookup(_table_entries(obj["values"], width, f"{ptr}/values", finite),
+                       f"{ptr}/values")
     coeffs = _list_of(obj["coeffs"], f"{ptr}/coeffs", _finite_scalar)
     if len(coeffs) != width:
         raise InputError(f"{ptr}/coeffs: expected {width} coefficients")
@@ -460,44 +476,47 @@ def _function_from_json(obj, width: Optional[int], ptr: str, finite: bool = Fals
     return lambda h: sum((c * v for c, v in zip(coeffs, h)), const)
 
 
-def _weight_from_json(obj, width: Optional[int], kinds: tuple, ptr: str = "/weight") -> dict:
+def _weight_from_json(obj, width: Optional[int], kinds: tuple) -> Optional[dict]:
     """The fkg/ahke weight, one of `kinds`: "power" (a measure and an
     exponent r), "inf", or "table" (values and an optional convention
     mode).  Returns the keyword arguments of `corollary_fkg_check` /
-    `corollary_ahke_check`, or for a table those of `fkg_check`."""
+    `corollary_ahke_check`, or None for a table, which the fkg decoder
+    reads itself."""
     fields = {"power": (("measure", "r"), ()), "inf": ((), ()),
               "table": (("values",), ("mode",))}
-    kind = _expect_kind(obj, ptr, "weight", {kind: fields[kind] for kind in kinds})
+    kind = _expect_kind(obj, "/weight", "weight", {kind: fields[kind] for kind in kinds})
     if kind == "power":
-        return {"measure": measure_from_json(obj["measure"], f"{ptr}/measure", width=width),
-                "r": _expect_int(obj["r"], f"{ptr}/r")}
-    if kind == "inf":
-        return {"use_inf": True}
-    nu = _function_table(obj["values"], width, f"{ptr}/values")
-    return {"nu": nu, "mode": ConventionMode.from_name(obj["mode"]) if "mode" in obj else None}
+        return {"measure": measure_from_json(obj["measure"], "/weight/measure", width=width),
+                "r": _expect_int(obj["r"], "/weight/r")}
+    return {"use_inf": True} if kind == "inf" else None
 
 
-def fkg_config_from_json(path: str) -> tuple:
-    """Decode a `latstat fkg` config into (sublattice, F, G, weight keyword
-    arguments).  Elements and F, G values must be finite: the four sums
-    multiply them in plain arithmetic, and only the weight's products
-    follow a convention mode."""
+def fkg_config_from_json(path: str) -> partial:
+    """Decode a `latstat fkg` config into the call of its checker:
+    `corollary_fkg_check` for a power or inf weight, `fkg_check` with the
+    decoded mode for a table weight.  Elements and F, G values must be
+    finite: the four sums multiply them in plain arithmetic, and only the
+    weight's products follow a convention mode."""
     cfg = parse_config(path, ("elements", "F", "G", "weight"))
     sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements", finite=True))
     F = _function_from_json(cfg["F"], sub.width, "/F", finite=True)
     G = _function_from_json(cfg["G"], sub.width, "/G", finite=True)
     weight = _weight_from_json(cfg["weight"], sub.width, ("power", "inf", "table"))
-    if "nu" in weight and weight["mode"] is None:
-        _refuse_zero_times_inf(cfg["weight"]["values"], "/weight/values", sub, F, G)
-    return sub, F, G, weight
+    if weight is not None:
+        return partial(corollary_fkg_check, sub, F, G, **weight)
+    table = cfg["weight"]
+    entries = _table_entries(table["values"], sub.width, "/weight/values")
+    mode = ConventionMode.from_name(table["mode"]) if "mode" in table else None
+    if mode is None:
+        _refuse_zero_times_inf(entries, "/weight/values", sub, F, G)
+    return partial(fkg_check, sub, _lookup(entries, "/weight/values"), F, G, mode)
 
 
-def _refuse_zero_times_inf(values, ptr: str, sub, F, G) -> None:
+def _refuse_zero_times_inf(entries: list, ptr: str, sub, F, G) -> None:
     """Without a mode, refuse an infinite table weight that `fkg_check`
     would multiply by 0: it multiplies every two weights on the sublattice,
     and each weight by F, G and F * G at its element.  Names the first such
     entry (a repeated element takes its last value, as the table does)."""
-    entries = _table_entries(values, sub.width, ptr)
     on_sub = set(sub.elements())
     last = {e: i for i, (e, _) in enumerate(entries) if e in on_sub}
     zero_weight = any(entries[i][1] == 0 for i in last.values())
@@ -513,18 +532,20 @@ def _refuse_zero_times_inf(values, ptr: str, sub, F, G) -> None:
                 'is undefined without a convention; set "mode" to "zero" or "inf"')
 
 
-def ahke_config_from_json(path: str) -> tuple:
-    """Decode a `latstat ahke` config into (families, keyword arguments):
-    those of `corollary_ahke_check` for a weight, else the alphas and betas
-    of `aharoni_keich_check`."""
+def ahke_config_from_json(path: str) -> partial:
+    """Decode a `latstat ahke` config into the call of its checker:
+    `corollary_ahke_check` for a weight, else `aharoni_keich_check` with
+    the alphas and betas under the zero rule for 0 * inf."""
     cfg = parse_config(path, ("families",), ("weight", "alphas", "betas"))
     fams, width = _families_from_json(cfg["families"], "/families")
     if "weight" in cfg:
-        return fams, _weight_from_json(cfg["weight"], width, ("power", "inf"))
+        return partial(corollary_ahke_check, fams,
+                       **_weight_from_json(cfg["weight"], width, ("power", "inf")))
     if "alphas" in cfg and "betas" in cfg:
-        return fams, {key: _list_of(cfg[key], f"/{key}",
-                                    lambda a, p: _function_from_json(a, width, p))
-                      for key in ("alphas", "betas")}
+        alphas, betas = (_list_of(cfg[key], f"/{key}",
+                                  lambda a, p: _function_from_json(a, width, p))
+                         for key in ("alphas", "betas"))
+        return partial(aharoni_keich_check, alphas, betas, fams, mode=ConventionMode.ZERO)
     raise InputError("/weight: provide 'weight' or both 'alphas' and 'betas'")
 
 
@@ -535,24 +556,25 @@ def _measure_and_tuple(cfg) -> dict:
     return {"measure": measure, "fs": fn_elems_from_json(cfg["tuple"], "/tuple", measure.size)}
 
 
-def corollary_config_from_json(name: str, path: str) -> dict:
-    """Decode the config of `latstat corollary <name>` into the keyword
-    arguments of its checker; a random permanent batch gives those of
+def corollary_config_from_json(name: str, path: str) -> partial:
+    """Decode the config of `latstat corollary <name>` into the call of its
+    checker: a random permanent batch calls
     `generators.perm_orderstat_batch`, and an esym config without "k"
-    leaves it out."""
+    calls `esym_orderstat_check` for every order."""
     if name == "perm":
         cfg = parse_config(path, (), ("matrix", "random"))
         if "matrix" in cfg:
-            return {"matrix": _list_of(cfg["matrix"], "/matrix",
-                                       lambda row, p: _list_of(row, p, _finite_scalar))}
+            return partial(perm_orderstat_check, _list_of(
+                cfg["matrix"], "/matrix", lambda row, p: _list_of(row, p, _finite_scalar)))
         if "random" not in cfg:
             raise InputError("/matrix: provide 'matrix' or 'random'")
         spec = _expect_object(cfg["random"], "/random", ("count", "seed"),
                               ("max_rows", "max_cols"))
-        return {"seed": _expect_int(spec["seed"], "/random/seed"),
-                "count": _expect_int(spec["count"], "/random/count", 1),
-                "max_rows": _expect_int(spec.get("max_rows", 5), "/random/max_rows", 1),
-                "max_cols": _expect_int(spec.get("max_cols", 7), "/random/max_cols", 1)}
+        return partial(perm_orderstat_batch,
+                       seed=_expect_int(spec["seed"], "/random/seed"),
+                       count=_expect_int(spec["count"], "/random/count", 1),
+                       max_rows=_expect_int(spec.get("max_rows", 5), "/random/max_rows", 1),
+                       max_cols=_expect_int(spec.get("max_cols", 7), "/random/max_cols", 1))
     if name == "esym":
         cfg = parse_config(path, ("measure", "tuple"), ("k",))
         out = _measure_and_tuple(cfg)
@@ -560,31 +582,33 @@ def corollary_config_from_json(name: str, path: str) -> dict:
             raise InputError("/tuple: must be nonempty")
         if "k" in cfg:
             out["k"] = _expect_int(cfg["k"], "/k", 1)
-        return out
+        return partial(esym_orderstat_check, **out)
     if name == "psi":
         cfg = parse_config(path, ("measure", "tuple", "psi"))
         out = _measure_and_tuple(cfg)
         out["psi"], out["direction"] = psi_from_json(cfg["psi"], "/psi")
-        return out
+        return partial(psi_transform_check, **out)
     if name == "power":
         cfg = parse_config(path, ("measure", "tuple", "p", "r"))
-        return dict(_measure_and_tuple(cfg), p=parse_rational(cfg["p"]),
-                    r=parse_rational(cfg["r"]))
+        return partial(power_inequality_check, **_measure_and_tuple(cfg),
+                       p=parse_rational(cfg["p"]), r=parse_rational(cfg["r"]))
     if name == "supinf":
-        return {"fs": fn_elems_from_json(parse_config(path, ("tuple",))["tuple"], "/tuple")}
+        return partial(supinf_check,
+                       fn_elems_from_json(parse_config(path, ("tuple",))["tuple"], "/tuple"))
     if name == "sets":
         cfg = parse_config(path, ("ground_size", "k", "weights", "sets"))
-        return {"ground_size": _expect_int(cfg["ground_size"], "/ground_size", 1),
-                "k": _expect_int(cfg["k"], "/k", 1),
-                "weights": _point_table(cfg["weights"], "/weights"),
-                "sets": _list_of(cfg["sets"], "/sets",
-                                 lambda A, p: frozenset(_list_of(A, p, _natural)))}
+        return partial(product_measure_check,
+                       ground_size=_expect_int(cfg["ground_size"], "/ground_size", 1),
+                       k=_expect_int(cfg["k"], "/k", 1),
+                       weights=_point_table(cfg["weights"], "/weights"),
+                       sets=_list_of(cfg["sets"], "/sets",
+                                     lambda A, p: frozenset(_list_of(A, p, _natural))))
     if name == "indep":
         cfg = parse_config(path, ("marginals",))
-        return {"marginals": _list_of(
+        return partial(indep_association_check, _list_of(
             cfg["marginals"], "/marginals",
             lambda marg, p: _pairs(marg, p, "[value, prob]", scalar_from_json,
-                                   scalar_from_json))}
+                                   scalar_from_json)))
     raise InputError(f"unknown corollary {name!r}")
 
 

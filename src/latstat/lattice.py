@@ -38,16 +38,10 @@ class GroundSet:
     """The index set that function elements are defined over."""
 
     size: int
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         if self.size < 1:
             raise InputError("ground set must have at least one point")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise InputError("ground labels must match the ground size")
-            if len(set(self.labels)) != self.size:
-                raise InputError("ground labels must be distinct")
 
 
 # --- pointwise operations on function elements (plain tuples of scalars) ---
@@ -134,12 +128,6 @@ class FnLattice:
 
     def leq(self, a, b) -> bool:
         return fn_leq(a, b)
-
-    def bottom(self):
-        return tuple(self.chain[0] for _ in range(self.ground.size))
-
-    def top(self):
-        return tuple(self.chain[-1] for _ in range(self.ground.size))
 
     def __repr__(self):
         return f"FnLattice(ground={self.ground.size}, chain={list(self.chain)})"

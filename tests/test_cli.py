@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from latstat import semimod
+from latstat import build_m3, semimod
 from latstat.cli import main
 
 M3_ORDER = {
@@ -90,6 +90,29 @@ def test_ordstats_with_labels(write, capsys):
     result = json.loads(out)["result"]
     assert result["order_statistics_labels"] == [1, 5, 5]
     assert result["dual_order_statistics_labels"] == [1, 1, 5]
+
+
+def test_ordstats_on_a_table_lattice_json(write, capsys):
+    m3 = build_m3()
+    ids = range(m3.size)
+    lat = write("m3t.json", {"kind": "table", "n": m3.size, "labels": m3.labels,
+                             "meet": [[m3.meet(a, b) for b in ids] for a in ids],
+                             "join": [[m3.join(a, b) for b in ids] for a in ids]})
+    code, out, _ = run_cli(capsys, "ordstats", "--lattice", lat,
+                           "--tuple", write("t.json", [1, 2, 3]), "--dual")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["order_statistics_labels"] == [1, 5, 5]
+    assert result["dual_order_statistics_labels"] == [1, 1, 5]
+
+
+def test_ordstats_on_a_function_lattice(write, capsys):
+    code, out, _ = run_cli(capsys, "ordstats", "--lattice", write("fn.json", FN_LATTICE),
+                           "--tuple", write("t.json", [[1, 0], [0, 2], [2, 1]]), "--dual")
+    assert code == 0
+    result = json.loads(out)["result"]
+    stats = [[{"num": v, "den": 1}] * 2 for v in (0, 1, 2)]
+    assert result == {"order_statistics": stats, "dual_order_statistics": stats}
 
 
 def test_check_pair_windows_hold_on_m3(write, capsys):
@@ -244,6 +267,22 @@ def test_construct_refuses_invalid_spec(write, capsys):
     code, _, err = run_cli(capsys, "construct", "schur", "--params", params)
     assert code == 2
     assert "/F/k" in err
+
+
+def test_construct_honours_out_and_timing(write, capsys, tmp_path):
+    params = write("params.json", {"lattice": FN_LATTICE, "n": 3,
+                                   "lambda": {"kind": "modular", "point_weights": [1, 1]},
+                                   "F": {"kind": "min"}})
+    argv = ("construct", "schur", "--params", params)
+    code, shown, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = tmp_path / "r.json"
+    assert run_cli(capsys, *argv, "--out", str(report)) == (0, "", "")
+    assert report.read_bytes() == shown.encode()
+    code, out, _ = run_cli(capsys, *argv, "--timing")
+    payload = json.loads(out)
+    assert isinstance(payload.pop("timing_seconds"), float)
+    assert payload == json.loads(shown)
 
 
 def test_fkg_and_ahke_configs(write, capsys):
@@ -540,6 +579,12 @@ def check_potential(functional):
      'undefined without a convention; set "mode" to "zero" or "inf"'),
     (check_potential(dict(POTENTIAL_FUNCTIONAL, measure=["inf"],
                           phi={"kind": "relu", "shift": -3})), "/measure/0: must be finite"),
+    (("fkg", "--config", dict(FKG_CONFIG, F={"kind": "table", "values": [
+        [[0, 0], 0], [[0, 1], 1], [[1, 0], 1]]})), "/F/values: no value at [1, 1]"),
+    (("corollary", "psi", "--config", {
+        "measure": [1, 1], "tuple": [[0, 3], [1, 0]],
+        "psi": {"kind": "table", "direction": "nondecreasing", "points": [[0, 5], [1, 6]]}}),
+     "/psi/points: no value at 3"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a
@@ -547,3 +592,29 @@ def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
+
+
+PSI_CONFIG = {"measure": [1, 2], "tuple": [[1, 0], [2, 2]]}
+
+
+@pytest.mark.parametrize("argv", [
+    check_schur(dict(SCHUR_FUNCTIONAL, **{"lambda": {"kind": "max_value", "shift": 1}})),
+    check_schur(dict(SCHUR_FUNCTIONAL, **{"lambda": {
+        "kind": "relation_image", "pairs": [[0, 0], [1, 0], [1, 1]], "target_weights": [1, 2]}}),
+        dict(FN_LATTICE, chain_max=1)),
+    check_potential(dict(POTENTIAL_FUNCTIONAL, phi={"kind": "step"},
+                         psi={"kind": "max_affine", "pieces": [[1, 0], [2, -1]]}))
+    + ("--relation", "le"),
+    ("corollary", "psi", "--config", dict(PSI_CONFIG, psi={"kind": "identity"})),
+    ("corollary", "psi", "--config", dict(PSI_CONFIG, psi={"kind": "one_over_one_plus"})),
+    check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "tensor",
+                                              "weights": [[[0, 1], 1], [[1, 0], 2]]})),
+    ("lattice", "validate", "--lattice", dict(FN_LATTICE, ground_size=7, max_ground=7)),
+    ("lattice", "validate", "--lattice", dict(FN_LATTICE, chain_max=6, max_chain=7)),
+])
+def test_valid_config_kinds_exit_0(write, capsys, argv):
+    argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(argv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["holds"] is True

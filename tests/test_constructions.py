@@ -519,6 +519,33 @@ def test_esym_orderstat_k1_equality_and_sorted_equality():
             assert lhs == rhs
 
 
+def test_esym_without_k_checks_every_order():
+    rng = random.Random(29)
+    mu = Measure((Fraction(1), Fraction(2), Fraction(1, 2)))
+    for _ in range(30):
+        fs = [tuple(rand_fraction(rng) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+        by_order = [esym_orderstat_check(mu, fs, k) for k in range(1, len(fs) + 1)]
+        assert all(r.holds for r in by_order)
+        assert esym_orderstat_check(mu, fs) == by_order[0]
+
+
+def test_esym_without_k_reports_the_first_failing_order(monkeypatch):
+    # negating e_2 and e_3 makes orders 2 and 3 fail: both sides are strict
+    real, orders = constructions.elementary_symmetric, []
+
+    def negated(k, xs, mode=None):
+        orders.append(k)
+        return -real(k, xs, mode) if k in (2, 3) else real(k, xs, mode)
+
+    monkeypatch.setattr(constructions, "elementary_symmetric", negated)
+    mu, fs = Measure.counting(2), [(1, 0), (0, 1), (2, 1)]
+    report = esym_orderstat_check(mu, fs)
+    assert orders == [1, 1, 2, 2, 3, 3]
+    assert not report.holds and report.witness.note == "k=2"
+    assert (report.witness.lhs, report.witness.rhs) == (-7, -6)
+    assert report == esym_orderstat_check(mu, fs, 2)
+
+
 # --- association on product spaces ---
 
 def test_indep_fair_coins():
@@ -647,6 +674,22 @@ def test_power_float_mode_for_fractional_exponent():
     report = power_inequality_check(Fraction(1, 2), 1, mu, fs)
     assert report.holds
     assert report.detail["arithmetic"] == "float(tol=1e-9)"
+
+
+@pytest.mark.parametrize("weights,fs,r,lhs,rhs", [
+    # p = 1/2: 0 * inf is 0 when r > 0 and inf when r < 0, in integrals and products
+    ((1, 0), [(0, INF), (4, 1)], Fraction(1, 2), 0, 0),
+    ((1, 0), [(0, INF), (4, 1)], Fraction(-1, 2), 0, math.inf),
+    ((1, 1), [(0, INF), (4, 1)], Fraction(1, 2), math.inf, math.inf),
+    ((1, 1), [(0, INF), (4, 1), (0, 0)], Fraction(1, 2), 0, 0),
+    ((1, 1), [(1, 4), (4, 1)], Fraction(1, 2), 3, math.sqrt(8)),
+    ((1, 1), [(1, 4), (4, 1)], Fraction(-1, 2), 1 / 3, 1 / math.sqrt(8)),
+])
+def test_power_float_mode_with_zero_and_infinite_entries(weights, fs, r, lhs, rhs):
+    report = power_inequality_check(Fraction(1, 2), r, Measure(weights), fs)
+    assert report.holds
+    assert report.detail == {"lhs": pytest.approx(lhs), "rhs": pytest.approx(rhs),
+                             "arithmetic": "float(tol=1e-9)"}
 
 
 # --- sup / inf products ---

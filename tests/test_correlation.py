@@ -22,7 +22,7 @@ from latstat import (
     pointwise_order_statistics,
     power_inequality_check,
 )
-from latstat.correlation import _as_func, _check_nondecreasing, inf_weight, power_weight
+from latstat.correlation import _check_nondecreasing, inf_weight, power_weight
 from latstat.report import CheckReport, Witness
 from latstat.scalars import (
     INF, as_scalar, ext_mul, ext_prod, ext_sum, is_inf, require_nonneg,
@@ -46,6 +46,12 @@ def test_sublattice_requires_closure():
         ExplicitSublattice([(0, 1), (1, 0)])  # missing meet and join
     sub = ExplicitSublattice.closure([(0, 1), (1, 0)])
     assert sub.size == 4
+
+
+def test_sublattice_contains():
+    sub = boolean_square()
+    assert sub.contains((0, 1)) and sub.contains([Fraction(1), Fraction(1)])
+    assert not sub.contains((0, 2)) and not sub.contains((1,))
 
 
 def test_sublattice_closure_budget():
@@ -340,7 +346,6 @@ def test_two_family_case_specializes_to_four_sum_regime():
 def _ref_fkg_check(L, nu, F, G, mode=None):
     """The four-sum check as it reads without a memo: every lookup calls
     the function again."""
-    nu, F, G = _as_func(nu), _as_func(F), _as_func(G)
     elems = L.elements()
     logsup = is_log_supermodular(nu, L, mode)
     if not logsup.holds:
@@ -378,8 +383,6 @@ def _ref_fkg_check(L, nu, F, G, mode=None):
 def _ref_ahke_check(alphas, betas, families, mode=None):
     """The family check as it reads without a memo."""
     n = len(families)
-    alphas = [_as_func(a) for a in alphas]
-    betas = [_as_func(b) for b in betas]
     fams = [[tuple(as_scalar(v) for v in e) for e in fam] for fam in families]
     stat_fams = orderstat_family(fams)
 

@@ -222,6 +222,15 @@ def test_chain_final_row_matches_order_statistics():
         assert chain_point_multisets_conserved(chain)
 
 
+def test_chain_sortedness_witness_names_the_unsorted_row():
+    x = [(Fraction(v),) for v in range(4)]
+    rows = ((x[2], x[3], x[1]), (x[1], x[3], x[2]), (x[1], x[2], x[3]))
+    report = verify_chain_sortedness(InsertionChain(rows))
+    assert (report.holds, report.instances_checked) == (False, 4)
+    assert report.witness == Witness(args=(1, 2, 0), lhs=3, rhs=2,
+                                     note="row 1: position 2 above position 3 at point 0")
+
+
 def test_chain_on_table_lattice_routes_through_embedding():
     L = product_of_chains([2, 3])
     elems = L.elements()
