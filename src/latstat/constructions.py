@@ -15,7 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
@@ -30,11 +29,10 @@ from .scalars import (
     ext_prod,
     ext_sum,
     ext_mul,
-    integer_scale,
     is_inf,
     require_nonneg,
 )
-from .semimod import TupleFunctional, id_table, pair_sum
+from .semimod import TupleFunctional, form_sum, id_table
 
 
 # --- measures on a finite ground set ---
@@ -190,34 +188,28 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
 
 def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
-    pair-window check (>=) on any distributive carrier.  The
-    `MultisetCombiner` "sum" makes it a sum of unary pair terms, read on the
-    diagonal of one table."""
+    pair-window check (>=) on any distributive carrier.  Its on_ids reads
+    lam from one `id_table` of arity 1, scaled only for a `MultisetCombiner`
+    (others need not commute with a scale); with the combiner "sum" it is
+    the sum of the unary terms (values, (i,))."""
     verify_schur_spec(spec, n, seed=seed)
     vals = {e: Fraction(spec.lam(e)) for e in spec.lattice.elements()}
     combiner = spec.combiner
+    multiset = isinstance(combiner, MultisetCombiner)
 
     def fn(f):
         return combiner(tuple(vals[a] for a in f))
 
     def on_ids(elems, limit=None):
-        # the lcm of the lambda denominators scales a MultisetCombiner's value
-        values = [vals[e] for e in elems]
-        scaled = None
-        if limit is not None and isinstance(combiner, MultisetCombiner):
-            scaled = integer_scale(values)
-        scale, values = scaled or (None, values)
+        scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None)
         at = values.__getitem__
-        terms = None
-        if scale is not None and combiner == MultisetCombiner("sum"):
-            diagonal = {a * (len(elems) + 1): v for a, v in enumerate(values)}
-            terms = [(diagonal, i, i) for i in range(n)]
+        sums = scale is not None and combiner == MultisetCombiner("sum")
+        terms = [(values, (i,)) for i in range(n)] if sums else None
         return (lambda ids: combiner(tuple(map(at, ids)))), scale, terms
 
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"schur({spec.lam_name},{spec.combiner_name})",
-                           lattice=spec.lattice, on_ids=on_ids,
-                           symmetric=isinstance(combiner, MultisetCombiner))
+                           lattice=spec.lattice, on_ids=on_ids, symmetric=multiset)
 
 
 # --- set functions from relations ---
@@ -334,30 +326,17 @@ def _symmetrized(transform: Callable[[tuple], Fraction], g: tuple) -> Fraction:
 def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
     """Sum over all ordered argument pairs of the curved integral transform of
     their difference, normalized so the zero difference contributes zero
-    (constant tuples evaluate to 0)."""
+    (constant tuples evaluate to 0): a `form_sum` of one pair value."""
     verify_potential_spec(spec)
     transform = _potential_transform(spec)
     base = transform(tuple(Fraction(0) for _ in range(spec.carrier.ground.size)))
 
-    def fn(f):
-        total = Fraction(0)
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                d = tuple(a - b for a, b in zip(f[j], f[k]))
-                total += transform(d) - base
-        return total
+    def pair(e, f):
+        return transform(tuple(a - b for a, b in zip(e, f))) - base
 
-    def on_ids(elems, limit=None):
-        scale, table = id_table(lambda e, f: transform(tuple(x - y for x, y in zip(e, f))) - base,
-                                elems, 2, limit)
-        return pair_sum([(table, j, k) for j in range(n) for k in range(n) if j != k],
-                        len(elems), scale)
-
-    return TupleFunctional(arity=n, fn=fn,
-                           tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
-                           lattice=spec.carrier, on_ids=on_ids, symmetric=True)
+    return form_sum(n, [(pair, (j, k)) for j in range(n) for k in range(n) if j != k],
+                    tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
+                    lattice=spec.carrier, symmetric=True)
 
 
 def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
@@ -449,37 +428,15 @@ def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:
 
 def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
                            lattice: Optional[FnLattice] = None) -> TupleFunctional:
-    """Sum of m over all injective placements of k of the n arguments;
-    nonnegative multiadditive m makes this pass the pair-window check (>=).
-    A form of arity 2 makes it a sum of pair terms (`semimod.pair_sum`)."""
+    """Sum of m over all injective placements of k of the n arguments, in
+    `itertools.permutations` order: a `form_sum` of the one value m.fn.
+    Nonnegative multiadditive m makes this pass the pair-window check (>=);
+    with k <= 2 exhaustive k = 2 checks enumerate no tuples."""
     k = m.arity
     if k > n:
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
-    placements = list(permutations(range(n), k))
-
-    def fn(f):
-        return sum((m.fn(*(f[i] for i in perm)) for perm in placements), Fraction(0))
-
-    def on_ids(elems, limit=None):
-        scale, table = id_table(m.fn, elems, k, limit)
-        if k == 2:
-            return pair_sum([(table, i, j) for i, j in placements], len(elems), scale)
-        return partial(_form_sum, table, placements, len(elems)), scale, None
-
-    return TupleFunctional(arity=n, fn=fn, tag=f"multiadd({m.tag},k={k})",
-                           lattice=lattice, on_ids=on_ids, symmetric=True)
-
-
-def _form_sum(table, placements: list, m: int, ids: tuple):
-    """The sum over placements of table at the placed ids, read as a
-    base-m key (`semimod.id_table`)."""
-    total = 0
-    for perm in placements:
-        key = 0
-        for i in perm:
-            key = key * m + ids[i]
-        total += table[key]
-    return total
+    return form_sum(n, [(m.fn, places) for places in permutations(range(n), k)],
+                    tag=f"multiadd({m.tag},k={k})", lattice=lattice, symmetric=True)
 
 
 def multiadd_sum_via_symmetrized(m: MultiadditiveFn, n: int, f: Sequence) -> Fraction:
@@ -652,24 +609,27 @@ def elementary_symmetric(k: int, xs: Sequence, mode: Optional[ConventionMode] = 
 def esym_orderstat_check(measure: Measure, fs: Sequence, k: Optional[int] = None,
                          mode: ConventionMode = ConventionMode.ZERO) -> CheckReport:
     """Elementary symmetric function of order k of the integrals dominates
-    its value on the integrals of the pointwise order statistics.  With no
-    k, every order 1..n is checked; the report is the first failing
-    order's, else order 1's."""
+    its value on the integrals of the pointwise order statistics, one
+    instance per order checked.  With no k, every order 1..n is checked and
+    listed in the detail as "orders"; the witness is the first failing
+    order's."""
     for f in fs:
         _require_nonneg_fn(f)
     mus = [measure.integral(f, mode) for f in fs]
     stats = pointwise_order_statistics(tuple(fs))
     mus_stats = [measure.integral(g, mode) for g in stats]
     detail = {"integrals": mus, "stat_integrals": mus_stats}
-    reports = []
-    for j in (range(1, len(fs) + 1) if k is None else (k,)):
+    orders = [k] if k is not None else list(range(1, len(fs) + 1))
+    if k is None:
+        detail["orders"] = orders
+    first = None
+    for j in orders:
         lhs = elementary_symmetric(j, mus, mode)
         rhs = elementary_symmetric(j, mus_stats, mode)
-        witness = None if lhs >= rhs else Witness(args=tuple(fs), lhs=lhs, rhs=rhs,
-                                                   note=f"k={j}")
-        reports.append(CheckReport(holds=witness is None, instances_checked=1,
-                                   witness=witness, detail=detail))
-    return next((r for r in reports if not r.holds), reports[0])
+        if not lhs >= rhs and first is None:
+            first = Witness(args=tuple(fs), lhs=lhs, rhs=rhs, note=f"k={j}")
+    return CheckReport(holds=first is None, instances_checked=len(orders), witness=first,
+                       detail=detail)
 
 
 # --- association on independent product spaces ---

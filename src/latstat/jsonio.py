@@ -84,11 +84,14 @@ def _expect_kind(obj, ptr: str, noun: str, kinds: dict) -> str:
     return kind
 
 
-def _expect_int(v, ptr: str, minimum: Optional[int] = None) -> int:
+def _expect_int(v, ptr: str, minimum: Optional[int] = None,
+                maximum: Optional[int] = None) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise InputError(f"{ptr}: expected an integer")
     if minimum is not None and v < minimum:
         raise InputError(f"{ptr}: must be >= {minimum}")
+    if maximum is not None and v > maximum:
+        raise InputError(f"{ptr}: must be <= {maximum}")
     return v
 
 
@@ -101,6 +104,16 @@ def _finite_scalar(v, ptr: str):
     if is_inf(x):
         raise InputError(f"{ptr}: must be finite")
     return x
+
+
+def _nonneg_scalar(v, ptr: str, decode=scalar_from_json):
+    x = decode(v, ptr)
+    if not is_inf(x) and x < 0:
+        raise InputError(f"{ptr}: must be nonnegative")
+    return x
+
+
+_nonneg_finite = partial(_nonneg_scalar, decode=_finite_scalar)
 
 
 def _expect_list(v, ptr: str) -> list:
@@ -130,7 +143,7 @@ def _point_table(v, ptr: str) -> dict:
     """A [[points...], weight] table: tuples of ground points -> weights."""
     return dict(_pairs(v, ptr, "[[points...], weight]",
                        lambda key, p: tuple(_list_of(key, p, _natural)),
-                       scalar_from_json))
+                       _nonneg_scalar))
 
 
 def _rational_key(text, ptr: str) -> Fraction:
@@ -167,21 +180,21 @@ def element_to_json(e):
 
 
 def fn_elem_from_json(obj, width: Optional[int], ptr: str = "",
-                      finite: bool = False) -> tuple:
-    elem = tuple(_list_of(obj, ptr, _finite_scalar if finite else scalar_from_json))
+                      decode=scalar_from_json) -> tuple:
+    elem = tuple(_list_of(obj, ptr, decode))
     if width is not None and len(elem) != width:
         raise InputError(f"{ptr}: expected {width} values, got {len(elem)}")
     return elem
 
 
 def fn_elems_from_json(obj, ptr: str, width: Optional[int] = None,
-                       finite: bool = False) -> list:
+                       decode=scalar_from_json) -> list:
     """A list of function elements that share one width: `width`, or else
     the first element's.  Elements need at least one value: the checkers
     take maxima, minima and integrals over the points."""
     elems = []
     for i, e in enumerate(_expect_list(obj, ptr)):
-        elems.append(fn_elem_from_json(e, width, f"{ptr}/{i}", finite))
+        elems.append(fn_elem_from_json(e, width, f"{ptr}/{i}", decode))
         width = len(elems[-1])
         if not width:
             raise InputError(f"{ptr}/{i}: expected at least one value")
@@ -246,7 +259,7 @@ def lattice_from_json(obj, ptr: str = ""):
 
 def measure_from_json(obj, ptr: str = "", width: Optional[int] = None,
                       finite: bool = False) -> Measure:
-    weight = _finite_scalar if finite else scalar_from_json
+    weight = _nonneg_finite if finite else _nonneg_scalar
     if isinstance(obj, list):
         weights = _list_of(obj, ptr, weight)
         prob = False
@@ -498,7 +511,8 @@ def fkg_config_from_json(path: str) -> partial:
     finite: the four sums multiply them in plain arithmetic, and only the
     weight's products follow a convention mode."""
     cfg = parse_config(path, ("elements", "F", "G", "weight"))
-    sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements", finite=True))
+    sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements",
+                                                decode=_finite_scalar))
     F = _function_from_json(cfg["F"], sub.width, "/F", finite=True)
     G = _function_from_json(cfg["G"], sub.width, "/G", finite=True)
     weight = _weight_from_json(cfg["weight"], sub.width, ("power", "inf", "table"))
@@ -506,7 +520,13 @@ def fkg_config_from_json(path: str) -> partial:
         return partial(corollary_fkg_check, sub, F, G, **weight)
     table = cfg["weight"]
     entries = _table_entries(table["values"], sub.width, "/weight/values")
-    mode = ConventionMode.from_name(table["mode"]) if "mode" in table else None
+    mode = None
+    if "mode" in table:
+        try:
+            mode = ConventionMode(str(table["mode"]).lower())
+        except ValueError:
+            raise InputError(f"/weight/mode: unknown convention mode {table['mode']!r}; "
+                             "use 'zero' or 'inf'")
     if mode is None:
         _refuse_zero_times_inf(entries, "/weight/values", sub, F, G)
     return partial(fkg_check, sub, _lookup(entries, "/weight/values"), F, G, mode)
@@ -553,7 +573,8 @@ def ahke_config_from_json(path: str) -> partial:
 
 def _measure_and_tuple(cfg) -> dict:
     measure = measure_from_json(cfg["measure"], "/measure")
-    return {"measure": measure, "fs": fn_elems_from_json(cfg["tuple"], "/tuple", measure.size)}
+    return {"measure": measure,
+            "fs": fn_elems_from_json(cfg["tuple"], "/tuple", measure.size, _nonneg_scalar)}
 
 
 def corollary_config_from_json(name: str, path: str) -> partial:
@@ -565,7 +586,7 @@ def corollary_config_from_json(name: str, path: str) -> partial:
         cfg = parse_config(path, (), ("matrix", "random"))
         if "matrix" in cfg:
             return partial(perm_orderstat_check, _list_of(
-                cfg["matrix"], "/matrix", lambda row, p: _list_of(row, p, _finite_scalar)))
+                cfg["matrix"], "/matrix", lambda row, p: _list_of(row, p, _nonneg_finite)))
         if "random" not in cfg:
             raise InputError("/matrix: provide 'matrix' or 'random'")
         spec = _expect_object(cfg["random"], "/random", ("count", "seed"),
@@ -581,7 +602,7 @@ def corollary_config_from_json(name: str, path: str) -> partial:
         if not out["fs"]:
             raise InputError("/tuple: must be nonempty")
         if "k" in cfg:
-            out["k"] = _expect_int(cfg["k"], "/k", 1)
+            out["k"] = _expect_int(cfg["k"], "/k", 1, len(out["fs"]))
         return partial(esym_orderstat_check, **out)
     if name == "psi":
         cfg = parse_config(path, ("measure", "tuple", "psi"))
@@ -593,22 +614,23 @@ def corollary_config_from_json(name: str, path: str) -> partial:
         return partial(power_inequality_check, **_measure_and_tuple(cfg),
                        p=parse_rational(cfg["p"]), r=parse_rational(cfg["r"]))
     if name == "supinf":
-        return partial(supinf_check,
-                       fn_elems_from_json(parse_config(path, ("tuple",))["tuple"], "/tuple"))
+        return partial(supinf_check, fn_elems_from_json(
+            parse_config(path, ("tuple",))["tuple"], "/tuple", decode=_nonneg_scalar))
     if name == "sets":
         cfg = parse_config(path, ("ground_size", "k", "weights", "sets"))
-        return partial(product_measure_check,
-                       ground_size=_expect_int(cfg["ground_size"], "/ground_size", 1),
+        size = _expect_int(cfg["ground_size"], "/ground_size", 1)
+        point = partial(_expect_int, minimum=0, maximum=size - 1)
+        return partial(product_measure_check, ground_size=size,
                        k=_expect_int(cfg["k"], "/k", 1),
                        weights=_point_table(cfg["weights"], "/weights"),
                        sets=_list_of(cfg["sets"], "/sets",
-                                     lambda A, p: frozenset(_list_of(A, p, _natural))))
+                                     lambda A, p: frozenset(_list_of(A, p, point))))
     if name == "indep":
         cfg = parse_config(path, ("marginals",))
         return partial(indep_association_check, _list_of(
             cfg["marginals"], "/marginals",
-            lambda marg, p: _pairs(marg, p, "[value, prob]", scalar_from_json,
-                                   scalar_from_json)))
+            lambda marg, p: _pairs(marg, p, "[value, prob]", _nonneg_scalar,
+                                   _nonneg_scalar)))
     raise InputError(f"unknown corollary {name!r}")
 
 

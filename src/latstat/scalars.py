@@ -87,13 +87,6 @@ class ConventionMode(Enum):
     ZERO = "zero"
     INF = "inf"
 
-    @classmethod
-    def from_name(cls, name):
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            raise InputError(f"unknown convention mode {name!r}; use 'zero' or 'inf'")
-
 
 def is_inf(x) -> bool:
     return isinstance(x, Infinity)
@@ -129,12 +122,6 @@ def require_nonneg(x: Scalar, what: str = "value") -> Scalar:
     return x
 
 
-def ext_add(a: Scalar, b: Scalar) -> Scalar:
-    if is_inf(a) or is_inf(b):
-        return INF
-    return a + b
-
-
 def ext_sum(xs: Iterable[Scalar]) -> Scalar:
     total = Fraction(0)
     for x in xs:
@@ -142,15 +129,6 @@ def ext_sum(xs: Iterable[Scalar]) -> Scalar:
             return INF
         total += x
     return total
-
-
-def ext_sub(a: Scalar, b: Scalar) -> Scalar:
-    """a - b; inf - finite = inf; subtracting inf is undefined."""
-    if is_inf(b):
-        raise InputError("cannot subtract infinity")
-    if is_inf(a):
-        return INF
-    return a - b
 
 
 def ext_mul(a: Scalar, b: Scalar, mode: ConventionMode | None = None) -> Scalar:

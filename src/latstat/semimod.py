@@ -34,18 +34,19 @@ the memo's values.
 
 Values are compared as integers over one positive scale D, fixed by the
 functional's one id-level hook, `on_ids`, which each check calls once before
-it scans (see `TupleFunctional` and `id_table`): the memo, ge/le/eq and the
-choice of the first witness run on machine ints, and only that witness's two
-values are mapped back, as Fraction(v, D).  There is no scale, and the scan
-compares fn's own values, when a value is not a finite rational, when the
-relation is custom, and for a functional without `on_ids`.  Before a witness
-is reported it is replayed through the element oracle (`_replayed`): the
-moved tuple is recomputed by `order_statistics_tuple`, or by meet and join
-for the relaxed check, both values by fn, and the relation is tested again;
-a disagreement raises InternalError (CLI exit 4), never a verdict.
+it scans (see `TupleFunctional`; `id_table` is the one scale rule): the
+memo, ge/le/eq and the choice of the first witness run on machine ints, and
+only that witness's two values are mapped back, as Fraction(v, D).  There
+is no scale, and the scan compares fn's own values, when a value is not a
+finite rational, when the relation is custom, and for a functional without
+`on_ids`.  Before a witness is reported it is replayed through the element
+oracle (`_replayed`): the moved tuple is recomputed by
+`order_statistics_tuple`, or by meet and join for the relaxed check, both
+values by fn, and the relation is tested again; a disagreement raises
+InternalError (CLI exit 4), never a verdict.
 
-A functional whose `on_ids` gives pair terms is a sum of terms over
-argument pairs with an integer scale, and its exhaustive k = 2 checks under
+A functional whose `on_ids` gives terms is a sum of integer terms with
+one or two places each (`form_sum`), and its exhaustive k = 2 checks under
 ge, le or eq enumerate no tuples (`_pair_windows`).  With the window at
 (j, j + 1) holding (a, b), lam(f) - lam(g) is a window part
 P(a, b) plus one part Q_r(a, b, f_r) per rest position r, so the window
@@ -62,6 +63,7 @@ enumerating scan stays the route's oracle in the tests.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -164,11 +166,11 @@ class TupleFunctional:
     allows a scale and caps the table the factory may fill before the scan
     to find it (`id_table`).  A factory declares no scale when any value is
     not a finite rational.  terms, given only with a scale, declares that
-    fn is a sum of integer pair terms over it (`pair_sum`); exhaustive
-    k = 2 checks under ge, le or eq then decide each pair window from the
-    tables instead of enumerating tuples (see the module docstring).
-    Quadratic forms, potentials, multiadditive sums of form arity 2 and
-    Schur sums give terms, and every other factory gives None.
+    fn is a sum of integer terms (table, places) of one or two places
+    (`form_sum`); exhaustive k = 2 checks under ge, le or eq then decide
+    each pair window from the tables instead of enumerating tuples (see the
+    module docstring).  Schur sums and the `form_sum`s of quadratic forms,
+    potentials and multiadditive forms of arity 1 or 2 give terms.
 
     symmetric declares that fn is invariant under every permutation of its
     arguments; scans then evaluate it once per multiset of ids (see the
@@ -190,20 +192,47 @@ class TupleFunctional:
         return self.fn(args)
 
 
-def pair_sum(terms: list, m: int, scale: Optional[int]) -> tuple:
-    """The `TupleFunctional.on_ids` result for a sum of pair terms over m
-    ids.  terms is a list of (table, i, j): the value on an id tuple is the
-    sum of table[ids[i] * m + ids[j]] over the terms, in list order, and
-    i == j makes a unary term.  The tables hold integers over the positive
-    scale, or fn's own values when scale is None, and then the terms are
-    not declared."""
-    return partial(_term_sum, terms, m), scale, None if scale is None else terms
+def form_sum(n: int, forms: list, *, tag: str, lattice=None,
+             symmetric: bool = False) -> TupleFunctional:
+    """The functional of arity n that sums its forms, a list of (value,
+    places): value takes len(places) elements, places is a tuple of 0-based
+    argument positions, and fn adds value(f at places) in list order from
+    Fraction(0).  on_ids fills one `id_table` per distinct value object and
+    puts all tables on the lcm of their scales, or, with no limit or when
+    one has none, keeps fn's own values in all.  Its terms are the (table,
+    places) list, declared with a scale when no form has over two places."""
+    def fn(f):
+        return sum((value(*(f[i] for i in places)) for value, places in forms), Fraction(0))
+
+    def on_ids(elems, limit=None):
+        distinct = {id(value): (value, len(places)) for value, places in forms}
+        filled = {key: id_table(value, elems, k, limit) for key, (value, k) in distinct.items()}
+        scales = [s for s, _ in filled.values()]
+        scale = None if limit is None or None in scales else math.lcm(*scales)
+        tables = {key: table if s == scale else
+                  [Fraction(v, s) if scale is None else v * (scale // s) for v in table]
+                  for key, (s, table) in filled.items()}
+        terms = [(tables[id(value)], places) for value, places in forms]
+        pairs = scale is not None and all(len(places) <= 2 for _, places in forms)
+        return partial(_term_sum, terms, len(elems)), scale, terms if pairs else None
+
+    return TupleFunctional(arity=n, fn=fn, tag=tag, lattice=lattice, on_ids=on_ids,
+                           symmetric=symmetric)
 
 
 def _term_sum(terms: list, m: int, ids: tuple):
+    """The sum over the (table, places) terms, in list order, of table at
+    the ids at places read as a base-m key (`id_table`)."""
     total = 0
-    for table, i, j in terms:
-        total += table[ids[i] * m + ids[j]]
+    for table, places in terms:
+        if len(places) == 2:
+            i, j = places
+            total += table[ids[i] * m + ids[j]]
+        else:
+            key = 0
+            for i in places:
+                key = key * m + ids[i]
+            total += table[key]
     return total
 
 
@@ -219,8 +248,8 @@ def id_table(value: Callable, elems: list, arity: int, limit: Optional[int]) -> 
     if limit is not None and m ** arity <= limit:
         values = [value(*args) for args in product(elems, repeat=arity)]
         return integer_scale(values) or (None, values)
-    places = [m ** p for p in reversed(range(arity))]
-    return None, _Memo(lambda key: value(*(elems[key // w % m] for w in places)))
+    digits = [m ** p for p in reversed(range(arity))]
+    return None, _Memo(lambda key: value(*(elems[key // w % m] for w in digits)))
 
 
 @dataclass(frozen=True)
@@ -237,7 +266,7 @@ class InsertionChain:
 
 def _evaluator(lam: TupleFunctional, rel: TransitiveRelation, elems: list,
                limit: int) -> tuple:
-    """(evaluate on id tuples, scale or None, pair terms or None), as
+    """(evaluate on id tuples, scale or None, terms or None), as
     `TupleFunctional.on_ids` gives them; a custom relation gets fn's own
     values."""
     if lam.on_ids is not None:
@@ -305,26 +334,28 @@ def _reported(lam: TupleFunctional, rel: TransitiveRelation, first, elems: list,
 def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
                   stats: Callable[[tuple], tuple]):
     """The odometer-first violation ((f, g, j), lhs, rhs) of the exhaustive
-    k = 2 check of a sum of integer pair terms (see `pair_sum`) under ge,
-    le or eq, or None, without enumerating tuples.
+    k = 2 check of a sum of integer terms with one or two places (see
+    `form_sum`) under ge, le or eq, or None, without enumerating tuples.
 
     With the window at (j, j + 1) holding (a, b) moved to (s, t),
     lam(f) - lam(g) = P(a, b) + sum over rest positions r of
-    Q_r(a, b, f_r): terms within the window make P, terms joining the
-    window to r make Q_r, and the others cancel.  So the smallest and the
-    largest difference over all rests add up the smallest and the largest
-    Q_r of each r; ge fails exactly when some (a, b) gives a negative
-    smallest, le a positive largest, and eq either.  Windows are tried in
-    order, and the failing window's lex-least tuple is built greedily: at
-    each position the least value that keeps a violating completion."""
+    Q_r(a, b, f_r): terms whose places all lie in the window make P, terms
+    joining the window to r make Q_r, and the others, unary terms at rest
+    positions included, cancel.  So the smallest and the largest difference
+    over all rests add up the smallest and the largest Q_r of each r; ge
+    fails exactly when some (a, b) gives a negative smallest, le a positive
+    largest, and eq either.  Windows are tried in order, and the failing
+    window's lex-least tuple is built greedily: at each position the least
+    value that keeps a violating completion."""
     low, high = rel.kind in ("ge", "eq"), rel.kind in ("le", "eq")
     cells = range(m)
     zero = [[0] * m] * m
     # link[w, r][y][x]: the terms joining position w at value y to r at x
     link: dict = {}
-    for table, i, j in terms:
-        if i == j:
+    for table, places in terms:
+        if len(set(places)) < 2:
             continue
+        i, j = places
         for w, r, rows in ((i, j, [[table[y * m + x] for x in cells] for y in cells]),
                            (j, i, [[table[x * m + y] for x in cells] for y in cells])):
             have = link.get((w, r))
@@ -340,7 +371,8 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
 
     for p in range(n - 1):
         q = p + 1
-        inner = [(table, i - p, j - p) for table, i, j in terms if {i, j} <= {p, q}]
+        inner = [(table, tuple(i - p for i in places)) for table, places in terms
+                 if set(places) <= {p, q}]
         rest = [(r, link.get((p, r), zero), link.get((q, r), zero))
                 for r in range(n) if r not in (p, q)]
         # [a, b, low sum, high sum, {r: (Q_r row over x, its min, its max)}]
@@ -419,7 +451,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     witnesses carry no window note and sampled trials draw no window.  An
     exhaustive scan of a symmetric functional under ge, le or eq enumerates
     window 0 as sorted window times sorted rest, and an exhaustive k = 2
-    scan with integer pair terms under ge, le or eq enumerates nothing
+    scan with integer terms under ge, le or eq enumerates nothing
     (`_pair_windows`; see the module docstring).  A witness is replayed
     through `order_statistics_tuple` and fn before it is reported
     (`_replayed`)."""
@@ -643,43 +675,24 @@ def chain_point_multisets_conserved(chain: InsertionChain) -> bool:
 def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
     """Functional sum of c * v(f_i) * v(f_j) over the given (c, i, j) terms,
     where v is the element's numeric value and i, j are 1-based argument
-    positions."""
-    prepared = []
-    for c, i, j in terms:
-        if not 1 <= i <= n or not 1 <= j <= n:
-            raise InputError(f"term indices ({i},{j}) out of range 1..{n}")
-        prepared.append((Fraction(c), i - 1, j - 1))
-
+    positions: a `form_sum` with one pair value per coefficient."""
     if isinstance(L, TableLattice):
-        values = {a: L.element_value(a) for a in L.elements()}
-
-        def numeric(a):
-            return values[a]
+        numeric = {a: L.element_value(a) for a in L.elements()}.__getitem__
     else:
         def numeric(a):
             if len(a) != 1:
                 raise InputError("quadratic functionals need scalar-valued elements")
             return a[0]
 
-    def fn(f):
-        return sum((c * numeric(f[i]) * numeric(f[j]) for c, i, j in prepared),
-                   Fraction(0))
-
-    def on_ids(elems, limit=None):
-        # scale lcm(den c) * lcm(den v)^2: each term is then a product of integers
-        m = len(elems)
-        coeffs = [c for c, _, _ in prepared]
-        vals = [numeric(e) for e in elems]
-        scale = None
-        if limit is not None:
-            scaled_c, scaled_v = integer_scale(coeffs), integer_scale(vals)
-            if scaled_c and scaled_v:
-                (c_scale, coeffs), (v_scale, vals) = scaled_c, scaled_v
-                scale = c_scale * v_scale * v_scale
-        return pair_sum([(_Memo(lambda key, c=c: c * vals[key // m] * vals[key % m]), i, j)
-                         for c, (_, i, j) in zip(coeffs, prepared)], m, scale)
-
-    return TupleFunctional(arity=n, fn=fn, tag="quadratic", lattice=L, on_ids=on_ids)
+    values = {}
+    forms = []
+    for c, i, j in terms:
+        if not 1 <= i <= n or not 1 <= j <= n:
+            raise InputError(f"term indices ({i},{j}) out of range 1..{n}")
+        c = Fraction(c)
+        value = values.setdefault(c, lambda a, b, c=c: c * numeric(a) * numeric(b))
+        forms.append((value, (i - 1, j - 1)))
+    return form_sum(n, forms, tag="quadratic", lattice=L)
 
 
 M3_QUADRATIC_TERMS = ((12, 1, 2), (3, 2, 3), (5, 1, 3))

@@ -217,6 +217,23 @@ def test_corollary_esym_and_power_and_supinf(write, capsys):
     assert code == 0
 
 
+def test_esym_without_k_reports_every_order(write, capsys):
+    # three orders, each one instance, listed in the detail; with k the
+    # report has one instance and no list
+    tuple_ = [[1, 0], [0, 1], [2, 1]]
+    code, out, _ = run_cli(capsys, "corollary", "esym", "--config",
+                           write("all.json", {"measure": [1, 1], "tuple": tuple_}))
+    result = json.loads(out)["result"]
+    assert code == 0 and result["instances_checked"] == 3
+    assert result["detail"]["orders"] == [1, 2, 3]
+    for k in (1, 2, 3):
+        code, out, _ = run_cli(capsys, "corollary", "esym", "--config",
+                               write(f"k{k}.json", {"measure": [1, 1], "tuple": tuple_, "k": k}))
+        one = json.loads(out)["result"]
+        assert code == 0 and one["instances_checked"] == 1
+        assert one["detail"] == {key: v for key, v in result["detail"].items() if key != "orders"}
+
+
 def test_corollary_psi_sets_indep(write, capsys):
     psi = write("psi.json", {"measure": [1, 2], "tuple": [[1, 0], [2, 2]],
                              "psi": {"kind": "power", "t": 2}})
@@ -522,6 +539,9 @@ def check_potential(functional):
     return check_schur(functional, SYM_LATTICE)
 
 
+PSI_CONFIG = {"measure": [1, 2], "tuple": [[1, 0], [2, 2]]}
+
+
 @pytest.mark.parametrize("argv,message", [
     (("fkg", "--config", dict(FKG_CONFIG, weight={"kind": "power", "r": -1})),
      "/weight/measure: missing required field"),
@@ -585,6 +605,26 @@ def check_potential(functional):
         "measure": [1, 1], "tuple": [[0, 3], [1, 0]],
         "psi": {"kind": "table", "direction": "nondecreasing", "points": [[0, 5], [1, 6]]}}),
      "/psi/points: no value at 3"),
+    (("corollary", "perm", "--config", {"matrix": [[1, -2]]}), "/matrix/0/1: must be nonnegative"),
+    (("corollary", "esym", "--config", {"measure": [1], "tuple": [[1]], "k": 3}),
+     "/k: must be <= 1"),
+    (("corollary", "esym", "--config", {"measure": [1, 1], "tuple": [[1, 0], [0, -1]]}),
+     "/tuple/1/1: must be nonnegative"),
+    (("corollary", "power", "--config", dict(PSI_CONFIG, tuple=[[1, 0], [-1, 2]], p="1", r="1")),
+     "/tuple/1/0: must be nonnegative"),
+    (("corollary", "supinf", "--config", {"tuple": [[1, 0], [0, -1]]}),
+     "/tuple/1/1: must be nonnegative"),
+    (("corollary", "esym", "--config", {"measure": [1, -1], "tuple": [[1, 0], [0, 1]]}),
+     "/measure/1: must be nonnegative"),
+    (("fkg", "--config", dict(FKG_CONFIG, weight={"kind": "table", "mode": "bogus", "values": [
+        [[0, 0], 1], [[0, 1], 1], [[1, 0], 1], [[1, 1], 1]]})),
+     "/weight/mode: unknown convention mode 'bogus'; use 'zero' or 'inf'"),
+    (("corollary", "sets", "--config", {"ground_size": 2, "k": 1, "weights": [[[0], 1]],
+                                        "sets": [[0], [0, 2]]}),
+     "/sets/1/1: must be <= 1"),
+    (("corollary", "indep", "--config", {"marginals": [[[1, {"num": 1, "den": 2}],
+                                                       [-1, {"num": 1, "den": 2}]]]}),
+     "/marginals/0/1/0: must be nonnegative"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a
@@ -592,9 +632,6 @@ def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
-
-
-PSI_CONFIG = {"measure": [1, 2], "tuple": [[1, 0], [2, 2]]}
 
 
 @pytest.mark.parametrize("argv", [

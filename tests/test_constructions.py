@@ -526,7 +526,11 @@ def test_esym_without_k_checks_every_order():
         fs = [tuple(rand_fraction(rng) for _ in range(3)) for _ in range(rng.randint(1, 4))]
         by_order = [esym_orderstat_check(mu, fs, k) for k in range(1, len(fs) + 1)]
         assert all(r.holds for r in by_order)
-        assert esym_orderstat_check(mu, fs) == by_order[0]
+        report = esym_orderstat_check(mu, fs)
+        orders = list(range(1, len(fs) + 1))
+        assert report.holds and report.instances_checked == len(fs)
+        assert report.detail == dict(by_order[0].detail, orders=orders)
+        assert all(r.instances_checked == 1 and "orders" not in r.detail for r in by_order)
 
 
 def test_esym_without_k_reports_the_first_failing_order(monkeypatch):
@@ -543,7 +547,8 @@ def test_esym_without_k_reports_the_first_failing_order(monkeypatch):
     assert orders == [1, 1, 2, 2, 3, 3]
     assert not report.holds and report.witness.note == "k=2"
     assert (report.witness.lhs, report.witness.rhs) == (-7, -6)
-    assert report == esym_orderstat_check(mu, fs, 2)
+    assert (report.instances_checked, report.detail["orders"]) == (3, [1, 2, 3])
+    assert report.witness == esym_orderstat_check(mu, fs, 2).witness
 
 
 # --- association on product spaces ---

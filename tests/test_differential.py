@@ -235,14 +235,15 @@ def test_id_table_keys_ids_in_base_m_whether_eager_or_lazy():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("form", ["prod-integrals", "integral-of-product", "tensor"])
 def test_multiadd_on_ids_of_form_arity_1_and_3_matches_fn(form, k):
-    # a table of all m^k form values is scaled; one entry fewer keeps it lazy
+    # a table of all m^k form values is scaled; one entry fewer keeps it
+    # lazy.  Forms of arity 1 declare their unary terms, arity 3 none.
     L = FnLattice.zero_to(2, 2)
     elems = L.elements()
     lam = multiadd_symmetric_sum(_odd_arity_forms(k)[form], 3, L)
     size = len(elems) ** k
     (scaled, scale, terms), (lazy, no_scale, no_terms) = \
         lam.on_ids(elems, size), lam.on_ids(elems, size - 1)
-    assert type(scale) is int and scale > 1 and terms is None
+    assert type(scale) is int and scale > 1 and (terms is None) == (k == 3)
     assert no_scale is None and no_terms is None
     for ids in product(range(len(elems)), repeat=3):
         want = lam.fn(tuple(elems[i] for i in ids))
@@ -438,11 +439,19 @@ def test_scaled_on_ids_matches_fn(family):
         assert Fraction(v, scale) == lam.fn(tuple(elems[i] for i in ids)), ids
 
 
-def test_m3_quadratic_scale_is_lcm_of_coefficients_times_values_squared():
-    _, L, lam = next(c for c in _scaled_families() if c[0] == "quadratic-m3")
-    assert lam.on_ids(L.elements(), 1)[1] == 35
-    _, L, lam = next(c for c in _scaled_families() if c[0] == "quadratic-halves")
-    assert lam.on_ids(L.elements(), 1)[1] == 3 * 2 * 2
+def test_quadratic_scale_comes_from_id_table():
+    # the lcm of the coefficient tables' scales, present when the limit
+    # allows m^2 entries and absent one entry below, where the lazy
+    # evaluator still gives fn's values
+    for family, want in (("quadratic-m3", 35), ("quadratic-halves", 3 * 2 * 2)):
+        _, L, lam = next(c for c in _scaled_families() if c[0] == family)
+        elems = L.elements()
+        m = len(elems)
+        assert lam.on_ids(elems, m * m)[1] == want
+        lazy, scale, terms = lam.on_ids(elems, m * m - 1)
+        assert scale is None and terms is None
+        for ids in product(range(m), repeat=3):
+            assert lazy(ids) == lam.fn(tuple(elems[i] for i in ids)), ids
 
 
 def _report_bytes(report):
@@ -497,13 +506,19 @@ def test_carrier_with_inf_values_matches_reference_scan():
     spec = SchurSpec(L, lambda e: Fraction(sum(1 for v in e if is_inf(v)), 3),
                      MultisetCombiner("sum_smallest", 2))
     lam = schur_construct(spec, 3)
-    assert lam.on_ids(L.elements(), 1)[1] == 3
+    assert lam.on_ids(L.elements(), len(L.elements()))[1] == 3
     for relation in ("le", "eq"):
         for got, want in _fallback_runs(L, lam, RELATIONS[relation]):
             assert got == want
-    # a quadratic over these values has no scale, and fails as fn does
+    # a quadratic over these values fails while its table is filled, as fn
+    # does; one entry below m^2 its lazy evaluator fails only where fn does
     q = scalar_quadratic(FnLattice(1, [0, 1, INF]), ((1, 1, 2),), 2)
-    evaluate, scale, _ = q.on_ids(q.lattice.elements(), 10)
+    with pytest.raises(TypeError) as filled:
+        q.on_ids(q.lattice.elements(), 9)
+    with pytest.raises(TypeError) as direct:
+        q.fn(q.lattice.elements()[1:])
+    assert str(filled.value) == str(direct.value)
+    evaluate, scale, _ = q.on_ids(q.lattice.elements(), 8)
     assert scale is None and evaluate((0, 1)) == 0
     with pytest.raises(TypeError):
         evaluate((1, 2))
@@ -610,6 +625,25 @@ def _pairwise_cases(family, n, rng):
     if family.startswith("potential"):
         specs = [random_potential_spec(rng, family.split("-")[1], width=w) for w in (1, 2)]
         return [(spec.carrier, potential_construct(spec, n)) for spec in specs]
+    if family.startswith("multiadd1"):
+        L = FnLattice.zero_to(2, 1)
+        form = _odd_arity_forms(1)[family.split("-", 1)[1]]
+        return [(L, multiadd_symmetric_sum(form, n, L))]
+    if family == "form-sum":
+        # unary forms, pairs on one position and pairs of two, with values
+        # that are neither symmetric nor submodular
+        def value():
+            table = {}
+            return lambda *args: table.setdefault(args, Fraction(rng.randint(-4, 4),
+                                                                  rng.randint(1, 3)))
+        out = []
+        for L in (chain, build_m3()):
+            values = [value(), value(), value()]
+            forms = [(values[0], (rng.randrange(n),)), (values[1], (0, n - 1)),
+                     (values[2], (rng.randrange(n),) * 2), (values[2], (n - 1, n - 2))]
+            out.append((L, semimod.form_sum(n, forms, tag="form-sum", lattice=L)))
+        constants = [(lambda a: Fraction(1, 2), (n - 1,)), (lambda a, b: Fraction(-1, 3), (0, 1))]
+        return out + [(chain, semimod.form_sum(n, constants, tag="constant", lattice=chain))]
     one_point = {
         "prod-integrals": product_of_integrals([Measure((2,)), Measure((3,))]),
         "integral-of-product": integral_of_product(Measure((3,)), 2),
@@ -623,7 +657,9 @@ def _pairwise_cases(family, n, rng):
 
 @pytest.mark.parametrize("family", ["quadratic", "schur-sum", "potential-concave",
                                     "potential-convex", "multiadd-prod-integrals",
-                                    "multiadd-integral-of-product", "multiadd-tensor"])
+                                    "multiadd-integral-of-product", "multiadd-tensor",
+                                    "multiadd1-prod-integrals", "multiadd1-integral-of-product",
+                                    "multiadd1-tensor", "form-sum"])
 def test_pair_windows_match_enumerating_scan(family):
     rng = random.Random(family)
     verdicts = set()
@@ -638,8 +674,10 @@ def test_pair_windows_match_enumerating_scan(family):
                     report = check(lam)
                     assert report == check(_enumerating(lam)), (lam.tag, n, relation)
                     verdicts.add(report.holds)
-    # integral-of-product sums are unchanged by every pair window
-    assert verdicts == ({True} if family == "multiadd-integral-of-product" else {True, False})
+    # integral-of-product sums are unchanged by every pair window, and sums
+    # of forms of arity 1 are modular
+    unchanged = family == "multiadd-integral-of-product" or family.startswith("multiadd1")
+    assert verdicts == ({True} if unchanged else {True, False})
 
 
 def _spied(lam, calls):
@@ -693,8 +731,8 @@ def test_pair_route_runs_only_for_exhaustive_k2_with_a_scale(routes):
 
 def test_pair_route_on_carriers_with_inf_values(routes):
     # lambda counts the infinite entries, so a Schur sum has a scale and
-    # takes the route; a quadratic over the infinite values has none, and
-    # its enumeration fails as fn does
+    # takes the route; a quadratic over the infinite values fails as fn
+    # does, while its table is filled
     calls = []
     L = FnLattice(2, [0, 1, INF])
     spec = SchurSpec(L, lambda e: min(Fraction(1), Fraction(sum(1 for v in e if is_inf(v)), 2)),
@@ -712,7 +750,8 @@ def test_pair_route_on_carriers_with_inf_values(routes):
     with pytest.raises(TypeError) as want:
         reference_scan(chain, q, RELATIONS["ge"], 2, True, "exhaustive")
     assert str(got.value) == str(want.value)
-    assert routes == [True, True] and calls == [True] * 4 + [False]
+    # the quadratic fails while on_ids fills its table: no form is returned
+    assert routes == [True, True] and calls == [True] * 4
 
 
 def test_each_check_calls_on_ids_once():

@@ -8,11 +8,9 @@ from latstat.scalars import (
     ConventionMode,
     InputError,
     as_scalar,
-    ext_add,
     ext_mul,
     ext_pow,
     ext_prod,
-    ext_sub,
     ext_sum,
     is_inf,
     parse_rational,
@@ -40,18 +38,9 @@ def test_infinity_has_no_bare_arithmetic():
         Fraction(1) + INF  # noqa: B018 - arithmetic must go through ext_*
 
 
-def test_ext_add_and_sum():
-    assert ext_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert is_inf(ext_add(Fraction(1), INF))
+def test_ext_sum():
     assert ext_sum([Fraction(1), Fraction(2), Fraction(3)]) == 6
     assert is_inf(ext_sum([Fraction(1), INF, Fraction(2)]))
-
-
-def test_ext_sub():
-    assert ext_sub(Fraction(3), Fraction(5)) == -2
-    assert is_inf(ext_sub(INF, Fraction(7)))
-    with pytest.raises(InputError):
-        ext_sub(Fraction(1), INF)
 
 
 def test_zero_times_inf_requires_mode():

@@ -31,6 +31,7 @@ from latstat.scalars import InternalError
 from latstat.semimod import (
     _derive_seed,
     chain_point_multisets_conserved,
+    form_sum,
     m3_quadratic,
     scalar_quadratic,
 )
@@ -473,8 +474,8 @@ def negated_pair_terms(lam):
     def on_ids(elems, limit=None):
         evaluate, scale, terms = real(elems, limit)
         m = len(elems)
-        return evaluate, scale, [([-table[key] for key in range(m * m)], i, j)
-                                 for table, i, j in terms]
+        return evaluate, scale, [([-table[key] for key in range(m ** len(places))], places)
+                                 for table, places in terms]
     return dataclasses.replace(lam, on_ids=on_ids)
 
 
@@ -500,3 +501,76 @@ def test_witness_replay_refuses_wrong_values(monkeypatch):
     monkeypatch.setattr(semimod, "integer_scale", negated)
     with pytest.raises(InternalError, match="witness replay disagrees"):
         check_generalized_nk(L, lam, 2, GE)
+
+
+# --- sums of forms ---
+
+def _forms(calls=None):
+    """Forms of one, two and three places on 0..2 with denominators 2, 3
+    and 1; the pair value is used twice."""
+    def unary(a):
+        return Fraction(a[0], 2)
+
+    def pair(a, b):
+        if calls is not None:
+            calls.append((a, b))
+        return Fraction(a[0] - 2 * b[0], 3)
+
+    def triple(a, b, c):
+        return a[0] * b[0] + c[0]
+    return [(unary, (1,)), (pair, (0, 2)), (triple, (2, 0, 1)), (pair, (1, 1))]
+
+
+def test_form_sum_fn_is_the_sum_of_its_forms():
+    L = FnLattice.zero_to(1, 2)
+    elems = L.elements()
+    forms = _forms()
+    lam = form_sum(3, forms, tag="forms", lattice=L, symmetric=False)
+    assert (lam.arity, lam.tag, lam.lattice, lam.symmetric) == (3, "forms", L, False)
+    evaluate, scale, terms = lam.on_ids(elems, 27)
+    assert scale == 6 and terms is None  # a form of three places declares none
+    for ids in product(range(3), repeat=3):
+        f = tuple(elems[i] for i in ids)
+        want = sum((value(*(f[i] for i in places)) for value, places in forms), Fraction(0))
+        assert lam.fn(f) == want
+        assert type(evaluate(ids)) is int and Fraction(evaluate(ids), 6) == want, ids
+
+
+def test_form_sum_puts_tables_on_the_lcm_of_their_scales():
+    L = FnLattice.zero_to(1, 2)
+    elems = L.elements()
+    calls = []
+    forms = _forms(calls)
+    forms = forms[:2] + forms[3:]  # one and two places only
+    lam = form_sum(3, forms, tag="forms")
+    evaluate, scale, terms = lam.on_ids(elems, 9)
+    # scales 2 and 3 go onto 6; the pair value shared by two forms fills one table
+    assert scale == 6 and len(calls) == 9
+    assert [places for _, places in terms] == [(1,), (0, 2), (1, 1)]
+    assert terms[1][0] is terms[2][0]
+    assert terms[0][0] == [0, 3, 6]
+    for ids in product(range(3), repeat=3):
+        want = lam.fn(tuple(elems[i] for i in ids))
+        assert Fraction(evaluate(ids), scale) == want, ids
+    # one table of m^3 entries stays lazy at a limit of 26: no scale, and
+    # the filled tables of one and two places hold fn's own values
+    evaluate, scale, terms = form_sum(3, _forms(), tag="forms").on_ids(elems, 26)
+    assert scale is None and terms is None
+    for ids in product(range(3), repeat=3):
+        assert evaluate(ids) == lam.fn(tuple(elems[i] for i in ids)) + \
+            elems[ids[2]][0] * elems[ids[0]][0] + elems[ids[1]][0], ids
+
+
+def test_form_sum_with_one_non_rational_table_has_no_scale():
+    L = FnLattice.zero_to(1, 2)
+    elems = L.elements()
+    forms = _forms()[:2] + [(lambda a: float(a[0]) / 4, (2,))]
+    lam = form_sum(3, forms, tag="floats")
+    evaluate, scale, terms = lam.on_ids(elems, 10 ** 6)
+    assert scale is None and terms is None
+    for ids in product(range(3), repeat=3):
+        got, want = evaluate(ids), lam.fn(tuple(elems[i] for i in ids))
+        assert got == want and type(got) is type(want) is float, ids
+    # the unary Fraction table holds fn's own values, not integers over 2
+    evaluate = form_sum(3, forms[:1] + forms[2:], tag="floats").on_ids(elems, 10)[0]
+    assert evaluate((0, 1, 0)) == 0.5
