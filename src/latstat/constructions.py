@@ -5,8 +5,10 @@ permanents, elementary symmetric functions, monotone transforms, power /
 sup / inf products, association on product spaces, and product measures of
 set tuples.
 
-Everything is exact rational arithmetic; the only floating point lives in
-the explicitly requested high-precision mode for non-integer exponents.
+Everything is exact rational arithmetic under the 0 * inf conventions of
+`scalars`.  The one rounded value is a non-integer power in
+`power_inequality_check`: `_power` evaluates it to 40 digits with mpmath
+and the rest of the check carries the rounded value exactly.
 """
 
 from __future__ import annotations
@@ -718,32 +720,19 @@ def psi_transform_check(psi: Callable, direction: str, measure: Measure,
 
 # --- power products ---
 
-def _mpf_scalar(x: Scalar):
+def _power(x: Scalar, t) -> Scalar:
+    """x ** t for a nonzero rational t, with `ext_pow`'s conventions at 0 and
+    INF.  An integer t is exact; otherwise x ** t is evaluated to 40 digits
+    and its rounded binary value is returned as an exact Fraction."""
+    if t.denominator == 1:
+        return ext_pow(x, int(t))
+    if is_inf(x) or x == 0:
+        return ext_pow(x, 1 if t > 0 else -1)
     import mpmath
-    return mpmath.inf if is_inf(x) else mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
-def _mpf_pow(x, t):
-    import mpmath
-    if x == mpmath.inf:
-        return mpmath.inf if t > 0 else mpmath.mpf(0)
-    if x == 0:
-        return mpmath.mpf(0) if t > 0 else mpmath.inf
-    return mpmath.power(x, t)
-
-
-def _mpf_prod(vals, mode: ConventionMode):
-    import mpmath
-    has_inf = any(v == mpmath.inf for v in vals)
-    has_zero = any(v == 0 for v in vals)
-    if has_inf and has_zero:
-        return mpmath.inf if mode is ConventionMode.INF else mpmath.mpf(0)
-    if has_inf:
-        return mpmath.inf
-    out = mpmath.mpf(1)
-    for v in vals:
-        out *= v
-    return out
+    with mpmath.workdps(40):
+        man, exp = mpmath.power(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator),
+                                mpmath.mpf(str(t))).man_exp
+    return man * Fraction(2) ** exp
 
 
 def power_inequality_check(p, r, measure: Measure, fs: Sequence) -> CheckReport:
@@ -753,74 +742,39 @@ def power_inequality_check(p, r, measure: Measure, fs: Sequence) -> CheckReport:
     (infinity rule).  Zero to a negative power is infinity and infinity to a
     negative power is zero.
 
-    Integer exponents run exactly; non-integer rational exponents run in
-    high-precision floating point with comparisons widened by 1e-9.
+    Both sides are carried exactly through `ext_mul` and `ext_prod`, with
+    every power taken by `_power`: integer exponents are exact, and each
+    non-integer power is rounded to 40 digits.  With a non-integer exponent
+    the detail reports floats and, when both sides are finite, the
+    comparison is widened by 1e-9.
     """
-    p = p if isinstance(p, (int, Fraction)) else Fraction(p)
-    r = r if isinstance(r, (int, Fraction)) else Fraction(r)
+    p, r = (t if isinstance(t, (int, Fraction)) else Fraction(t) for t in (p, r))
     if p == 0 or r == 0:
         raise InputError("exponents must be nonzero")
     for f in fs:
         _require_nonneg_fn(f)
-    r_pos = r > 0
-    mode = ConventionMode.ZERO if r_pos else ConventionMode.INF
-    stats = pointwise_order_statistics(tuple(fs))
-    exact = (isinstance(p, int) or p.denominator == 1) and \
-            (isinstance(r, int) or r.denominator == 1)
-    if exact:
-        pi, ri = int(p), int(r)
+    mode = ConventionMode.ZERO if r > 0 else ConventionMode.INF
 
-        def side(elems):
-            return ext_prod(
-                (ext_pow(measure.integral(tuple(ext_pow(as_scalar(v), pi) for v in f),
-                                          mode), ri)
-                 for f in elems), mode)
+    def side(elems):
+        return ext_prod((_power(measure.integral(tuple(_power(as_scalar(v), p) for v in f),
+                                                 mode), r)
+                         for f in elems), mode)
 
-        lhs, rhs = side(fs), side(stats)
-        ok = lhs >= rhs if r_pos else lhs <= rhs
+    lhs, rhs = side(fs), side(pointwise_order_statistics(tuple(fs)))
+    big, small = (lhs, rhs) if r > 0 else (rhs, lhs)
+    if p.denominator == r.denominator == 1:
+        ok = big >= small
         detail = {"lhs": lhs, "rhs": rhs, "arithmetic": "exact"}
-        if ok:
-            return CheckReport(holds=True, instances_checked=1, detail=detail)
-        return CheckReport(holds=False, instances_checked=1,
-                           witness=Witness(args=tuple(fs), lhs=lhs, rhs=rhs,
-                                           note=f"p={p}, r={r}"),
-                           detail=detail)
-    import mpmath
-    with mpmath.workdps(40):
-        pf, rf = mpmath.mpf(str(p)), mpmath.mpf(str(r))
-
-        def side_f(elems):
-            terms = []
-            for f in elems:
-                powed = [_mpf_pow(_mpf_scalar(as_scalar(v)), pf) for v in f]
-                integ = mpmath.mpf(0)
-                inf_hit = False
-                for v, w in zip(powed, measure.weights):
-                    wf = _mpf_scalar(w)
-                    if v == mpmath.inf or wf == mpmath.inf:
-                        if v == 0 or wf == 0:
-                            if mode is ConventionMode.INF:
-                                inf_hit = True
-                            continue
-                        inf_hit = True
-                        continue
-                    integ += v * wf
-                terms.append(_mpf_pow(mpmath.inf if inf_hit else integ, rf))
-            return _mpf_prod(terms, mode)
-
-        lhs, rhs = side_f(fs), side_f(stats)
-        tol = mpmath.mpf(1) / mpmath.mpf(10) ** 9
-        if lhs == mpmath.inf or rhs == mpmath.inf:
-            ok = (lhs >= rhs) if r_pos else (lhs <= rhs)
-        else:
-            ok = (lhs >= rhs - tol) if r_pos else (lhs <= rhs + tol)
-        detail = {"lhs": float(lhs), "rhs": float(rhs),
-                  "arithmetic": "float(tol=1e-9)"}
+    else:
+        finite = not (is_inf(lhs) or is_inf(rhs))
+        ok = big + Fraction(1, 10 ** 9) >= small if finite else big >= small
+        lhs, rhs = (math.inf if is_inf(v) else float(v) for v in (lhs, rhs))
+        detail = {"lhs": lhs, "rhs": rhs, "arithmetic": "float(tol=1e-9)"}
     if ok:
         return CheckReport(holds=True, instances_checked=1, detail=detail)
     return CheckReport(holds=False, instances_checked=1,
-                       witness=Witness(args=tuple(fs), lhs=detail["lhs"],
-                                       rhs=detail["rhs"], note=f"p={p}, r={r}"),
+                       witness=Witness(args=tuple(fs), lhs=lhs, rhs=rhs,
+                                       note=f"p={p}, r={r}"),
                        detail=detail)
 
 
@@ -858,16 +812,6 @@ def supinf_check(fs: Sequence) -> CheckReport:
 
 # --- product measures of set tuples ---
 
-def subset_order_statistics(sets: Sequence[frozenset], universe: int) -> tuple:
-    """Order statistics on the subset lattice: a point lies in the j-th
-    statistic (ascending) exactly when at least n+1-j of the inputs
-    contain it."""
-    n = len(sets)
-    counts = [sum(1 for A in sets if s in A) for s in range(universe)]
-    return tuple(frozenset(s for s in range(universe) if counts[s] >= n + 1 - j)
-                 for j in range(1, n + 1))
-
-
 def product_measure_check(weights: dict, sets: Sequence, k: int,
                           ground_size: int) -> CheckReport:
     """Sum over injective placements of k of the n sets of the weight of
@@ -890,9 +834,10 @@ def product_measure_check(weights: dict, sets: Sequence, k: int,
         return sum((box_measure([family[i] for i in perm])
                     for perm in permutations(range(n), k)), Fraction(0))
 
-    stats = subset_order_statistics(fams, ground_size)
+    stats = pointwise_order_statistics(
+        tuple(tuple(int(s in A) for s in range(ground_size)) for A in fams))
     original = perm_sum(fams)
-    rearranged = perm_sum(list(stats))
+    rearranged = perm_sum([frozenset(s for s, x in enumerate(g) if x) for g in stats])
     detail = {"original_sum": original, "orderstat_sum": rearranged}
     if rearranged <= original:
         return CheckReport(holds=True, instances_checked=1, detail=detail)

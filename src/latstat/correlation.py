@@ -212,31 +212,39 @@ def inf_weight() -> Callable:
     return lambda h: min(as_scalar(v) for v in h)
 
 
+def _corollary_weight(measure: Optional[Measure], r, use_inf: bool) -> tuple:
+    """(weight, tag) of the fkg and ahke corollaries: the pointwise infimum,
+    or `power_weight(measure, r)`."""
+    if use_inf:
+        return inf_weight(), "inf"
+    if measure is None:
+        raise InputError("power mode needs a measure and a negative integer r")
+    return power_weight(measure, r), f"power(r={r})"
+
+
 def corollary_fkg_check(L, F, G, *, measure: Optional[Measure] = None,
                         r: Optional[int] = None, use_inf: bool = False) -> CheckReport:
     """FKG instance with the negative-power-of-the-integral weight or the
     pointwise-infimum weight."""
-    if use_inf:
-        nu = inf_weight()
-        tag = "inf"
-    else:
-        if measure is None or r is None:
-            raise InputError("power mode needs a measure and a negative integer r")
-        if r >= 0:
-            raise InputError(f"exponent must be negative, got {r}")
-        nu = power_weight(measure, r)
-        tag = f"power(r={r})"
+    nu, tag = _corollary_weight(measure, r, use_inf)
     out = fkg_check(L, nu, F, G, ConventionMode.INF)
     out.detail["weight"] = tag
     return out
 
 
+def _distinct(families: Sequence[Sequence[tuple]]) -> list:
+    """Each family as a list of its distinct elements, in exact scalars, in
+    order of first occurrence: families are sets."""
+    return [list(dict.fromkeys(tuple(as_scalar(v) for v in e) for e in fam))
+            for fam in families]
+
+
 def orderstat_family(families: Sequence[Sequence[tuple]], *,
                      budget: int = DEFAULT_FAMILY_BUDGET) -> tuple:
     """The j-th output collects the j-th order statistic of every tuple in
-    the product of the input families, deduplicated."""
-    fams = [list(dict.fromkeys(tuple(tuple(as_scalar(v) for v in e) for e in fam)))
-            for fam in families]
+    the product of the input families, deduplicated.  The budget bounds the
+    product of the deduplicated families."""
+    fams = _distinct(families)
     if not fams or any(not fam for fam in fams):
         raise InputError("families must be nonempty")
     width = len(fams[0][0])
@@ -266,12 +274,14 @@ def aharoni_keich_check(alphas: Sequence, betas: Sequence,
     product; when it fails the conclusion is not asserted (both sides are
     still reported as informational).  When it holds, verifies
     prod_j sum(alpha_j over family_j) <= prod_j sum(beta_j over stat family_j).
+    Families are sets: a repeated element counts once in the sums, the
+    hypothesis loop and the budget.
     """
     n = len(families)
     if len(alphas) != n or len(betas) != n:
         raise InputError("need one alpha and one beta per family")
     funcs = {"alpha": alphas, "beta": betas}
-    fams = [[tuple(as_scalar(v) for v in e) for e in fam] for fam in families]
+    fams = _distinct(families)
     stat_fams = orderstat_family(fams, budget=budget)
 
     # one evaluation per (function, element): the product loop repeats
@@ -324,16 +334,7 @@ def corollary_ahke_check(families: Sequence[Sequence[tuple]], *,
                          budget: int = DEFAULT_FAMILY_BUDGET) -> CheckReport:
     """Family inequality with alpha = beta = the negative-power-of-integral
     weight, or the pointwise-infimum weight."""
-    if use_inf:
-        nu = inf_weight()
-        tag = "inf"
-    else:
-        if measure is None or r is None:
-            raise InputError("power mode needs a measure and a negative integer r")
-        if not isinstance(r, int) or r >= 0:
-            raise InputError(f"exponent must be a negative integer, got {r!r}")
-        nu = power_weight(measure, r)
-        tag = f"power(r={r})"
+    nu, tag = _corollary_weight(measure, r, use_inf)
     n = len(families)
     out = aharoni_keich_check([nu] * n, [nu] * n, families,
                               mode=ConventionMode.INF, budget=budget)

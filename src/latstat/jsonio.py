@@ -139,11 +139,12 @@ def _pairs(v, ptr: str, what: str, first, second) -> list:
     return _list_of(v, ptr, lambda x, p: _pair(x, p, what, first, second))
 
 
-def _point_table(v, ptr: str) -> dict:
-    """A [[points...], weight] table: tuples of ground points -> weights."""
+def _point_table(v, ptr: str, k: int, size: int) -> dict:
+    """A [[points...], weight] table: k-tuples of points of a ground set of
+    `size` points -> weights."""
+    point = partial(_expect_int, minimum=0, maximum=size - 1)
     return dict(_pairs(v, ptr, "[[points...], weight]",
-                       lambda key, p: tuple(_list_of(key, p, _natural)),
-                       _nonneg_scalar))
+                       lambda key, p: fn_elem_from_json(key, k, p, point), _nonneg_scalar))
 
 
 def _rational_key(text, ptr: str) -> Fraction:
@@ -434,7 +435,8 @@ def _multiadditive_from_json(obj, k: int, lattice: FnLattice, ptr: str):
     if kind == "integral_of_product":
         return integral_of_product(
             measure_from_json(obj["weights"], f"{ptr}/weights", width=width, finite=True), k)
-    return tensor_multiadditive(_point_table(obj["weights"], f"{ptr}/weights"), k, width)
+    return tensor_multiadditive(_point_table(obj["weights"], f"{ptr}/weights", k, width),
+                                k, width)
 
 
 def construction_from_json(params, family: str) -> dict:
@@ -500,7 +502,7 @@ def _weight_from_json(obj, width: Optional[int], kinds: tuple) -> Optional[dict]
     kind = _expect_kind(obj, "/weight", "weight", {kind: fields[kind] for kind in kinds})
     if kind == "power":
         return {"measure": measure_from_json(obj["measure"], "/weight/measure", width=width),
-                "r": _expect_int(obj["r"], "/weight/r")}
+                "r": _expect_int(obj["r"], "/weight/r", maximum=-1)}
     return {"use_inf": True} if kind == "inf" else None
 
 
@@ -619,10 +621,10 @@ def corollary_config_from_json(name: str, path: str) -> partial:
     if name == "sets":
         cfg = parse_config(path, ("ground_size", "k", "weights", "sets"))
         size = _expect_int(cfg["ground_size"], "/ground_size", 1)
+        k = _expect_int(cfg["k"], "/k", 1)
         point = partial(_expect_int, minimum=0, maximum=size - 1)
-        return partial(product_measure_check, ground_size=size,
-                       k=_expect_int(cfg["k"], "/k", 1),
-                       weights=_point_table(cfg["weights"], "/weights"),
+        return partial(product_measure_check, ground_size=size, k=k,
+                       weights=_point_table(cfg["weights"], "/weights", k, size),
                        sets=_list_of(cfg["sets"], "/sets",
                                      lambda A, p: frozenset(_list_of(A, p, point))))
     if name == "indep":

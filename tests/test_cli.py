@@ -329,6 +329,12 @@ def test_fkg_and_ahke_configs(write, capsys):
     code, out, _ = run_cli(capsys, "ahke", "--config", pairs)
     assert code == 0
     assert json.loads(out)["result"]["detail"]["stat_family_sizes"] == [1, 2]
+    # families are sets: a repeated element is one element, not a violation
+    repeated = write("ahke_repeat.json", {"families": [[[1, 2], [1, 2]], [[3, 3]]],
+                                          "weight": {"kind": "inf"}})
+    code, out, _ = run_cli(capsys, "ahke", "--config", repeated)
+    assert code == 0
+    assert json.loads(out)["result"]["detail"]["lhs"] == {"num": 3, "den": 1}
 
 
 def test_input_errors_exit_2_with_pointer(write, capsys):
@@ -625,6 +631,22 @@ PSI_CONFIG = {"measure": [1, 2], "tuple": [[1, 0], [2, 2]]}
     (("corollary", "indep", "--config", {"marginals": [[[1, {"num": 1, "den": 2}],
                                                        [-1, {"num": 1, "den": 2}]]]}),
      "/marginals/0/1/0: must be nonnegative"),
+    (("corollary", "sets", "--config", {"ground_size": 2, "k": 1, "weights": [[[5], 1]],
+                                        "sets": [[0], [0, 1]]}),
+     "/weights/0/0/0: must be <= 1"),
+    (("corollary", "sets", "--config", {"ground_size": 2, "k": 1, "weights": [[[0, 1], 1]],
+                                        "sets": [[0], [0, 1]]}),
+     "/weights/0/0: expected 1 values, got 2"),
+    (check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "tensor", "weights": [[[5, 0], 1]]})),
+     "/m/weights/0/0/0: must be <= 1"),
+    (check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "tensor", "weights": [[[0], 1]]})),
+     "/m/weights/0/0: expected 2 values, got 1"),
+    (("fkg", "--config", dict(FKG_CONFIG, weight={"kind": "power", "r": 1,
+                                                  "measure": [1, 1]})),
+     "/weight/r: must be <= -1"),
+    (("ahke", "--config", dict(AHKE_CONFIG, weight={"kind": "power", "r": 0,
+                                                    "measure": [1, 1]})),
+     "/weight/r: must be <= -1"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a

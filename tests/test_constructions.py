@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,12 +43,12 @@ from latstat.constructions import (
     multiadd_sum_via_symmetrized,
     potential_pair_inequality_check,
     product_of_integrals,
-    subset_order_statistics,
     verify_multiadditive,
     verify_schur_spec,
 )
 from latstat.generators import rand_fraction, random_potential_spec
 from latstat.lattice import fn_diff, pointwise_order_statistics
+from latstat.scalars import ext_pow
 
 GE = TransitiveRelation.ge()
 EQ = TransitiveRelation.eq()
@@ -697,6 +698,53 @@ def test_power_float_mode_with_zero_and_infinite_entries(weights, fs, r, lhs, rh
                              "arithmetic": "float(tol=1e-9)"}
 
 
+def test_power_conventions_at_zero_and_infinity():
+    for t in (Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3), Fraction(-7, 3)):
+        sign = 1 if t > 0 else -1
+        assert constructions._power(Fraction(0), t) == ext_pow(Fraction(0), sign)
+        assert constructions._power(INF, t) == ext_pow(INF, sign)
+    assert constructions._power(Fraction(0), Fraction(-1, 2)) is INF
+    assert constructions._power(INF, Fraction(-1, 2)) == 0
+    for x in (Fraction(0), Fraction(3, 4), Fraction(5), INF):
+        for t in (-3, -1, 1, 2):
+            assert constructions._power(x, t) == ext_pow(x, t)
+            assert constructions._power(x, Fraction(t)) == ext_pow(x, t)
+
+
+def _mp_side(p, r, weights, elems):
+    """Both sides of the power check for positive finite inputs, in 60-digit
+    mpmath."""
+    with mpmath.workdps(60):
+        def mp(x):
+            return mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator
+
+        out = mpmath.mpf(1)
+        for f in elems:
+            out *= mpmath.fsum(mp(w) * mp(v) ** mp(p) for v, w in zip(f, weights)) ** mp(r)
+        return float(out)
+
+
+def test_power_float_mode_matches_high_precision_reference():
+    rng = random.Random(43)
+    exponents = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3),
+                 Fraction(3, 2), 1, -1, 2)
+    for _ in range(150):
+        p, r = rng.choice(exponents), rng.choice(exponents)
+        if p in (1, -1, 2) and r in (1, -1, 2):
+            continue
+        width = rng.randint(1, 3)
+        weights = tuple(rand_fraction(rng, allow_zero=False) for _ in range(width))
+        fs = [tuple(rand_fraction(rng, allow_zero=False) for _ in range(width))
+              for _ in range(rng.randint(1, 3))]
+        report = power_inequality_check(p, r, Measure(weights), fs)
+        assert report.holds
+        assert report.detail["arithmetic"] == "float(tol=1e-9)"
+        stats = pointwise_order_statistics(tuple(fs))
+        assert report.detail["lhs"] == pytest.approx(_mp_side(p, r, weights, fs), rel=1e-12)
+        assert report.detail["rhs"] == pytest.approx(_mp_side(p, r, weights, stats),
+                                                     rel=1e-12)
+
+
 # --- sup / inf products ---
 
 def test_supinf_hand_example():
@@ -729,9 +777,22 @@ def test_supinf_with_infinities():
 # --- product measures of set tuples ---
 
 def test_subset_order_statistics_rule():
+    # on 0/1 indicators the pointwise sort puts a point in the j-th statistic
+    # (ascending) exactly when at least n + 1 - j of the n sets contain it
     sets = [frozenset({0, 1}), frozenset({1}), frozenset({1, 2})]
-    stats = subset_order_statistics(sets, 3)
-    assert stats == (frozenset({1}), frozenset({1}), frozenset({0, 1, 2}))
+    stats = pointwise_order_statistics(
+        tuple(tuple(int(s in A) for s in range(3)) for A in sets))
+    assert stats == ((0, 1, 0), (0, 1, 0), (1, 1, 1))
+    rng = random.Random(23)
+    for _ in range(100):
+        universe, n = rng.randint(1, 5), rng.randint(1, 4)
+        sets = [frozenset(s for s in range(universe) if rng.random() < 0.5)
+                for _ in range(n)]
+        stats = pointwise_order_statistics(
+            tuple(tuple(int(s in A) for s in range(universe)) for A in sets))
+        for j, g in enumerate(stats, start=1):
+            assert g == tuple(int(sum(s in A for A in sets) >= n + 1 - j)
+                              for s in range(universe))
 
 
 def test_product_measure_nested_sets_equality():

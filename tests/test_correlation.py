@@ -195,9 +195,13 @@ def test_corollary_fkg_power_and_inf_modes():
         assert report.holds, report.witness
 
 
+# fkg and ahke share power_weight's one check of r, and its wording
+BAD_R = "power weight needs a negative integer exponent, got"
+
+
 def test_corollary_fkg_rejects_nonnegative_r():
     sub = boolean_square()
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=f"{BAD_R} 1"):
         corollary_fkg_check(sub, lambda h: Fraction(1), lambda h: Fraction(1),
                             measure=Measure.counting(2), r=1)
 
@@ -286,10 +290,27 @@ def test_corollary_ahke_random_power_and_inf():
 
 def test_corollary_ahke_rejects_bad_r():
     fams = [[(Fraction(1),)]]
-    with pytest.raises(InputError):
-        corollary_ahke_check(fams, measure=Measure.counting(1), r=0)
-    with pytest.raises(InputError):
-        corollary_ahke_check(fams, measure=Measure.counting(1), r=Fraction(-1, 2))
+    for r in (1, 0, Fraction(-1, 2)):
+        with pytest.raises(InputError, match=BAD_R):
+            corollary_ahke_check(fams, measure=Measure.counting(1), r=r)
+
+
+def test_ahke_repeated_element_counts_once():
+    one_two, three = (Fraction(1), Fraction(2)), (Fraction(3), Fraction(3))
+    repeated = corollary_ahke_check([[one_two, one_two], [three]], use_inf=True)
+    single = corollary_ahke_check([[one_two], [three]], use_inf=True)
+    assert repeated.holds and single.holds
+    assert repeated.detail == single.detail
+    assert (repeated.detail["lhs"], repeated.detail["rhs"]) == (3, 3)
+    assert repeated.instances_checked == single.instances_checked == 2
+
+
+def test_ahke_budget_bounds_the_loop_over_repeated_elements():
+    # the product of the distinct elements is one tuple, not 300 ** 3
+    e = (Fraction(1), Fraction(2))
+    report = corollary_ahke_check([[e] * 300] * 3, use_inf=True)
+    assert report.holds
+    assert report.instances_checked == 2  # the one tuple and the conclusion
 
 
 def test_fkg_never_fails_when_preconditions_pass_bulk():
