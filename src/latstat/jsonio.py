@@ -51,7 +51,6 @@ from .scalars import (
     InputError,
     as_scalar,
     is_inf,
-    parse_rational,
     scalar_from_json,
     scalar_to_json,
 )
@@ -144,14 +143,21 @@ def _point_table(v, ptr: str, k: int, size: int) -> dict:
     `size` points -> weights."""
     point = partial(_expect_int, minimum=0, maximum=size - 1)
     return dict(_pairs(v, ptr, "[[points...], weight]",
-                       lambda key, p: fn_elem_from_json(key, k, p, point), _nonneg_scalar))
+                       lambda key, p: fn_elem_from_json(key, k, p, point), _nonneg_finite))
 
 
-def _rational_key(text, ptr: str) -> Fraction:
+def _rational(text, ptr: str) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise InputError(f"{ptr}: not a rational literal")
+
+
+def _nonzero_rational(text, ptr: str) -> Fraction:
+    x = _rational(text, ptr)
+    if x == 0:
+        raise InputError(f"{ptr}: must be nonzero")
+    return x
 
 
 # --- elements ---
@@ -378,7 +384,7 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
         terms = []
         max_idx = 0
         for key, idx in coeffs.items():
-            c = _rational_key(key, f"{ptr}/coeffs/{key}")
+            c = _rational(key, f"{ptr}/coeffs/{key}")
             i, j = _pair(idx, f"{ptr}/coeffs/{key}", "an index pair", _positive, _positive)
             terms.append((c, i, j))
             max_idx = max(max_idx, i, j)
@@ -614,7 +620,7 @@ def corollary_config_from_json(name: str, path: str) -> partial:
     if name == "power":
         cfg = parse_config(path, ("measure", "tuple", "p", "r"))
         return partial(power_inequality_check, **_measure_and_tuple(cfg),
-                       p=parse_rational(cfg["p"]), r=parse_rational(cfg["r"]))
+                       p=_nonzero_rational(cfg["p"], "/p"), r=_nonzero_rational(cfg["r"], "/r"))
     if name == "supinf":
         return partial(supinf_check, fn_elems_from_json(
             parse_config(path, ("tuple",))["tuple"], "/tuple", decode=_nonneg_scalar))

@@ -4,19 +4,20 @@ Two element representations share one abstract interface (elements /
 meet / join / leq): explicit meet-join tables, and lattices of
 finite-valued functions on a small ground set with pointwise min/max.
 The public order-statistic functions evaluate the defining subset
-formulas literally and serve as the oracle; the pointwise per-point sort is
-provided separately for function elements.  Scans go through
-`_CompiledLattice` instead: elements become ids in `elements()` order,
-meet and join become id tables filled lazily per pair, and order
-statistics come from the same subset formula on the id tables, memoized by
-the sorted window.
+formulas, folding each subset from its prefix in the literal bracketing, and
+serve as the oracle; the pointwise per-point sort is provided separately for
+function elements.  Scans go through `_CompiledLattice` instead: elements
+become ids in `elements()` order, meet and join become id tables filled
+lazily per pair, and order statistics come from the same `_subset_formula`
+on the id tables, memoized by the sorted window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import islice, product
 from typing import Optional, Sequence
 
 from .report import CheckReport, Witness
@@ -302,6 +303,28 @@ def _validate_tuple(L, f):
         _require_member(L, a)
 
 
+def _subset_formula(n: int):
+    """rows(f, inner, outer) yields, for j = 1..n, the `outer` fold in
+    `combinations` order of the left `inner` folds of an n-tuple f over its
+    j-subsets J.  Each is inner(fold of J[:-1], f[J[-1]]) from the level
+    below: one call per subset, in the literal bracketing and argument order
+    (so equal even on tables that break the axioms).  `plan` gives, per
+    level, each prefix's position in the level below and the index added."""
+    plan, lasts = [], range(n)
+    for _ in range(1, n):
+        steps = [(p, i) for p, last in enumerate(lasts) for i in range(last + 1, n)]
+        plan.append(steps)
+        lasts = [i for _, i in steps]
+
+    def rows(f, inner, outer):
+        level = list(f)
+        yield reduce(outer, level)
+        for steps in plan:
+            level = [inner(level[p], f[i]) for p, i in steps]
+            yield reduce(outer, level)
+    return rows
+
+
 def order_statistics(L, f: Sequence, j: int):
     """The j-th order statistic: meet over all j-element subsets of the
     join of each subset."""
@@ -309,22 +332,12 @@ def order_statistics(L, f: Sequence, j: int):
     if not 1 <= j <= n:
         raise InputError(f"order statistic index {j} out of range 1..{n}")
     _validate_tuple(L, f)
-    return _order_statistic_unchecked(L, f, j)
-
-
-def _order_statistic_unchecked(L, f, j):
-    best = None
-    for J in combinations(range(len(f)), j):
-        v = f[J[0]]
-        for i in J[1:]:
-            v = L.join(v, f[i])
-        best = v if best is None else L.meet(best, v)
-    return best
+    return next(islice(_subset_formula(n)(f, L.join, L.meet), j - 1, None))
 
 
 def order_statistics_tuple(L, f: Sequence) -> tuple:
     _validate_tuple(L, f)
-    return tuple(_order_statistic_unchecked(L, f, j) for j in range(1, len(f) + 1))
+    return tuple(_subset_formula(len(f))(f, L.join, L.meet))
 
 
 def order_statistics_dual(L, f: Sequence, j: int):
@@ -334,23 +347,12 @@ def order_statistics_dual(L, f: Sequence, j: int):
     if not 1 <= j <= n:
         raise InputError(f"order statistic index {j} out of range 1..{n}")
     _validate_tuple(L, f)
-    return _order_statistic_dual_unchecked(L, f, j)
-
-
-def _order_statistic_dual_unchecked(L, f, j):
-    n = len(f)
-    best = None
-    for J in combinations(range(n), n + 1 - j):
-        v = f[J[0]]
-        for i in J[1:]:
-            v = L.meet(v, f[i])
-        best = v if best is None else L.join(best, v)
-    return best
+    return next(islice(_subset_formula(n)(f, L.meet, L.join), n - j, None))
 
 
 def order_statistics_dual_tuple(L, f: Sequence) -> tuple:
     _validate_tuple(L, f)
-    return tuple(_order_statistic_dual_unchecked(L, f, j) for j in range(1, len(f) + 1))
+    return tuple(_subset_formula(len(f))(f, L.meet, L.join))[::-1]
 
 
 class _Memo(dict):
@@ -382,29 +384,26 @@ class _CompiledLattice:
         self.meet = _Memo(lambda key: index[L.meet(elems[key // m], elems[key % m])])
         self.join = _Memo(lambda key: index[L.join(elems[key // m], elems[key % m])])
 
-    def order_statistics(self, k: int):
-        """The map from a k-tuple of ids to the ids of its order statistics,
+    def order_statistics(self):
+        """The map from a tuple of ids to the ids of its order statistics,
         by the subset formula on the id tables.  The formula is symmetric in
         its arguments on every lattice, so results are memoized by the
         sorted window."""
-        meet, join, m = self.meet, self.join, self.m
-        subsets = [list(combinations(range(k), j)) for j in range(1, k + 1)]
+        meet_table, join_table, m = self.meet, self.join, self.m
+        formulas = _Memo(_subset_formula)  # one plan per window length
         memo: dict = {}
+
+        def meet(a, b):
+            return meet_table[a * m + b]
+
+        def join(a, b):
+            return join_table[a * m + b]
 
         def stats(w):
             w = tuple(sorted(w))
             out = memo.get(w)
             if out is None:
-                out = []
-                for combos in subsets:
-                    best = None
-                    for J in combos:
-                        v = w[J[0]]
-                        for i in J[1:]:
-                            v = join[v * m + w[i]]
-                        best = v if best is None else meet[best * m + v]
-                    out.append(best)
-                out = memo[w] = tuple(out)
+                out = memo[w] = tuple(formulas[len(w)](w, join, meet))
             return out
         return stats
 

@@ -469,7 +469,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     else:
         raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
     compiled = _CompiledLattice(L)
-    stats = compiled.order_statistics(k)
+    stats = compiled.order_statistics()
     form = _evaluator(lam, rel, compiled.elems, total)
     notes = [f"window start {j}" if windowed else "" for j in range(windows)]
 

@@ -647,6 +647,16 @@ PSI_CONFIG = {"measure": [1, 2], "tuple": [[1, 0], [2, 2]]}
     (("ahke", "--config", dict(AHKE_CONFIG, weight={"kind": "power", "r": 0,
                                                     "measure": [1, 1]})),
      "/weight/r: must be <= -1"),
+    (("corollary", "sets", "--config", {"ground_size": 2, "k": 1, "weights": [[[1], "inf"]],
+                                        "sets": [[0], [0, 1]]}),
+     "/weights/0/1: must be finite"),
+    (check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "tensor", "weights": [[[0, 1], "inf"]]})),
+     "/m/weights/0/1: must be finite"),
+    (("corollary", "power", "--config", dict(PSI_CONFIG, p="0", r="1")), "/p: must be nonzero"),
+    (("corollary", "power", "--config", dict(PSI_CONFIG, p="x", r="1")),
+     "/p: not a rational literal"),
+    (("corollary", "power", "--config", dict(PSI_CONFIG, p="1", r="0/1")),
+     "/r: must be nonzero"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +202,95 @@ def test_dual_agreement_up_to_27_elements_and_n4():
             order_statistics_dual_tuple(small, f)
 
 
+def literal_subset_formula(L, f, dual=False):
+    """The defining formula evaluated literally: the j-th is the meet, in
+    `combinations` order, of the left-folded join of each j-subset; the
+    dual swaps meet and join and takes (n+1-j)-subsets."""
+    inner, outer = (L.meet, L.join) if dual else (L.join, L.meet)
+    n, out = len(f), []
+    for j in range(1, n + 1):
+        best = None
+        for J in combinations(range(n), n + 1 - j if dual else j):
+            v = f[J[0]]
+            for i in J[1:]:
+                v = inner(v, f[i])
+            best = v if best is None else outer(best, v)
+        out.append(best)
+    return tuple(out)
+
+
+def random_table(rng, size):
+    """Random meet and join tables: almost never a lattice, so any change
+    of bracketing or argument order shows."""
+    def table():
+        return [[rng.randrange(size) for _ in range(size)] for _ in range(size)]
+    return TableLattice(size, table(), table())
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: FnLattice.zero_to(2, 3),
+    lambda rng: product_of_chains([2, 3, 2]),
+    lambda rng: build_m3(),
+    lambda rng: random_table(rng, rng.randint(2, 5)),
+], ids=["fn", "chains", "m3", "non_lattice"])
+def test_every_engine_matches_the_literal_subset_formula(make):
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for _ in range(4):
+            L = make(rng)
+            elems = L.elements()
+            f = tuple(rng.choice(elems) for _ in range(n))
+            primal = literal_subset_formula(L, f)
+            dual = literal_subset_formula(L, f, dual=True)
+            assert order_statistics_tuple(L, f) == primal
+            assert order_statistics_dual_tuple(L, f) == dual
+            for j in range(1, n + 1):
+                assert order_statistics(L, f, j) == primal[j - 1]
+                assert order_statistics_dual(L, f, j) == dual[j - 1]
+            # the compiled engine evaluates the sorted window of ids
+            compiled = _CompiledLattice(L)
+            ids = [compiled.elems.index(a) for a in f]
+            window = tuple(compiled.elems[i] for i in sorted(ids))
+            assert tuple(compiled.elems[i] for i in compiled.order_statistics()(ids)) == \
+                literal_subset_formula(L, window)
+
+
+class CountingLattice:
+    def __init__(self, L):
+        self.L, self.meets, self.joins = L, 0, 0
+
+    def contains(self, a):
+        return self.L.contains(a)
+
+    def meet(self, a, b):
+        self.meets += 1
+        return self.L.meet(a, b)
+
+    def join(self, a, b):
+        self.joins += 1
+        return self.L.join(a, b)
+
+
+def test_subset_formula_costs_one_call_per_subset(fn22):
+    # 2^9 - 9 - 1 subsets of size >= 2: one inner call each, and as many
+    # outer calls (C(9, j) - 1 per order statistic)
+    f = tuple(random.Random(5).choice(fn22.elements()) for _ in range(9))
+    primal = CountingLattice(fn22)
+    order_statistics_tuple(primal, f)
+    assert (primal.joins, primal.meets) == (502, 502)
+    dual = CountingLattice(fn22)
+    order_statistics_dual_tuple(dual, f)
+    assert (dual.meets, dual.joins) == (502, 502)
+    literal = CountingLattice(fn22)
+    literal_subset_formula(literal, f)
+    assert (literal.joins, literal.meets) == (9 * 2 ** 8 - 2 ** 9 + 1, 502)
+    # one statistic stops at its level: the all-meet and the all-join
+    single = CountingLattice(fn22)
+    order_statistics(single, f, 1)
+    order_statistics_dual(single, f, 9)
+    assert (single.joins, single.meets) == (8, 8)
+
+
 # --- pointwise order statistics ---
 
 def test_pointwise_sort_example():
@@ -231,7 +320,7 @@ def test_compiled_order_statistics_match_subset_formula(make):
     compiled = _CompiledLattice(L)
     elems = compiled.elems
     for k in (2, 3, 4):
-        stats = compiled.order_statistics(k)
+        stats = compiled.order_statistics()
         for ids in product(range(len(elems)), repeat=k):
             expected = order_statistics_tuple(L, tuple(elems[i] for i in ids))
             assert tuple(elems[i] for i in stats(ids)) == expected

@@ -438,8 +438,8 @@ def test_witness_replay_refuses_wrong_order_statistics(monkeypatch):
     # reversed order statistics make the M3 pair windows, which hold, fail
     real = lattice._CompiledLattice.order_statistics
 
-    def reversed_stats(self, k):
-        stats = real(self, k)
+    def reversed_stats(self):
+        stats = real(self)
         return lambda w: stats(w)[::-1]
 
     L, lam = build_m3(), m3_quadratic()
