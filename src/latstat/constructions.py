@@ -363,8 +363,8 @@ def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
         if not ok and first is None:
             first = Witness(args=(f1, f2), lhs=lhs, rhs=rhs,
                             note=f"curvature {spec.curvature}")
-    return CheckReport(holds=first is None, instances_checked=samples,
-                       witness=first, mode="sampled", seed=seed)
+    return CheckReport(instances_checked=samples, witness=first, mode="sampled",
+                       seed=seed)
 
 
 # --- multiadditive forms ---
@@ -584,17 +584,14 @@ def perm_orderstat_check(matrix: Sequence[Sequence]) -> CheckReport:
     perm_rows = _permanent(row_sorted)
     perm_cols = _permanent(col_sorted)
     detail = {"permanent": base, "rows_sorted": perm_rows, "cols_sorted": perm_cols}
+    witness = None
     if perm_rows > base:
-        return CheckReport(holds=False, instances_checked=2,
-                           witness=Witness(args=(tuple(map(tuple, rows)),),
-                                           lhs=perm_rows, rhs=base, note="rows"),
-                           detail=detail)
-    if perm_cols > base:
-        return CheckReport(holds=False, instances_checked=2,
-                           witness=Witness(args=(tuple(map(tuple, rows)),),
-                                           lhs=perm_cols, rhs=base, note="columns"),
-                           detail=detail)
-    return CheckReport(holds=True, instances_checked=2, detail=detail)
+        witness = Witness(args=(tuple(map(tuple, rows)),), lhs=perm_rows, rhs=base,
+                          note="rows")
+    elif perm_cols > base:
+        witness = Witness(args=(tuple(map(tuple, rows)),), lhs=perm_cols, rhs=base,
+                          note="columns")
+    return CheckReport(instances_checked=2, witness=witness, detail=detail)
 
 
 # --- elementary symmetric functions ---
@@ -630,8 +627,7 @@ def esym_orderstat_check(measure: Measure, fs: Sequence, k: Optional[int] = None
         rhs = elementary_symmetric(j, mus_stats, mode)
         if not lhs >= rhs and first is None:
             first = Witness(args=tuple(fs), lhs=lhs, rhs=rhs, note=f"k={j}")
-    return CheckReport(holds=first is None, instances_checked=len(orders), witness=first,
-                       detail=detail)
+    return CheckReport(instances_checked=len(orders), witness=first, detail=detail)
 
 
 # --- association on independent product spaces ---
@@ -672,12 +668,11 @@ def indep_association_check(marginals: Sequence[Sequence]) -> CheckReport:
         rhs *= v
     detail = {"mean_of_product": mean_of_prod, "stat_means": stat_means,
               "product_of_means": rhs}
-    if mean_of_prod >= rhs:
-        return CheckReport(holds=True, instances_checked=1, detail=detail)
-    return CheckReport(holds=False, instances_checked=1,
-                       witness=Witness(args=tuple(tuple(m) for m in marginals),
-                                       lhs=mean_of_prod, rhs=rhs),
-                       detail=detail)
+    witness = None
+    if not mean_of_prod >= rhs:
+        witness = Witness(args=tuple(tuple(m) for m in marginals), lhs=mean_of_prod,
+                          rhs=rhs)
+    return CheckReport(instances_checked=1, witness=witness, detail=detail)
 
 
 # --- monotone transforms ---
@@ -710,12 +705,11 @@ def psi_transform_check(psi: Callable, direction: str, measure: Measure,
     else:
         composed = [tuple(psi(v) for v in stats[n - 1 - j]) for j in range(n)]
     rhs = ext_prod((measure.integral(g, mode) for g in composed), mode)
-    if lhs >= rhs:
-        return CheckReport(holds=True, instances_checked=1,
-                           detail={"lhs": lhs, "rhs": rhs})
-    return CheckReport(holds=False, instances_checked=1,
-                       witness=Witness(args=tuple(fs), lhs=lhs, rhs=rhs,
-                                       note=direction))
+    witness = None
+    if not lhs >= rhs:
+        witness = Witness(args=tuple(fs), lhs=lhs, rhs=rhs, note=direction)
+    return CheckReport(instances_checked=1, witness=witness,
+                       detail={"lhs": lhs, "rhs": rhs})
 
 
 # --- power products ---
@@ -770,12 +764,10 @@ def power_inequality_check(p, r, measure: Measure, fs: Sequence) -> CheckReport:
         ok = big + Fraction(1, 10 ** 9) >= small if finite else big >= small
         lhs, rhs = (math.inf if is_inf(v) else float(v) for v in (lhs, rhs))
         detail = {"lhs": lhs, "rhs": rhs, "arithmetic": "float(tol=1e-9)"}
-    if ok:
-        return CheckReport(holds=True, instances_checked=1, detail=detail)
-    return CheckReport(holds=False, instances_checked=1,
-                       witness=Witness(args=tuple(fs), lhs=lhs, rhs=rhs,
-                                       note=f"p={p}, r={r}"),
-                       detail=detail)
+    witness = None
+    if not ok:
+        witness = Witness(args=tuple(fs), lhs=lhs, rhs=rhs, note=f"p={p}, r={r}")
+    return CheckReport(instances_checked=1, witness=witness, detail=detail)
 
 
 # --- sup / inf products ---
@@ -797,17 +789,12 @@ def supinf_check(fs: Sequence) -> CheckReport:
     rhs_inf = ext_prod(inf_stats, ConventionMode.INF)
     detail = {"sup_lhs": lhs_sup, "sup_rhs": rhs_sup,
               "inf_lhs": lhs_inf, "inf_rhs": rhs_inf}
+    witness = None
     if not lhs_sup >= rhs_sup:
-        return CheckReport(holds=False, instances_checked=2,
-                           witness=Witness(args=tuple(fs), lhs=lhs_sup, rhs=rhs_sup,
-                                           note="sup side"),
-                           detail=detail)
-    if not lhs_inf <= rhs_inf:
-        return CheckReport(holds=False, instances_checked=2,
-                           witness=Witness(args=tuple(fs), lhs=lhs_inf, rhs=rhs_inf,
-                                           note="inf side"),
-                           detail=detail)
-    return CheckReport(holds=True, instances_checked=2, detail=detail)
+        witness = Witness(args=tuple(fs), lhs=lhs_sup, rhs=rhs_sup, note="sup side")
+    elif not lhs_inf <= rhs_inf:
+        witness = Witness(args=tuple(fs), lhs=lhs_inf, rhs=rhs_inf, note="inf side")
+    return CheckReport(instances_checked=2, witness=witness, detail=detail)
 
 
 # --- product measures of set tuples ---
@@ -839,9 +826,8 @@ def product_measure_check(weights: dict, sets: Sequence, k: int,
     original = perm_sum(fams)
     rearranged = perm_sum([frozenset(s for s, x in enumerate(g) if x) for g in stats])
     detail = {"original_sum": original, "orderstat_sum": rearranged}
-    if rearranged <= original:
-        return CheckReport(holds=True, instances_checked=1, detail=detail)
-    return CheckReport(holds=False, instances_checked=1,
-                       witness=Witness(args=tuple(sorted(tuple(sorted(A)) for A in fams)),
-                                       lhs=rearranged, rhs=original),
-                       detail=detail)
+    witness = None
+    if not rearranged <= original:
+        witness = Witness(args=tuple(sorted(tuple(sorted(A)) for A in fams)),
+                          lhs=rearranged, rhs=original)
+    return CheckReport(instances_checked=1, witness=witness, detail=detail)

@@ -136,8 +136,7 @@ def is_log_supermodular(nu, L, mode: Optional[ConventionMode] = None) -> CheckRe
             rhs = ext_mul(as_scalar(nu(f)), as_scalar(nu(g)), mode)
             if not lhs >= rhs and first is None:
                 first = Witness(args=(f, g), lhs=lhs, rhs=rhs)
-    return CheckReport(holds=first is None, instances_checked=len(elems) ** 2,
-                       witness=first)
+    return CheckReport(instances_checked=len(elems) ** 2, witness=first)
 
 
 def _check_nondecreasing(func, name, L) -> Optional[Witness]:
@@ -161,14 +160,14 @@ def fkg_check(L, nu, F, G, mode: Optional[ConventionMode] = None) -> CheckReport
     elems = L.elements()
     logsup = is_log_supermodular(nu, L, mode)
     if not logsup.holds:
-        return CheckReport(holds=False, instances_checked=logsup.instances_checked,
+        return CheckReport(instances_checked=logsup.instances_checked,
                            witness=logsup.witness,
                            detail={"precondition_failed": "log-supermodularity"})
     for func, name in ((F, "F"), (G, "G")):
         w = _check_nondecreasing(func, name, L)
         if w is not None:
-            return CheckReport(holds=False, instances_checked=logsup.instances_checked,
-                               witness=w, detail={"precondition_failed": "monotonicity"})
+            return CheckReport(instances_checked=logsup.instances_checked, witness=w,
+                               detail={"precondition_failed": "monotonicity"})
     has_inf_weight = any(is_inf(as_scalar(nu(e))) for e in elems)
     if has_inf_weight:
         for func, name in ((F, "F"), (G, "G")):
@@ -188,11 +187,10 @@ def fkg_check(L, nu, F, G, mode: Optional[ConventionMode] = None) -> CheckReport
     rhs = ext_mul(s_f, s_g, mode)
     detail = {"sum_FG": s_fg, "sum_1": s_1, "sum_F": s_f, "sum_G": s_g}
     checked = logsup.instances_checked + 1
-    if lhs >= rhs:
-        return CheckReport(holds=True, instances_checked=checked, detail=detail)
-    return CheckReport(holds=False, instances_checked=checked,
-                       witness=Witness(args=(), lhs=lhs, rhs=rhs, note="four-sum"),
-                       detail=detail)
+    witness = None
+    if not lhs >= rhs:
+        witness = Witness(args=(), lhs=lhs, rhs=rhs, note="four-sum")
+    return CheckReport(instances_checked=checked, witness=witness, detail=detail)
 
 
 def power_weight(measure: Measure, r: int) -> Callable:
@@ -314,18 +312,16 @@ def aharoni_keich_check(alphas: Sequence, betas: Sequence,
             hyp_witness = Witness(args=f, lhs=h_lhs, rhs=h_rhs,
                                   note="pointwise hypothesis violated")
     if hyp_witness is not None:
-        return CheckReport(holds=False, instances_checked=checked,
-                           witness=hyp_witness,
+        return CheckReport(instances_checked=checked, witness=hyp_witness,
                            detail={"hypothesis_violated": True,
                                    "informational_lhs": lhs,
                                    "informational_rhs": rhs})
     detail = {"lhs": lhs, "rhs": rhs,
               "stat_family_sizes": [len(s) for s in stat_fams]}
-    if lhs <= rhs:
-        return CheckReport(holds=True, instances_checked=checked + 1, detail=detail)
-    return CheckReport(holds=False, instances_checked=checked + 1,
-                       witness=Witness(args=(), lhs=lhs, rhs=rhs, note="sum products"),
-                       detail=detail)
+    witness = None
+    if not lhs <= rhs:
+        witness = Witness(args=(), lhs=lhs, rhs=rhs, note="sum products")
+    return CheckReport(instances_checked=checked + 1, witness=witness, detail=detail)
 
 
 def corollary_ahke_check(families: Sequence[Sequence[tuple]], *,

@@ -264,11 +264,11 @@ def validate_table_lattice(t: TableLattice) -> CheckReport:
                 if t.join(a, t.join(b, c)) != t.join(t.join(a, b), c):
                     return _axiom_fail((a, b, c), t.join(a, t.join(b, c)),
                                        t.join(t.join(a, b), c), "join associativity", checked)
-    return CheckReport(holds=True, instances_checked=checked)
+    return CheckReport(instances_checked=checked)
 
 
 def _axiom_fail(args, lhs, rhs, law, checked) -> CheckReport:
-    return CheckReport(holds=False, instances_checked=checked,
+    return CheckReport(instances_checked=checked,
                        witness=Witness(args=args, lhs=lhs, rhs=rhs, note=law))
 
 
@@ -289,9 +289,7 @@ def is_distributive(L, budget: int = DEFAULT_BUDGET) -> CheckReport:
                 if lhs != rhs and first is None:
                     first = Witness(args=(a, b, c), lhs=lhs, rhs=rhs,
                                     note="a meet (b join c) != (a meet b) join (a meet c)")
-    if first is not None:
-        return CheckReport(holds=False, instances_checked=checked, witness=first)
-    return CheckReport(holds=True, instances_checked=checked)
+    return CheckReport(instances_checked=checked, witness=first)
 
 
 # --- order statistics ---

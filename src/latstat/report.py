@@ -20,21 +20,19 @@ class Witness:
 class CheckReport:
     """Result of one verification run.
 
-    witness is present exactly when holds is False.  In exhaustive mode
-    instances_checked equals the full enumeration size (scans do not stop
-    at the first violation, so the reported witness is the smallest in
-    enumeration order).
+    A report holds exactly when it carries no witness: `holds` is derived
+    from `witness`, so a passing report with a witness, or a failing one
+    without, cannot be built.  In exhaustive mode instances_checked equals
+    the full enumeration size (scans do not stop at the first violation, so
+    the reported witness is the smallest in enumeration order).
     """
 
-    holds: bool
     instances_checked: int
     witness: Optional[Witness] = None
     mode: str = "exhaustive"
     seed: Optional[int] = None
     detail: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.holds and self.witness is not None:
-            raise ValueError("a passing report cannot carry a witness")
-        if not self.holds and self.witness is None:
-            raise ValueError("a failing report must carry a witness")
+    @property
+    def holds(self) -> bool:
+        return self.witness is None

@@ -454,7 +454,22 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     scan with integer terms under ge, le or eq enumerates nothing
     (`_pair_windows`; see the module docstring).  A witness is replayed
     through `order_statistics_tuple` and fn before it is reported
-    (`_replayed`)."""
+    (`_replayed`).  A scan with k = 1 is vacuous: it validates mode and
+    seed, then checks nothing."""
+    if mode == "sampled":
+        if seed is None:
+            raise InputError("sampled mode requires a seed")
+    elif mode == "exhaustive":
+        seed = None  # exhaustive reports echo no seed
+    else:
+        raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
+    if k == 1:
+        if windowed:
+            vacuous = "1-wide windows equal their order statistics"
+        else:
+            vacuous = "1-tuples equal their order statistics"
+        return CheckReport(instances_checked=0, mode=mode, seed=seed,
+                           detail={"vacuous": vacuous})
     n = lam.arity
     m = len(L.elements())
     windows = n - k + 1
@@ -462,12 +477,8 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         total = windows * m ** n
         what = "exhaustive windowed scan" if windowed else "exhaustive scan"
         _require_budget(total, budget, f"{what} of L^{n}")
-    elif mode == "sampled":
-        if seed is None:
-            raise InputError("sampled mode requires a seed")
-        total = trials
     else:
-        raise InputError(f"unknown mode {mode!r}; use exhaustive or sampled")
+        total = trials
     compiled = _CompiledLattice(L)
     stats = compiled.order_statistics()
     form = _evaluator(lam, rel, compiled.elems, total)
@@ -502,8 +513,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         _, witness = _scan(lam, rel, instances, compiled.elems, form, oracle)
     # total counts every tuple covered, also when multisets or pair tables
     # stand for them
-    return CheckReport(holds=witness is None, instances_checked=total, witness=witness,
-                       mode=mode, seed=seed if mode == "sampled" else None)
+    return CheckReport(instances_checked=total, witness=witness, mode=mode, seed=seed)
 
 
 # --- the checkers ---
@@ -515,11 +525,8 @@ def check_generalized_n(L, lam: TupleFunctional, rel: TransitiveRelation, *,
                         trials: int = 1000, budget: int = DEFAULT_BUDGET,
                         jobs: int = 1) -> CheckReport:
     """Verify rel(lam(f), lam(order statistics of f)) over L^n."""
-    n = lam.arity
-    if n == 1:
-        return CheckReport(holds=True, instances_checked=0, mode=mode, seed=seed,
-                           detail={"vacuous": "1-tuples equal their order statistics"})
-    return _window_scan(L, lam, n, rel, mode, seed, trials, budget, windowed=False)
+    return _window_scan(L, lam, lam.arity, rel, mode, seed, trials, budget,
+                        windowed=False)
 
 
 def check_generalized_nk(L, lam: TupleFunctional, k: int, rel: TransitiveRelation, *,
@@ -532,9 +539,6 @@ def check_generalized_nk(L, lam: TupleFunctional, k: int, rel: TransitiveRelatio
     n = lam.arity
     if not 1 <= k <= n:
         raise InputError(f"window width {k} out of range 1..{n}")
-    if k == 1:
-        return CheckReport(holds=True, instances_checked=0, mode=mode, seed=seed,
-                           detail={"vacuous": "1-wide windows equal their order statistics"})
     return _window_scan(L, lam, k, rel, mode, seed, trials, budget, windowed=True)
 
 
@@ -581,7 +585,7 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
 
     form = _evaluator(lam, rel, compiled.elems, total)
     count, witness = _scan(lam, rel, instances(), compiled.elems, form, oracle)
-    return CheckReport(holds=witness is None, instances_checked=count, witness=witness)
+    return CheckReport(instances_checked=count, witness=witness)
 
 
 # --- the rearrangement chain ---
@@ -658,7 +662,7 @@ def verify_chain_sortedness(chain: InsertionChain) -> CheckReport:
                 checked += 1
                 if not row[lo][s] <= row[hi][s]:
                     record(k, lo + 1, hi + 1, s, row[lo][s], row[hi][s])
-    return CheckReport(holds=first is None, instances_checked=checked, witness=first)
+    return CheckReport(instances_checked=checked, witness=first)
 
 
 def chain_point_multisets_conserved(chain: InsertionChain) -> bool:
@@ -771,6 +775,5 @@ def reduction_regression(generator: Callable, trials: int, seed: int, *,
                             rhs=full.witness.rhs,
                             note=f"trial {t}, functional {lam.tag!r} passed pair windows "
                                  "but failed the full check")
-    return CheckReport(holds=first is None, instances_checked=verified,
-                       witness=first, mode="sampled", seed=seed,
-                       detail={"trials": trials, "precondition_failures": flagged})
+    return CheckReport(instances_checked=verified, witness=first, mode="sampled",
+                       seed=seed, detail={"trials": trials, "precondition_failures": flagged})

@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latstat import build_m3, semimod
 from latstat.cli import main
@@ -166,6 +172,16 @@ def test_check_sampled_mode_is_deterministic(write, capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("coeffs,n", [({"1": [1, 1]}, 1), ({"1": [1, 2]}, 2)])
+def test_check_sampled_without_seed_exits_2_at_every_arity(write, capsys, coeffs, n):
+    lat = write("m3.json", M3_ORDER)
+    fun = write("f.json", {"family": "quadratic", "coeffs": coeffs, "n": n})
+    code, out, err = run_cli(capsys, "check", "--lattice", lat, "--functional", fun,
+                             "--k", "n", "--mode", "sampled")
+    assert (code, out) == (2, "")
+    assert err == "input error: sampled mode requires a seed\n"
 
 
 def test_demo_m3_exit_zero(capsys):
@@ -687,3 +703,74 @@ def test_valid_config_kinds_exit_0(write, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert json.loads(out)["result"]["holds"] is True
+
+
+# --- one-field mutations of valid configs ---
+
+FUZZ_SEEDS = [
+    ("check", "--lattice", M3_ORDER, "--functional", M3_FUNCTIONAL, "--k", "2"),
+    ("check", "--lattice", M3_ORDER, "--functional", M3_FUNCTIONAL, "--k", "n"),
+    check_schur(SCHUR_FUNCTIONAL),
+    check_schur(MULTIADD_FUNCTIONAL),
+    check_potential(POTENTIAL_FUNCTIONAL),
+    ("fkg", "--config", FKG_CONFIG),
+    ("ahke", "--config", AHKE_CONFIG),
+    ("corollary", "perm", "--config", {"matrix": [[1, 2], [3, 0]]}),
+    ("corollary", "esym", "--config", {"measure": [1, 1], "tuple": [[1, 0], [0, 1]], "k": 2}),
+    ("corollary", "power", "--config", dict(PSI_CONFIG, p="1", r="-1")),
+    ("corollary", "psi", "--config", dict(PSI_CONFIG, psi={"kind": "power", "t": 2})),
+    ("corollary", "supinf", "--config", {"tuple": [[1, 0], [0, "inf"]]}),
+    ("corollary", "sets", "--config", {"ground_size": 3, "k": 2, "sets": [[0, 1], [1], [1, 2]],
+                                       "weights": [[[0, 1], 1], [[1, 2], 2], [[0, 0], 1]]}),
+    ("corollary", "indep", "--config", {"marginals": [[[0, "1/2"], [1, "1/2"]],
+                                                      [[0, "1/3"], [2, "2/3"]]]}),
+]
+
+DELETE = object()
+MUTANTS = (DELETE, None, True, -1, 0, 1, 2, 3, "1/2", "-1", "inf", "x", [], [0, 1], {},
+           {"kind": "x"})
+
+
+def _fields(node, path=()):
+    """Paths to every field and list entry below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _mutated(argv, path, value):
+    argv = copy.deepcopy(list(argv))
+    *parents, last = path
+    node = argv
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_field_mutation_exit_codes(data):
+    argv = data.draw(st.sampled_from(FUZZ_SEEDS))
+    paths = [(i,) + p for i, a in enumerate(argv) if isinstance(a, dict) for p in _fields(a)]
+    argv = _mutated(argv, data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(MUTANTS)))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, a in enumerate(argv):
+            if isinstance(a, dict):
+                argv[i] = str(Path(tmp) / f"arg{i}.json")
+                Path(argv[i]).write_text(json.dumps(a))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code in (2, 3):
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        return
+    result = json.loads(out.getvalue())["result"]
+    violated = result.get("holds") is False and result.get("witness") is not None
+    assert (code == 1) == violated

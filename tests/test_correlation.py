@@ -370,13 +370,13 @@ def _ref_fkg_check(L, nu, F, G, mode=None):
     elems = L.elements()
     logsup = is_log_supermodular(nu, L, mode)
     if not logsup.holds:
-        return CheckReport(holds=False, instances_checked=logsup.instances_checked,
+        return CheckReport(instances_checked=logsup.instances_checked,
                            witness=logsup.witness,
                            detail={"precondition_failed": "log-supermodularity"})
     for func, name in ((F, "F"), (G, "G")):
         w = _check_nondecreasing(func, name, L)
         if w is not None:
-            return CheckReport(holds=False, instances_checked=logsup.instances_checked,
+            return CheckReport(instances_checked=logsup.instances_checked,
                                witness=w, detail={"precondition_failed": "monotonicity"})
     if any(is_inf(as_scalar(nu(e))) for e in elems):
         for func, name in ((F, "F"), (G, "G")):
@@ -395,8 +395,8 @@ def _ref_fkg_check(L, nu, F, G, mode=None):
     detail = {"sum_FG": s_fg, "sum_1": s_1, "sum_F": s_f, "sum_G": s_g}
     checked = logsup.instances_checked + 1
     if lhs >= rhs:
-        return CheckReport(holds=True, instances_checked=checked, detail=detail)
-    return CheckReport(holds=False, instances_checked=checked,
+        return CheckReport(instances_checked=checked, detail=detail)
+    return CheckReport(instances_checked=checked,
                        witness=Witness(args=(), lhs=lhs, rhs=rhs, note="four-sum"),
                        detail=detail)
 
@@ -427,13 +427,13 @@ def _ref_ahke_check(alphas, betas, families, mode=None):
             hyp_witness = Witness(args=f, lhs=h_lhs, rhs=h_rhs,
                                   note="pointwise hypothesis violated")
     if hyp_witness is not None:
-        return CheckReport(holds=False, instances_checked=checked, witness=hyp_witness,
+        return CheckReport(instances_checked=checked, witness=hyp_witness,
                            detail={"hypothesis_violated": True,
                                    "informational_lhs": lhs, "informational_rhs": rhs})
     detail = {"lhs": lhs, "rhs": rhs, "stat_family_sizes": [len(s) for s in stat_fams]}
     if lhs <= rhs:
-        return CheckReport(holds=True, instances_checked=checked + 1, detail=detail)
-    return CheckReport(holds=False, instances_checked=checked + 1,
+        return CheckReport(instances_checked=checked + 1, detail=detail)
+    return CheckReport(instances_checked=checked + 1,
                        witness=Witness(args=(), lhs=lhs, rhs=rhs, note="sum products"),
                        detail=detail)
 

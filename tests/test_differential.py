@@ -461,8 +461,9 @@ def _report_bytes(report):
 def _reference_bytes(L, lam, rel, k, windowed, **sampled):
     mode = "sampled" if sampled else "exhaustive"
     holds, count, witness = reference_scan(L, lam, rel, k, windowed, mode, **sampled)
-    return _report_bytes(CheckReport(holds=holds, instances_checked=count, witness=witness,
-                                     mode=mode, seed=sampled.get("seed")))
+    assert holds == (witness is None)
+    return _report_bytes(CheckReport(instances_checked=count, witness=witness, mode=mode,
+                                     seed=sampled.get("seed")))
 
 
 def _fallback_runs(L, lam, rel):

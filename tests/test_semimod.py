@@ -26,7 +26,7 @@ from latstat import (
 from latstat import lattice, semimod
 from latstat.generators import random_multiadd_functional, random_schur_functional
 from latstat.lattice import birkhoff_embed, lattice_from_order
-from latstat.report import Witness
+from latstat.report import CheckReport, Witness
 from latstat.scalars import InternalError
 from latstat.semimod import (
     _derive_seed,
@@ -117,6 +117,32 @@ def test_k_one_vacuous():
     report = check_generalized_nk(L, m3_quadratic(L), 1, GE)
     assert report.holds
     assert report.instances_checked == 0
+
+
+def test_vacuous_checks_validate_mode_and_seed():
+    L = build_m3()
+    checks = ((lambda **kw: check_generalized_n(L, scalar_quadratic(L, ((1, 1, 1),), 1),
+                                                GE, **kw),
+               "1-tuples equal their order statistics"),
+              (lambda **kw: check_generalized_nk(L, m3_quadratic(L), 1, GE, **kw),
+               "1-wide windows equal their order statistics"))
+    for check, vacuous in checks:
+        with pytest.raises(InputError, match="sampled mode requires a seed"):
+            check(mode="sampled")
+        with pytest.raises(InputError, match="unknown mode 'bogus'"):
+            check(mode="bogus")
+        assert check(seed=3).seed is None  # exhaustive reports echo no seed
+        sampled = check(mode="sampled", seed=3)
+        assert sampled.holds and sampled.seed == 3 and sampled.instances_checked == 0
+        assert sampled.detail == {"vacuous": vacuous}
+
+
+def test_report_holds_exactly_when_it_has_no_witness():
+    assert CheckReport(instances_checked=1).holds
+    witness = Witness(args=(), lhs=1, rhs=2)
+    assert not CheckReport(instances_checked=1, witness=witness).holds
+    with pytest.raises(TypeError):
+        CheckReport(holds=True, instances_checked=1)
 
 
 def test_k_out_of_range():
