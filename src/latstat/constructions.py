@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
-from .lattice import FnLattice, _Memo, fn_diff, fn_meet, pointwise_order_statistics
+from .lattice import (FnLattice, _CompiledLattice, _Memo, fn_diff, fn_meet,
+                      pointwise_order_statistics)
 from .report import CheckReport, Witness
 from .scalars import (
     ConventionMode,
@@ -142,30 +143,33 @@ class SchurSpec:
 
 
 def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
-                      spot_checks: int = 40) -> None:
+                      spot_checks: int = 40) -> list:
     """Exhaustively check the one-argument map (submodular, nondecreasing) and
     spot-check the combiner on generated majorization pairs.  The combiner
     check is a falsification filter, not a proof, and is skipped for a
     `MultisetCombiner`, whose properties are theorems.  Raises with a
-    witness on failure."""
-    elems = spec.lattice.elements()
-    vals = {e: Fraction(spec.lam(e)) for e in elems}
-    for f in elems:
-        for g in elems:
-            lhs = vals[f] + vals[g]
-            rhs = vals[spec.lattice.join(f, g)] + vals[spec.lattice.meet(f, g)]
+    witness on failure; returns lam's values as Fractions, by id in
+    `spec.lattice.elements()` order.  The map is read on meet and join id
+    tables, with f <= g exactly when the meet of f and g is f."""
+    compiled = _CompiledLattice(spec.lattice)
+    elems, meet, join, m = compiled.elems, compiled.meet, compiled.join, compiled.m
+    vals = [Fraction(spec.lam(e)) for e in elems]
+    for i, f in enumerate(elems):
+        for j, g in enumerate(elems):
+            lhs = vals[i] + vals[j]
+            rhs = vals[join[i * m + j]] + vals[meet[i * m + j]]
             if lhs < rhs:
                 raise InputError(
                     f"{spec.lam_name} is not submodular: pair ({f!r}, {g!r}) "
                     f"gives {lhs} < {rhs}")
-            if spec.lattice.leq(f, g) and vals[f] > vals[g]:
+            if meet[i * m + j] == i and vals[i] > vals[j]:
                 raise InputError(
                     f"{spec.lam_name} is not nondecreasing: {f!r} <= {g!r} "
-                    f"but {vals[f]} > {vals[g]}")
+                    f"but {vals[i]} > {vals[j]}")
     if isinstance(spec.combiner, MultisetCombiner):
-        return
+        return vals
     rng = random.Random(seed)
-    pool = sorted(set(vals.values()))
+    pool = sorted(set(vals))
     for _ in range(spot_checks):
         y = tuple(rng.choice(pool) if pool else Fraction(rng.randrange(8))
                   for _ in range(n))
@@ -186,6 +190,7 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
         bumped = tuple(v + (1 if k == i else 0) for k, v in enumerate(y))
         if spec.combiner(bumped) < spec.combiner(y):
             raise InputError(f"{spec.combiner_name} is not nondecreasing in argument {i}")
+    return vals
 
 
 def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctional:
@@ -194,8 +199,7 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctiona
     lam from one `id_table` of arity 1, scaled only for a `MultisetCombiner`
     (others need not commute with a scale); with the combiner "sum" it is
     the sum of the unary terms (values, (i,))."""
-    verify_schur_spec(spec, n, seed=seed)
-    vals = {e: Fraction(spec.lam(e)) for e in spec.lattice.elements()}
+    vals = dict(zip(spec.lattice.elements(), verify_schur_spec(spec, n, seed=seed)))
     combiner = spec.combiner
     multiset = isinstance(combiner, MultisetCombiner)
 
@@ -385,10 +389,12 @@ class MultiadditiveFn:
 def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 0,
                          samples: int = 60) -> None:
     """Spot-check slotwise additivity and nonnegativity on sampled tuples;
-    raises with a witness on failure."""
+    raises with a witness on failure.  m is evaluated once per distinct
+    argument tuple."""
     rng = random.Random(seed)
     elems = lattice.elements()
     k = m.arity
+    value = _Memo(lambda args: m.fn(*args)).__getitem__
 
     def pick():
         return elems[rng.randrange(len(elems))]
@@ -403,8 +409,8 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
         with_meet[slot] = fn_meet(f, g)
         with_rest = list(fixed)
         with_rest[slot] = fn_diff(f, g)
-        lhs = m.fn(*with_f)
-        rhs = m.fn(*with_meet) + m.fn(*with_rest)
+        lhs = value(tuple(with_f))
+        rhs = value(tuple(with_meet)) + value(tuple(with_rest))
         if lhs != rhs:
             raise InputError(
                 f"{m.tag or 'map'} is not additive in slot {slot}: "
@@ -439,17 +445,6 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
     return form_sum(n, [(m.fn, places) for places in permutations(range(n), k)],
                     tag=f"multiadd({m.tag},k={k})", lattice=lattice, symmetric=True)
-
-
-def multiadd_sum_via_symmetrized(m: MultiadditiveFn, n: int, f: Sequence) -> Fraction:
-    """Equivalent evaluation k! * sum of the symmetrized form over index
-    subsets; used to cross-check the direct permutation sum."""
-    k = m.arity
-    sym = symmetrize(m)
-    total = Fraction(0)
-    for I in combinations(range(n), k):
-        total += sym.fn(*(f[i] for i in I))
-    return math.factorial(k) * total
 
 
 def product_of_integrals(measures: Sequence[Measure]) -> MultiadditiveFn:

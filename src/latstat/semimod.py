@@ -15,7 +15,10 @@ the same order as a scan of elements would and report the same first
 witness, mapped back to elements.  Order statistics come from the subset
 formula on id tables, memoized by the sorted window
 (`lattice._CompiledLattice`); a functional with an `on_ids` factory is
-evaluated on ids directly.
+evaluated on ids directly.  A scan of integer values over a scale under
+ge, le or eq ends at its first violation, which settles the verdict
+(`_scan`); `instances_checked` counts the tuples covered, not the tuples
+visited.
 
 A `symmetric` functional is evaluated once per multiset: every scan keys its
 value memo by the sorted id tuple and evaluates on that key.  Its exhaustive
@@ -282,26 +285,27 @@ def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
 
 
 def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
-          form: tuple, oracle: Callable[[int], tuple]) -> tuple:
+          form: tuple, oracle: Callable[[int], tuple]) -> Optional[Witness]:
     """Compare rel(lam(f), lam(g)) over (f, g, j) instances of id tuples
     with one value memo, keyed by the sorted tuple when `_by_multiset`.
     Values come from form, the (evaluate, scale, terms) that `_evaluator`
     gives for the scan's instance total, and are compared on its scale.
-    Returns (instance count, first witness or None); every instance is
-    compared, so the count is the true count and the witness is the first
-    in instance order.  Ends with the transitivity
+    Returns the first witness in instance order, or None.  The scan ends at
+    that witness when the relation is ge, le or eq and there is a scale:
+    every value is then an integer fixed before the scan, so no later
+    evaluation can raise, and there is no transitivity filter to feed.
+    Otherwise every instance is compared.  Ends with the transitivity
     filter on the values seen, then replays the witness (`_replayed`):
     oracle(j) gives the move of an instance tagged j, on element tuples,
     and its note."""
     fn, scale, _ = form
     sort = _by_multiset(lam, rel)
     holds = _OPERATORS.get(rel.kind, rel.holds)
+    stop = scale is not None and rel.kind in _OPERATORS
     memo: dict = {}
-    count = 0
     first = None
     for instance in instances:
         f, g, _ = instance
-        count += 1
         key = tuple(sorted(f)) if sort else f
         a = memo.get(key)
         if a is None:
@@ -312,8 +316,10 @@ def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
             b = memo[key] = fn(key)
         if not holds(a, b) and first is None:
             first = instance, a, b
+            if stop:
+                break
     rel.check_transitive(list(memo.values()))
-    return count, _reported(lam, rel, first, elems, scale, oracle)
+    return _reported(lam, rel, first, elems, scale, oracle)
 
 
 def _reported(lam: TupleFunctional, rel: TransitiveRelation, first, elems: list,
@@ -510,9 +516,9 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         witness = _reported(lam, rel, _pair_windows(rel, terms, m, n, stats),
                             compiled.elems, form[1], oracle)
     else:
-        _, witness = _scan(lam, rel, instances, compiled.elems, form, oracle)
+        witness = _scan(lam, rel, instances, compiled.elems, form, oracle)
     # total counts every tuple covered, also when multisets or pair tables
-    # stand for them
+    # stand for them and when the scan ended at its first violation
     return CheckReport(instances_checked=total, witness=witness, mode=mode, seed=seed)
 
 
@@ -584,7 +590,9 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
         return swap, f"sorted prefix length {j}"
 
     form = _evaluator(lam, rel, compiled.elems, total)
-    count, witness = _scan(lam, rel, instances(), compiled.elems, form, oracle)
+    witness = _scan(lam, rel, instances(), compiled.elems, form, oracle)
+    # the instances covered, also when the scan ended at its first violation
+    count = sum(len(list(chains(j))) * m ** (n - j) for j in range(1, n))
     return CheckReport(instances_checked=count, witness=witness)
 
 

@@ -40,14 +40,13 @@ from latstat import constructions
 from latstat.constructions import (
     MultisetCombiner,
     integral_of_product,
-    multiadd_sum_via_symmetrized,
     potential_pair_inequality_check,
     product_of_integrals,
     verify_multiadditive,
     verify_schur_spec,
 )
 from latstat.generators import rand_fraction, random_potential_spec
-from latstat.lattice import fn_diff, pointwise_order_statistics
+from latstat.lattice import build_m3, fn_diff, lattice_from_order, pointwise_order_statistics
 from latstat.scalars import ext_pow
 
 GE = TransitiveRelation.ge()
@@ -120,6 +119,27 @@ def test_schur_refuses_bad_lambda():
     with pytest.raises(InputError) as err:
         schur_construct(SchurSpec(L, decreasing, min, "neg", "min"), 3)
     assert "nondecreasing" in str(err.value)
+
+
+@pytest.mark.parametrize("L, lam, message", [
+    (FnLattice.zero_to(2, 1), lambda f: (Fraction(f[0]) + Fraction(f[1])) ** 2,
+     "lam is not submodular: pair ((Fraction(0, 1), Fraction(1, 1)), "
+     "(Fraction(1, 1), Fraction(0, 1))) gives 2 < 4"),
+    (FnLattice.zero_to(2, 1), lambda f: -Fraction(f[0]),
+     "lam is not nondecreasing: (Fraction(0, 1), Fraction(0, 1)) <= "
+     "(Fraction(1, 1), Fraction(0, 1)) but 0 > -1"),
+    (build_m3(), lambda e: Fraction([0, 1, 1, 1, 3][e]),
+     "lam is not submodular: pair (1, 2) gives 2 < 3"),
+    # ids against the order: 3 <= 2 <= 1 <= 0
+    (lattice_from_order(4, [(3, 2), (2, 1), (1, 0), (3, 1), (3, 0), (2, 0)]), Fraction,
+     "lam is not nondecreasing: 1 <= 0 but 1 > 0"),
+], ids=["supermodular", "decreasing", "m3-supermodular", "table-decreasing"])
+def test_schur_spec_first_failure_on_id_tables(L, lam, message):
+    # the map is read on meet/join id tables, with f <= g when f meet g is f;
+    # the first failing pair and its message are those of the element scan
+    with pytest.raises(InputError) as err:
+        verify_schur_spec(SchurSpec(L, lam, min), 3)
+    assert str(err.value) == message
 
 
 def test_schur_refuses_schur_convex_combiner():
@@ -312,6 +332,17 @@ def test_multiadd_k_equals_n_product_of_integrals():
         assert lam.fn(f) == expected
 
 
+def multiadd_sum_via_symmetrized(m: MultiadditiveFn, n: int, f) -> Fraction:
+    """The oracle of `multiadd_symmetric_sum`: k! times the sum of the
+    symmetrized form over the k-subsets of argument positions."""
+    k = m.arity
+    sym = symmetrize(m)
+    total = Fraction(0)
+    for I in combinations(range(n), k):
+        total += sym.fn(*(f[i] for i in I))
+    return math.factorial(k) * total
+
+
 def test_multiadd_direct_equals_symmetrized_form():
     L = FnLattice.zero_to(2, 1)
     m = integral_of_product(Measure((Fraction(1), Fraction(3))), 2)
@@ -342,6 +373,33 @@ def test_verify_multiadditive_catches_non_additive():
     bad = MultiadditiveFn(arity=1, fn=lambda f: Fraction(f[0]) ** 2, tag="sq")
     with pytest.raises(InputError):
         verify_multiadditive(bad, L, seed=0, samples=60)
+
+
+def test_verify_multiadditive_evaluates_each_argument_tuple_once():
+    L = FnLattice.zero_to(2, 1)
+    form = integral_of_product(Measure((Fraction(1), Fraction(3))), 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return form.fn(*args)
+
+    verify_multiadditive(MultiadditiveFn(arity=2, fn=counted), L, seed=3)
+    assert calls and len(calls) == len(set(calls))
+    assert len(calls) < 3 * 60  # the 60 samples repeat argument tuples
+
+
+@pytest.mark.parametrize("m, message", [
+    (MultiadditiveFn(arity=2, fn=lambda f, g: Fraction(f[0]) ** 2 * g[1], tag="sq"),
+     "sq is not additive in slot 0: 8 != 4 at f=(Fraction(2, 1), Fraction(1, 1)), "
+     "g=(Fraction(1, 1), Fraction(0, 1))"),
+    (MultiadditiveFn(arity=2, fn=lambda f, g: -f[0] * g[1] - f[1] * g[0], tag="neg"),
+     "neg is negative at [(Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(2, 1))]"),
+], ids=["non-additive", "negative"])
+def test_verify_multiadditive_failure_messages(m, message):
+    with pytest.raises(InputError) as info:
+        verify_multiadditive(m, FnLattice.zero_to(2, 2), seed=3)
+    assert str(info.value) == message
 
 
 def test_slot_additivity_identities():

@@ -75,6 +75,51 @@ def test_m3_quadratic_fails_full_check():
     assert report.witness.rhs == 160
 
 
+def test_scaled_scan_stops_at_first_violation_and_counts_the_enumeration():
+    # the n = 5 M3 quadratic first fails at tuple 975 of 3125 in odometer
+    # order; the scan evaluates only those tuples and their order statistics
+    L = build_m3()
+    lam = scalar_quadratic(L, semimod.M3_QUADRATIC_TERMS, 5)
+    seen = set()
+    real = lam.on_ids
+
+    def on_ids(elems, limit=None):
+        evaluate, scale, terms = real(elems, limit)
+
+        def counted(ids):
+            seen.add(ids)
+            return evaluate(ids)
+        return counted, scale, terms
+
+    lam.on_ids = on_ids
+    report = check_generalized_n(L, lam, GE)
+    assert report.instances_checked == 3125
+    assert tuple(L.label_of(a) for a in report.witness.args) == (2, 3, 4, 5, 5)
+    assert (report.witness.lhs, report.witness.rhs) == (148, 160)
+    tuples = list(product(range(5), repeat=5))
+    visited = tuples[:975]
+    assert tuples.index(report.witness.args) == 974
+    assert set(visited) <= seen
+    assert seen <= set(visited) | {order_statistics_tuple(L, f) for f in visited}
+
+
+def test_unscaled_scan_compares_every_instance():
+    # without a scale the values are computed lazily, so an evaluation that
+    # raises after the first violation still decides the outcome
+    L = FnLattice.zero_to(1, 3)
+
+    def fn(f):
+        if f == ((3,), (3,)):
+            raise InputError("no value at the top")
+        return Fraction(10 * f[1][0] + f[0][0])
+
+    lam = TupleFunctional(arity=2, fn=fn)
+    with pytest.raises(InputError, match="no value at the top"):
+        check_generalized_n(L, lam, GE)
+    with pytest.raises(InputError, match="no value at the top"):
+        check_generalized_nk(L, lam, 2, GE)
+
+
 def test_arity_one_is_vacuous():
     L = FnLattice.zero_to(1, 2)
     never = TransitiveRelation.custom(lambda a, b: False, name="never")
@@ -153,17 +198,41 @@ def test_k_out_of_range():
 
 # --- relaxed hypothesis ---
 
+def _sorted_prefix_count(L, n):
+    """The relaxed check's instances, by an independent enumeration of
+    sorted-prefix tuples."""
+    return sum(all(L.leq(f[i], f[i + 1]) for i in range(j - 1))
+               for j in range(1, n) for f in product(L.elements(), repeat=n))
+
+
 def test_relaxed_hypothesis_on_m3_quadratic():
     L = build_m3()
     report = check_relaxed_hypothesis(L, m3_quadratic(L), GE)
     assert report.holds
-    # count via an independent enumeration of sorted-prefix tuples
-    expected = 0
-    for j in (1, 2):
-        for f in product(range(5), repeat=3):
-            if all(L.leq(f[i], f[i + 1]) for i in range(j - 1)):
-                expected += 1
-    assert report.instances_checked == expected
+    assert report.instances_checked == _sorted_prefix_count(L, 3)
+
+
+def test_violated_relaxed_hypothesis_counts_every_instance():
+    # a violated relaxed check with integer values over a scale ends at its
+    # first violation and still reports every sorted-prefix instance
+    L = build_m3()
+    lam = scalar_quadratic(L, ((-1, 1, 2),), 3)
+    seen = set()
+    real = lam.on_ids
+
+    def on_ids(elems, limit=None):
+        evaluate, scale, terms = real(elems, limit)
+
+        def counted(ids):
+            seen.add(ids)
+            return evaluate(ids)
+        return counted, scale, terms
+
+    lam.on_ids = on_ids
+    report = check_relaxed_hypothesis(L, lam, GE)
+    assert not report.holds
+    assert report.instances_checked == _sorted_prefix_count(L, 3)
+    assert len(seen) < 5 ** 3
 
 
 def test_relaxed_hypothesis_witness():
@@ -449,6 +518,22 @@ def test_custom_relation_transitivity_check():
     close = TransitiveRelation.custom(lambda a, b: abs(a - b) <= 1, name="close")
     with pytest.raises(InputError):
         check_generalized_n(L, lam, close)
+
+
+def test_custom_relation_filter_reads_values_after_the_first_violation():
+    # the first violation is at ((1,), (0,)); only the values 30..33 of
+    # later tuples show that "<=, or within 1 from 30 up" is not transitive
+    L = FnLattice.zero_to(1, 3)
+    lam = TupleFunctional(arity=2, fn=lambda f: 10 * f[0][0] + f[1][0], tag="digits")
+
+    def pred(a, b):
+        return abs(a - b) <= 1 if max(a, b) >= 30 else a <= b
+
+    rel = TransitiveRelation.custom(pred, name="near-top")
+    with pytest.raises(InputError, match="not transitive"):
+        check_generalized_n(L, lam, rel)
+    early = TransitiveRelation.custom(lambda a, b: a <= b, name="le")
+    assert check_generalized_n(L, lam, early).witness.args == ((1,), (0,))
 
 
 def test_relation_from_name():
