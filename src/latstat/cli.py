@@ -1,6 +1,7 @@
 """Command-line surface.  Each handler decodes its input, calls what the
 decoded config selects (the config decoders in `jsonio` return the call of
-their checker), and emits the report.
+their checker), and emits the report.  The parser is built once per
+process; `main` looks up the handler of each call by its command name.
 
 Exit codes: 0 = inequality holds / demo reproduced / all criteria pass,
 1 = violated, 2 = input error, 3 = evaluation budget exceeded,
@@ -16,7 +17,7 @@ import argparse
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .acceptance import CRITERIA, run_all
@@ -150,8 +151,7 @@ def _cmd_check(args) -> int:
     functional = functional_from_json(load_json_file(args.functional), lattice)
     rel = TransitiveRelation.from_name(args.relation)
     budget = args.budget if args.budget is not None else _default_budget()
-    kwargs = dict(mode=args.mode, seed=args.seed, trials=args.trials,
-                  budget=budget, jobs=args.jobs)
+    kwargs = dict(mode=args.mode, seed=args.seed, trials=args.trials, budget=budget)
     if args.k == "n":
         report = check_generalized_n(lattice, functional, rel, **kwargs)
         k_echo = "n"
@@ -167,8 +167,8 @@ def _cmd_check(args) -> int:
         labels = _maybe_labels(lattice, report.witness.args)
         if labels is not None:
             result["witness_labels"] = labels
-    # jobs is accepted but does not change execution; it stays out of the
-    # echo so reports are byte-identical across worker counts
+    # --jobs is validated and otherwise ignored (scans run in this process);
+    # it stays out of the echo, so reports are byte-identical across its values
     echo = {"lattice": args.lattice, "functional": args.functional,
             "relation": args.relation, "k": k_echo, "mode": args.mode,
             "seed": args.seed, "trials": args.trials, "budget": budget}
@@ -239,7 +239,10 @@ def _cmd_reproduce(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `main` finds each subcommand's
+    handler, `_cmd_<command>`, by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="latstat",
         description="Exact checks of semimodularity-type inequalities and "
@@ -256,14 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("validate", "distributive", "birkhoff"))
     p.add_argument("--lattice", required=True)
     add_io(p)
-    p.set_defaults(handler=_cmd_lattice)
 
     p = sub.add_parser("ordstats", help="order statistics of a tuple (plumbing)")
     p.add_argument("--lattice", required=True)
     p.add_argument("--tuple", required=True)
     p.add_argument("--dual", action="store_true")
     add_io(p)
-    p.set_defaults(handler=_cmd_ordstats)
 
     p = sub.add_parser("check", help="generalized semimodularity check")
     p.add_argument("--lattice", required=True)
@@ -274,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--budget", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; must be >= 1 and changes nothing")
     add_io(p)
-    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("demo", help="built-in demonstrations")
     p.add_argument("which", choices=("m3", "nonrev"))
@@ -285,45 +286,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="1/10000")
     p.add_argument("--r", type=int, default=1)
     add_io(p)
-    p.set_defaults(handler=_cmd_demo)
 
     p = sub.add_parser("corollary", help="inequality checkers")
     p.add_argument("which", choices=("perm", "esym", "psi", "power", "supinf",
                                      "sets", "indep"))
     p.add_argument("--config", required=True)
     add_io(p)
-    p.set_defaults(handler=_cmd_corollary)
 
     p = sub.add_parser("construct", help="validate and emit a functional descriptor")
     p.add_argument("family", choices=("schur", "potential", "multiadd"))
     p.add_argument("--params", required=True)
     p.add_argument("--emit")
     add_io(p)
-    p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("fkg", help="four-sum correlation inequality")
     p.add_argument("--config", required=True)
     add_io(p)
-    p.set_defaults(handler=_cmd_fkg)
 
     p = sub.add_parser("ahke", help="family correlation inequality")
     p.add_argument("--config", required=True)
     add_io(p)
-    p.set_defaults(handler=_cmd_ahke)
 
     p = sub.add_parser("reproduce", help="run the acceptance suite (plumbing)")
     p.add_argument("--budget", type=int)
     p.add_argument("--criteria", help="comma-separated criterion numbers")
-    p.set_defaults(handler=_cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -389,34 +389,47 @@ class MultiadditiveFn:
 def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 0,
                          samples: int = 60) -> None:
     """Spot-check slotwise additivity and nonnegativity on sampled tuples;
-    raises with a witness on failure.  m is evaluated once per distinct
-    argument tuple."""
+    raises with a witness on failure.  Elements are int ids: a carrier
+    element its `elements()` index, read off its values' chain positions,
+    and an `fn_diff` result off the carrier the next free id.  The (meet,
+    diff) split is computed once per id pair and m once per id tuple."""
     rng = random.Random(seed)
-    elems = lattice.elements()
-    k = m.arity
-    value = _Memo(lambda args: m.fn(*args)).__getitem__
+    elems = list(lattice.elements())
+    size, k = len(elems), m.arity
+    digits = {v: d for d, v in enumerate(lattice.chain)}
+    outside: dict = {}
+    value = _Memo(lambda key: m.fn(*(elems[i] for i in key))).__getitem__
 
-    def pick():
-        return elems[rng.randrange(len(elems))]
+    def id_of(e):
+        i = 0
+        for v in e:
+            if v not in digits:
+                i = outside.setdefault(e, len(elems))
+                if i == len(elems):
+                    elems.append(e)
+                return i
+            i = i * len(digits) + digits[v]
+        return i
+
+    def meet_and_diff(pair):
+        f, g = elems[pair[0]], elems[pair[1]]
+        return id_of(fn_meet(f, g)), id_of(fn_diff(f, g))
+    split = _Memo(meet_and_diff).__getitem__
 
     for _ in range(samples):
         slot = rng.randrange(k)
-        fixed = [pick() for _ in range(k)]
-        f, g = pick(), pick()
-        with_f = list(fixed)
-        with_f[slot] = f
-        with_meet = list(fixed)
-        with_meet[slot] = fn_meet(f, g)
-        with_rest = list(fixed)
-        with_rest[slot] = fn_diff(f, g)
-        lhs = value(tuple(with_f))
-        rhs = value(tuple(with_meet)) + value(tuple(with_rest))
+        fixed = [rng.randrange(size) for _ in range(k)]
+        f, g = rng.randrange(size), rng.randrange(size)
+        with_f, with_meet, with_rest = (tuple(fixed[:slot] + [i] + fixed[slot + 1:])
+                                        for i in (f, *split((f, g))))
+        lhs = value(with_f)
+        rhs = value(with_meet) + value(with_rest)
         if lhs != rhs:
             raise InputError(
                 f"{m.tag or 'map'} is not additive in slot {slot}: "
-                f"{lhs} != {rhs} at f={f}, g={g}")
+                f"{lhs} != {rhs} at f={elems[f]}, g={elems[g]}")
         if lhs < 0:
-            raise InputError(f"{m.tag or 'map'} is negative at {with_f}")
+            raise InputError(f"{m.tag or 'map'} is negative at {[elems[i] for i in with_f]}")
 
 
 def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:

@@ -9,14 +9,14 @@ serve as the oracle; the pointwise per-point sort is provided separately for
 function elements.  Scans go through `_CompiledLattice` instead: elements
 become ids in `elements()` order, meet and join become id tables filled
 lazily per pair, and order statistics come from the same `_subset_formula`
-on the id tables, memoized by the sorted window.
+plan, read straight off the id tables and memoized by the sorted window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice, product
 from typing import Optional, Sequence
 
@@ -301,26 +301,31 @@ def _validate_tuple(L, f):
         _require_member(L, a)
 
 
-def _subset_formula(n: int):
-    """rows(f, inner, outer) yields, for j = 1..n, the `outer` fold in
-    `combinations` order of the left `inner` folds of an n-tuple f over its
-    j-subsets J.  Each is inner(fold of J[:-1], f[J[-1]]) from the level
-    below: one call per subset, in the literal bracketing and argument order
-    (so equal even on tables that break the axioms).  `plan` gives, per
-    level, each prefix's position in the level below and the index added."""
-    plan, lasts = [], range(n)
+@cache
+def _subset_formula(n: int) -> tuple:
+    """The plan, built once per n, of the subset formulas of an n-tuple f:
+    per level j = 1..n, None at j = 1 (the level is f), then the j-subsets
+    J in `combinations` order as (p, i), the position of J[:-1] in level
+    j - 1 and the index i = J[-1] it adds.  Level j holds inner(entry p of
+    level j - 1, f[i]), one inner call per subset in the literal bracketing
+    and argument order (so equal even on tables that break the axioms), and
+    row j is its left `outer` fold.  `_subset_rows` runs the plan on
+    callables and is the oracle; `_CompiledLattice` runs it on id tables."""
+    plan, lasts = [None], range(n)
     for _ in range(1, n):
-        steps = [(p, i) for p, last in enumerate(lasts) for i in range(last + 1, n)]
+        steps = tuple((p, i) for p, last in enumerate(lasts) for i in range(last + 1, n))
         plan.append(steps)
         lasts = [i for _, i in steps]
+    return tuple(plan)
 
-    def rows(f, inner, outer):
-        level = list(f)
-        yield reduce(outer, level)
-        for steps in plan:
+
+def _subset_rows(f, inner, outer):
+    """Yields rows j = 1..n of the `_subset_formula` plan for f."""
+    level = f
+    for steps in _subset_formula(len(f)):
+        if steps is not None:
             level = [inner(level[p], f[i]) for p, i in steps]
-            yield reduce(outer, level)
-    return rows
+        yield reduce(outer, level)
 
 
 def order_statistics(L, f: Sequence, j: int):
@@ -330,12 +335,12 @@ def order_statistics(L, f: Sequence, j: int):
     if not 1 <= j <= n:
         raise InputError(f"order statistic index {j} out of range 1..{n}")
     _validate_tuple(L, f)
-    return next(islice(_subset_formula(n)(f, L.join, L.meet), j - 1, None))
+    return next(islice(_subset_rows(f, L.join, L.meet), j - 1, None))
 
 
 def order_statistics_tuple(L, f: Sequence) -> tuple:
     _validate_tuple(L, f)
-    return tuple(_subset_formula(len(f))(f, L.join, L.meet))
+    return tuple(_subset_rows(f, L.join, L.meet))
 
 
 def order_statistics_dual(L, f: Sequence, j: int):
@@ -345,12 +350,12 @@ def order_statistics_dual(L, f: Sequence, j: int):
     if not 1 <= j <= n:
         raise InputError(f"order statistic index {j} out of range 1..{n}")
     _validate_tuple(L, f)
-    return next(islice(_subset_formula(n)(f, L.meet, L.join), n - j, None))
+    return next(islice(_subset_rows(f, L.meet, L.join), n - j, None))
 
 
 def order_statistics_dual_tuple(L, f: Sequence) -> tuple:
     _validate_tuple(L, f)
-    return tuple(_subset_formula(len(f))(f, L.meet, L.join))[::-1]
+    return tuple(_subset_rows(f, L.meet, L.join))[::-1]
 
 
 class _Memo(dict):
@@ -383,25 +388,27 @@ class _CompiledLattice:
         self.join = _Memo(lambda key: index[L.join(elems[key // m], elems[key % m])])
 
     def order_statistics(self):
-        """The map from a tuple of ids to the ids of its order statistics,
-        by the subset formula on the id tables.  The formula is symmetric in
-        its arguments on every lattice, so results are memoized by the
-        sorted window."""
-        meet_table, join_table, m = self.meet, self.join, self.m
-        formulas = _Memo(_subset_formula)  # one plan per window length
+        """The map from a tuple of ids to the ids of its order statistics:
+        the `_subset_formula` plan run on the meet and join id tables, each
+        entry read inline.  The formula is symmetric in its arguments on
+        every lattice, so results are memoized by the sorted window."""
+        meet, join, m = self.meet, self.join, self.m
         memo: dict = {}
-
-        def meet(a, b):
-            return meet_table[a * m + b]
-
-        def join(a, b):
-            return join_table[a * m + b]
 
         def stats(w):
             w = tuple(sorted(w))
             out = memo.get(w)
             if out is None:
-                out = memo[w] = tuple(formulas[len(w)](w, join, meet))
+                level, out = w, []
+                for steps in _subset_formula(len(w)):
+                    if steps is not None:
+                        level = [join[level[p] * m + w[i]] for p, i in steps]
+                    it = iter(level)
+                    acc = next(it)
+                    for b in it:
+                        acc = meet[acc * m + b]
+                    out.append(acc)
+                out = memo[w] = tuple(out)
             return out
         return stats
 

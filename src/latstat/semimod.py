@@ -71,7 +71,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import Callable, Optional, Sequence
 
@@ -217,26 +216,32 @@ def form_sum(n: int, forms: list, *, tag: str, lattice=None,
                   for key, (s, table) in filled.items()}
         terms = [(tables[id(value)], places) for value, places in forms]
         pairs = scale is not None and all(len(places) <= 2 for _, places in forms)
-        return partial(_term_sum, terms, len(elems)), scale, terms if pairs else None
+        return _term_sum(terms, len(elems)), scale, terms if pairs else None
 
     return TupleFunctional(arity=n, fn=fn, tag=tag, lattice=lattice, on_ids=on_ids,
                            symmetric=symmetric)
 
 
-def _term_sum(terms: list, m: int, ids: tuple):
-    """The sum over the (table, places) terms, in list order, of table at
-    the ids at places read as a base-m key (`id_table`)."""
-    total = 0
-    for table, places in terms:
-        if len(places) == 2:
-            i, j = places
+def _term_sum(terms: list, m: int) -> Callable[[tuple], object]:
+    """The evaluator of the sum, in list order, of each (table, places)
+    term's table at the ids at places read as a base-m key (`id_table`):
+    the leading pair terms as table[a * m + b], then the rest digit by
+    digit, so inexact values (floats) still add up in fn's order."""
+    lead = next((p for p, (_, places) in enumerate(terms) if len(places) != 2), len(terms))
+    pairs = [(table, i, j) for table, (i, j) in terms[:lead]]
+    rest = terms[lead:]
+
+    def evaluate(ids):
+        total = 0
+        for table, i, j in pairs:
             total += table[ids[i] * m + ids[j]]
-        else:
+        for table, places in rest:
             key = 0
             for i in places:
                 key = key * m + ids[i]
             total += table[key]
-    return total
+        return total
+    return evaluate
 
 
 def id_table(value: Callable, elems: list, arity: int, limit: Optional[int]) -> tuple:
@@ -377,14 +382,14 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
 
     for p in range(n - 1):
         q = p + 1
-        inner = [(table, tuple(i - p for i in places)) for table, places in terms
-                 if set(places) <= {p, q}]
+        inner = _term_sum([(table, tuple(i - p for i in places)) for table, places in terms
+                           if set(places) <= {p, q}], m)
         rest = [(r, link.get((p, r), zero), link.get((q, r), zero))
                 for r in range(n) if r not in (p, q)]
         # [a, b, low sum, high sum, {r: (Q_r row over x, its min, its max)}]
         cands = []
         for a, b, s, t in moves:
-            lo = hi = _term_sum(inner, m, (a, b)) - _term_sum(inner, m, (s, t))
+            lo = hi = inner((a, b)) - inner((s, t))
             rows = {}
             for r, up, uq in rest:
                 row = [w + x - y - z for w, x, y, z in zip(up[a], uq[b], up[s], uq[t])]
@@ -412,7 +417,8 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
             f.append(v)
         f = tuple(f)
         g = f[:p] + stats(f[p:q + 1]) + f[q + 1:]
-        return (f, g, p), _term_sum(terms, m, f), _term_sum(terms, m, g)
+        total = _term_sum(terms, m)
+        return (f, g, p), total(f), total(g)
     return None
 
 

@@ -450,6 +450,30 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom second line\n"
 
 
+def test_handler_patched_after_a_call_still_runs(capsys, monkeypatch):
+    # the parser is built once per process; handlers are looked up per call
+    import latstat.cli as cli
+
+    assert run_cli(capsys, "demo", "m3")[0] == 0
+
+    def broken(args):
+        raise RuntimeError("patched")
+
+    monkeypatch.setattr(cli, "_cmd_demo", broken)
+    assert run_cli(capsys, "demo", "m3") == (4, "", "internal error: RuntimeError: patched\n")
+
+
+def test_a_call_leaves_no_state_for_the_next(write, capsys):
+    lat = write("fn.json", FN_LATTICE)
+    fun = write("f.json", SCHUR_FUNCTIONAL)
+    common = ("check", "--lattice", lat, "--functional", fun)
+    code, out, _ = run_cli(capsys, *common, "--mode", "sampled", "--seed", "3")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 3
+    code, out, _ = run_cli(capsys, *common)
+    config = json.loads(out)["config"]
+    assert code == 0 and (config["seed"], config["mode"]) == (None, "exhaustive")
+
+
 def test_reproduce_subset(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--criteria", "1,10")
     assert code == 0

@@ -46,7 +46,13 @@ from latstat.constructions import (
     verify_schur_spec,
 )
 from latstat.generators import rand_fraction, random_potential_spec
-from latstat.lattice import build_m3, fn_diff, lattice_from_order, pointwise_order_statistics
+from latstat.lattice import (
+    build_m3,
+    fn_diff,
+    fn_meet,
+    lattice_from_order,
+    pointwise_order_statistics,
+)
 from latstat.scalars import ext_pow
 
 GE = TransitiveRelation.ge()
@@ -400,6 +406,79 @@ def test_verify_multiadditive_failure_messages(m, message):
     with pytest.raises(InputError) as info:
         verify_multiadditive(m, FnLattice.zero_to(2, 2), seed=3)
     assert str(info.value) == message
+
+
+def element_keyed_verify(m, lattice, *, seed=0, samples=60):
+    """verify_multiadditive with its memo keyed by tuples of elements, as
+    before elements became int ids: the oracle of the differential test."""
+    rng = random.Random(seed)
+    elems = lattice.elements()
+    k = m.arity
+    memo = {}
+
+    def value(args):
+        if args not in memo:
+            memo[args] = m.fn(*args)
+        return memo[args]
+
+    def pick():
+        return elems[rng.randrange(len(elems))]
+
+    for _ in range(samples):
+        slot = rng.randrange(k)
+        fixed = [pick() for _ in range(k)]
+        f, g = pick(), pick()
+        with_f, with_meet, with_rest = list(fixed), list(fixed), list(fixed)
+        with_f[slot], with_meet[slot], with_rest[slot] = f, fn_meet(f, g), fn_diff(f, g)
+        lhs = value(tuple(with_f))
+        rhs = value(tuple(with_meet)) + value(tuple(with_rest))
+        if lhs != rhs:
+            raise InputError(
+                f"{m.tag or 'map'} is not additive in slot {slot}: "
+                f"{lhs} != {rhs} at f={f}, g={g}")
+        if lhs < 0:
+            raise InputError(f"{m.tag or 'map'} is negative at {with_f}")
+
+
+def verify_outcome(verify, m, lattice, seed):
+    """(None or the InputError message, the m.fn calls in order)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return m.fn(*args)
+
+    try:
+        verify(MultiadditiveFn(arity=m.arity, fn=counted, tag=m.tag), lattice, seed=seed)
+    except InputError as exc:
+        return str(exc), calls
+    return None, calls
+
+
+def test_id_keyed_verify_multiadditive_matches_the_element_keyed_one():
+    # fn_diff leaves the {0, 1/2, 3} chain (3 - 1/2) and the symmetric one
+    # (1 - (-1)), so those results take ids past the carrier
+    rng = random.Random(23)
+    lattices = [FnLattice.zero_to(2, 2), FnLattice.symmetric(2, 1),
+                FnLattice(2, [Fraction(0), Fraction(1, 2), Fraction(3)]),
+                FnLattice(1, [Fraction(0), Fraction(1, 2), Fraction(3)])]
+    outcomes = set()
+    for seed in range(8):
+        L = lattices[seed % len(lattices)]
+        width = L.ground.size
+        for k in (1, 2, 3):
+            measures = [Measure(tuple(Fraction(rng.randint(0, 3)) for _ in range(width)))
+                        for _ in range(k)]
+            additive = product_of_integrals(measures)
+            maps = [additive,
+                    integral_of_product(measures[0], k),
+                    MultiadditiveFn(arity=k, fn=lambda *a, m=additive: m.fn(*a) ** 2, tag="sq"),
+                    MultiadditiveFn(arity=k, fn=lambda *a, m=additive: -m.fn(*a), tag="neg")]
+            for m in maps:
+                want = verify_outcome(element_keyed_verify, m, L, seed)
+                assert verify_outcome(verify_multiadditive, m, L, seed) == want, (seed, k, m.tag)
+                outcomes.add(want[0] and want[0].split()[2])  # "not" (additive) or "negative"
+    assert outcomes == {None, "not", "negative"}
 
 
 def test_slot_additivity_identities():

@@ -24,7 +24,12 @@ from latstat import (
     verify_chain_sortedness,
 )
 from latstat import lattice, semimod
-from latstat.generators import random_multiadd_functional, random_schur_functional
+from latstat.constructions import potential_construct
+from latstat.generators import (
+    random_multiadd_functional,
+    random_potential_spec,
+    random_schur_functional,
+)
 from latstat.lattice import birkhoff_embed, lattice_from_order
 from latstat.report import CheckReport, Witness
 from latstat.scalars import InternalError
@@ -685,3 +690,30 @@ def test_form_sum_with_one_non_rational_table_has_no_scale():
     # the unary Fraction table holds fn's own values, not integers over 2
     evaluate = form_sum(3, forms[:1] + forms[2:], tag="floats").on_ids(elems, 10)[0]
     assert evaluate((0, 1, 0)) == 0.5
+
+
+def test_every_form_sum_evaluates_to_fn_scaled_or_not():
+    # the id evaluator splits its terms into pair terms and the rest once;
+    # its sums must still be fn's, on integer tables and on fn's own values
+    rng = random.Random(17)
+    L1 = FnLattice.zero_to(1, 2)
+    cases = [(build_m3(), m3_quadratic()),
+             (L1, scalar_quadratic(L1, [(2, 1, 1), (-3, 2, 4), ("1/2", 4, 3)], 4)),
+             (L1, form_sum(3, _forms(), tag="mixed")),
+             (L1, form_sum(3, [_forms()[i] for i in (1, 3, 0, 2)], tag="pairs first")),
+             (L1, form_sum(3, _forms()[::-1], tag="reversed"))]
+    for curvature in ("convex", "concave"):
+        spec = random_potential_spec(rng, curvature)
+        cases.append((spec.carrier, potential_construct(spec, 4)))
+    while len(cases) < 12:
+        cases.append(random_multiadd_functional(rng))
+    for L, lam in cases:
+        elems = L.elements()
+        for limit in (None, 10 ** 9):
+            evaluate, scale, _ = lam.on_ids(elems, limit)
+            assert (scale is None) == (limit is None), lam.tag
+            for ids in product(range(len(elems)), repeat=min(lam.arity, 3)):
+                ids = (ids * lam.arity)[:lam.arity]
+                want = lam.fn(tuple(elems[i] for i in ids))
+                got = evaluate(ids)
+                assert (got if scale is None else Fraction(got, scale)) == want, (lam.tag, ids)
