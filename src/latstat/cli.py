@@ -1,7 +1,9 @@
 """Command-line surface.  Each handler decodes its input, calls what the
 decoded config selects (the config decoders in `jsonio` return the call of
-their checker), and emits the report.  The parser is built once per
-process; `main` looks up the handler of each call by its command name.
+their checker), and returns the command name, config echo, result and
+verdict.  The parser is built once per process; `main` looks up the
+handler of each call by its command name, and alone times the call, emits
+the report and turns the verdict into the exit code.
 
 Exit codes: 0 = inequality holds / demo reproduced / all criteria pass,
 1 = violated, 2 = input error, 3 = evaluation budget exceeded,
@@ -17,7 +19,7 @@ import argparse
 import os
 import sys
 import time
-from functools import cache, partial
+from functools import cache
 
 from . import __version__
 from .acceptance import CRITERIA, run_all
@@ -74,12 +76,10 @@ def _require_positive(args, *flags) -> None:
 
 
 def _emit(args, command: str, config_echo: dict, result, started: float) -> None:
-    timing = (time.perf_counter() - started) if getattr(args, "timing", False) else None
-    report = make_report(command, config_echo, result, timing_seconds=timing)
-    text = dump_report(report)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    timing = (time.perf_counter() - started) if args.timing else None
+    text = dump_report(make_report(command, config_echo, result, timing_seconds=timing))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -91,25 +91,11 @@ def _maybe_labels(lattice, elems):
     return None
 
 
-# --- handlers (each returns the process exit code) ---
+# --- handlers (each returns the command, config echo, result and verdict) ---
 
-def _cmd_lattice(args) -> int:
-    started = time.perf_counter()
+def _cmd_lattice(args):
     lattice = lattice_from_json(load_json_file(args.lattice))
-    echo = {"lattice": args.lattice, "action": args.action}
-    if args.action == "validate":
-        if not isinstance(lattice, TableLattice):
-            result = {"note": "function lattices are valid by construction",
-                      "holds": True}
-            _emit(args, "lattice validate", echo, result, started)
-            return 0
-        report = validate_table_lattice(lattice)
-        _emit(args, "lattice validate", echo, report, started)
-        return 0 if report.holds else 1
-    if args.action == "distributive":
-        report = is_distributive(lattice, budget=_default_budget())
-        _emit(args, "lattice distributive", echo, report, started)
-        return 0 if report.holds else 1
+    command, echo = f"lattice {args.action}", {"lattice": args.lattice, "action": args.action}
     if args.action == "birkhoff":
         if not isinstance(lattice, TableLattice):
             raise InputError("birkhoff embedding applies to table lattices")
@@ -119,38 +105,39 @@ def _cmd_lattice(args) -> int:
             "ground_size": ambient.ground.size,
             "map": {str(k): element_to_json(v) for k, v in sorted(mapping.items())},
         }
-        _emit(args, "lattice birkhoff", echo, result, started)
-        return 0
-    raise InputError(f"unknown lattice action {args.action!r}")
+        return command, echo, result, True
+    if args.action == "distributive":
+        report = is_distributive(lattice, budget=_default_budget())
+    elif isinstance(lattice, TableLattice):
+        report = validate_table_lattice(lattice)
+    else:
+        return command, echo, {"note": "function lattices are valid by construction",
+                               "holds": True}, True
+    return command, echo, report, report.holds
 
 
-def _cmd_ordstats(args) -> int:
-    started = time.perf_counter()
+def _cmd_ordstats(args):
     lattice = lattice_from_json(load_json_file(args.lattice))
     elems = elements_from_json(load_json_file(args.tuple), lattice)
-    stats = order_statistics_tuple(lattice, elems)
-    result = {"order_statistics": [element_to_json(e) for e in stats]}
-    labels = _maybe_labels(lattice, stats)
-    if labels is not None:
-        result["order_statistics_labels"] = labels
+    rows = [("order_statistics", order_statistics_tuple(lattice, elems))]
     if args.dual:
-        dual = order_statistics_dual_tuple(lattice, elems)
-        result["dual_order_statistics"] = [element_to_json(e) for e in dual]
-        dual_labels = _maybe_labels(lattice, dual)
-        if dual_labels is not None:
-            result["dual_order_statistics_labels"] = dual_labels
-    _emit(args, "ordstats", {"lattice": args.lattice, "tuple": args.tuple,
-                             "dual": bool(args.dual)}, result, started)
-    return 0
+        rows.append(("dual_order_statistics", order_statistics_dual_tuple(lattice, elems)))
+    result = {}
+    for key, stats in rows:
+        result[key] = [element_to_json(e) for e in stats]
+        labels = _maybe_labels(lattice, stats)
+        if labels is not None:
+            result[f"{key}_labels"] = labels
+    echo = {"lattice": args.lattice, "tuple": args.tuple, "dual": bool(args.dual)}
+    return "ordstats", echo, result, True
 
 
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args):
     _require_positive(args, "trials", "jobs", "budget")
-    lattice = lattice_from_json(load_json_file(args.lattice))
-    functional = functional_from_json(load_json_file(args.functional), lattice)
-    rel = TransitiveRelation.from_name(args.relation)
     budget = args.budget if args.budget is not None else _default_budget()
+    lattice = lattice_from_json(load_json_file(args.lattice))
+    functional = functional_from_json(load_json_file(args.functional), lattice, budget)
+    rel = TransitiveRelation.from_name(args.relation)
     kwargs = dict(mode=args.mode, seed=args.seed, trials=args.trials, budget=budget)
     if args.k == "n":
         report = check_generalized_n(lattice, functional, rel, **kwargs)
@@ -172,58 +159,45 @@ def _cmd_check(args) -> int:
     echo = {"lattice": args.lattice, "functional": args.functional,
             "relation": args.relation, "k": k_echo, "mode": args.mode,
             "seed": args.seed, "trials": args.trials, "budget": budget}
-    _emit(args, "check", echo, result, started)
-    return 0 if report.holds else 1
+    return "check", echo, result, report.holds
 
 
-def _cmd_demo(args) -> int:
-    started = time.perf_counter()
+def _cmd_demo(args):
     if args.which == "m3":
         demo = run_counterexample_m3()
-        _emit(args, "demo m3", {"demo": "m3"}, demo, started)
-        return 0 if demo["expected_violation_reproduced"] else 1
-    if args.which == "nonrev":
-        demo = nonreversibility_demo(args.N, parse_rational(args.delta),
-                                     parse_rational(args.eps), args.r)
-        echo = {"demo": "nonrev", "N": args.N, "delta": args.delta,
-                "eps": args.eps, "r": args.r}
-        _emit(args, "demo nonrev", echo, demo, started)
-        return 0 if demo["sizes_are_n_squared"] else 1
-    raise InputError(f"unknown demo {args.which!r}")
+        return "demo m3", {"demo": "m3"}, demo, demo["expected_violation_reproduced"]
+    demo = nonreversibility_demo(args.N, parse_rational(args.delta),
+                                 parse_rational(args.eps), args.r)
+    echo = {"demo": "nonrev", "N": args.N, "delta": args.delta,
+            "eps": args.eps, "r": args.r}
+    return "demo nonrev", echo, demo, demo["sizes_are_n_squared"]
 
 
-def _run_config(args, command: str, decode) -> int:
-    started = time.perf_counter()
-    report = decode(args.config)()
-    _emit(args, command, {"config": args.config}, report, started)
-    return 0 if report.holds else 1
+def _cmd_corollary(args):
+    report = corollary_config_from_json(args.which, args.config)()
+    return f"corollary {args.which}", {"config": args.config}, report, report.holds
 
 
-def _cmd_corollary(args) -> int:
-    return _run_config(args, f"corollary {args.which}",
-                       partial(corollary_config_from_json, args.which))
-
-
-def _cmd_construct(args) -> int:
-    started = time.perf_counter()
-    descriptor = construction_from_json(load_json_file(args.params), args.family)
+def _cmd_construct(args):
+    descriptor = construction_from_json(load_json_file(args.params), args.family,
+                                        _default_budget())
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(dump_report(descriptor))
-    _emit(args, "construct", {"params": args.params},
-          {"functional": descriptor, "verified": True}, started)
-    return 0
+    return "construct", {"params": args.params}, {"functional": descriptor, "verified": True}, True
 
 
-def _cmd_fkg(args) -> int:
-    return _run_config(args, "fkg", fkg_config_from_json)
+def _cmd_fkg(args):
+    report = fkg_config_from_json(args.config)()
+    return "fkg", {"config": args.config}, report, report.holds
 
 
-def _cmd_ahke(args) -> int:
-    return _run_config(args, "ahke", ahke_config_from_json)
+def _cmd_ahke(args):
+    report = ahke_config_from_json(args.config)()
+    return "ahke", {"config": args.config}, report, report.holds
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args):
     _require_positive(args, "budget")
     budget = args.budget if args.budget is not None else _default_budget()
     numbers = None
@@ -236,7 +210,7 @@ def _cmd_reproduce(args) -> int:
                                  f"1..{len(CRITERIA)}")
             numbers.append(number)
     results = run_all(budget=budget, stream=sys.stdout, numbers=numbers)
-    return 0 if all(r.passed for r in results) else 1
+    return None, None, None, all(r.passed for r in results)
 
 
 @cache
@@ -316,8 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return globals()[f"_cmd_{args.command}"](args)
+        command, echo, result, holds = globals()[f"_cmd_{args.command}"](args)
+        if command is not None:  # reproduce prints its own lines
+            _emit(args, command, echo, result, started)
+        return 0 if holds else 1
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -20,10 +20,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
-from .lattice import (FnLattice, _CompiledLattice, _Memo, fn_diff, fn_meet,
+from .lattice import (DEFAULT_BUDGET, FnLattice, _CompiledLattice, _Memo, fn_diff, fn_meet,
                       pointwise_order_statistics)
 from .report import CheckReport, Witness
 from .scalars import (
+    BudgetExceededError,
     ConventionMode,
     InputError,
     Scalar,
@@ -32,6 +33,7 @@ from .scalars import (
     ext_prod,
     ext_sum,
     ext_mul,
+    integer_scale,
     is_inf,
     require_nonneg,
 )
@@ -143,16 +145,19 @@ class SchurSpec:
 
 
 def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
-                      spot_checks: int = 40) -> list:
+                      spot_checks: int = 40, budget: int = DEFAULT_BUDGET) -> list:
     """Exhaustively check the one-argument map (submodular, nondecreasing) and
     spot-check the combiner on generated majorization pairs.  The combiner
     check is a falsification filter, not a proof, and is skipped for a
     `MultisetCombiner`, whose properties are theorems.  Raises with a
     witness on failure; returns lam's values as Fractions, by id in
     `spec.lattice.elements()` order.  The map is read on meet and join id
-    tables, with f <= g exactly when the meet of f and g is f."""
+    tables, with f <= g exactly when the meet of f and g is f; the m^2
+    pairs are charged to the budget before any is read."""
     compiled = _CompiledLattice(spec.lattice)
     elems, meet, join, m = compiled.elems, compiled.meet, compiled.join, compiled.m
+    if m * m > budget:
+        raise BudgetExceededError(f"{m}^2 pairs exceed budget {budget}")
     vals = [Fraction(spec.lam(e)) for e in elems]
     for i, f in enumerate(elems):
         for j, g in enumerate(elems):
@@ -193,13 +198,15 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
     return vals
 
 
-def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0) -> TupleFunctional:
+def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
+                    budget: int = DEFAULT_BUDGET) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
     pair-window check (>=) on any distributive carrier.  Its on_ids reads
     lam from one `id_table` of arity 1, scaled only for a `MultisetCombiner`
     (others need not commute with a scale); with the combiner "sum" it is
     the sum of the unary terms (values, (i,))."""
-    vals = dict(zip(spec.lattice.elements(), verify_schur_spec(spec, n, seed=seed)))
+    vals = dict(zip(spec.lattice.elements(),
+                    verify_schur_spec(spec, n, seed=seed, budget=budget)))
     combiner = spec.combiner
     multiset = isinstance(combiner, MultisetCombiner)
 
@@ -282,16 +289,16 @@ class PotentialSpec:
             raise InputError("measure and carrier ground sets differ")
 
 
-def _difference_values(carrier: FnLattice) -> list:
-    chain = carrier.chain
-    return sorted({a - b for a in chain for b in chain})
-
-
-def verify_potential_spec(spec: PotentialSpec) -> None:
+def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> None:
     """Check the inner map is monotone on all achievable differences and the
     outer map has the declared curvature on all achievable integral values.
-    Raises with a witness on failure."""
-    diffs = _difference_values(spec.carrier)
+    Raises with a witness on failure.  The d^g integrals, of the d
+    differences at the g ground points, are charged to the budget first."""
+    chain = spec.carrier.chain
+    diffs = sorted({a - b for a in chain for b in chain})
+    ground = spec.carrier.ground.size
+    if len(diffs) ** ground > budget:
+        raise BudgetExceededError(f"{len(diffs)}^{ground} integrals exceed budget {budget}")
     phi_vals = [as_scalar(spec.phi(d)) for d in diffs]
     for v in phi_vals:
         require_nonneg(v, f"{spec.phi_name} value")
@@ -300,7 +307,7 @@ def verify_potential_spec(spec: PotentialSpec) -> None:
     if not (nondecr or nonincr):
         raise InputError(f"{spec.phi_name} is not monotone on the difference range")
     points = set()
-    for g in product(diffs, repeat=spec.carrier.ground.size):
+    for g in product(diffs, repeat=ground):
         vals = [as_scalar(spec.phi(d)) for d in g]
         if any(is_inf(v) for v in vals):
             continue
@@ -329,11 +336,12 @@ def _symmetrized(transform: Callable[[tuple], Fraction], g: tuple) -> Fraction:
     return transform(g) + transform(tuple(-x for x in g))
 
 
-def potential_construct(spec: PotentialSpec, n: int) -> TupleFunctional:
+def potential_construct(spec: PotentialSpec, n: int,
+                        budget: int = DEFAULT_BUDGET) -> TupleFunctional:
     """Sum over all ordered argument pairs of the curved integral transform of
     their difference, normalized so the zero difference contributes zero
     (constant tuples evaluate to 0): a `form_sum` of one pair value."""
-    verify_potential_spec(spec)
+    verify_potential_spec(spec, budget)
     transform = _potential_transform(spec)
     base = transform(tuple(Fraction(0) for _ in range(spec.carrier.ground.size)))
 
@@ -390,25 +398,21 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
                          samples: int = 60) -> None:
     """Spot-check slotwise additivity and nonnegativity on sampled tuples;
     raises with a witness on failure.  Elements are int ids: a carrier
-    element its `elements()` index, read off its values' chain positions,
-    and an `fn_diff` result off the carrier the next free id.  The (meet,
-    diff) split is computed once per id pair and m once per id tuple."""
+    element its `lattice.index`, and an `fn_diff` result off the carrier
+    the next free id.  The (meet, diff) split is computed once per id pair
+    and m once per id tuple."""
     rng = random.Random(seed)
     elems = list(lattice.elements())
     size, k = len(elems), m.arity
-    digits = {v: d for d, v in enumerate(lattice.chain)}
     outside: dict = {}
     value = _Memo(lambda key: m.fn(*(elems[i] for i in key))).__getitem__
 
     def id_of(e):
-        i = 0
-        for v in e:
-            if v not in digits:
-                i = outside.setdefault(e, len(elems))
-                if i == len(elems):
-                    elems.append(e)
-                return i
-            i = i * len(digits) + digits[v]
+        if lattice.contains(e):
+            return lattice.index(e)
+        i = outside.setdefault(e, len(elems))
+        if i == len(elems):
+            elems.append(e)
         return i
 
     def meet_and_diff(pair):
@@ -541,7 +545,7 @@ def permanent(matrix: Sequence[Sequence]) -> Fraction:
     more rows than columns, keeping the value transposition-invariant).
 
     Computed exactly by a recurrence over column sets.  Each row is scaled
-    to integers by the lcm of its denominators.  After folding in rows
+    to integers by `integer_scale`.  After folding in rows
     1..i, `ways[S]` is the weighted count of placements of those rows onto
     exactly the column set S (a bitmask); row i + 1 extends each S by each
     column outside it whose entry is nonzero.  Rectangular matrices need no
@@ -565,10 +569,9 @@ def _permanent(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     ways = {0: 1}
     for row in rows:
-        denom = math.lcm(*(x.denominator for x in row))
+        denom, row = integer_scale(row)
         scale *= denom
-        entries = [(1 << c, x.numerator * (denom // x.denominator))
-                   for c, x in enumerate(row) if x]
+        entries = [(1 << c, x) for c, x in enumerate(row) if x]
         folded = {}
         for cols, w in ways.items():
             for bit, x in entries:

@@ -42,11 +42,11 @@ class ExplicitSublattice:
 
     def __init__(self, elements: Sequence[tuple]):
         elems = []
-        seen = set()
+        seen: dict = {}
         for e in elements:
             e = tuple(as_scalar(v) for v in e)
             if e not in seen:
-                seen.add(e)
+                seen[e] = len(elems)
                 elems.append(e)
         if not elems:
             raise InputError("sublattice must be nonempty")
@@ -61,7 +61,7 @@ class ExplicitSublattice:
                 if j not in seen:
                     raise InputError(f"not join-closed: {a} join {b} = {j} is missing")
         self._elems = elems
-        self._set = seen
+        self._index = seen
         self.width = width
 
     @classmethod
@@ -89,8 +89,11 @@ class ExplicitSublattice:
     def elements(self) -> list:
         return list(self._elems)
 
+    def index(self, a) -> int:
+        return self._index[a]
+
     def contains(self, a) -> bool:
-        return tuple(a) in self._set
+        return tuple(a) in self._index
 
     def meet(self, a, b):
         return fn_meet(a, b)

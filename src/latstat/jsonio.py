@@ -43,7 +43,7 @@ from .correlation import (
     fkg_check,
 )
 from .generators import perm_orderstat_batch
-from .lattice import FnLattice, TableLattice, lattice_from_order
+from .lattice import DEFAULT_BUDGET, FnLattice, TableLattice, lattice_from_order
 from .report import CheckReport, Witness
 from .scalars import (
     INF,
@@ -372,7 +372,9 @@ def _potential_psi_from_json(obj, ptr: str):
     return (lambda u: max(a * u + b for a, b in pieces)), "convex"
 
 
-def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
+def functional_from_json(obj, lattice, budget: int = DEFAULT_BUDGET,
+                         ptr: str = "") -> TupleFunctional:
+    """Decode a functional on `lattice`, charging its verification to `budget`."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise InputError(f"{ptr}/family: missing functional family")
     family = obj["family"]
@@ -399,7 +401,8 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
         combiner, comb_name = _schur_combiner_from_json(obj["F"], f"{ptr}/F")
         spec = SchurSpec(lattice, lam, combiner, lam_name=lam_name,
                          combiner_name=comb_name)
-        return schur_construct(spec, n, seed=_expect_int(obj.get("seed", 0), f"{ptr}/seed"))
+        return schur_construct(spec, n, seed=_expect_int(obj.get("seed", 0), f"{ptr}/seed"),
+                               budget=budget)
     if family == "potential":
         _expect_object(obj, ptr, ("family", "n", "phi", "psi", "measure"), ("lattice",))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
@@ -412,7 +415,7 @@ def functional_from_json(obj, lattice, ptr: str = "") -> TupleFunctional:
         spec = PotentialSpec(carrier=lattice, measure=measure, phi=phi, psi=psi,
                              curvature=curvature, phi_name=phi_name,
                              psi_name=obj["psi"]["kind"])
-        return potential_construct(spec, n)
+        return potential_construct(spec, n, budget)
     if family == "multiadd":
         _expect_object(obj, ptr, ("family", "n", "k", "m"), ("lattice", "seed"))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
@@ -445,7 +448,7 @@ def _multiadditive_from_json(obj, k: int, lattice: FnLattice, ptr: str):
                                 k, width)
 
 
-def construction_from_json(params, family: str) -> dict:
+def construction_from_json(params, family: str, budget: int = DEFAULT_BUDGET) -> dict:
     """Validate the params of `latstat construct <family>`, which embed the
     carrier lattice; returns the functional descriptor they make."""
     if not isinstance(params, dict):
@@ -454,7 +457,7 @@ def construction_from_json(params, family: str) -> dict:
         raise InputError("/lattice: construction params must embed the carrier lattice")
     lattice = lattice_from_json(params["lattice"], "/lattice")
     descriptor = dict(params, family=family)
-    functional_from_json(descriptor, lattice)  # validates every invariant
+    functional_from_json(descriptor, lattice, budget)  # validates every invariant
     return descriptor
 
 

@@ -1,8 +1,8 @@
 """Finite lattice backends and lattice order statistics.
 
-Two element representations share one abstract interface (elements /
-meet / join / leq): explicit meet-join tables, and lattices of
-finite-valued functions on a small ground set with pointwise min/max.
+Two element representations share one interface (elements, index = position
+in elements(), contains, meet, join, leq): explicit meet-join tables, and
+functions from a small ground set into a finite chain, with pointwise min/max.
 The public order-statistic functions evaluate the defining subset
 formulas, folding each subset from its prefix in the literal bracketing, and
 serve as the oracle; the pointwise per-point sort is provided separately for
@@ -97,7 +97,7 @@ class FnLattice:
                 f"chain length {len(vals)} exceeds cap {max_chain} "
                 "(pass max_chain to override)")
         self.chain = vals
-        self._chain_set = frozenset(vals)
+        self._digit = {v: d for d, v in enumerate(vals)}
         self._elements: Optional[list] = None
 
     @classmethod
@@ -117,9 +117,16 @@ class FnLattice:
             self._elements = [tuple(v) for v in product(self.chain, repeat=self.ground.size)]
         return self._elements
 
+    def index(self, a) -> int:
+        """Position in `elements()`: `a`'s chain positions as base-c digits."""
+        i, digit, c = 0, self._digit, len(self.chain)
+        for v in a:
+            i = i * c + digit[v]
+        return i
+
     def contains(self, a) -> bool:
         return (isinstance(a, tuple) and len(a) == self.ground.size
-                and all(v in self._chain_set for v in a))
+                and all(v in self._digit for v in a))
 
     def meet(self, a, b):
         return fn_meet(a, b)
@@ -156,6 +163,9 @@ class TableLattice:
 
     def elements(self) -> list:
         return list(range(self.n))
+
+    def index(self, a: int) -> int:
+        return a
 
     def contains(self, a) -> bool:
         return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.n
@@ -381,11 +391,11 @@ class _CompiledLattice:
 
     def __init__(self, L):
         elems = self.elems = L.elements()
-        index = {e: i for i, e in enumerate(elems)}
+        index = L.index
         m = self.m = len(elems)
         # keyed a * m + b and filled one pair at a time on first use
-        self.meet = _Memo(lambda key: index[L.meet(elems[key // m], elems[key % m])])
-        self.join = _Memo(lambda key: index[L.join(elems[key // m], elems[key % m])])
+        self.meet = _Memo(lambda key: index(L.meet(elems[key // m], elems[key % m])))
+        self.join = _Memo(lambda key: index(L.join(elems[key // m], elems[key % m])))
 
     def order_statistics(self):
         """The map from a tuple of ids to the ids of its order statistics:

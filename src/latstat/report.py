@@ -23,8 +23,8 @@ class CheckReport:
     A report holds exactly when it carries no witness: `holds` is derived
     from `witness`, so a passing report with a witness, or a failing one
     without, cannot be built.  In exhaustive mode instances_checked equals
-    the full enumeration size (scans do not stop at the first violation, so
-    the reported witness is the smallest in enumeration order).
+    the full enumeration size, also when a scan stops at its first
+    violation; the reported witness is the smallest in enumeration order.
     """
 
     instances_checked: int

@@ -161,6 +161,28 @@ def test_check_env_budget(write, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("functional", [
+    {"family": "schur", "n": 3, "lambda": {"kind": "modular", "point_weights": [1] * 6},
+     "F": {"kind": "sum"}},
+    {"family": "potential", "n": 3, "measure": [1] * 6, "phi": {"kind": "relu"},
+     "psi": {"kind": "min_affine", "pieces": [[1, 0], [2, -1]]}},
+], ids=["schur", "potential"])
+def test_construction_verification_is_charged_to_the_budget(write, capsys, monkeypatch,
+                                                            functional):
+    # 46,656 elements: 46,656^2 Schur pairs or 11^6 potential integrals to verify
+    lattice = {"kind": "fn", "ground_size": 6, "chain_max": 5}
+    code, out, err = run_cli(capsys, "check", "--lattice", write("fn6.json", lattice),
+                             "--functional", write("f.json", functional), "--mode", "sampled",
+                             "--seed", "1", "--trials", "10", "--budget", "1000")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "exceed budget 1000" in err
+    monkeypatch.setenv("LATSTAT_BUDGET", "1000")
+    params = write("params.json", dict(functional, lattice=lattice))
+    code, out, err = run_cli(capsys, "construct", functional["family"], "--params", params)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "exceed budget 1000" in err
+
+
 def test_check_sampled_mode_is_deterministic(write, capsys):
     lat = write("fn.json", FN_LATTICE)
     fun = write("f.json", {"family": "schur", "n": 3,
@@ -302,20 +324,40 @@ def test_construct_refuses_invalid_spec(write, capsys):
     assert "/F/k" in err
 
 
-def test_construct_honours_out_and_timing(write, capsys, tmp_path):
-    params = write("params.json", {"lattice": FN_LATTICE, "n": 3,
-                                   "lambda": {"kind": "modular", "point_weights": [1, 1]},
-                                   "F": {"kind": "min"}})
-    argv = ("construct", "schur", "--params", params)
-    code, shown, _ = run_cli(capsys, *argv)
-    assert code == 0
-    report = tmp_path / "r.json"
-    assert run_cli(capsys, *argv, "--out", str(report)) == (0, "", "")
+# every command that takes --out and --timing, its JSON inputs as payloads,
+# and the exit code it gives
+REPORTING_COMMANDS = {
+    "lattice-validate": (("lattice", "validate", "--lattice", M3_ORDER), 0),
+    "lattice-distributive": (("lattice", "distributive", "--lattice", M3_ORDER), 1),
+    "lattice-birkhoff": (("lattice", "birkhoff", "--lattice",
+                          {"kind": "order", "n": 3, "leq_pairs": [[0, 1], [1, 2], [0, 2]]}), 0),
+    "ordstats": (("ordstats", "--lattice", M3_ORDER, "--tuple", [1, 2, 3], "--dual"), 0),
+    "check": (("check", "--lattice", M3_ORDER, "--functional", M3_FUNCTIONAL), 1),
+    "demo-m3": (("demo", "m3"), 0),
+    "demo-nonrev": (("demo", "nonrev"), 0),
+    "corollary": (("corollary", "perm", "--config", {"matrix": [[1, 2], [3, 0]]}), 0),
+    "construct": (("construct", "schur", "--params",
+                   {"lattice": FN_LATTICE, "n": 3, "F": {"kind": "min"},
+                    "lambda": {"kind": "modular", "point_weights": [1, 1]}}), 0),
+    "fkg": (("fkg", "--config", FKG_CONFIG), 0),
+    "ahke": (("ahke", "--config", AHKE_CONFIG), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTING_COMMANDS))
+def test_out_and_timing_keep_the_report_and_exit_code(write, capsys, tmp_path, name):
+    template, expected = REPORTING_COMMANDS[name]
+    argv = [a if isinstance(a, str) else write(f"arg{i}.json", a)
+            for i, a in enumerate(template)]
+    code, shown, err = run_cli(capsys, *argv)
+    assert (code, err) == (expected, "")
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--out", str(report)) == (code, "", "")
     assert report.read_bytes() == shown.encode()
-    code, out, _ = run_cli(capsys, *argv, "--timing")
+    timed_code, out, _ = run_cli(capsys, *argv, "--timing")
     payload = json.loads(out)
     assert isinstance(payload.pop("timing_seconds"), float)
-    assert payload == json.loads(shown)
+    assert (timed_code, payload) == (code, json.loads(shown))
 
 
 def test_fkg_and_ahke_configs(write, capsys):

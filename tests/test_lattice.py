@@ -23,6 +23,7 @@ from latstat import (
     product_of_chains,
     validate_table_lattice,
 )
+from latstat.correlation import ExplicitSublattice
 from latstat.lattice import _CompiledLattice, fn_diff, fn_join, fn_meet
 
 
@@ -333,6 +334,22 @@ def test_compiled_tables_fill_lazily():
     assert compiled.elems[compiled.meet[a * compiled.m + b]] == L.meet(
         compiled.elems[a], compiled.elems[b])
     assert len(compiled.meet) == 1 and len(compiled.join) == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FnLattice.zero_to(2, 3),
+    lambda: FnLattice.symmetric(2, 1),
+    lambda: FnLattice(2, [0, Fraction(1, 2), 3]),
+    lambda: product_of_chains([2, 3]),
+    build_m3,
+    lambda: ExplicitSublattice.closure([(0, 2), (1, 1), (2, 0)]),
+    lambda: birkhoff_embed(product_of_chains([2, 3]))[0],
+], ids=["fn", "symmetric", "fraction-chain", "chains", "m3", "sublattice", "birkhoff"])
+def test_index_is_the_position_in_elements(make):
+    L = make()
+    elems = L.elements()
+    for e in elems:
+        assert L.index(e) == elems.index(e)
 
 
 def test_pointwise_monotone_and_multiset_preserving(fn22):

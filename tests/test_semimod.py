@@ -488,6 +488,19 @@ def test_sampled_mode_deterministic():
         check_generalized_n(L, lam, EQ, mode="sampled")
 
 
+def test_sampled_check_indexes_only_the_pairs_it_draws():
+    # 10 draws of a 3-tuple fill a few meet/join table entries each; the
+    # carrier's 46,656 elements are never all indexed
+    L = FnLattice.zero_to(6, 5)
+    calls = []
+    real = L.index
+    L.index = lambda e: calls.append(e) or real(e)
+    lam = TupleFunctional(arity=3, fn=lambda f: sum(sum(x) for x in f), tag="s")
+    report = check_generalized_n(L, lam, EQ, mode="sampled", seed=1, trials=10)
+    assert report.holds and report.instances_checked == 10
+    assert 0 < len(calls) <= 300
+
+
 def test_sampled_full_check_witness_draws_no_window():
     # the identity functional under EQ fails on every unsorted tuple, so the
     # witness is fixed by the first few trials' draws
