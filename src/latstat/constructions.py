@@ -154,7 +154,7 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
     `spec.lattice.elements()` order.  The map is read on meet and join id
     tables, with f <= g exactly when the meet of f and g is f; the m^2
     pairs are charged to the budget before any is read."""
-    compiled = _CompiledLattice(spec.lattice)
+    compiled = _CompiledLattice.of(spec.lattice)
     elems, meet, join, m = compiled.elems, compiled.meet, compiled.join, compiled.m
     if m * m > budget:
         raise BudgetExceededError(f"{m}^2 pairs exceed budget {budget}")

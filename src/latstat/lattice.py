@@ -6,10 +6,11 @@ functions from a small ground set into a finite chain, with pointwise min/max.
 The public order-statistic functions evaluate the defining subset
 formulas, folding each subset from its prefix in the literal bracketing, and
 serve as the oracle; the pointwise per-point sort is provided separately for
-function elements.  Scans go through `_CompiledLattice` instead: elements
+function elements.  Scans go through `_CompiledLattice` instead, one per
+lattice for its lifetime, shared by verification and every scan: elements
 become ids in `elements()` order, meet and join become id tables filled
-lazily per pair, and order statistics come from the same `_subset_formula`
-plan, read straight off the id tables and memoized by the sorted window.
+lazily per pair (from chain digits on an `FnLattice`), and order statistics
+come from the same `_subset_formula` plan, memoized by the sorted window.
 """
 
 from __future__ import annotations
@@ -122,6 +123,14 @@ class FnLattice:
         i, digit, c = 0, self._digit, len(self.chain)
         for v in a:
             i = i * c + digit[v]
+        return i
+
+    def pick_id(self, a: int, b: int, pick) -> int:
+        """Id of the pointwise pick (min: meet, max: join) of ids a and b, on `index`'s digits."""
+        i, place, c = 0, 1, len(self.chain)
+        while a or b:
+            (a, x), (b, y) = divmod(a, c), divmod(b, c)
+            i, place = i + place * pick(x, y), place * c
         return i
 
     def contains(self, a) -> bool:
@@ -386,16 +395,27 @@ class _Memo(dict):
 
 class _CompiledLattice:
     """A lattice's elements as ids 0..m-1 in `L.elements()` order, with lazy
-    meet and join id tables.  A sampled scan of a large lattice touches only
-    the pairs it draws, never all m^2."""
+    meet and join id tables (`L.pick_id` on an `FnLattice`, else its oracle
+    index(L.meet(...))): a sampled scan fills only the pairs it draws."""
 
     def __init__(self, L):
         elems = self.elems = L.elements()
-        index = L.index
         m = self.m = len(elems)
         # keyed a * m + b and filled one pair at a time on first use
-        self.meet = _Memo(lambda key: index(L.meet(elems[key // m], elems[key % m])))
-        self.join = _Memo(lambda key: index(L.join(elems[key // m], elems[key % m])))
+        if isinstance(L, FnLattice):
+            self.meet = _Memo(lambda key: L.pick_id(*divmod(key, m), min))
+            self.join = _Memo(lambda key: L.pick_id(*divmod(key, m), max))
+        else:
+            index = L.index
+            self.meet = _Memo(lambda key: index(L.meet(elems[key // m], elems[key % m])))
+            self.join = _Memo(lambda key: index(L.join(elems[key // m], elems[key % m])))
+
+    @classmethod
+    def of(cls, L) -> "_CompiledLattice":
+        """L's one compiled carrier, built on first use and kept on L for its lifetime."""
+        if getattr(L, "_compiled", None) is None:
+            L._compiled = cls(L)
+        return L._compiled
 
     def order_statistics(self):
         """The map from a tuple of ids to the ids of its order statistics:

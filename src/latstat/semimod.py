@@ -13,8 +13,8 @@ k-wide window, and the relaxed check feeds its sorted-prefix instances.
 Scans run on element ids in `L.elements()` order, so they visit tuples in
 the same order as a scan of elements would and report the same first
 witness, mapped back to elements.  Order statistics come from the subset
-formula on id tables, memoized by the sorted window
-(`lattice._CompiledLattice`); a functional with an `on_ids` factory is
+formula on the lattice's one set of lazy id tables, memoized by the sorted
+window (`lattice._CompiledLattice.of`); a functional with `on_ids` is
 evaluated on ids directly.  A scan of integer values over a scale under
 ge, le or eq ends at its first violation, which settles the verdict
 (`_scan`); `instances_checked` counts the tuples covered, not the tuples
@@ -491,7 +491,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         _require_budget(total, budget, f"{what} of L^{n}")
     else:
         total = trials
-    compiled = _CompiledLattice(L)
+    compiled = _CompiledLattice.of(L)
     stats = compiled.order_statistics()
     form = _evaluator(lam, rel, compiled.elems, total)
     notes = [f"window start {j}" if windowed else "" for j in range(windows)]
@@ -565,7 +565,7 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
     m = len(L.elements())
     total = (n - 1) * m ** n
     _require_budget(total, budget, "relaxed-hypothesis scan")
-    compiled = _CompiledLattice(L)
+    compiled = _CompiledLattice.of(L)
     meet, join = compiled.meet, compiled.join
     # ids above a, ascending; only chains of length >= 2 need them
     up = [[b for b in range(m) if meet[a * m + b] == a] for a in range(m)] if n > 2 else []

@@ -52,6 +52,7 @@ from latstat.lattice import (
     fn_meet,
     lattice_from_order,
     pointwise_order_statistics,
+    product_of_chains,
 )
 from latstat.scalars import ext_pow
 
@@ -107,6 +108,33 @@ def test_schur_sum_of_modular_is_modular():
     spec = SchurSpec(L, modular, lambda xs: sum(xs, Fraction(0)), "mod", "sum")
     lam = schur_construct(spec, 3)
     assert check_generalized_n(L, lam, EQ).holds
+
+
+def counted(L, *names):
+    """L with each named method wrapped to record its calls in the returned list."""
+    calls = []
+    for name in names:
+        real = getattr(L, name)
+        setattr(L, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def test_schur_check_fills_each_table_entry_once():
+    # verify_schur_spec fills all m^2 = 64 pairs of the carrier's one set of
+    # meet/join tables; the scan after it reads them and fills none again
+    L = product_of_chains([2, 2, 2])
+    calls = counted(L, "meet", "join")
+    spec = SchurSpec(L, lambda a: Fraction(min(bin(a).count("1"), 2)),
+                     MultisetCombiner("min"), "rank", "min")
+    assert check_generalized_n(L, schur_construct(spec, 4), GE).holds
+    assert calls.count("meet") <= 64 and calls.count("join") <= 64
+    # an FnLattice fills the same tables from chain digits, with no call
+    F = FnLattice.zero_to(3, 1)
+    calls = counted(F, "meet", "join", "index")
+    spec = SchurSpec(F, lambda e: Fraction(min(sum(e), 2)), MultisetCombiner("min"),
+                     "rank", "min")
+    assert check_generalized_n(F, schur_construct(spec, 4), GE).holds
+    assert calls == []
 
 
 def test_schur_refuses_bad_lambda():

@@ -313,8 +313,10 @@ def test_pointwise_matches_subset_formula(fn22):
 
 
 @pytest.mark.parametrize("make", [lambda: FnLattice.zero_to(2, 2),
+                                  lambda: FnLattice.symmetric(2, 1),
+                                  lambda: FnLattice(2, [0, Fraction(1, 2), 3]),
                                   lambda: product_of_chains([2, 3]), build_m3],
-                         ids=["fn", "chains", "m3"])
+                         ids=["fn", "symmetric", "fraction-chain", "chains", "m3"])
 def test_compiled_order_statistics_match_subset_formula(make):
     # every k-tuple, so every permutation of each sorted-window memo key
     L = make()
@@ -325,6 +327,44 @@ def test_compiled_order_statistics_match_subset_formula(make):
         for ids in product(range(len(elems)), repeat=k):
             expected = order_statistics_tuple(L, tuple(elems[i] for i in ids))
             assert tuple(elems[i] for i in stats(ids)) == expected
+
+
+class GenericView:
+    """An FnLattice seen only through the lattice interface, so that
+    `_CompiledLattice` fills its tables by index(L.meet(...)), not digits."""
+
+    def __init__(self, L):
+        self.elements, self.index, self.meet, self.join = L.elements, L.index, L.meet, L.join
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FnLattice.zero_to(2, 2),
+    lambda: FnLattice.zero_to(3, 1),
+    lambda: FnLattice.symmetric(2, 1),
+    lambda: FnLattice(2, [0, Fraction(1, 2), 3]),
+    lambda: FnLattice(2, [Fraction(7)]),
+    lambda: FnLattice.zero_to(1, 4),
+    lambda: FnLattice.symmetric(3, 1),
+], ids=["fn", "ground-3", "symmetric", "fraction-chain", "one-value", "ground-1",
+        "symmetric-ground-3"])
+def test_digit_tables_match_the_generic_fill(make):
+    # every pair, so a digit-wise max for meet or digits read in reverse fail
+    L = make()
+    digits, generic = _CompiledLattice(L), _CompiledLattice(GenericView(L))
+    m = digits.m
+    for key in range(m * m):
+        assert digits.meet[key] == generic.meet[key]
+        assert digits.join[key] == generic.join[key]
+    assert len(digits.meet) == len(digits.join) == m * m
+
+
+def test_one_compiled_carrier_per_lattice():
+    # built on first use and kept on the lattice, filled entries included
+    L, other = FnLattice.zero_to(2, 2), FnLattice.zero_to(2, 2)
+    compiled = _CompiledLattice.of(L)
+    compiled.meet[5]
+    assert _CompiledLattice.of(L) is compiled and len(compiled.meet) == 1
+    assert _CompiledLattice.of(other) is not compiled
 
 
 def test_compiled_tables_fill_lazily():

@@ -489,8 +489,9 @@ def test_sampled_mode_deterministic():
 
 
 def test_sampled_check_indexes_only_the_pairs_it_draws():
-    # 10 draws of a 3-tuple fill a few meet/join table entries each; the
-    # carrier's 46,656 elements are never all indexed
+    # 10 draws of a 3-tuple fill a few entries each of the carrier's shared
+    # meet/join tables, from chain digits: no element of the 46,656 is
+    # indexed, and the tables stay far from all m^2 pairs
     L = FnLattice.zero_to(6, 5)
     calls = []
     real = L.index
@@ -498,7 +499,9 @@ def test_sampled_check_indexes_only_the_pairs_it_draws():
     lam = TupleFunctional(arity=3, fn=lambda f: sum(sum(x) for x in f), tag="s")
     report = check_generalized_n(L, lam, EQ, mode="sampled", seed=1, trials=10)
     assert report.holds and report.instances_checked == 10
-    assert 0 < len(calls) <= 300
+    tables = lattice._CompiledLattice.of(L)
+    assert 0 < len(tables.meet) + len(tables.join) <= 300
+    assert calls == []
 
 
 def test_sampled_full_check_witness_draws_no_window():
@@ -591,8 +594,9 @@ def test_witness_replay_refuses_wrong_relaxed_swap(monkeypatch):
         self.meet, self.join = self.join, self.meet
 
     monkeypatch.setattr(lattice._CompiledLattice, "__init__", swapped)
+    # L keeps the tables it compiled above; a fresh carrier compiles anew
     with pytest.raises(InternalError, match="witness replay disagrees"):
-        check_relaxed_hypothesis(L, lam, GE)
+        check_relaxed_hypothesis(FnLattice.zero_to(2, 1), lam, GE)
 
 
 def negated_pair_terms(lam):
