@@ -10,7 +10,7 @@ Exit codes: 0 = inequality holds / demo reproduced / all criteria pass,
 4 = internal error (any other exception, reported on one stderr line).
 Reports are JSON on stdout (or --out) and are byte-deterministic for a
 fixed config and seed; --timing adds a wall-clock field at the cost of
-that determinism.  LATSTAT_BUDGET overrides the default evaluation budget.
+that determinism.  `_budget` picks each call's evaluation budget.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from .lattice import (
     is_distributive,
     order_statistics_dual_tuple,
     order_statistics_tuple,
+    require_lattice,
     validate_table_lattice,
 )
-from .scalars import BudgetExceededError, InputError, parse_rational
+from .scalars import BudgetExceededError, InputError, charge, parse_rational
 from .semimod import (
     TransitiveRelation,
     check_generalized_n,
@@ -55,7 +56,18 @@ from .semimod import (
     run_counterexample_m3,
 )
 
-def _default_budget() -> int:
+def _require_positive(args, *flags) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise InputError(f"--{flag} must be >= 1, got {value}")
+
+
+def _budget(args) -> int:
+    """--budget where the command has it, else LATSTAT_BUDGET, else DEFAULT_BUDGET."""
+    if getattr(args, "budget", None) is not None:
+        _require_positive(args, "budget")
+        return args.budget
     env = os.environ.get("LATSTAT_BUDGET")
     if env is None:
         return DEFAULT_BUDGET
@@ -66,13 +78,6 @@ def _default_budget() -> int:
     if value < 1:
         raise InputError("LATSTAT_BUDGET must be positive")
     return value
-
-
-def _require_positive(args, *flags) -> None:
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise InputError(f"--{flag} must be >= 1, got {value}")
 
 
 def _emit(args, command: str, config_echo: dict, result, started: float) -> None:
@@ -107,7 +112,7 @@ def _cmd_lattice(args):
         }
         return command, echo, result, True
     if args.action == "distributive":
-        report = is_distributive(lattice, budget=_default_budget())
+        report = is_distributive(lattice, budget=_budget(args))
     elif isinstance(lattice, TableLattice):
         report = validate_table_lattice(lattice)
     else:
@@ -133,9 +138,13 @@ def _cmd_ordstats(args):
 
 
 def _cmd_check(args):
-    _require_positive(args, "trials", "jobs", "budget")
-    budget = args.budget if args.budget is not None else _default_budget()
-    lattice = lattice_from_json(load_json_file(args.lattice))
+    _require_positive(args, "trials", "jobs")
+    budget = _budget(args)
+    carrier = load_json_file(args.lattice)
+    lattice = lattice_from_json(carrier)
+    if carrier["kind"] == "table":  # order and fn carriers are lattices by construction
+        charge(lattice.size ** 3, budget, "lattice axiom triples")
+        require_lattice(lattice)
     functional = functional_from_json(load_json_file(args.functional), lattice, budget)
     rel = TransitiveRelation.from_name(args.relation)
     kwargs = dict(mode=args.mode, seed=args.seed, trials=args.trials, budget=budget)
@@ -180,7 +189,7 @@ def _cmd_corollary(args):
 
 def _cmd_construct(args):
     descriptor = construction_from_json(load_json_file(args.params), args.family,
-                                        _default_budget())
+                                        _budget(args))
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(dump_report(descriptor))
@@ -198,8 +207,7 @@ def _cmd_ahke(args):
 
 
 def _cmd_reproduce(args):
-    _require_positive(args, "budget")
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     numbers = None
     if args.criteria:
         numbers = []

@@ -24,11 +24,11 @@ from .lattice import (DEFAULT_BUDGET, FnLattice, _CompiledLattice, _Memo, fn_dif
                       pointwise_order_statistics)
 from .report import CheckReport, Witness
 from .scalars import (
-    BudgetExceededError,
     ConventionMode,
     InputError,
     Scalar,
     as_scalar,
+    charge,
     ext_pow,
     ext_prod,
     ext_sum,
@@ -153,11 +153,11 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
     witness on failure; returns lam's values as Fractions, by id in
     `spec.lattice.elements()` order.  The map is read on meet and join id
     tables, with f <= g exactly when the meet of f and g is f; the m^2
-    pairs are charged to the budget before any is read."""
+    pairs are charged to the budget before any element is listed."""
+    m = spec.lattice.size
+    charge(m * m, budget, "pairs of the Schur map check")
     compiled = _CompiledLattice.of(spec.lattice)
-    elems, meet, join, m = compiled.elems, compiled.meet, compiled.join, compiled.m
-    if m * m > budget:
-        raise BudgetExceededError(f"{m}^2 pairs exceed budget {budget}")
+    elems, meet, join = compiled.elems, compiled.meet, compiled.join
     vals = [Fraction(spec.lam(e)) for e in elems]
     for i, f in enumerate(elems):
         for j, g in enumerate(elems):
@@ -205,8 +205,8 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
     lam from one `id_table` of arity 1, scaled only for a `MultisetCombiner`
     (others need not commute with a scale); with the combiner "sum" it is
     the sum of the unary terms (values, (i,))."""
-    vals = dict(zip(spec.lattice.elements(),
-                    verify_schur_spec(spec, n, seed=seed, budget=budget)))
+    by_id = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged before listing
+    vals = dict(zip(spec.lattice.elements(), by_id))
     combiner = spec.combiner
     multiset = isinstance(combiner, MultisetCombiner)
 
@@ -297,8 +297,7 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
     chain = spec.carrier.chain
     diffs = sorted({a - b for a in chain for b in chain})
     ground = spec.carrier.ground.size
-    if len(diffs) ** ground > budget:
-        raise BudgetExceededError(f"{len(diffs)}^{ground} integrals exceed budget {budget}")
+    charge(len(diffs) ** ground, budget, "integrals of the potential check")
     phi_vals = [as_scalar(spec.phi(d)) for d in diffs]
     for v in phi_vals:
         require_nonneg(v, f"{spec.phi_name} value")

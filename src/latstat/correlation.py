@@ -10,6 +10,7 @@ that the negative-power instances carry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -19,11 +20,11 @@ from .constructions import Measure
 from .lattice import _Memo, fn_join, fn_leq, fn_meet, pointwise_order_statistics
 from .report import CheckReport, Witness
 from .scalars import (
-    BudgetExceededError,
     ConventionMode,
     InputError,
     Scalar,
     as_scalar,
+    charge,
     ext_mul,
     ext_pow,
     ext_prod,
@@ -78,8 +79,7 @@ class ExplicitSublattice:
             if not new:
                 break
             current |= new
-            if len(current) > max_size:
-                raise BudgetExceededError(f"closure exceeded {max_size} elements")
+            charge(len(current), max_size, "closure elements")
         return cls(sorted(current))
 
     @property
@@ -252,11 +252,7 @@ def orderstat_family(families: Sequence[Sequence[tuple]], *,
     for fam in fams:
         if any(len(e) != width for e in fam):
             raise InputError("family elements must share one ground set")
-    total = 1
-    for fam in fams:
-        total *= len(fam)
-    if total > budget:
-        raise BudgetExceededError(f"family product of size {total} exceeds budget {budget}")
+    charge(math.prod(len(fam) for fam in fams), budget, "tuples of the family product")
     n = len(fams)
     out = [set() for _ in range(n)]
     for f in product(*fams):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional
 
 from .constructions import (
@@ -96,14 +97,16 @@ def _relation_image_lam(rng: random.Random, width: int) -> tuple[Callable, str]:
     return relation_image_measure(rel, weights), f"image({sorted(pairs)})"
 
 
+def _random_carrier(rng: random.Random) -> tuple[int, int, int]:
+    """(n, width, top): an arity and a `FnLattice.zero_to(width, top)` carrier."""
+    n = rng.choice((3, 4))
+    # n = 4 keeps |L|^4 scans at desk scale
+    return (n, *rng.choice(((1, 2), (1, 1), (2, 1)) if n == 4 else ((1, 2), (2, 1), (2, 2))))
+
+
 def random_schur_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctional]:
     """A random verified Schur composition on a small function lattice."""
-    n = rng.choice((3, 4))
-    if n == 4:
-        # keep |L|^4 scans at desk scale
-        width, top = rng.choice(((1, 2), (1, 1), (2, 1)))
-    else:
-        width, top = rng.choice(((1, 2), (2, 1), (2, 2)))
+    n, width, top = _random_carrier(rng)
     lattice = FnLattice.zero_to(width, top)
     if top == 1 and rng.random() < 0.4:
         lam, lam_name = _relation_image_lam(rng, width)
@@ -118,11 +121,7 @@ def random_schur_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctio
 
 def random_multiadd_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctional]:
     """A random verified symmetric sum of a nonnegative multiadditive form."""
-    n = rng.choice((3, 4))
-    if n == 4:
-        width, top = rng.choice(((1, 2), (1, 1), (2, 1)))
-    else:
-        width, top = rng.choice(((1, 2), (2, 1), (2, 2)))
+    n, width, top = _random_carrier(rng)
     lattice = FnLattice.zero_to(width, top)
     k = rng.randint(1, min(n, 3))
     kind = rng.choice(("prod-integrals", "integral-of-product", "tensor"))
@@ -132,8 +131,7 @@ def random_multiadd_functional(rng: random.Random) -> tuple[FnLattice, TupleFunc
         m = integral_of_product(rand_measure(rng, width), k)
     else:
         keys = set()
-        from itertools import product as _product
-        for key in _product(range(width), repeat=k):
+        for key in product(range(width), repeat=k):
             if rng.random() < 0.6:
                 keys.add(key)
         weights = {key: rand_fraction(rng, allow_zero=False) for key in keys}

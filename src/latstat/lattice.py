@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 from .report import CheckReport, Witness
 from .scalars import (
     INF,
-    BudgetExceededError,
     InputError,
     as_scalar,
+    charge,
     is_inf,
 )
 
@@ -262,27 +262,24 @@ def validate_table_lattice(t: TableLattice) -> CheckReport:
             return _axiom_fail((a,), t.meet(a, a), a, "meet idempotence", checked)
         if t.join(a, a) != a:
             return _axiom_fail((a,), t.join(a, a), a, "join idempotence", checked)
-    for a in range(n):
-        for b in range(n):
-            checked += 4
-            if t.meet(a, b) != t.meet(b, a):
-                return _axiom_fail((a, b), t.meet(a, b), t.meet(b, a), "meet commutativity", checked)
-            if t.join(a, b) != t.join(b, a):
-                return _axiom_fail((a, b), t.join(a, b), t.join(b, a), "join commutativity", checked)
-            if t.join(a, t.meet(a, b)) != a:
-                return _axiom_fail((a, b), t.join(a, t.meet(a, b)), a, "absorption join(a, meet(a,b))", checked)
-            if t.meet(a, t.join(a, b)) != a:
-                return _axiom_fail((a, b), t.meet(a, t.join(a, b)), a, "absorption meet(a, join(a,b))", checked)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                checked += 2
-                if t.meet(a, t.meet(b, c)) != t.meet(t.meet(a, b), c):
-                    return _axiom_fail((a, b, c), t.meet(a, t.meet(b, c)),
-                                       t.meet(t.meet(a, b), c), "meet associativity", checked)
-                if t.join(a, t.join(b, c)) != t.join(t.join(a, b), c):
-                    return _axiom_fail((a, b, c), t.join(a, t.join(b, c)),
-                                       t.join(t.join(a, b), c), "join associativity", checked)
+    for a, b in product(range(n), repeat=2):
+        checked += 4
+        if t.meet(a, b) != t.meet(b, a):
+            return _axiom_fail((a, b), t.meet(a, b), t.meet(b, a), "meet commutativity", checked)
+        if t.join(a, b) != t.join(b, a):
+            return _axiom_fail((a, b), t.join(a, b), t.join(b, a), "join commutativity", checked)
+        if t.join(a, t.meet(a, b)) != a:
+            return _axiom_fail((a, b), t.join(a, t.meet(a, b)), a, "absorption join(a, meet(a,b))", checked)
+        if t.meet(a, t.join(a, b)) != a:
+            return _axiom_fail((a, b), t.meet(a, t.join(a, b)), a, "absorption meet(a, join(a,b))", checked)
+    for a, b, c in product(range(n), repeat=3):
+        checked += 2
+        if t.meet(a, t.meet(b, c)) != t.meet(t.meet(a, b), c):
+            return _axiom_fail((a, b, c), t.meet(a, t.meet(b, c)),
+                               t.meet(t.meet(a, b), c), "meet associativity", checked)
+        if t.join(a, t.join(b, c)) != t.join(t.join(a, b), c):
+            return _axiom_fail((a, b, c), t.join(a, t.join(b, c)),
+                               t.join(t.join(a, b), c), "join associativity", checked)
     return CheckReport(instances_checked=checked)
 
 
@@ -291,24 +288,27 @@ def _axiom_fail(args, lhs, rhs, law, checked) -> CheckReport:
                        witness=Witness(args=args, lhs=lhs, rhs=rhs, note=law))
 
 
+def require_lattice(t: TableLattice) -> None:
+    """Refuse tables that break a lattice axiom, naming the first broken law."""
+    ok = validate_table_lattice(t)
+    if not ok.holds:
+        raise InputError(f"not a lattice: {ok.witness.note} at {ok.witness.args}")
+
+
 def is_distributive(L, budget: int = DEFAULT_BUDGET) -> CheckReport:
-    """Check a meet (b join c) == (a meet b) join (a meet c) over all triples."""
-    elems = L.elements()
-    n = len(elems)
-    if n ** 3 > budget:
-        raise BudgetExceededError(f"{n}^3 triples exceed budget {budget}")
-    checked = 0
-    first = None
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                checked += 1
-                lhs = L.meet(a, L.join(b, c))
-                rhs = L.join(L.meet(a, b), L.meet(a, c))
-                if lhs != rhs and first is None:
-                    first = Witness(args=(a, b, c), lhs=lhs, rhs=rhs,
-                                    note="a meet (b join c) != (a meet b) join (a meet c)")
-    return CheckReport(instances_checked=checked, witness=first)
+    """Check a meet (b join c) == (a meet b) join (a meet c) over all triples.
+    The |L|^3 triples are charged, and counted, before any element is
+    listed; the check ends at the first witness."""
+    total = L.size ** 3
+    charge(total, budget, "distributivity triples")
+    for a, b, c in product(L.elements(), repeat=3):
+        lhs = L.meet(a, L.join(b, c))
+        rhs = L.join(L.meet(a, b), L.meet(a, c))
+        if lhs != rhs:
+            return CheckReport(instances_checked=total, witness=Witness(
+                args=(a, b, c), lhs=lhs, rhs=rhs,
+                note="a meet (b join c) != (a meet b) join (a meet c)"))
+    return CheckReport(instances_checked=total)
 
 
 # --- order statistics ---
@@ -469,9 +469,7 @@ def birkhoff_embed(t: TableLattice):
     tuple of join-irreducible ids forming the ground set).  Refuses
     non-distributive input, quoting the violating triple.
     """
-    ok = validate_table_lattice(t)
-    if not ok.holds:
-        raise InputError(f"not a lattice: {ok.witness.note} at {ok.witness.args}")
+    require_lattice(t)
     dist = is_distributive(t)
     if not dist.holds:
         raise InputError(

@@ -23,6 +23,13 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed the evaluation budget; CLI exit 3."""
 
 
+def charge(units: int, budget: int, what: str) -> None:
+    """The one budget gate: refuse `units` of work, counted as `what`, over
+    `budget`.  Callers count units from sizes, before they list anything."""
+    if units > budget:
+        raise BudgetExceededError(f"{units} {what} exceed budget {budget}")
+
+
 class InternalError(RuntimeError):
     """A fast path disagreed with its exact oracle; CLI exit 4, never a verdict."""
 

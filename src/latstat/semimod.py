@@ -86,7 +86,7 @@ from .lattice import (
     _validate_tuple,
 )
 from .report import CheckReport, Witness
-from .scalars import BudgetExceededError, InputError, InternalError, integer_scale
+from .scalars import InputError, InternalError, charge, integer_scale
 
 _TRANSITIVITY_SAMPLE_CAP = 60
 _OPERATORS = {"ge": operator.ge, "le": operator.le, "eq": operator.eq}
@@ -440,13 +440,6 @@ def _replayed(lam: TupleFunctional, rel: TransitiveRelation, f: tuple, g: tuple,
     return Witness(args=f, lhs=lhs, rhs=rhs, note=note)
 
 
-def _require_budget(total: int, budget: int, what: str):
-    if total > budget:
-        raise BudgetExceededError(
-            f"{what} needs {total} evaluations, over budget {budget} "
-            "(raise the budget or use sampled mode)")
-
-
 def _derive_seed(seed: int, i: int) -> int:
     # 64-bit splitmix-style stream derivation so trial i depends on (seed, i) only
     x = (seed + (i + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -483,12 +476,12 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         return CheckReport(instances_checked=0, mode=mode, seed=seed,
                            detail={"vacuous": vacuous})
     n = lam.arity
-    m = len(L.elements())
+    m = L.size
     windows = n - k + 1
     if mode == "exhaustive":
         total = windows * m ** n
         what = "exhaustive windowed scan" if windowed else "exhaustive scan"
-        _require_budget(total, budget, f"{what} of L^{n}")
+        charge(total, budget, f"tuples of the {what} of L^{n}")
     else:
         total = trials
     compiled = _CompiledLattice.of(L)
@@ -562,9 +555,9 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
     n = lam.arity
     if n < 2:
         raise InputError("relaxed hypothesis needs arity >= 2")
-    m = len(L.elements())
+    m = L.size
     total = (n - 1) * m ** n
-    _require_budget(total, budget, "relaxed-hypothesis scan")
+    charge(total, budget, f"tuples of the relaxed-hypothesis scan of L^{n}")
     compiled = _CompiledLattice.of(L)
     meet, join = compiled.meet, compiled.join
     # ids above a, ascending; only chains of length >= 2 need them

@@ -161,6 +161,49 @@ def test_check_env_budget(write, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("env,message", [
+    ("x", "LATSTAT_BUDGET must be an integer, got 'x'"),
+    ("1.5", "LATSTAT_BUDGET must be an integer, got '1.5'"),
+    ("0", "LATSTAT_BUDGET must be positive"),
+    ("-3", "LATSTAT_BUDGET must be positive"),
+])
+def test_malformed_env_budget_exits_2(write, capsys, monkeypatch, env, message):
+    monkeypatch.setenv("LATSTAT_BUDGET", env)
+    lat, fun = write("m3.json", M3_ORDER), write("f.json", M3_FUNCTIONAL)
+    check = ("check", "--lattice", lat, "--functional", fun)
+    for argv in (check, ("lattice", "distributive", "--lattice", lat)):
+        assert run_cli(capsys, *argv) == (2, "", f"input error: {message}\n")
+    # --budget, where the command has it, wins over the environment
+    code, _, err = run_cli(capsys, *check, "--budget", "200")
+    assert (code, err) == (1, "")
+
+
+def test_check_refuses_a_table_that_is_not_a_lattice(write, capsys):
+    # join(1, 2) = 1 but join(2, 1) = 2: a scan would report the witness [1, 1, 2]
+    lat = write("t.json", {"kind": "table", "n": 3, "meet": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+                           "join": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]})
+    fun = write("f.json", {"family": "quadratic", "coeffs": {"1": [1, 2]}, "n": 3})
+    assert run_cli(capsys, "check", "--k", "n", "--lattice", lat, "--functional", fun) == (
+        2, "", "input error: not a lattice: join commutativity at (1, 2)\n")
+    # the axiom check is charged as the 27 triples it reads
+    code, out, err = run_cli(capsys, "check", "--lattice", lat, "--functional", fun,
+                             "--budget", "26")
+    assert (code, out, err) == (3, "", "budget exceeded: 27 lattice axiom triples exceed "
+                                       "budget 26\n")
+
+
+@pytest.mark.parametrize("k", ["2", "n"])
+def test_m3_as_a_table_reports_what_m3_as_an_order_reports(write, capsys, k):
+    m3 = build_m3()
+    table = {"kind": "table", "n": 5, "meet": m3._meet, "join": m3._join, "labels": m3.labels}
+    fun = write("f.json", M3_FUNCTIONAL)
+    reports = []
+    for carrier in (M3_ORDER, table):
+        reports.append(run_cli(capsys, "check", "--k", k, "--lattice", write("m3.json", carrier),
+                               "--functional", fun))
+    assert reports[0] == reports[1] and reports[0][0] == (0 if k == "2" else 1)
+
+
 @pytest.mark.parametrize("functional", [
     {"family": "schur", "n": 3, "lambda": {"kind": "modular", "point_weights": [1] * 6},
      "F": {"kind": "sum"}},
@@ -739,6 +782,10 @@ PSI_CONFIG = {"measure": [1, 2], "tuple": [[1, 0], [2, 2]]}
      "/p: not a rational literal"),
     (("corollary", "power", "--config", dict(PSI_CONFIG, p="1", r="0/1")),
      "/r: must be nonzero"),
+    (("check", "--lattice", M3_ORDER, "--functional", M3_FUNCTIONAL, "--k", "two"),
+     "--k must be an integer or 'n', got 'two'"),
+    (("check", "--lattice", M3_ORDER, "--functional", M3_FUNCTIONAL, "--k", "1.5"),
+     "--k must be an integer or 'n', got '1.5'"),
 ])
 def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     argv = [write(f"arg{i}.json", a) if isinstance(a, dict) else a
@@ -760,6 +807,8 @@ def test_malformed_config_exits_2_with_pointer(write, capsys, argv, message):
     ("corollary", "psi", "--config", dict(PSI_CONFIG, psi={"kind": "one_over_one_plus"})),
     check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "tensor",
                                               "weights": [[[0, 1], 1], [[1, 0], 2]]})),
+    check_schur(dict(MULTIADD_FUNCTIONAL, m={"kind": "prod_integrals",
+                                              "measures": [[1, 2], [3, 1]]})),
     ("lattice", "validate", "--lattice", dict(FN_LATTICE, ground_size=7, max_ground=7)),
     ("lattice", "validate", "--lattice", dict(FN_LATTICE, chain_max=6, max_chain=7)),
 ])

@@ -39,10 +39,12 @@ from latstat import (
 from latstat import constructions
 from latstat.constructions import (
     MultisetCombiner,
+    PotentialSpec,
     integral_of_product,
     potential_pair_inequality_check,
     product_of_integrals,
     verify_multiadditive,
+    verify_potential_spec,
     verify_schur_spec,
 )
 from latstat.generators import rand_fraction, random_potential_spec
@@ -308,6 +310,19 @@ def test_potential_rejects_wrong_curvature_tag():
         spec.curvature = "concave"
         with pytest.raises(InputError):
             potential_construct(spec, 2)
+
+
+@pytest.mark.parametrize("phi,psi,curvature,message", [
+    (abs, lambda u: u, "concave", "phi is not monotone on the difference range"),
+    (lambda d: max(d, 0), lambda u: u * u, "concave", r"psi is not concave at \(0,1,2\)"),
+    (lambda d: max(d, 0), lambda u: -u * u, "convex", r"psi is not convex at \(0,1,2\)"),
+], ids=["phi-not-monotone", "psi-not-concave", "psi-not-convex"])
+def test_potential_spec_refuses_bad_maps(phi, psi, curvature, message):
+    # differences -2..2 on one ground point; phi = max(d, 0) reaches integrals 0, 1, 2
+    spec = PotentialSpec(carrier=FnLattice.zero_to(1, 2), measure=Measure.counting(1),
+                         phi=phi, psi=psi, curvature=curvature)
+    with pytest.raises(InputError, match=message):
+        verify_potential_spec(spec)
 
 
 # --- multiadditive machinery ---

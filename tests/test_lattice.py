@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latstat import (
+    BudgetExceededError,
     FnLattice,
     InputError,
     TableLattice,
@@ -95,6 +96,46 @@ def test_validate_catches_broken_commutativity():
     assert "commut" in report.witness.note or "absorption" in report.witness.note
 
 
+def _patched(rows, entries):
+    rows = [row[:] for row in rows]
+    for (a, b), v in entries.items():
+        rows[a][b] = v
+    return rows
+
+
+# with bottom 0 and top 4: each pair of tables below, one of them patched at
+# (2, 3), is commutative, idempotent and absorptive, and breaks one
+# associative law at (1, 2, 3)
+MEET_NONASSOC = [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 3, 2], [0, 1, 3, 3, 3],
+                 [0, 1, 2, 3, 4]]
+JOIN_NONASSOC = [[0, 1, 2, 3, 4], [1, 1, 4, 3, 4], [2, 4, 2, 3, 4], [3, 3, 3, 3, 4],
+                 [4, 4, 4, 4, 4]]
+
+
+@pytest.mark.parametrize("meet_fix,join_fix,law,args", [
+    ({(1, 1): 0}, {}, "meet idempotence", (1,)),
+    ({}, {(1, 1): 2}, "join idempotence", (1,)),
+    ({(2, 0): 1}, {}, "meet commutativity", (0, 2)),
+    ({}, {(0, 1): 2, (1, 0): 2}, "absorption join(a, meet(a,b))", (1, 0)),
+    ({(1, 2): 0, (2, 1): 0}, {}, "absorption meet(a, join(a,b))", (1, 2)),
+], ids=["meet-idempotence", "join-idempotence", "meet-commutativity",
+        "absorption-join", "absorption-meet"])
+def test_validate_reports_the_first_broken_law(meet_fix, join_fix, law, args):
+    chain = product_of_chains([3])
+    bad = TableLattice(3, _patched(chain._meet, meet_fix), _patched(chain._join, join_fix))
+    report = validate_table_lattice(bad)
+    assert (report.holds, report.witness.note, report.witness.args) == (False, law, args)
+
+
+@pytest.mark.parametrize("meet_t,join_t,law", [
+    (MEET_NONASSOC, _patched(JOIN_NONASSOC, {(2, 3): 2, (3, 2): 2}), "meet associativity"),
+    (_patched(MEET_NONASSOC, {(2, 3): 2, (3, 2): 2}), JOIN_NONASSOC, "join associativity"),
+], ids=["meet", "join"])
+def test_validate_reports_broken_associativity(meet_t, join_t, law):
+    report = validate_table_lattice(TableLattice(5, meet_t, join_t))
+    assert (report.holds, report.witness.note, report.witness.args) == (False, law, (1, 2, 3))
+
+
 def test_table_constructor_rejects_malformed():
     with pytest.raises(InputError):
         TableLattice(2, [[0, 0]], [[0, 1], [1, 1]])
@@ -112,6 +153,12 @@ def test_m3_not_distributive_with_valid_witness(m3):
     rhs = m3.join(m3.meet(a, b), m3.meet(a, c))
     assert lhs != rhs
     assert report.instances_checked == 5 ** 3
+
+
+def test_distributivity_charges_its_triples_first(m3):
+    with pytest.raises(BudgetExceededError, match="^125 distributivity triples exceed budget 124$"):
+        is_distributive(m3, budget=124)
+    assert not is_distributive(m3, budget=125).holds
 
 
 def test_fn_lattices_distributive(fn22):
@@ -458,6 +505,16 @@ def test_lattice_from_order_rejects_non_lattice():
     # two incomparable elements with no common upper bound
     with pytest.raises(InputError):
         lattice_from_order(2, [])
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([(0, 1), (1, 0)], r"order is not antisymmetric at \(0,1\)"),
+    ([(0, 1), (1, 2)], r"order is not transitive at \(0,1,2\)"),
+], ids=["antisymmetry", "transitivity"])
+def test_lattice_from_order_rejects_non_orders(pairs, message):
+    from latstat.lattice import lattice_from_order
+    with pytest.raises(InputError, match=message):
+        lattice_from_order(3, pairs)
 
 
 def test_fn_lattice_guards():

@@ -24,7 +24,13 @@ from latstat import (
     verify_chain_sortedness,
 )
 from latstat import lattice, semimod
-from latstat.constructions import potential_construct
+from latstat.constructions import (
+    MultisetCombiner,
+    SchurSpec,
+    potential_construct,
+    schur_construct,
+    verify_schur_spec,
+)
 from latstat.generators import (
     random_multiadd_functional,
     random_potential_spec,
@@ -475,6 +481,31 @@ def test_budget_exceeded():
     lam = TupleFunctional(arity=3, fn=lambda f: Fraction(0), tag="zero")
     with pytest.raises(BudgetExceededError):
         check_generalized_n(L, lam, GE, budget=10)
+
+
+class UnlistedCarrier:
+    """A lattice of `size` elements that refuses to list them."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def elements(self):
+        raise AssertionError("listed the carrier before charging the budget")
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda L, lam: check_generalized_n(L, lam, GE, budget=1000),
+    lambda L, lam: check_generalized_nk(L, lam, 2, GE, budget=1000),
+    lambda L, lam: check_relaxed_hypothesis(L, lam, GE, budget=1000),
+    lambda L, lam: lattice.is_distributive(L, budget=1000),
+    lambda L, lam: verify_schur_spec(SchurSpec(L, sum, MultisetCombiner("sum")), 3, budget=1000),
+    lambda L, lam: schur_construct(SchurSpec(L, sum, MultisetCombiner("sum")), 3, budget=1000),
+], ids=["full", "windowed", "relaxed", "distributive", "schur-spec", "schur-construct"])
+def test_budget_refusals_are_decided_from_sizes(refuse):
+    # 10^6 elements: every count is over budget, and listing them would raise
+    lam = TupleFunctional(arity=3, fn=lambda f: Fraction(0), tag="zero")
+    with pytest.raises(BudgetExceededError, match="exceed budget 1000$"):
+        refuse(UnlistedCarrier(10 ** 6), lam)
 
 
 def test_sampled_mode_deterministic():
