@@ -23,7 +23,7 @@ from functools import cache
 
 from . import __version__
 from .acceptance import CRITERIA, run_all
-from .correlation import nonreversibility_demo
+from .correlation import DEFAULT_FAMILY_BUDGET, nonreversibility_demo
 from .jsonio import (
     ahke_config_from_json,
     construction_from_json,
@@ -63,14 +63,14 @@ def _require_positive(args, *flags) -> None:
             raise InputError(f"--{flag} must be >= 1, got {value}")
 
 
-def _budget(args) -> int:
-    """--budget where the command has it, else LATSTAT_BUDGET, else DEFAULT_BUDGET."""
+def _budget(args, default: int = DEFAULT_BUDGET) -> int:
+    """--budget where the command has it, else LATSTAT_BUDGET, else default."""
     if getattr(args, "budget", None) is not None:
         _require_positive(args, "budget")
         return args.budget
     env = os.environ.get("LATSTAT_BUDGET")
     if env is None:
-        return DEFAULT_BUDGET
+        return default
     try:
         value = int(env)
     except ValueError:
@@ -99,12 +99,15 @@ def _maybe_labels(lattice, elems):
 # --- handlers (each returns the command, config echo, result and verdict) ---
 
 def _cmd_lattice(args):
+    budget = _budget(args)
     lattice = lattice_from_json(load_json_file(args.lattice))
     command, echo = f"lattice {args.action}", {"lattice": args.lattice, "action": args.action}
+    if args.action != "distributive" and isinstance(lattice, TableLattice):
+        charge(lattice.size ** 3, budget, "lattice axiom triples")
     if args.action == "birkhoff":
         if not isinstance(lattice, TableLattice):
             raise InputError("birkhoff embedding applies to table lattices")
-        ambient, mapping, ground = birkhoff_embed(lattice)
+        ambient, mapping, ground = birkhoff_embed(lattice, budget)
         result = {
             "join_irreducibles": list(ground),
             "ground_size": ambient.ground.size,
@@ -112,7 +115,7 @@ def _cmd_lattice(args):
         }
         return command, echo, result, True
     if args.action == "distributive":
-        report = is_distributive(lattice, budget=_budget(args))
+        report = is_distributive(lattice, budget=budget)
     elif isinstance(lattice, TableLattice):
         report = validate_table_lattice(lattice)
     else:
@@ -176,7 +179,8 @@ def _cmd_demo(args):
         demo = run_counterexample_m3()
         return "demo m3", {"demo": "m3"}, demo, demo["expected_violation_reproduced"]
     demo = nonreversibility_demo(args.N, parse_rational(args.delta),
-                                 parse_rational(args.eps), args.r)
+                                 parse_rational(args.eps), args.r,
+                                 budget=_budget(args, DEFAULT_FAMILY_BUDGET))
     echo = {"demo": "nonrev", "N": args.N, "delta": args.delta,
             "eps": args.eps, "r": args.r}
     return "demo nonrev", echo, demo, demo["sizes_are_n_squared"]
@@ -202,7 +206,7 @@ def _cmd_fkg(args):
 
 
 def _cmd_ahke(args):
-    report = ahke_config_from_json(args.config)()
+    report = ahke_config_from_json(args.config, _budget(args, DEFAULT_FAMILY_BUDGET))()
     return "ahke", {"config": args.config}, report, report.holds
 
 
@@ -240,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="validate / test distributivity / embed (plumbing)")
     p.add_argument("action", choices=("validate", "distributive", "birkhoff"))
     p.add_argument("--lattice", required=True)
+    p.add_argument("--budget", type=int)
     add_io(p)
 
     p = sub.add_parser("ordstats", help="order statistics of a tuple (plumbing)")
@@ -267,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default="1/1000")
     p.add_argument("--eps", default="1/10000")
     p.add_argument("--r", type=int, default=1)
+    p.add_argument("--budget", type=int)
     add_io(p)
 
     p = sub.add_parser("corollary", help="inequality checkers")
@@ -287,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ahke", help="family correlation inequality")
     p.add_argument("--config", required=True)
+    p.add_argument("--budget", type=int)
     add_io(p)
 
     p = sub.add_parser("reproduce", help="run the acceptance suite (plumbing)")

@@ -337,12 +337,14 @@ def corollary_ahke_check(families: Sequence[Sequence[tuple]], *,
     return out
 
 
-def nonreversibility_demo(N: int, delta, eps, r: int = 1) -> dict:
+def nonreversibility_demo(N: int, delta, eps, r: int = 1, *,
+                          budget: int = DEFAULT_FAMILY_BUDGET) -> dict:
     """Two families on an (N+1)-point grid under the uniform probability
     measure: N near-one constants against N two-level step functions.  Both
     order-statistic families blow up to N^2 elements, so the sum-product on
     the order-statistic side scales like N^4 against N^2 on the original
-    side; the exact ratio is reported.
+    side; the exact ratio is reported.  The budget bounds the N^2 tuples
+    of the family product (`orderstat_family`).
     """
     delta = parse_rational(delta) if not isinstance(delta, Fraction) else delta
     eps = parse_rational(eps) if not isinstance(eps, Fraction) else eps
@@ -360,7 +362,7 @@ def nonreversibility_demo(N: int, delta, eps, r: int = 1) -> dict:
     steps = [tuple((one - delta) if s <= j else (one + delta)
                    for s in range(1, points + 1))
              for j in range(1, N + 1)]
-    fam1, fam2 = orderstat_family([constants, steps])
+    fam1, fam2 = orderstat_family([constants, steps], budget=budget)
 
     def weight_sum(elems):
         return ext_sum(ext_pow(mu.integral(e), r) for e in elems)

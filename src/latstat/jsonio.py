@@ -36,6 +36,7 @@ from .constructions import (
     SetRelation,
 )
 from .correlation import (
+    DEFAULT_FAMILY_BUDGET,
     ExplicitSublattice,
     aharoni_keich_check,
     corollary_ahke_check,
@@ -563,20 +564,22 @@ def _refuse_zero_times_inf(entries: list, ptr: str, sub, F, G) -> None:
                 'is undefined without a convention; set "mode" to "zero" or "inf"')
 
 
-def ahke_config_from_json(path: str) -> partial:
-    """Decode a `latstat ahke` config into the call of its checker:
-    `corollary_ahke_check` for a weight, else `aharoni_keich_check` with
-    the alphas and betas under the zero rule for 0 * inf."""
+def ahke_config_from_json(path: str, budget: int = DEFAULT_FAMILY_BUDGET) -> partial:
+    """Decode a `latstat ahke` config into the call of its checker, with
+    the budget for its family product: `corollary_ahke_check` for a
+    weight, else `aharoni_keich_check` with the alphas and betas under the
+    zero rule for 0 * inf."""
     cfg = parse_config(path, ("families",), ("weight", "alphas", "betas"))
     fams, width = _families_from_json(cfg["families"], "/families")
     if "weight" in cfg:
-        return partial(corollary_ahke_check, fams,
+        return partial(corollary_ahke_check, fams, budget=budget,
                        **_weight_from_json(cfg["weight"], width, ("power", "inf")))
     if "alphas" in cfg and "betas" in cfg:
         alphas, betas = (_list_of(cfg[key], f"/{key}",
                                   lambda a, p: _function_from_json(a, width, p))
                          for key in ("alphas", "betas"))
-        return partial(aharoni_keich_check, alphas, betas, fams, mode=ConventionMode.ZERO)
+        return partial(aharoni_keich_check, alphas, betas, fams, mode=ConventionMode.ZERO,
+                       budget=budget)
     raise InputError("/weight: provide 'weight' or both 'alphas' and 'betas'")
 
 

@@ -5,12 +5,18 @@ in elements(), contains, meet, join, leq): explicit meet-join tables, and
 functions from a small ground set into a finite chain, with pointwise min/max.
 The public order-statistic functions evaluate the defining subset
 formulas, folding each subset from its prefix in the literal bracketing, and
-serve as the oracle; the pointwise per-point sort is provided separately for
-function elements.  Scans go through `_CompiledLattice` instead, one per
-lattice for its lifetime, shared by verification and every scan: elements
-become ids in `elements()` order, meet and join become id tables filled
-lazily per pair (from chain digits on an `FnLattice`), and order statistics
-come from the same `_subset_formula` plan, memoized by the sorted window.
+serve as the oracle (witness replay goes through them); the pointwise
+per-point sort is provided separately for function elements.  Scans go
+through `_CompiledLattice` instead, one per lattice for its lifetime,
+shared by verification and every scan: elements become ids in `elements()`
+order, and meet and join become id tables filled lazily per pair (from
+chain digits on an `FnLattice`).  Its order statistics take one of two
+engines, chosen by the carrier's kind.  An `FnLattice` is a product of
+chains, so distributive, and there the paper's insertion chain sorts any
+window by n(n - 1)/2 adjacent (meet, join) swaps on the id tables
+(`_insertion_swaps`).  Every other carrier (M3, any `TableLattice`) runs
+the `_subset_formula` plan, memoized by the sorted window: off a
+distributive lattice the swaps need not give the order statistics.
 """
 
 from __future__ import annotations
@@ -393,16 +399,30 @@ class _Memo(dict):
         return value
 
 
+@cache
+def _insertion_swaps(n: int) -> tuple:
+    """The swap plan, built once per n, of `semimod.insertion_chain` on an
+    n-tuple, in its order: for p = 1..n - 1, entry p enters the sorted
+    prefix by swaps at i = p - 1 down to 0, each replacing (row[i],
+    row[i + 1]) by their (meet, join).  n(n - 1)/2 swaps in all; on a
+    distributive lattice they sort any tuple into its order statistics."""
+    return tuple(i for p in range(1, n) for i in range(p - 1, -1, -1))
+
+
 class _CompiledLattice:
     """A lattice's elements as ids 0..m-1 in `L.elements()` order, with lazy
     meet and join id tables (`L.pick_id` on an `FnLattice`, else its oracle
-    index(L.meet(...))): a sampled scan fills only the pairs it draws."""
+    index(L.meet(...))): a sampled scan fills only the pairs it draws.
+    `by_swaps` records the order-statistic engine, chosen once: the insertion
+    chain on an `FnLattice`, distributive by construction, and the subset
+    formula on every other carrier."""
 
     def __init__(self, L):
         elems = self.elems = L.elements()
         m = self.m = len(elems)
+        self.by_swaps = isinstance(L, FnLattice)
         # keyed a * m + b and filled one pair at a time on first use
-        if isinstance(L, FnLattice):
+        if self.by_swaps:
             self.meet = _Memo(lambda key: L.pick_id(*divmod(key, m), min))
             self.join = _Memo(lambda key: L.pick_id(*divmod(key, m), max))
         else:
@@ -418,11 +438,23 @@ class _CompiledLattice:
         return L._compiled
 
     def order_statistics(self):
-        """The map from a tuple of ids to the ids of its order statistics:
-        the `_subset_formula` plan run on the meet and join id tables, each
-        entry read inline.  The formula is symmetric in its arguments on
-        every lattice, so results are memoized by the sorted window."""
+        """The map from a tuple of ids, in any order, to the ids of its
+        order statistics, read off the meet and join id tables.  With
+        `by_swaps`, the `_insertion_swaps` plan runs on a copy of the window,
+        with no memo: an exhaustive scan of a symmetric functional meets
+        each window once.  Otherwise the `_subset_formula` plan runs, each
+        entry read inline; that formula is symmetric in its arguments on
+        every lattice, so its results are memoized by the sorted window."""
         meet, join, m = self.meet, self.join, self.m
+        if self.by_swaps:
+            def chain(w):
+                row = list(w)
+                for i in _insertion_swaps(len(row)):
+                    key = row[i] * m + row[i + 1]
+                    row[i] = meet[key]
+                    row[i + 1] = join[key]
+                return tuple(row)
+            return chain
         memo: dict = {}
 
         def stats(w):
@@ -461,16 +493,17 @@ def pointwise_order_statistics(fs: Sequence[tuple]) -> tuple:
 
 # --- Birkhoff embedding ---
 
-def birkhoff_embed(t: TableLattice):
+def birkhoff_embed(t: TableLattice, budget: int = DEFAULT_BUDGET):
     """Embed a distributive table lattice into a 0/1 function lattice.
 
     Each element maps to the indicator of the set of join-irreducible
     elements below it.  Returns (ambient FnLattice, id -> element map,
     tuple of join-irreducible ids forming the ground set).  Refuses
-    non-distributive input, quoting the violating triple.
+    non-distributive input, quoting the violating triple; the budget bounds
+    the distributivity triples (`is_distributive`).
     """
     require_lattice(t)
-    dist = is_distributive(t)
+    dist = is_distributive(t, budget)
     if not dist.holds:
         raise InputError(
             f"lattice is not distributive: witness triple {dist.witness.args} "

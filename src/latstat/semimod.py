@@ -12,9 +12,10 @@ the full check is the one window of width n, the windowed check slides a
 k-wide window, and the relaxed check feeds its sorted-prefix instances.
 Scans run on element ids in `L.elements()` order, so they visit tuples in
 the same order as a scan of elements would and report the same first
-witness, mapped back to elements.  Order statistics come from the subset
-formula on the lattice's one set of lazy id tables, memoized by the sorted
-window (`lattice._CompiledLattice.of`); a functional with `on_ids` is
+witness, mapped back to elements.  Order statistics are read off the
+lattice's one set of lazy id tables (`lattice._CompiledLattice.of`): by the
+insertion chain's swaps on a function lattice, by the subset formula,
+memoized by the sorted window, on any other; a functional with `on_ids` is
 evaluated on ids directly.  A scan of integer values over a scale under
 ge, le or eq ends at its first violation, which settles the verdict
 (`_scan`); `instances_checked` counts the tuples covered, not the tuples

@@ -178,6 +178,33 @@ def test_malformed_env_budget_exits_2(write, capsys, monkeypatch, env, message):
     assert (code, err) == (1, "")
 
 
+def test_family_commands_take_the_budget(write, capsys, monkeypatch):
+    # a 2 x 1 family product for ahke, 2 x 2 for the nonreversibility demo
+    ahke = ("ahke", "--config", write("ahke.json", AHKE_CONFIG))
+    nonrev = ("demo", "nonrev", "--N", "2")
+    refusals = {ahke: "budget exceeded: 2 tuples of the family product exceed budget 1\n",
+                nonrev: "budget exceeded: 4 tuples of the family product exceed budget 1\n"}
+    for argv, err in refusals.items():
+        assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, *argv, "--budget", "1") == (3, "", err)
+    monkeypatch.setenv("LATSTAT_BUDGET", "1")
+    for argv, err in refusals.items():
+        assert run_cli(capsys, *argv) == (3, "", err)
+        assert run_cli(capsys, *argv, "--budget", "4")[0] == 0
+
+
+@pytest.mark.parametrize("action", ["validate", "birkhoff"])
+def test_lattice_axiom_loops_are_charged_before_they_run(write, capsys, monkeypatch, action):
+    chain = write("chain3.json", {"kind": "order", "n": 3,
+                                  "leq_pairs": [[0, 1], [1, 2], [0, 2]]})
+    argv = ("lattice", action, "--lattice", chain)
+    err = "budget exceeded: 27 lattice axiom triples exceed budget 26\n"
+    assert run_cli(capsys, *argv, "--budget", "26") == (3, "", err)
+    monkeypatch.setenv("LATSTAT_BUDGET", "26")
+    assert run_cli(capsys, *argv) == (3, "", err)
+    assert run_cli(capsys, *argv, "--budget", "27")[0] == 0
+
+
 def test_check_refuses_a_table_that_is_not_a_lattice(write, capsys):
     # join(1, 2) = 1 but join(2, 1) = 2: a scan would report the witness [1, 1, 2]
     lat = write("t.json", {"kind": "table", "n": 3, "meet": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],

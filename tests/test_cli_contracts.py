@@ -38,6 +38,12 @@ M3Q = {"12": [1, 2], "3": [2, 3], "5": [1, 3]}
 MULTIADD = {"family": "multiadd", "n": 3, "k": 2,
             "m": {"kind": "prod_integrals", "measures": [[1, 2], [3, 1]]}}
 LINEAR_11 = {"kind": "linear", "coeffs": [1, 1]}
+POTENTIAL_FN16 = {"family": "potential", "measure": [2, 2],
+                  "phi": {"kind": "relu", "scale": 1, "shift": -1},
+                  "psi": {"kind": "min_affine", "pieces": [[4, -2], [1, 2]]}}
+SCHUR_FN16 = {"family": "schur", "seed": 202142728,
+              "lambda": {"kind": "capped_modular", "point_weights": [3, 2], "cap": 4},
+              "F": {"kind": "sum_smallest", "k": 2}}
 FKG_ELEMENTS = [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
@@ -85,6 +91,13 @@ M3Q5_WITNESS = dict(labels=[2, 3, 4, 5, 5], lhs={"num": 148, "den": 1},
 def _m3q5_out(run):
     assert run.out == ""
     _witness(**M3Q5_WITNESS, name="m3q5_out.json")(run)
+
+
+def _holds_over(instances):
+    def check(run):
+        r = run.report()
+        assert r["holds"] and r["instances_checked"] == instances
+    return check
 
 
 def _reproduced(count):
@@ -173,11 +186,14 @@ CONTRACTS = [
                  "G": {"kind": "linear", "coeffs": [2, 1]},
                  "weight": {"kind": "power", "r": 1, "measure": [1, 1]}}},
              ("fkg", "--config", "fkg_r1.json"), 2, _stderr_has("/weight/r")),
-    Contract("potential-n8-k2", {"fn16.json": FN16, "pot8.json": {
-                 "family": "potential", "n": 8, "measure": [2, 2],
-                 "phi": {"kind": "relu", "scale": 1, "shift": -1},
-                 "psi": {"kind": "min_affine", "pieces": [[4, -2], [1, 2]]}}},
+    Contract("potential-n8-k2", {"fn16.json": FN16, "pot8.json": dict(POTENTIAL_FN16, n=8)},
              _check_argv("fn16.json", "pot8.json", "--k", "2", "--budget", "100000000000"), 0),
+    # 16^6 tuples each, through the insertion chain of the function lattice
+    Contract("schur-fn16-n6-kn", {"fn16.json": FN16, "schur6.json": dict(SCHUR_FN16, n=6)},
+             _check_argv("fn16.json", "schur6.json", "--k", "n"), 0, _holds_over(16 ** 6)),
+    Contract("potential-fn16-n6-kn", {"fn16.json": FN16,
+                                      "pot6.json": dict(POTENTIAL_FN16, n=6)},
+             _check_argv("fn16.json", "pot6.json", "--k", "n"), 0, _holds_over(16 ** 6)),
     Contract("construct-schur-out", {"schur_params.json": {
                  "lattice": FN9, "n": 3, "lambda": {"kind": "modular", "point_weights": [1, 2]},
                  "F": {"kind": "sum"}}},

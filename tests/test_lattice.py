@@ -25,7 +25,9 @@ from latstat import (
     validate_table_lattice,
 )
 from latstat.correlation import ExplicitSublattice
-from latstat.lattice import _CompiledLattice, fn_diff, fn_join, fn_meet
+from latstat.lattice import (_CompiledLattice, _insertion_swaps, _subset_rows, fn_diff,
+                             fn_join, fn_meet)
+from latstat.scalars import INF
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +297,7 @@ def test_every_engine_matches_the_literal_subset_formula(make):
             for j in range(1, n + 1):
                 assert order_statistics(L, f, j) == primal[j - 1]
                 assert order_statistics_dual(L, f, j) == dual[j - 1]
-            # the compiled engine evaluates the sorted window of ids
+            # either compiled engine gives the formula's result on the sorted window
             compiled = _CompiledLattice(L)
             ids = [compiled.elems.index(a) for a in f]
             window = tuple(compiled.elems[i] for i in sorted(ids))
@@ -421,6 +423,56 @@ def test_compiled_tables_fill_lazily():
     assert compiled.elems[compiled.meet[a * compiled.m + b]] == L.meet(
         compiled.elems[a], compiled.elems[b])
     assert len(compiled.meet) == 1 and len(compiled.join) == 0
+
+
+# --- the insertion chain on function lattices ---
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_insertion_swaps_sort_every_zero_one_input(n):
+    # the 0-1 principle: a comparator network that sorts every 0/1 input
+    # sorts every input over a chain, so by coordinates every FnLattice tuple
+    assert len(_insertion_swaps(n)) == n * (n - 1) // 2
+    bits = FnLattice(1, [0, 1])
+    compiled = _CompiledLattice(bits)
+    assert compiled.by_swaps and [bits.index(e) for e in bits.elements()] == [0, 1]
+    chain = compiled.order_statistics()
+    for w in product((0, 1), repeat=n):
+        assert chain(w) == tuple(sorted(w))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FnLattice.zero_to(2, 3),
+    lambda: FnLattice.symmetric(1, 2),
+    lambda: FnLattice.zero_to(3, 2),
+    lambda: FnLattice(2, [-1, Fraction(1, 2), 4, INF]),
+], ids=["fn16", "symmetric", "width-3", "inf-chain"])
+def test_insertion_chain_matches_the_subset_formula(make):
+    L = make()
+    compiled = _CompiledLattice(L)
+    elems, chain = compiled.elems, compiled.order_statistics()
+    rng = random.Random(23)
+    for n in range(1, 10):
+        for _ in range(12):
+            ids = tuple(rng.randrange(compiled.m) for _ in range(n))  # unsorted
+            f = tuple(elems[i] for i in ids)
+            assert tuple(elems[i] for i in chain(ids)) == tuple(_subset_rows(f, L.join, L.meet))
+
+
+@pytest.mark.parametrize("make", [build_m3, lambda: product_of_chains([2, 3])],
+                         ids=["m3", "chains"])
+def test_tables_keep_the_subset_formula(make):
+    # the swaps sort M3's (2, 3, 4) to (1, 4, 5), not its order statistics
+    # (1, 5, 5); a distributive table keeps the formula too
+    L = make()
+    compiled = _CompiledLattice(L)
+    assert not compiled.by_swaps
+    rng = random.Random(3)
+    windows = [(1, 2, 3)] + [tuple(rng.randrange(L.size) for _ in range(4)) for _ in range(50)]
+    for w in windows:
+        assert compiled.order_statistics()(w) == order_statistics_tuple(L, w)
+    if L.size == 5:
+        compiled.by_swaps = True
+        assert compiled.order_statistics()((1, 2, 3)) == (0, 3, 4)
 
 
 @pytest.mark.parametrize("make", [
