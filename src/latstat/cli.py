@@ -100,7 +100,7 @@ def _maybe_labels(lattice, elems):
 
 def _cmd_lattice(args):
     budget = _budget(args)
-    lattice = lattice_from_json(load_json_file(args.lattice))
+    lattice = lattice_from_json(load_json_file(args.lattice), budget=budget)
     command, echo = f"lattice {args.action}", {"lattice": args.lattice, "action": args.action}
     if args.action != "distributive" and isinstance(lattice, TableLattice):
         charge(lattice.size ** 3, budget, "lattice axiom triples")
@@ -125,7 +125,7 @@ def _cmd_lattice(args):
 
 
 def _cmd_ordstats(args):
-    lattice = lattice_from_json(load_json_file(args.lattice))
+    lattice = lattice_from_json(load_json_file(args.lattice), budget=_budget(args))
     elems = elements_from_json(load_json_file(args.tuple), lattice)
     rows = [("order_statistics", order_statistics_tuple(lattice, elems))]
     if args.dual:
@@ -144,7 +144,7 @@ def _cmd_check(args):
     _require_positive(args, "trials", "jobs")
     budget = _budget(args)
     carrier = load_json_file(args.lattice)
-    lattice = lattice_from_json(carrier)
+    lattice = lattice_from_json(carrier, budget=budget)
     if carrier["kind"] == "table":  # order and fn carriers are lattices by construction
         charge(lattice.size ** 3, budget, "lattice axiom triples")
         require_lattice(lattice)

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
@@ -150,29 +151,34 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
     spot-check the combiner on generated majorization pairs.  The combiner
     check is a falsification filter, not a proof, and is skipped for a
     `MultisetCombiner`, whose properties are theorems.  Raises with a
-    witness on failure; returns lam's values as Fractions, by id in
-    `spec.lattice.elements()` order.  The map is read on meet and join id
-    tables, with f <= g exactly when the meet of f and g is f; the m^2
-    pairs are charged to the budget before any element is listed."""
+    witness on failure; returns lam's values by id in
+    `spec.lattice.elements()` order, as Fractions and as the pair (scale,
+    integers) of `integer_scale`.  The map is read on the carrier's meet
+    and join id tables, filled whole, with f <= g exactly when the meet of
+    f and g is f, and compared as those integers; a failure maps its sums
+    back to Fractions for the message.  The m^2 pairs are charged to the
+    budget before any element is listed."""
     m = spec.lattice.size
     charge(m * m, budget, "pairs of the Schur map check")
-    compiled = _CompiledLattice.of(spec.lattice)
+    compiled = _CompiledLattice.of(spec.lattice).whole()
     elems, meet, join = compiled.elems, compiled.meet, compiled.join
     vals = [Fraction(spec.lam(e)) for e in elems]
-    for i, f in enumerate(elems):
-        for j, g in enumerate(elems):
-            lhs = vals[i] + vals[j]
-            rhs = vals[join[i * m + j]] + vals[meet[i * m + j]]
+    scale, ints = scaled = integer_scale(vals)  # Fractions always have a scale
+    for i, v in enumerate(ints):
+        row = i * m
+        for j, w in enumerate(ints):
+            low = meet[row + j]
+            lhs, rhs = v + w, ints[join[row + j]] + ints[low]
             if lhs < rhs:
                 raise InputError(
-                    f"{spec.lam_name} is not submodular: pair ({f!r}, {g!r}) "
-                    f"gives {lhs} < {rhs}")
-            if meet[i * m + j] == i and vals[i] > vals[j]:
+                    f"{spec.lam_name} is not submodular: pair ({elems[i]!r}, {elems[j]!r}) "
+                    f"gives {Fraction(lhs, scale)} < {Fraction(rhs, scale)}")
+            if low == i and v > w:
                 raise InputError(
-                    f"{spec.lam_name} is not nondecreasing: {f!r} <= {g!r} "
+                    f"{spec.lam_name} is not nondecreasing: {elems[i]!r} <= {elems[j]!r} "
                     f"but {vals[i]} > {vals[j]}")
     if isinstance(spec.combiner, MultisetCombiner):
-        return vals
+        return vals, scaled
     rng = random.Random(seed)
     pool = sorted(set(vals))
     for _ in range(spot_checks):
@@ -195,17 +201,19 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
         bumped = tuple(v + (1 if k == i else 0) for k, v in enumerate(y))
         if spec.combiner(bumped) < spec.combiner(y):
             raise InputError(f"{spec.combiner_name} is not nondecreasing in argument {i}")
-    return vals
+    return vals, scaled
 
 
 def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
     pair-window check (>=) on any distributive carrier.  Its on_ids reads
-    lam from one `id_table` of arity 1, scaled only for a `MultisetCombiner`
-    (others need not commute with a scale); with the combiner "sum" it is
-    the sum of the unary terms (values, (i,))."""
-    by_id = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged before listing
+    lam by id from the values its verification computed: on their integer
+    scale for a `MultisetCombiner` when the limit allows the m values, as
+    `id_table` would (other combiners need not commute with a scale), else
+    as Fractions; on another carrier's elements, through `id_table`.  With
+    the combiner "sum" it is the sum of the unary terms (values, (i,))."""
+    by_id, scaled = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
     vals = dict(zip(spec.lattice.elements(), by_id))
     combiner = spec.combiner
     multiset = isinstance(combiner, MultisetCombiner)
@@ -214,7 +222,11 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
         return combiner(tuple(vals[a] for a in f))
 
     def on_ids(elems, limit=None):
-        scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None)
+        if elems == spec.lattice.elements():
+            whole = multiset and limit is not None and len(by_id) <= limit
+            scale, values = scaled if whole else (None, by_id)
+        else:  # another carrier's elements: lam by element
+            scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None)
         at = values.__getitem__
         sums = scale is not None and combiner == MultisetCombiner("sum")
         terms = [(values, (i,)) for i in range(n)] if sums else None
@@ -289,11 +301,15 @@ class PotentialSpec:
             raise InputError("measure and carrier ground sets differ")
 
 
-def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> None:
+def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> dict:
     """Check the inner map is monotone on all achievable differences and the
     outer map has the declared curvature on all achievable integral values.
     Raises with a witness on failure.  The d^g integrals, of the d
-    differences at the g ground points, are charged to the budget first."""
+    differences at the g ground points, are charged to the budget first.
+    phi is computed once per difference and psi once per integral value.
+    Returns the transform's table: each difference function g whose phi
+    values are finite, mapped to psi(measure(phi o g))
+    (`_potential_transform` reads it)."""
     chain = spec.carrier.chain
     diffs = sorted({a - b for a in chain for b in chain})
     ground = spec.carrier.ground.size
@@ -305,30 +321,33 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
     nonincr = all(phi_vals[i] >= phi_vals[i + 1] for i in range(len(phi_vals) - 1))
     if not (nondecr or nonincr):
         raise InputError(f"{spec.phi_name} is not monotone on the difference range")
-    points = set()
-    for g in product(diffs, repeat=ground):
-        vals = [as_scalar(spec.phi(d)) for d in g]
-        if any(is_inf(v) for v in vals):
-            continue
-        points.add(spec.measure.integral(tuple(vals)))
-    points = sorted(points)
+    integrals = {}
+    for g, vals in zip(product(diffs, repeat=ground), product(phi_vals, repeat=ground)):
+        if not any(is_inf(v) for v in vals):
+            integrals[g] = spec.measure.integral(vals)
+    points = sorted(set(integrals.values()))
+    psi = _Memo(spec.psi)  # filled in the order the triples first read it
     for u1, u2, u3 in zip(points, points[1:], points[2:]):
-        left = (spec.psi(u2) - spec.psi(u1)) * (u3 - u2)
-        right = (spec.psi(u3) - spec.psi(u2)) * (u2 - u1)
+        left = (psi[u2] - psi[u1]) * (u3 - u2)
+        right = (psi[u3] - psi[u2]) * (u2 - u1)
         if spec.curvature == "concave" and left < right:
             raise InputError(
                 f"{spec.psi_name} is not concave at ({u1},{u2},{u3})")
         if spec.curvature == "convex" and left > right:
             raise InputError(
                 f"{spec.psi_name} is not convex at ({u1},{u2},{u3})")
+    return {g: psi[u] for g, u in integrals.items()}
 
 
-def _potential_transform(spec: PotentialSpec) -> Callable[[tuple], Fraction]:
+def _potential_transform(spec: PotentialSpec, table: dict) -> Callable[[tuple], Fraction]:
     """The curved integral transform g -> psi(measure(phi o g)) of a
-    difference function, memoized by g."""
+    difference function: read from `verify_potential_spec`'s table, and
+    computed, then memoized, only for a g it leaves out."""
     def transform(g: tuple) -> Fraction:
         return spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
-    return _Memo(transform).__getitem__
+    memo = _Memo(transform)
+    memo.update(table)
+    return memo.__getitem__
 
 
 def _symmetrized(transform: Callable[[tuple], Fraction], g: tuple) -> Fraction:
@@ -340,8 +359,7 @@ def potential_construct(spec: PotentialSpec, n: int,
     """Sum over all ordered argument pairs of the curved integral transform of
     their difference, normalized so the zero difference contributes zero
     (constant tuples evaluate to 0): a `form_sum` of one pair value."""
-    verify_potential_spec(spec, budget)
-    transform = _potential_transform(spec)
+    transform = _potential_transform(spec, verify_potential_spec(spec, budget))
     base = transform(tuple(Fraction(0) for _ in range(spec.carrier.ground.size)))
 
     def pair(e, f):
@@ -357,8 +375,7 @@ def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
     """Compare the symmetrized transform at f1 - f2 against its value at
     |f1 - f2| on sampled carrier pairs: <= under a convex outer map, >=
     under a concave one."""
-    verify_potential_spec(spec)
-    transform = _potential_transform(spec)
+    transform = _potential_transform(spec, verify_potential_spec(spec))
     rng = random.Random(seed)
     elems = spec.carrier.elements()
     want_le = spec.curvature == "convex"
@@ -394,17 +411,24 @@ class MultiadditiveFn:
 
 
 def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 0,
-                         samples: int = 60) -> None:
+                         samples: int = 60) -> dict:
     """Spot-check slotwise additivity and nonnegativity on sampled tuples;
     raises with a witness on failure.  Elements are int ids: a carrier
     element its `lattice.index`, and an `fn_diff` result off the carrier
-    the next free id.  The (meet, diff) split is computed once per id pair
-    and m once per id tuple."""
+    the next free id.  The (meet, diff) split is computed once per id pair,
+    the meet read from the carrier's id table, and m once per id tuple; an
+    integral Fraction is added and compared as an int, which gives the same
+    results and the same text.  Returns m's values on the carrier tuples it
+    evaluated, keyed by their ids read as a base-|L| number: the entries
+    `id_table` then reads instead of evaluating m again
+    (`multiadd_symmetric_sum`)."""
     rng = random.Random(seed)
-    elems = list(lattice.elements())
+    carrier = _CompiledLattice.of(lattice)
+    elems = list(carrier.elems)
     size, k = len(elems), m.arity
     outside: dict = {}
-    value = _Memo(lambda key: m.fn(*(elems[i] for i in key))).__getitem__
+    values = _Memo(lambda key: m.fn(*(elems[i] for i in key)))
+    value = _Memo(lambda key: _as_int(values[key])).__getitem__
 
     def id_of(e):
         if lattice.contains(e):
@@ -414,17 +438,22 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
             elems.append(e)
         return i
 
-    def meet_and_diff(pair):
-        f, g = elems[pair[0]], elems[pair[1]]
-        return id_of(fn_meet(f, g)), id_of(fn_diff(f, g))
+    def meet_and_diff(key):
+        f, g = divmod(key, size)
+        return carrier.meet[key], id_of(fn_diff(elems[f], elems[g]))
     split = _Memo(meet_and_diff).__getitem__
 
     for _ in range(samples):
         slot = rng.randrange(k)
         fixed = [rng.randrange(size) for _ in range(k)]
         f, g = rng.randrange(size), rng.randrange(size)
-        with_f, with_meet, with_rest = (tuple(fixed[:slot] + [i] + fixed[slot + 1:])
-                                        for i in (f, *split((f, g))))
+        low, rest = split(f * size + g)
+        fixed[slot] = f
+        with_f = tuple(fixed)
+        fixed[slot] = low
+        with_meet = tuple(fixed)
+        fixed[slot] = rest
+        with_rest = tuple(fixed)
         lhs = value(with_f)
         rhs = value(with_meet) + value(with_rest)
         if lhs != rhs:
@@ -433,6 +462,13 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
                 f"{lhs} != {rhs} at f={elems[f]}, g={elems[g]}")
         if lhs < 0:
             raise InputError(f"{m.tag or 'map'} is negative at {[elems[i] for i in with_f]}")
+    return {reduce(lambda key, i: key * size + i, ids): v
+            for ids, v in values.items() if max(ids) < size}
+
+
+def _as_int(v):
+    """v as an int when it is an integral Fraction, else v itself."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:
@@ -451,16 +487,20 @@ def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:
 
 
 def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
-                           lattice: Optional[FnLattice] = None) -> TupleFunctional:
+                           lattice: Optional[FnLattice] = None,
+                           known: Optional[dict] = None) -> TupleFunctional:
     """Sum of m over all injective placements of k of the n arguments, in
     `itertools.permutations` order: a `form_sum` of the one value m.fn.
     Nonnegative multiadditive m makes this pass the pair-window check (>=);
-    with k <= 2 exhaustive k = 2 checks enumerate no tuples."""
+    with k <= 2 exhaustive k = 2 checks enumerate no tuples.  known holds
+    m's values already computed on lattice, as `verify_multiadditive`
+    returns them; scans read them instead of evaluating m again."""
     k = m.arity
     if k > n:
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
     return form_sum(n, [(m.fn, places) for places in permutations(range(n), k)],
-                    tag=f"multiadd({m.tag},k={k})", lattice=lattice, symmetric=True)
+                    tag=f"multiadd({m.tag},k={k})", lattice=lattice, symmetric=True,
+                    known={m.fn: known} if known else None)
 
 
 def product_of_integrals(measures: Sequence[Measure]) -> MultiadditiveFn:

@@ -17,7 +17,8 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .constructions import Measure
-from .lattice import _Memo, fn_join, fn_leq, fn_meet, pointwise_order_statistics
+from .lattice import (_CompiledLattice, _Memo, fn_join, fn_leq, fn_meet,
+                      pointwise_order_statistics)
 from .report import CheckReport, Witness
 from .scalars import (
     ConventionMode,
@@ -64,6 +65,12 @@ class ExplicitSublattice:
         self._elems = elems
         self._index = seen
         self.width = width
+        # each element as the ranks of its values among the values at each
+        # point: pointwise min and max act on ranks, which hash as ints
+        levels = [{v: r for r, v in enumerate(sorted({e[s] for e in elems}))}
+                  for s in range(width)]
+        self._ranks = [tuple(level[v] for level, v in zip(levels, e)) for e in elems]
+        self._by_ranks = {r: i for i, r in enumerate(self._ranks)}
 
     @classmethod
     def closure(cls, seeds: Sequence[tuple], max_size: int = 64) -> "ExplicitSublattice":
@@ -91,6 +98,10 @@ class ExplicitSublattice:
 
     def index(self, a) -> int:
         return self._index[a]
+
+    def pick_id(self, a: int, b: int, pick) -> int:
+        """Id of the pointwise pick (min: meet, max: join) of ids a and b, on their ranks."""
+        return self._by_ranks[tuple(map(pick, self._ranks[a], self._ranks[b]))]
 
     def contains(self, a) -> bool:
         return tuple(a) in self._index
@@ -152,40 +163,69 @@ def _check_nondecreasing(func, name, L) -> Optional[Witness]:
     return None
 
 
+def _log_supermodular(compiled, nu: _Memo, mode) -> CheckReport:
+    """`is_log_supermodular`, its oracle, on a whole compiled carrier and
+    the weight by id."""
+    elems, meet, join, m = compiled.elems, compiled.meet, compiled.join, compiled.m
+    first = None
+    for i, f in enumerate(elems):
+        for j in range(i, m):
+            key = i * m + j
+            lhs = ext_mul(as_scalar(nu[meet[key]]), as_scalar(nu[join[key]]), mode)
+            rhs = ext_mul(as_scalar(nu[i]), as_scalar(nu[j]), mode)
+            if not lhs >= rhs and first is None:
+                first = Witness(args=(f, elems[j]), lhs=lhs, rhs=rhs)
+    return CheckReport(instances_checked=m ** 2, witness=first)
+
+
+def _first_decrease(compiled, func: _Memo, name: str) -> Optional[Witness]:
+    """`_check_nondecreasing`, its oracle, on a whole compiled carrier and
+    func by id: f <= g exactly when the meet of f and g is f."""
+    elems, meet, m = compiled.elems, compiled.meet, compiled.m
+    for i in range(m):
+        for j in range(m):
+            if meet[i * m + j] == i and not as_scalar(func[i]) <= as_scalar(func[j]):
+                return Witness(args=(elems[i], elems[j]), lhs=func[i], rhs=func[j],
+                               note=f"{name} is not nondecreasing")
+    return None
+
+
 def fkg_check(L, nu, F, G, mode: Optional[ConventionMode] = None) -> CheckReport:
     """The four-sum correlation inequality: with a log-supermodular weight
     and nondecreasing F and G,
     sum(F*G*w) * sum(w) >= sum(F*w) * sum(G*w).
     Precondition failures are reported with their witnesses rather than
-    asserted away.  The weight, F and G are each evaluated once per element,
-    though the checks look them up about 4 |L|^2 times."""
-    nu, F, G = (_Memo(f).__getitem__ for f in (nu, F, G))
-    elems = L.elements()
-    logsup = is_log_supermodular(nu, L, mode)
+    asserted away.  The weight, F and G are each evaluated once per element
+    id, in the order the checks first read them, and the checks read meet
+    and join from L's id tables, so no lookup hashes an element."""
+    compiled = _CompiledLattice.of(L).whole()
+    elems = compiled.elems
+    nu, F, G = (_Memo(lambda i, func=func: func(elems[i])) for func in (nu, F, G))
+    logsup = _log_supermodular(compiled, nu, mode)
     if not logsup.holds:
         return CheckReport(instances_checked=logsup.instances_checked,
                            witness=logsup.witness,
                            detail={"precondition_failed": "log-supermodularity"})
     for func, name in ((F, "F"), (G, "G")):
-        w = _check_nondecreasing(func, name, L)
+        w = _first_decrease(compiled, func, name)
         if w is not None:
             return CheckReport(instances_checked=logsup.instances_checked, witness=w,
                                detail={"precondition_failed": "monotonicity"})
-    has_inf_weight = any(is_inf(as_scalar(nu(e))) for e in elems)
-    if has_inf_weight:
-        for func, name in ((F, "F"), (G, "G")):
-            for e in elems:
-                require_nonneg(as_scalar(func(e)),
-                               f"{name} value (required with infinite weights)")
+    ids = range(compiled.m)  # each is in all three memos by now
+    nu = [as_scalar(nu[i]) for i in ids]
+    fs, gs = [as_scalar(F[i]) for i in ids], [as_scalar(G[i]) for i in ids]
+    if any(is_inf(w) for w in nu):
+        for values, name in ((fs, "F"), (gs, "G")):
+            for v in values:
+                require_nonneg(v, f"{name} value (required with infinite weights)")
 
-    def agg(func):
-        return ext_sum(ext_mul(as_scalar(func(e)), as_scalar(nu(e)), mode)
-                       for e in elems)
+    def agg(values):
+        return ext_sum(ext_mul(v, w, mode) for v, w in zip(values, nu))
 
-    s_fg = agg(lambda e: as_scalar(F(e)) * as_scalar(G(e)))
-    s_1 = agg(lambda e: Fraction(1))
-    s_f = agg(F)
-    s_g = agg(G)
+    s_fg = agg(f * g for f, g in zip(fs, gs))
+    s_1 = agg([Fraction(1)] * len(nu))
+    s_f = agg(fs)
+    s_g = agg(gs)
     lhs = ext_mul(s_fg, s_1, mode)
     rhs = ext_mul(s_f, s_g, mode)
     detail = {"sum_FG": s_fg, "sum_1": s_1, "sum_F": s_f, "sum_G": s_g}

@@ -51,6 +51,7 @@ from .scalars import (
     ConventionMode,
     InputError,
     as_scalar,
+    charge,
     is_inf,
     scalar_from_json,
     scalar_to_json,
@@ -233,7 +234,9 @@ def _labels_from_json(obj, ptr: str):
     return labels
 
 
-def lattice_from_json(obj, ptr: str = ""):
+def lattice_from_json(obj, ptr: str = "", budget: int = DEFAULT_BUDGET):
+    """Decode a carrier.  An `order` carrier's n^3 lattice axiom triples,
+    which `lattice_from_order` loops over, are charged to `budget` first."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{ptr}/kind: missing lattice kind")
     kind = _expect_kind(obj, ptr, "lattice", {
@@ -249,7 +252,9 @@ def lattice_from_json(obj, ptr: str = ""):
     if kind == "order":
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
         pairs = _list_of(obj["leq_pairs"], f"{ptr}/leq_pairs", _expect_list)
-        return lattice_from_order(n, pairs, labels=_labels_from_json(obj, ptr))
+        labels = _labels_from_json(obj, ptr)
+        charge(n ** 3, budget, "lattice axiom triples")
+        return lattice_from_order(n, pairs, labels=labels)
     size = _expect_int(obj["ground_size"], f"{ptr}/ground_size", 1)
     top = _expect_int(obj["chain_max"], f"{ptr}/chain_max")
     lo = _expect_int(obj.get("chain_min", 0), f"{ptr}/chain_min")
@@ -424,8 +429,9 @@ def functional_from_json(obj, lattice, budget: int = DEFAULT_BUDGET,
         if not isinstance(lattice, FnLattice):
             raise InputError(f"{ptr}: multiadditive functionals need a function lattice")
         m = _multiadditive_from_json(obj["m"], k, lattice, f"{ptr}/m")
-        verify_multiadditive(m, lattice, seed=_expect_int(obj.get("seed", 0), f"{ptr}/seed"))
-        return multiadd_symmetric_sum(m, n, lattice)
+        known = verify_multiadditive(m, lattice,
+                                     seed=_expect_int(obj.get("seed", 0), f"{ptr}/seed"))
+        return multiadd_symmetric_sum(m, n, lattice, known)
     raise InputError(f"{ptr}/family: unknown family {family!r}")
 
 
@@ -456,7 +462,7 @@ def construction_from_json(params, family: str, budget: int = DEFAULT_BUDGET) ->
         raise InputError("/: expected a params object")
     if params.get("lattice") is None:
         raise InputError("/lattice: construction params must embed the carrier lattice")
-    lattice = lattice_from_json(params["lattice"], "/lattice")
+    lattice = lattice_from_json(params["lattice"], "/lattice", budget)
     descriptor = dict(params, family=family)
     functional_from_json(descriptor, lattice, budget)  # validates every invariant
     return descriptor

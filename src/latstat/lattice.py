@@ -9,14 +9,16 @@ serve as the oracle (witness replay goes through them); the pointwise
 per-point sort is provided separately for function elements.  Scans go
 through `_CompiledLattice` instead, one per lattice for its lifetime,
 shared by verification and every scan: elements become ids in `elements()`
-order, and meet and join become id tables filled lazily per pair (from
-chain digits on an `FnLattice`).  Its order statistics take one of two
-engines, chosen by the carrier's kind.  An `FnLattice` is a product of
-chains, so distributive, and there the paper's insertion chain sorts any
-window by n(n - 1)/2 adjacent (meet, join) swaps on the id tables
-(`_insertion_swaps`).  Every other carrier (M3, any `TableLattice`) runs
-the `_subset_formula` plan, memoized by the sorted window: off a
-distributive lattice the swaps need not give the order statistics.
+order, and meet and join become id tables, filled lazily per pair (from
+chain digits on an `FnLattice`), or filled whole as flat lists by a caller
+that reads every pair (`_CompiledLattice.whole`).  Its order statistics
+take one of two engines, chosen by the carrier's kind.  An `FnLattice` is
+a product of chains, so distributive, and there the paper's insertion
+chain sorts any window by n(n - 1)/2 adjacent (meet, join) swaps on the id
+tables (`_insertion_swaps`).  Every other carrier (M3, any
+`TableLattice`) runs the `_subset_formula` plan, memoized by the sorted
+window: off a distributive lattice the swaps need not give the order
+statistics.
 """
 
 from __future__ import annotations
@@ -409,26 +411,70 @@ def _insertion_swaps(n: int) -> tuple:
     return tuple(i for p in range(1, n) for i in range(p - 1, -1, -1))
 
 
+def _digit_table(c: int, g: int, pick) -> list:
+    """The flat id table, keyed a * m + b over the m = c^g ids of g-digit
+    base-c numbers (an `FnLattice`'s `index`), of the digitwise pick (min:
+    meet, max: join).  Built one digit at a time: with the new leading
+    digits x of a and y of b, entry (a, b) is pick(x, y) followed by the
+    entry of the remaining digits, read from the table one digit shorter.
+    Every entry of the result is one of m shared id objects."""
+    table, size = [0], 1
+    for _ in range(g):
+        ids = list(range(c * size))
+        shifted = [ids[z * size:(z + 1) * size].__getitem__ for z in range(c)]
+        rows = [table[r * size:(r + 1) * size] for r in range(size)]
+        table = []
+        for x in range(c):
+            for row in rows:
+                for y in range(c):
+                    table += map(shifted[pick(x, y)], row)
+        size *= c
+    return table
+
+
 class _CompiledLattice:
-    """A lattice's elements as ids 0..m-1 in `L.elements()` order, with lazy
-    meet and join id tables (`L.pick_id` on an `FnLattice`, else its oracle
-    index(L.meet(...))): a sampled scan fills only the pairs it draws.
-    `by_swaps` records the order-statistic engine, chosen once: the insertion
-    chain on an `FnLattice`, distributive by construction, and the subset
-    formula on every other carrier."""
+    """A lattice's elements as ids 0..m-1 in `L.elements()` order, with
+    meet and join id tables keyed a * m + b.  They start lazy (`L.pick_id`
+    where L has one, as an `FnLattice` does, else its oracle
+    index(L.meet(...))), so a sampled scan fills only the pairs it draws; a
+    caller that reads every pair first calls `whole`, which replaces them
+    by flat lists.  `by_swaps` records the order-statistic engine, chosen
+    once: the insertion chain on an `FnLattice`, distributive by
+    construction, and the subset formula on every other carrier."""
 
     def __init__(self, L):
         elems = self.elems = L.elements()
         m = self.m = len(elems)
         self.by_swaps = isinstance(L, FnLattice)
+        # what `whole` fills from, held apart from L: whole tables keep no
+        # reference to L, so L and its tables go with L's last user
+        self._digits = (len(L.chain), L.ground.size) if self.by_swaps else None
+        self._rows = (L._meet, L._join) if isinstance(L, TableLattice) else None
         # keyed a * m + b and filled one pair at a time on first use
-        if self.by_swaps:
+        if hasattr(L, "pick_id"):
             self.meet = _Memo(lambda key: L.pick_id(*divmod(key, m), min))
             self.join = _Memo(lambda key: L.pick_id(*divmod(key, m), max))
         else:
             index = L.index
             self.meet = _Memo(lambda key: index(L.meet(elems[key // m], elems[key % m])))
             self.join = _Memo(lambda key: index(L.join(elems[key // m], elems[key % m])))
+
+    def whole(self) -> "_CompiledLattice":
+        """Fill both tables whole, as flat lists of m^2 ids, for a caller
+        that reads every pair (its m^2 reads are charged already): from
+        chain digits on an `FnLattice` (`_digit_table`), with no element,
+        from the table of a `TableLattice`, else by the lazy tables' rule
+        once per pair.  A list holds an entry in one slot, against a dict's
+        hash, key and value; tables already whole stay as they are."""
+        if isinstance(self.meet, _Memo):
+            if self._digits:
+                self.meet, self.join = (_digit_table(*self._digits, pick) for pick in (min, max))
+            elif self._rows:  # a table lattice's ids are its elements
+                self.meet, self.join = ([v for row in rows for v in row] for rows in self._rows)
+            else:  # each entry by the lazy table's own rule
+                self.meet, self.join = ([table.fn(key) for key in range(self.m ** 2)]
+                                        for table in (self.meet, self.join))
+        return self
 
     @classmethod
     def of(cls, L) -> "_CompiledLattice":

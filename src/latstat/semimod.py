@@ -13,10 +13,11 @@ k-wide window, and the relaxed check feeds its sorted-prefix instances.
 Scans run on element ids in `L.elements()` order, so they visit tuples in
 the same order as a scan of elements would and report the same first
 witness, mapped back to elements.  Order statistics are read off the
-lattice's one set of lazy id tables (`lattice._CompiledLattice.of`): by the
-insertion chain's swaps on a function lattice, by the subset formula,
-memoized by the sorted window, on any other; a functional with `on_ids` is
-evaluated on ids directly.  A scan of integer values over a scale under
+lattice's one set of id tables (`lattice._CompiledLattice.of`), which an
+exhaustive scan fills whole first and a sampled one fills per pair drawn:
+by the insertion chain's swaps on a function lattice, by the subset
+formula, memoized by the sorted window, on any other; a functional with
+`on_ids` is evaluated on ids directly.  A scan of integer values over a scale under
 ge, le or eq ends at its first violation, which settles the verdict
 (`_scan`); `instances_checked` counts the tuples covered, not the tuples
 visited.
@@ -25,7 +26,9 @@ A `symmetric` functional is evaluated once per multiset: every scan keys its
 value memo by the sorted id tuple and evaluates on that key.  Its exhaustive
 windowed and full checks (the full check is the window k = n) also enumerate
 window 0 only, as a sorted window followed by a sorted rest, in
-lexicographic order, instead of every window of all m^n tuples.  A
+lexicographic order, instead of every window of all m^n tuples (at
+k = n on a function lattice both tuples of an instance come sorted, the
+order statistics by id, and are their own memo keys).  A
 violation at window j, permuted so that its window comes first, is a
 violation at window 0, and there the verdict depends only on the window's
 multiset and the rest's, since the order statistics are symmetric too.  So
@@ -196,20 +199,25 @@ class TupleFunctional:
 
 
 def form_sum(n: int, forms: list, *, tag: str, lattice=None,
-             symmetric: bool = False) -> TupleFunctional:
+             symmetric: bool = False, known: Optional[dict] = None) -> TupleFunctional:
     """The functional of arity n that sums its forms, a list of (value,
     places): value takes len(places) elements, places is a tuple of 0-based
     argument positions, and fn adds value(f at places) in list order from
     Fraction(0).  on_ids fills one `id_table` per distinct value object and
     puts all tables on the lcm of their scales, or, with no limit or when
     one has none, keeps fn's own values in all.  Its terms are the (table,
-    places) list, declared with a scale when no form has over two places."""
+    places) list, declared with a scale when no form has over two places.
+    known maps a value to entries of its table already computed on
+    `lattice.elements()` (a verification's, say), which on_ids reads when
+    it is given that list, instead of calling the value again."""
     def fn(f):
         return sum((value(*(f[i] for i in places)) for value, places in forms), Fraction(0))
 
     def on_ids(elems, limit=None):
         distinct = {id(value): (value, len(places)) for value, places in forms}
-        filled = {key: id_table(value, elems, k, limit) for key, (value, k) in distinct.items()}
+        have = known if known and lattice is not None and elems is lattice.elements() else {}
+        filled = {key: id_table(value, elems, k, limit, have.get(value))
+                  for key, (value, k) in distinct.items()}
         scales = [s for s, _ in filled.values()]
         scale = None if limit is None or None in scales else math.lcm(*scales)
         tables = {key: table if s == scale else
@@ -245,20 +253,26 @@ def _term_sum(terms: list, m: int) -> Callable[[tuple], object]:
     return evaluate
 
 
-def id_table(value: Callable, elems: list, arity: int, limit: Optional[int]) -> tuple:
+def id_table(value: Callable, elems: list, arity: int, limit: Optional[int],
+             known: Optional[dict] = None) -> tuple:
     """(scale, table) of value on arity-tuples of elems, keyed by their ids
     read as a base-m number (a * m + b for a pair).  When the limit allows
     all m^arity entries, they are computed before the scan into a list and
     scaled to integers over the lcm of their denominators
     (`integer_scale`), or kept as value's results with scale None when one
     is not a finite rational.  Otherwise scale is None and the table holds
-    value's results, each computed on the first use of its key."""
+    value's results, each computed on the first use of its key.  Entries
+    in known, keyed the same way, are read instead of computed."""
     m = len(elems)
+    known = known or {}
     if limit is not None and m ** arity <= limit:
-        values = [value(*args) for args in product(elems, repeat=arity)]
+        values = [known[key] if key in known else value(*args)
+                  for key, args in enumerate(product(elems, repeat=arity))]
         return integer_scale(values) or (None, values)
     digits = [m ** p for p in reversed(range(arity))]
-    return None, _Memo(lambda key: value(*(elems[key // w % m] for w in digits)))
+    table = _Memo(lambda key: value(*(elems[key // w % m] for w in digits)))
+    table.update(known)
+    return None, table
 
 
 @dataclass(frozen=True)
@@ -291,9 +305,11 @@ def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
 
 
 def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
-          form: tuple, oracle: Callable[[int], tuple]) -> Optional[Witness]:
+          form: tuple, oracle: Callable[[int], tuple],
+          presorted: bool = False) -> Optional[Witness]:
     """Compare rel(lam(f), lam(g)) over (f, g, j) instances of id tuples
-    with one value memo, keyed by the sorted tuple when `_by_multiset`.
+    with one value memo, keyed by the sorted tuple when `_by_multiset`
+    (f and g are their own keys when the caller knows both come sorted).
     Values come from form, the (evaluate, scale, terms) that `_evaluator`
     gives for the scan's instance total, and are compared on its scale.
     Returns the first witness in instance order, or None.  The scan ends at
@@ -305,7 +321,7 @@ def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
     oracle(j) gives the move of an instance tagged j, on element tuples,
     and its note."""
     fn, scale, _ = form
-    sort = _by_multiset(lam, rel)
+    sort = _by_multiset(lam, rel) and not presorted
     holds = _OPERATORS.get(rel.kind, rel.holds)
     stop = scale is not None and rel.kind in _OPERATORS
     memo: dict = {}
@@ -486,6 +502,8 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     else:
         total = trials
     compiled = _CompiledLattice.of(L)
+    if mode == "exhaustive":  # every pair is read, and the m^2 reads are charged
+        compiled.whole()
     stats = compiled.order_statistics()
     form = _evaluator(lam, rel, compiled.elems, total)
     notes = [f"window start {j}" if windowed else "" for j in range(windows)]
@@ -516,7 +534,10 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         witness = _reported(lam, rel, _pair_windows(rel, terms, m, n, stats),
                             compiled.elems, form[1], oracle)
     else:
-        witness = _scan(lam, rel, instances, compiled.elems, form, oracle)
+        # at k = n the multisets come sorted, and the insertion chain's
+        # order statistics are sorted by id: a chain has nondecreasing digits
+        presorted = mode == "exhaustive" and k == n and compiled.by_swaps
+        witness = _scan(lam, rel, instances, compiled.elems, form, oracle, presorted)
     # total counts every tuple covered, also when multisets or pair tables
     # stand for them and when the scan ended at its first violation
     return CheckReport(instances_checked=total, witness=witness, mode=mode, seed=seed)
@@ -559,7 +580,7 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
     m = L.size
     total = (n - 1) * m ** n
     charge(total, budget, f"tuples of the relaxed-hypothesis scan of L^{n}")
-    compiled = _CompiledLattice.of(L)
+    compiled = _CompiledLattice.of(L).whole()
     meet, join = compiled.meet, compiled.join
     # ids above a, ascending; only chains of length >= 2 need them
     up = [[b for b in range(m) if meet[a * m + b] == a] for a in range(m)] if n > 2 else []

@@ -205,6 +205,32 @@ def test_lattice_axiom_loops_are_charged_before_they_run(write, capsys, monkeypa
     assert run_cli(capsys, *argv, "--budget", "27")[0] == 0
 
 
+def test_order_carriers_are_charged_before_they_are_built(write, capsys, monkeypatch):
+    # every command that decodes a carrier refuses an order carrier's n^3
+    # axiom triples before `lattice_from_order` loops over them
+    from latstat import jsonio
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("lattice_from_order ran before the budget gate")
+
+    lat = write("m3.json", M3_ORDER)
+    params = write("p.json", {"lattice": M3_ORDER, "n": 2, "F": {"kind": "sum"},
+                              "lambda": {"kind": "max_value"}})
+    commands = [("lattice", "validate", "--lattice", lat),
+                ("lattice", "distributive", "--lattice", lat),
+                ("check", "--lattice", lat, "--functional", write("f.json", M3_FUNCTIONAL)),
+                ("ordstats", "--lattice", lat, "--tuple", write("t.json", [1, 2])),
+                ("construct", "schur", "--params", params)]
+    monkeypatch.setattr(jsonio, "lattice_from_order", unreachable)
+    monkeypatch.setenv("LATSTAT_BUDGET", "124")
+    for argv in commands:
+        assert run_cli(capsys, *argv) == (
+            3, "", "budget exceeded: 125 lattice axiom triples exceed budget 124\n"), argv
+    monkeypatch.undo()
+    # within budget each runs as before; a schur functional needs an fn carrier
+    assert [run_cli(capsys, *argv)[0] for argv in commands] == [0, 1, 1, 0, 2]
+
+
 def test_check_refuses_a_table_that_is_not_a_lattice(write, capsys):
     # join(1, 2) = 1 but join(2, 1) = 2: a scan would report the witness [1, 1, 2]
     lat = write("t.json", {"kind": "table", "n": 3, "meet": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],

@@ -44,6 +44,8 @@ POTENTIAL_FN16 = {"family": "potential", "measure": [2, 2],
 SCHUR_FN16 = {"family": "schur", "seed": 202142728,
               "lambda": {"kind": "capped_modular", "point_weights": [3, 2], "cap": 4},
               "F": {"kind": "sum_smallest", "k": 2}}
+CHAIN120 = {"kind": "order", "n": 120,
+            "leq_pairs": [[a, b] for a in range(120) for b in range(a + 1, 120)]}
 FKG_ELEMENTS = [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
@@ -65,6 +67,7 @@ class Contract:
     argv: tuple
     code: int
     check: Optional[Callable] = None  # check(run) asserts on the in-process run
+    env: Optional[dict] = None  # environment variables every run sets
 
 
 def _check_argv(lattice, functional, *flags):
@@ -239,6 +242,11 @@ CONTRACTS = [
                  "lambda": {"kind": "modular", "point_weights": [1, 2, 3]},
                  "F": {"kind": "min"}}},
              _check_argv("fn8.json", "schur8.json", "--k", "n"), 0),
+    # the 120^3 axiom triples of an order carrier are charged before its loops
+    Contract("order-chain120-over-budget", {"chain120.json": CHAIN120},
+             ("lattice", "validate", "--lattice", "chain120.json"), 3,
+             _stderr_has("1728000 lattice axiom triples exceed budget 1"),
+             env={"LATSTAT_BUDGET": "1"}),
     Contract("distributive-m3-out", {"m3.json": M3},
              ("lattice", "distributive", "--lattice", "m3.json", "--out", "d.json"), 1,
              _distributive_out),
@@ -274,6 +282,8 @@ def _in_process(directory: Path, contract: Contract, monkeypatch) -> Run:
     inputs = _setup(directory, contract.files)
     monkeypatch.chdir(directory)
     monkeypatch.delenv("LATSTAT_BUDGET", raising=False)
+    for name, value in (contract.env or {}).items():
+        monkeypatch.setenv(name, value)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(contract.argv))
@@ -282,6 +292,7 @@ def _in_process(directory: Path, contract: Contract, monkeypatch) -> Run:
 
 def _subprocesses(tmp_path: Path, contract: Contract) -> list:
     env = {k: v for k, v in os.environ.items() if k != "LATSTAT_BUDGET"}
+    env.update(contract.env or {})
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     started = []
     for seed in HASH_SEEDS:

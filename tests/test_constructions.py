@@ -178,6 +178,68 @@ def test_schur_spec_first_failure_on_id_tables(L, lam, message):
     assert str(err.value) == message
 
 
+FN9 = FnLattice.zero_to(2, 2)
+MU = Measure((Fraction(1, 2), Fraction(3)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: schur_construct(SchurSpec(
+        FN9, lambda e: (Fraction(e[0], 3) + Fraction(e[1], 2)) ** 2, MultisetCombiner("min")), 3),
+     "lam is not submodular: pair ((Fraction(0, 1), Fraction(1, 1)), "
+     "(Fraction(1, 1), Fraction(0, 1))) gives 13/36 < 25/36"),
+    (lambda: schur_construct(SchurSpec(
+        FN9, lambda e: Fraction(1, 7) - Fraction(e[1], 3), MultisetCombiner("sum")), 3),
+     "lam is not nondecreasing: (Fraction(0, 1), Fraction(0, 1)) <= "
+     "(Fraction(0, 1), Fraction(1, 1)) but 1/7 > -4/21"),
+    (lambda: verify_multiadditive(MultiadditiveFn(
+        2, lambda f, g: Fraction(f[0] ** 2, 3) * g[1] + Fraction(1, 2), "sq"), FN9, seed=7),
+     "sq is not additive in slot 1: 1/2 != 1 at f=(Fraction(0, 1), Fraction(0, 1)), "
+     "g=(Fraction(0, 1), Fraction(1, 1))"),
+    (lambda: verify_multiadditive(MultiadditiveFn(
+        2, lambda f, g: -Fraction(f[0], 3) * g[1] - Fraction(f[1], 5) * g[0], "neg"), FN9,
+        seed=7),
+     "neg is negative at [(Fraction(2, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(2, 1))]"),
+    (lambda: potential_construct(PotentialSpec(FN9, MU, lambda d: abs(d) / 2, lambda u: u,
+                                               "concave"), 3),
+     "phi is not monotone on the difference range"),
+    (lambda: potential_construct(PotentialSpec(
+        FN9, MU, lambda d: max(d, Fraction(0)) / 3, lambda u: u * u / 2, "concave"), 3),
+     "psi is not concave at (0,1/6,1/3)"),
+    (lambda: potential_construct(PotentialSpec(
+        FN9, MU, lambda d: max(d, Fraction(0)) / 3, lambda u: min(u, Fraction(1, 2)),
+        "convex"), 3),
+     "psi is not convex at (1/6,1/3,1)"),
+], ids=["schur-not-submodular", "schur-not-monotone", "multiadd-not-additive",
+        "multiadd-negative", "phi-not-monotone", "psi-not-concave", "psi-not-convex"])
+def test_verification_messages_with_rational_values(build, message):
+    # each family's first failure and its text, with rational values: sums
+    # compared as integers on a common scale print as the Fractions they are
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_one_check_evaluates_each_value_once():
+    # verification and one exhaustive check: m once per carrier tuple, and
+    # phi once per difference and psi once per integral value
+    calls = []
+    form = integral_of_product(MU, 2)
+    m = MultiadditiveFn(2, lambda *args: calls.append(args) or form.fn(*args), "counted")
+    lam = multiadd_symmetric_sum(m, 3, FN9, verify_multiadditive(m, FN9, seed=7))
+    assert 0 < len(calls) < 81  # the samples met some of the 81 pairs
+    assert check_generalized_n(FN9, lam, GE).holds
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 81
+
+    phis, psis = [], []
+    spec = PotentialSpec(FN9, MU, lambda d: phis.append(d) or max(d, Fraction(0)),
+                         lambda u: psis.append(u) or min(u, 2 + u / 2), "concave")
+    lam = potential_construct(spec, 3)
+    assert check_generalized_nk(FN9, lam, 2, GE).holds
+    assert sorted(phis) == sorted(set(phis)) and len(phis) == 5  # differences -2..2
+    assert sorted(psis) == sorted(set(psis)) and len(psis) == len(
+        {MU.integral((max(a, 0), max(b, 0))) for a in range(-2, 3) for b in range(-2, 3)})
+
+
 def test_schur_refuses_schur_convex_combiner():
     L = FnLattice.zero_to(1, 2)
 

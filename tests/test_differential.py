@@ -23,6 +23,7 @@ from latstat import (
     check_generalized_n,
     check_generalized_nk,
     check_relaxed_hypothesis,
+    constructions,
     order_statistics_tuple,
     product_of_chains,
     semimod,
@@ -542,9 +543,18 @@ def test_custom_relation_receives_fn_values(family):
 
 
 @pytest.mark.parametrize("family", ["potential", "multiadd"])
-def test_sampled_scan_with_more_table_than_trials_stays_lazy(family):
+def test_sampled_scan_with_more_table_than_trials_stays_lazy(family, monkeypatch):
     calls = []
     L = FnLattice.zero_to(2, 2)  # m = 9: 81 pair terms or 2-tuples
+    real_transform = constructions._potential_transform
+
+    def counted_transform(spec, table):
+        # a potential's pair entry is one transform lookup: its verification
+        # computed every phi and psi value, so the scan calls neither
+        transform = real_transform(spec, table)
+        return lambda g: calls.append(g) or transform(g)
+
+    monkeypatch.setattr(constructions, "_potential_transform", counted_transform)
 
     def make():
         # the potential's transform memo lives in its functional: build afresh
@@ -554,9 +564,7 @@ def test_sampled_scan_with_more_table_than_trials_stays_lazy(family):
             lam = multiadd_symmetric_sum(counted, 3, L)
         else:
             spec = random_potential_spec(random.Random(4), "convex", width=2)
-            spec = dataclasses.replace(spec, carrier=L,
-                                       phi=lambda u, phi=spec.phi: calls.append(u) or phi(u))
-            lam = potential_construct(spec, 3)
+            lam = potential_construct(dataclasses.replace(spec, carrier=L), 3)
         calls.clear()
         return lam
 
@@ -567,11 +575,12 @@ def test_sampled_scan_with_more_table_than_trials_stays_lazy(family):
     lam = make()
     rel = RELATIONS["le" if family == "potential" else "ge"]
     report = check_generalized_n(L, lam, rel, mode="sampled", seed=5, trials=4)
+    filled = len(calls)  # the pair entries the scan filled
     assert (report.holds, report.instances_checked, report.witness) == \
         reference_scan(L, lam, rel, 3, False, "sampled", seed=5, trials=4)
     assert report.holds
     # 4 trials meet at most 8 tuples of 6 placements each, far fewer than 81
-    assert 0 < len(calls) < m * m
+    assert 0 < filled < m * m
 
 
 def test_only_multiset_combiners_are_scaled():

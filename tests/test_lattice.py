@@ -440,12 +440,16 @@ def test_insertion_swaps_sort_every_zero_one_input(n):
         assert chain(w) == tuple(sorted(w))
 
 
-@pytest.mark.parametrize("make", [
+FN_SET = [
     lambda: FnLattice.zero_to(2, 3),
     lambda: FnLattice.symmetric(1, 2),
     lambda: FnLattice.zero_to(3, 2),
     lambda: FnLattice(2, [-1, Fraction(1, 2), 4, INF]),
-], ids=["fn16", "symmetric", "width-3", "inf-chain"])
+]
+FN_IDS = ["fn16", "symmetric", "width-3", "inf-chain"]
+
+
+@pytest.mark.parametrize("make", FN_SET, ids=FN_IDS)
 def test_insertion_chain_matches_the_subset_formula(make):
     L = make()
     compiled = _CompiledLattice(L)
@@ -456,6 +460,43 @@ def test_insertion_chain_matches_the_subset_formula(make):
             ids = tuple(rng.randrange(compiled.m) for _ in range(n))  # unsorted
             f = tuple(elems[i] for i in ids)
             assert tuple(elems[i] for i in chain(ids)) == tuple(_subset_rows(f, L.join, L.meet))
+
+
+@pytest.mark.parametrize("make", FN_SET, ids=FN_IDS)
+def test_whole_digit_tables_match_pick_id(make):
+    L = make()
+    compiled = _CompiledLattice(L).whole()
+    m = compiled.m
+    assert len(compiled.meet) == len(compiled.join) == m * m
+    for a, b in product(range(m), repeat=2):
+        assert compiled.meet[a * m + b] == L.pick_id(a, b, min)
+        assert compiled.join[a * m + b] == L.pick_id(a, b, max)
+    # one id object per id, however many entries hold it
+    assert len({id(v) for v in compiled.meet + compiled.join}) == m
+
+
+@pytest.mark.parametrize("make", [build_m3, lambda: ExplicitSublattice.closure(
+    [(0, 2), (1, 1), (2, 0)])], ids=["m3", "sublattice"])
+def test_whole_tables_match_the_lazy_fill(make):
+    L = make()
+    lazy, whole = _CompiledLattice(L), _CompiledLattice(L).whole()
+    assert whole.whole() is whole and isinstance(whole.meet, list)
+    for key in range(lazy.m ** 2):
+        assert (whole.meet[key], whole.join[key]) == (lazy.meet[key], lazy.join[key])
+
+
+@pytest.mark.parametrize("make", FN_SET, ids=FN_IDS)
+def test_swaps_return_windows_sorted_by_id(make):
+    # a chain in the product order has nondecreasing digits, so the order
+    # statistics of any window come back sorted by id: scans need not sort them
+    L = make()
+    compiled = _CompiledLattice(L)
+    chain = compiled.order_statistics()
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for _ in range(20):
+            out = chain(tuple(rng.randrange(compiled.m) for _ in range(n)))
+            assert list(out) == sorted(out)
 
 
 @pytest.mark.parametrize("make", [build_m3, lambda: product_of_chains([2, 3])],

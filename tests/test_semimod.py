@@ -618,14 +618,16 @@ def test_witness_replay_refuses_wrong_relaxed_swap(monkeypatch):
     L = FnLattice.zero_to(2, 1)
     lam = TupleFunctional(arity=3, fn=lambda f: sum((3 - i) * sum(e) for i, e in enumerate(f)))
     assert check_relaxed_hypothesis(L, lam, GE).holds
-    real = lattice._CompiledLattice.__init__
+    real = lattice._CompiledLattice.whole
 
-    def swapped(self, carrier):
-        real(self, carrier)
+    def swapped(self):
+        # the relaxed check reads every pair, so it fills the tables whole
+        real(self)
         self.meet, self.join = self.join, self.meet
+        return self
 
-    monkeypatch.setattr(lattice._CompiledLattice, "__init__", swapped)
-    # L keeps the tables it compiled above; a fresh carrier compiles anew
+    monkeypatch.setattr(lattice._CompiledLattice, "whole", swapped)
+    # L keeps the tables it filled above; a fresh carrier fills them anew
     with pytest.raises(InternalError, match="witness replay disagrees"):
         check_relaxed_hypothesis(FnLattice.zero_to(2, 1), lam, GE)
 
