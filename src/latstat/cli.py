@@ -125,8 +125,12 @@ def _cmd_lattice(args):
 
 
 def _cmd_ordstats(args):
-    lattice = lattice_from_json(load_json_file(args.lattice), budget=_budget(args))
+    budget = _budget(args)
+    lattice = lattice_from_json(load_json_file(args.lattice), budget=budget)
     elems = elements_from_json(load_json_file(args.tuple), lattice)
+    n = len(elems)  # the literal formula's joins plus meets, per formula
+    charge((n * 2 ** n // 2 - n) * (1 + args.dual), budget,
+           "lattice operations of the subset formula")
     rows = [("order_statistics", order_statistics_tuple(lattice, elems))]
     if args.dual:
         rows.append(("dual_order_statistics", order_statistics_dual_tuple(lattice, elems)))
@@ -187,7 +191,7 @@ def _cmd_demo(args):
 
 
 def _cmd_corollary(args):
-    report = corollary_config_from_json(args.which, args.config)()
+    report = corollary_config_from_json(args.which, args.config, _budget(args))()
     return f"corollary {args.which}", {"config": args.config}, report, report.holds
 
 

@@ -151,9 +151,8 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
     spot-check the combiner on generated majorization pairs.  The combiner
     check is a falsification filter, not a proof, and is skipped for a
     `MultisetCombiner`, whose properties are theorems.  Raises with a
-    witness on failure; returns lam's values by id in
-    `spec.lattice.elements()` order, as Fractions and as the pair (scale,
-    integers) of `integer_scale`.  The map is read on the carrier's meet
+    witness on failure; returns lam's values, as Fractions, by id in
+    `spec.lattice.elements()` order.  The map is read on the carrier's meet
     and join id tables, filled whole, with f <= g exactly when the meet of
     f and g is f, and compared as those integers; a failure maps its sums
     back to Fractions for the message.  The m^2 pairs are charged to the
@@ -163,7 +162,7 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
     compiled = _CompiledLattice.of(spec.lattice).whole()
     elems, meet, join = compiled.elems, compiled.meet, compiled.join
     vals = [Fraction(spec.lam(e)) for e in elems]
-    scale, ints = scaled = integer_scale(vals)  # Fractions always have a scale
+    scale, ints = integer_scale(vals)  # Fractions always have a scale
     for i, v in enumerate(ints):
         row = i * m
         for j, w in enumerate(ints):
@@ -178,7 +177,7 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
                     f"{spec.lam_name} is not nondecreasing: {elems[i]!r} <= {elems[j]!r} "
                     f"but {vals[i]} > {vals[j]}")
     if isinstance(spec.combiner, MultisetCombiner):
-        return vals, scaled
+        return vals
     rng = random.Random(seed)
     pool = sorted(set(vals))
     for _ in range(spot_checks):
@@ -201,19 +200,19 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
         bumped = tuple(v + (1 if k == i else 0) for k, v in enumerate(y))
         if spec.combiner(bumped) < spec.combiner(y):
             raise InputError(f"{spec.combiner_name} is not nondecreasing in argument {i}")
-    return vals, scaled
+    return vals
 
 
 def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
     pair-window check (>=) on any distributive carrier.  Its on_ids reads
-    lam by id from the values its verification computed: on their integer
-    scale for a `MultisetCombiner` when the limit allows the m values, as
-    `id_table` would (other combiners need not commute with a scale), else
-    as Fractions; on another carrier's elements, through `id_table`.  With
-    the combiner "sum" it is the sum of the unary terms (values, (i,))."""
-    by_id, scaled = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
+    lam by id through `id_table`, from the values its verification computed
+    (`known`) on the carrier's own elements: on their integer scale for a
+    `MultisetCombiner` when the limit allows the m values (other combiners
+    need not commute with a scale), else as Fractions.  With the combiner
+    "sum" it is the sum of the unary terms (values, (i,))."""
+    by_id = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
     vals = dict(zip(spec.lattice.elements(), by_id))
     combiner = spec.combiner
     multiset = isinstance(combiner, MultisetCombiner)
@@ -222,11 +221,8 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
         return combiner(tuple(vals[a] for a in f))
 
     def on_ids(elems, limit=None):
-        if elems == spec.lattice.elements():
-            whole = multiset and limit is not None and len(by_id) <= limit
-            scale, values = scaled if whole else (None, by_id)
-        else:  # another carrier's elements: lam by element
-            scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None)
+        known = dict(enumerate(by_id)) if elems == spec.lattice.elements() else None
+        scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None, known)
         at = values.__getitem__
         sums = scale is not None and combiner == MultisetCombiner("sum")
         terms = [(values, (i,)) for i in range(n)] if sums else None
@@ -431,12 +427,13 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
     value = _Memo(lambda key: _as_int(values[key])).__getitem__
 
     def id_of(e):
-        if lattice.contains(e):
+        try:
             return lattice.index(e)
-        i = outside.setdefault(e, len(elems))
-        if i == len(elems):
-            elems.append(e)
-        return i
+        except KeyError:  # a value off the chain: the next free id
+            i = outside.setdefault(e, len(elems))
+            if i == len(elems):
+                elems.append(e)
+            return i
 
     def meet_and_diff(key):
         f, g = divmod(key, size)

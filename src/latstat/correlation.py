@@ -40,7 +40,7 @@ DEFAULT_FAMILY_BUDGET = 10 ** 6
 
 class ExplicitSublattice:
     """A finite set of function elements verified closed under pointwise
-    min and max."""
+    min and max; the check keeps each pair's meet and join ids as rows."""
 
     def __init__(self, elements: Sequence[tuple]):
         elems = []
@@ -55,22 +55,20 @@ class ExplicitSublattice:
         width = len(elems[0])
         if any(len(e) != width for e in elems):
             raise InputError("sublattice elements must share one ground set")
+        self._meet, self._join = [], []  # every pair's meet and join, as id rows
         for a in elems:
+            meets, joins = [], []
             for b in elems:
-                m, j = fn_meet(a, b), fn_join(a, b)
-                if m not in seen:
-                    raise InputError(f"not meet-closed: {a} meet {b} = {m} is missing")
-                if j not in seen:
-                    raise InputError(f"not join-closed: {a} join {b} = {j} is missing")
+                for c, ids, op in ((fn_meet(a, b), meets, "meet"), (fn_join(a, b), joins, "join")):
+                    i = seen.get(c)
+                    if i is None:
+                        raise InputError(f"not {op}-closed: {a} {op} {b} = {c} is missing")
+                    ids.append(i)
+            self._meet.append(meets)
+            self._join.append(joins)
         self._elems = elems
         self._index = seen
         self.width = width
-        # each element as the ranks of its values among the values at each
-        # point: pointwise min and max act on ranks, which hash as ints
-        levels = [{v: r for r, v in enumerate(sorted({e[s] for e in elems}))}
-                  for s in range(width)]
-        self._ranks = [tuple(level[v] for level, v in zip(levels, e)) for e in elems]
-        self._by_ranks = {r: i for i, r in enumerate(self._ranks)}
 
     @classmethod
     def closure(cls, seeds: Sequence[tuple], max_size: int = 64) -> "ExplicitSublattice":
@@ -98,10 +96,6 @@ class ExplicitSublattice:
 
     def index(self, a) -> int:
         return self._index[a]
-
-    def pick_id(self, a: int, b: int, pick) -> int:
-        """Id of the pointwise pick (min: meet, max: join) of ids a and b, on their ranks."""
-        return self._by_ranks[tuple(map(pick, self._ranks[a], self._ranks[b]))]
 
     def contains(self, a) -> bool:
         return tuple(a) in self._index

@@ -8,6 +8,7 @@ JSON-pointer-style path to the offending field and map to CLI exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -597,32 +598,47 @@ def _measure_and_tuple(cfg) -> dict:
             "fs": fn_elems_from_json(cfg["tuple"], "/tuple", measure.size, _nonneg_scalar)}
 
 
-def corollary_config_from_json(name: str, path: str) -> partial:
+def _charge_permanents(count: int, rows: int, cols: int, budget: int) -> None:
+    """Charge the three permanents of each of count matrices of at most
+    rows x cols: d * sum_{i <= d} C(p, i) multiply-adds each (`permanent`)."""
+    d, p = sorted((rows, cols))
+    charge(count * 3 * d * sum(math.comb(p, i) for i in range(d + 1)), budget,
+           "multiply-adds of the permanents")
+
+
+def corollary_config_from_json(name: str, path: str, budget: int = DEFAULT_BUDGET) -> partial:
     """Decode the config of `latstat corollary <name>` into the call of its
     checker: a random permanent batch calls
     `generators.perm_orderstat_batch`, and an esym config without "k"
-    calls `esym_orderstat_check` for every order."""
+    calls `esym_orderstat_check` for every order.  perm and esym charge
+    their work to the budget from sizes, before the call is built."""
     if name == "perm":
         cfg = parse_config(path, (), ("matrix", "random"))
         if "matrix" in cfg:
-            return partial(perm_orderstat_check, _list_of(
-                cfg["matrix"], "/matrix", lambda row, p: _list_of(row, p, _nonneg_finite)))
+            matrix = _list_of(cfg["matrix"], "/matrix",
+                              lambda row, p: _list_of(row, p, _nonneg_finite))
+            _charge_permanents(1, len(matrix), max(map(len, matrix), default=0), budget)
+            return partial(perm_orderstat_check, matrix)
         if "random" not in cfg:
             raise InputError("/matrix: provide 'matrix' or 'random'")
         spec = _expect_object(cfg["random"], "/random", ("count", "seed"),
                               ("max_rows", "max_cols"))
-        return partial(perm_orderstat_batch,
-                       seed=_expect_int(spec["seed"], "/random/seed"),
-                       count=_expect_int(spec["count"], "/random/count", 1),
-                       max_rows=_expect_int(spec.get("max_rows", 5), "/random/max_rows", 1),
-                       max_cols=_expect_int(spec.get("max_cols", 7), "/random/max_cols", 1))
+        batch = dict(seed=_expect_int(spec["seed"], "/random/seed"),
+                     count=_expect_int(spec["count"], "/random/count", 1),
+                     max_rows=_expect_int(spec.get("max_rows", 5), "/random/max_rows", 1),
+                     max_cols=_expect_int(spec.get("max_cols", 7), "/random/max_cols", 1))
+        _charge_permanents(batch["count"], batch["max_rows"], batch["max_cols"], budget)
+        return partial(perm_orderstat_batch, **batch)
     if name == "esym":
         cfg = parse_config(path, ("measure", "tuple"), ("k",))
         out = _measure_and_tuple(cfg)
-        if not out["fs"]:
+        n = len(out["fs"])
+        if not n:
             raise InputError("/tuple: must be nonempty")
         if "k" in cfg:
-            out["k"] = _expect_int(cfg["k"], "/k", 1, len(out["fs"]))
+            out["k"] = _expect_int(cfg["k"], "/k", 1, n)
+        subsets = math.comb(n, out["k"]) if "k" in out else 2 ** n - 1  # of each side
+        charge(2 * subsets, budget, "subsets of the elementary symmetric sums")
         return partial(esym_orderstat_check, **out)
     if name == "psi":
         cfg = parse_config(path, ("measure", "tuple", "psi"))

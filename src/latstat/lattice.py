@@ -9,16 +9,15 @@ serve as the oracle (witness replay goes through them); the pointwise
 per-point sort is provided separately for function elements.  Scans go
 through `_CompiledLattice` instead, one per lattice for its lifetime,
 shared by verification and every scan: elements become ids in `elements()`
-order, and meet and join become id tables, filled lazily per pair (from
-chain digits on an `FnLattice`), or filled whole as flat lists by a caller
-that reads every pair (`_CompiledLattice.whole`).  Its order statistics
-take one of two engines, chosen by the carrier's kind.  An `FnLattice` is
-a product of chains, so distributive, and there the paper's insertion
-chain sorts any window by n(n - 1)/2 adjacent (meet, join) swaps on the id
-tables (`_insertion_swaps`).  Every other carrier (M3, any
-`TableLattice`) runs the `_subset_formula` plan, memoized by the sorted
-window: off a distributive lattice the swaps need not give the order
-statistics.
+order, and meet and join become id tables, from chain digits on an
+`FnLattice` (filled lazily per pair, or whole by `_CompiledLattice.whole`),
+else from the carrier's own id rows.  Its order statistics take one of two
+engines, chosen by the carrier's kind.  An `FnLattice` is a product of
+chains, so distributive, and there the paper's insertion chain sorts any
+window by n(n - 1)/2 adjacent (meet, join) swaps on the id tables
+(`_insertion_swaps`).  Every other carrier (M3, any `TableLattice`) runs
+the `_subset_formula` plan, memoized by the sorted window: off a
+distributive lattice the swaps need not give the order statistics.
 """
 
 from __future__ import annotations
@@ -403,11 +402,12 @@ class _Memo(dict):
 
 @cache
 def _insertion_swaps(n: int) -> tuple:
-    """The swap plan, built once per n, of `semimod.insertion_chain` on an
-    n-tuple, in its order: for p = 1..n - 1, entry p enters the sorted
-    prefix by swaps at i = p - 1 down to 0, each replacing (row[i],
-    row[i + 1]) by their (meet, join).  n(n - 1)/2 swaps in all; on a
-    distributive lattice they sort any tuple into its order statistics."""
+    """The insertion chain's swap plan, built once per n and run on elements
+    (`semimod.insertion_chain`) and on ids (`_CompiledLattice`): for
+    p = 1..n - 1, entry p enters the sorted prefix by swaps at i = p - 1
+    down to 0, each replacing (row[i], row[i + 1]) by their (meet, join).
+    n(n - 1)/2 swaps in all; on a distributive lattice they sort any tuple
+    into its order statistics."""
     return tuple(i for p in range(1, n) for i in range(p - 1, -1, -1))
 
 
@@ -434,46 +434,35 @@ def _digit_table(c: int, g: int, pick) -> list:
 
 class _CompiledLattice:
     """A lattice's elements as ids 0..m-1 in `L.elements()` order, with
-    meet and join id tables keyed a * m + b.  They start lazy (`L.pick_id`
-    where L has one, as an `FnLattice` does, else its oracle
-    index(L.meet(...))), so a sampled scan fills only the pairs it draws; a
-    caller that reads every pair first calls `whole`, which replaces them
-    by flat lists.  `by_swaps` records the order-statistic engine, chosen
-    once: the insertion chain on an `FnLattice`, distributive by
-    construction, and the subset formula on every other carrier."""
+    meet and join id tables keyed a * m + b.  On an `FnLattice` they start
+    lazy (`L.pick_id`), so a sampled scan fills only the pairs it draws,
+    until a caller that reads every pair calls `whole`; every other carrier
+    hands over its own id rows (`_meet`, `_join`), flattened once.
+    `by_swaps` records the order-statistic engine, chosen once: the
+    insertion chain on an `FnLattice`, distributive by construction, and
+    the subset formula on every other carrier."""
 
     def __init__(self, L):
         elems = self.elems = L.elements()
         m = self.m = len(elems)
         self.by_swaps = isinstance(L, FnLattice)
-        # what `whole` fills from, held apart from L: whole tables keep no
-        # reference to L, so L and its tables go with L's last user
-        self._digits = (len(L.chain), L.ground.size) if self.by_swaps else None
-        self._rows = (L._meet, L._join) if isinstance(L, TableLattice) else None
-        # keyed a * m + b and filled one pair at a time on first use
-        if hasattr(L, "pick_id"):
+        if self.by_swaps:
+            # held apart from L: whole tables keep no reference to L, so L
+            # and its tables go with L's last user
+            self._digits = (len(L.chain), L.ground.size)
             self.meet = _Memo(lambda key: L.pick_id(*divmod(key, m), min))
             self.join = _Memo(lambda key: L.pick_id(*divmod(key, m), max))
         else:
-            index = L.index
-            self.meet = _Memo(lambda key: index(L.meet(elems[key // m], elems[key % m])))
-            self.join = _Memo(lambda key: index(L.join(elems[key // m], elems[key % m])))
+            self.meet, self.join = ([v for row in rows for v in row] for rows in (L._meet, L._join))
 
     def whole(self) -> "_CompiledLattice":
         """Fill both tables whole, as flat lists of m^2 ids, for a caller
-        that reads every pair (its m^2 reads are charged already): from
-        chain digits on an `FnLattice` (`_digit_table`), with no element,
-        from the table of a `TableLattice`, else by the lazy tables' rule
-        once per pair.  A list holds an entry in one slot, against a dict's
-        hash, key and value; tables already whole stay as they are."""
+        that reads every pair (its m^2 reads are charged already): on an
+        `FnLattice` from chain digits (`_digit_table`), with no element;
+        other carriers' tables are whole from the start.  A list holds an
+        entry in one slot, against a dict's hash, key and value."""
         if isinstance(self.meet, _Memo):
-            if self._digits:
-                self.meet, self.join = (_digit_table(*self._digits, pick) for pick in (min, max))
-            elif self._rows:  # a table lattice's ids are its elements
-                self.meet, self.join = ([v for row in rows for v in row] for rows in self._rows)
-            else:  # each entry by the lazy table's own rule
-                self.meet, self.join = ([table.fn(key) for key in range(self.m ** 2)]
-                                        for table in (self.meet, self.join))
+            self.meet, self.join = (_digit_table(*self._digits, pick) for pick in (min, max))
         return self
 
     @classmethod

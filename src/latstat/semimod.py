@@ -87,6 +87,7 @@ from .lattice import (
     order_statistics_tuple,
     _CompiledLattice,
     _Memo,
+    _insertion_swaps,
     _validate_tuple,
 )
 from .report import CheckReport, Witness
@@ -278,8 +279,8 @@ def id_table(value: Callable, elems: list, arity: int, limit: Optional[int],
 @dataclass(frozen=True)
 class InsertionChain:
     """Rows g_0 .. g_{n-1} of the adjacent meet/join rearrangement: row 0 has
-    the first n-1 entries already sorted (recursively) with the last entry
-    appended; row k swaps positions (n-k, n-k+1) for meet/join; the final
+    the first n-1 entries already sorted (by the same swaps) with the last
+    entry appended; row k swaps positions (n-k, n-k+1) for meet/join; the final
     row is the tuple of order statistics."""
 
     rows: tuple
@@ -621,8 +622,10 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
 
 def insertion_chain(L, f: Sequence) -> InsertionChain:
     """Build the adjacent meet/join rearrangement that sorts f into its order
-    statistics.  A table lattice must have a Birkhoff embedding (non-lattice
-    and non-distributive tables are refused); the chain then runs on its own
+    statistics, by the `_insertion_swaps` plan on L.meet and L.join; its
+    rows are the last n: before and after each of the last entry's swaps.
+    A table lattice must have a Birkhoff embedding (non-lattice and
+    non-distributive tables are refused); the chain then runs on its own
     meet/join tables, giving the rows the embedding would map back, since
     the embedding is an injective lattice homomorphism."""
     _validate_tuple(L, f)
@@ -631,22 +634,12 @@ def insertion_chain(L, f: Sequence) -> InsertionChain:
         # every call
         birkhoff_embed(L)
         L._embeds = True
-    return _insertion_chain_fn(L, tuple(f))
-
-
-def _insertion_chain_fn(L, f: tuple) -> InsertionChain:
-    n = len(f)
-    if n == 1:
-        return InsertionChain(rows=(f,))
-    prev = _insertion_chain_fn(L, f[:-1])
-    row = prev.rows[-1] + (f[-1],)
-    rows = [row]
-    for k in range(1, n):
-        i = n - k - 1  # 0-based index of the meet slot at step k
+    row, rows = list(f), [tuple(f)]
+    for i in _insertion_swaps(len(row)):
         a, b = row[i], row[i + 1]
-        row = row[:i] + (L.meet(a, b), L.join(a, b)) + row[i + 2:]
-        rows.append(row)
-    return InsertionChain(rows=tuple(rows))
+        row[i], row[i + 1] = L.meet(a, b), L.join(a, b)
+        rows.append(tuple(row))
+    return InsertionChain(rows=tuple(rows[-len(row):]))
 
 
 def verify_chain_sortedness(chain: InsertionChain) -> CheckReport:

@@ -231,6 +231,44 @@ def test_order_carriers_are_charged_before_they_are_built(write, capsys, monkeyp
     assert [run_cli(capsys, *argv)[0] for argv in commands] == [0, 1, 1, 0, 2]
 
 
+def test_cli_loops_are_charged_before_they_run(write, capsys, monkeypatch):
+    # ordstats, corollary esym and corollary perm count their work from the
+    # input's sizes and refuse it before the subset formula, the symmetric
+    # sums or the permanents run; a budget of exactly that count runs
+    from latstat import constructions, lattice
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the work ran before the budget gate")
+
+    fn = write("fn.json", {"kind": "fn", "ground_size": 1, "chain_max": 3})
+    tup = write("t.json", [[v % 4] for v in range(10)])
+    esym = {"measure": [1], "tuple": [[v % 3] for v in range(12)]}
+    ops, sums, adds = ("lattice operations of the subset formula",
+                       "subsets of the elementary symmetric sums", "multiply-adds of the permanents")
+    cases = [
+        (("ordstats", "--lattice", fn, "--tuple", tup), 10 * 2 ** 9 - 10, ops),
+        (("ordstats", "--lattice", fn, "--tuple", tup, "--dual"), 2 * (10 * 2 ** 9 - 10), ops),
+        (("corollary", "esym", "--config", write("e.json", esym)), 2 * (2 ** 12 - 1), sums),
+        (("corollary", "esym", "--config", write("k.json", {**esym, "k": 6})), 2 * 924, sums),
+        # d * sum_{i <= d} C(p, i) per permanent, three permanents per matrix
+        (("corollary", "perm", "--config", write("p.json", {"matrix": [[1] * 8] * 6})),
+         3 * 6 * 247, adds),
+        (("corollary", "perm", "--config", write("r.json", {"random": {"count": 20, "seed": 5}})),
+         20 * 3 * 5 * 120, adds),
+    ]
+    monkeypatch.setattr(lattice, "_subset_formula", unreachable)
+    monkeypatch.setattr(constructions, "elementary_symmetric", unreachable)
+    monkeypatch.setattr(constructions, "_permanent", unreachable)
+    monkeypatch.setenv("LATSTAT_BUDGET", "1000")
+    for argv, units, what in cases:
+        assert run_cli(capsys, *argv) == (
+            3, "", f"budget exceeded: {units} {what} exceed budget 1000\n"), argv
+    monkeypatch.undo()
+    for argv, units, _ in cases:
+        monkeypatch.setenv("LATSTAT_BUDGET", str(units))
+        assert run_cli(capsys, *argv)[0] == 0, argv
+
+
 def test_check_refuses_a_table_that_is_not_a_lattice(write, capsys):
     # join(1, 2) = 1 but join(2, 1) = 2: a scan would report the witness [1, 1, 2]
     lat = write("t.json", {"kind": "table", "n": 3, "meet": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],

@@ -257,6 +257,13 @@ CONTRACTS = [
                  [3, 0], [1, 2], [0, 3], [2, 2], [1, 1], [3, 3], [0, 1], [2, 0], [1, 3]]},
              ("ordstats", "--lattice", "fn16_ord.json", "--tuple", "fn_tuple9.json", "--dual"),
              0, _ordstats_primal_is_dual),
+    # the subset formula's n * 2^(n-1) - n operations are charged before it is built
+    Contract("ordstats-16-tuple-over-budget", {"fn4.json": {
+                 "kind": "fn", "ground_size": 1, "chain_max": 3},
+                 "tuple16.json": [[v % 4] for v in range(16)]},
+             ("ordstats", "--lattice", "fn4.json", "--tuple", "tuple16.json"), 3,
+             _stderr_has("524272 lattice operations of the subset formula exceed budget 1000"),
+             env={"LATSTAT_BUDGET": "1000"}),
 ]
 
 

@@ -239,6 +239,15 @@ def test_one_check_evaluates_each_value_once():
     assert sorted(psis) == sorted(set(psis)) and len(psis) == len(
         {MU.integral((max(a, 0), max(b, 0))) for a in range(-2, 3) for b in range(-2, 3)})
 
+    # a Schur lam once per carrier element, whether the scan reads its
+    # integer scale (ge) or fn's own values (a custom relation)
+    for rel in (GE, TransitiveRelation.custom(lambda a, b: a >= b, "at-least")):
+        seen = []
+        spec = SchurSpec(FN9, lambda f: seen.append(f) or Fraction(sum(f)),
+                         MultisetCombiner("min"))
+        assert check_generalized_n(FN9, schur_construct(spec, 3), rel).holds
+        assert sorted(seen) == sorted(set(seen)) and len(seen) == FN9.size
+
 
 def test_schur_refuses_schur_convex_combiner():
     L = FnLattice.zero_to(1, 2)

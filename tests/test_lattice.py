@@ -12,6 +12,7 @@ from latstat import (
     TableLattice,
     birkhoff_embed,
     build_m3,
+    insertion_chain,
     is_distributive,
     join,
     leq,
@@ -378,14 +379,6 @@ def test_compiled_order_statistics_match_subset_formula(make):
             assert tuple(elems[i] for i in stats(ids)) == expected
 
 
-class GenericView:
-    """An FnLattice seen only through the lattice interface, so that
-    `_CompiledLattice` fills its tables by index(L.meet(...)), not digits."""
-
-    def __init__(self, L):
-        self.elements, self.index, self.meet, self.join = L.elements, L.index, L.meet, L.join
-
-
 @pytest.mark.parametrize("make", [
     lambda: FnLattice.zero_to(2, 2),
     lambda: FnLattice.zero_to(3, 1),
@@ -397,13 +390,15 @@ class GenericView:
 ], ids=["fn", "ground-3", "symmetric", "fraction-chain", "one-value", "ground-1",
         "symmetric-ground-3"])
 def test_digit_tables_match_the_generic_fill(make):
-    # every pair, so a digit-wise max for meet or digits read in reverse fail
+    # every pair against the elements' own meet and join, so a digit-wise
+    # max for meet or digits read in reverse fail
     L = make()
-    digits, generic = _CompiledLattice(L), _CompiledLattice(GenericView(L))
-    m = digits.m
-    for key in range(m * m):
-        assert digits.meet[key] == generic.meet[key]
-        assert digits.join[key] == generic.join[key]
+    digits = _CompiledLattice(L)
+    m, elems = digits.m, digits.elems
+    for a, b in product(elems, repeat=2):
+        key = L.index(a) * m + L.index(b)
+        assert digits.meet[key] == L.index(L.meet(a, b))
+        assert digits.join[key] == L.index(L.join(a, b))
     assert len(digits.meet) == len(digits.join) == m * m
 
 
@@ -462,6 +457,38 @@ def test_insertion_chain_matches_the_subset_formula(make):
             assert tuple(elems[i] for i in chain(ids)) == tuple(_subset_rows(f, L.join, L.meet))
 
 
+def recursive_insertion_chain(L, f: tuple) -> tuple:
+    """The insertion chain's rows by the literal recursion, kept as the
+    reference: the chain of f[:-1] sorts it, f[-1] is appended, and swaps at
+    i = n - 2 down to 0 move it into place."""
+    n = len(f)
+    if n == 1:
+        return (f,)
+    row = recursive_insertion_chain(L, f[:-1])[-1] + (f[-1],)
+    rows = [row]
+    for k in range(1, n):
+        i = n - k - 1
+        a, b = row[i], row[i + 1]
+        row = row[:i] + (L.meet(a, b), L.join(a, b)) + row[i + 2:]
+        rows.append(row)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("make", FN_SET + [lambda: product_of_chains([2, 3])],
+                         ids=FN_IDS + ["chains"])
+def test_insertion_chain_rows_match_the_recursive_reference(make):
+    # every row, not only the sorted last one, so a swap out of order fails
+    L = make()
+    elems = L.elements()
+    rng = random.Random(29)
+    for n in range(1, 8):
+        for _ in range(8):
+            f = tuple(rng.choice(elems) for _ in range(n))
+            assert insertion_chain(L, f).rows == recursive_insertion_chain(L, f)
+    with pytest.raises(InputError, match="not distributive"):
+        insertion_chain(build_m3(), (1, 2, 3))
+
+
 @pytest.mark.parametrize("make", FN_SET, ids=FN_IDS)
 def test_whole_digit_tables_match_pick_id(make):
     L = make()
@@ -475,14 +502,22 @@ def test_whole_digit_tables_match_pick_id(make):
     assert len({id(v) for v in compiled.meet + compiled.join}) == m
 
 
-@pytest.mark.parametrize("make", [build_m3, lambda: ExplicitSublattice.closure(
-    [(0, 2), (1, 1), (2, 0)])], ids=["m3", "sublattice"])
+@pytest.mark.parametrize("make", [
+    build_m3,
+    lambda: product_of_chains([2, 3]),
+    lambda: ExplicitSublattice.closure([(0, 2), (1, 1), (2, 0)]),
+], ids=["m3", "chains", "sublattice"])
 def test_whole_tables_match_the_lazy_fill(make):
+    # a carrier that hands over its own rows: every entry is the id of the
+    # elements' meet or join
     L = make()
-    lazy, whole = _CompiledLattice(L), _CompiledLattice(L).whole()
-    assert whole.whole() is whole and isinstance(whole.meet, list)
-    for key in range(lazy.m ** 2):
-        assert (whole.meet[key], whole.join[key]) == (lazy.meet[key], lazy.join[key])
+    compiled = _CompiledLattice(L)
+    assert compiled.whole() is compiled and isinstance(compiled.meet, list)
+    m = compiled.m
+    for (i, a), (j, b) in product(enumerate(compiled.elems), repeat=2):
+        assert compiled.meet[i * m + j] == L.index(L.meet(a, b))
+        assert compiled.join[i * m + j] == L.index(L.join(a, b))
+    assert len(compiled.meet) == len(compiled.join) == m * m
 
 
 @pytest.mark.parametrize("make", FN_SET, ids=FN_IDS)
