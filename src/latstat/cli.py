@@ -102,8 +102,6 @@ def _cmd_lattice(args):
     budget = _budget(args)
     lattice = lattice_from_json(load_json_file(args.lattice), budget=budget)
     command, echo = f"lattice {args.action}", {"lattice": args.lattice, "action": args.action}
-    if args.action != "distributive" and isinstance(lattice, TableLattice):
-        charge(lattice.size ** 3, budget, "lattice axiom triples")
     if args.action == "birkhoff":
         if not isinstance(lattice, TableLattice):
             raise InputError("birkhoff embedding applies to table lattices")
@@ -117,7 +115,7 @@ def _cmd_lattice(args):
     if args.action == "distributive":
         report = is_distributive(lattice, budget=budget)
     elif isinstance(lattice, TableLattice):
-        report = validate_table_lattice(lattice)
+        report = validate_table_lattice(lattice, budget)
     else:
         return command, echo, {"note": "function lattices are valid by construction",
                                "holds": True}, True
@@ -150,8 +148,7 @@ def _cmd_check(args):
     carrier = load_json_file(args.lattice)
     lattice = lattice_from_json(carrier, budget=budget)
     if carrier["kind"] == "table":  # order and fn carriers are lattices by construction
-        charge(lattice.size ** 3, budget, "lattice axiom triples")
-        require_lattice(lattice)
+        require_lattice(lattice, budget)
     functional = functional_from_json(load_json_file(args.functional), lattice, budget)
     rel = TransitiveRelation.from_name(args.relation)
     kwargs = dict(mode=args.mode, seed=args.seed, trials=args.trials, budget=budget)

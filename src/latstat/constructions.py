@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
-from .lattice import (DEFAULT_BUDGET, FnLattice, _CompiledLattice, _Memo, fn_diff, fn_meet,
+from .lattice import (DEFAULT_BUDGET, FnLattice, _CompiledLattice, _Memo, fn_diff,
                       pointwise_order_statistics)
 from .report import CheckReport, Witness
 from .scalars import (

@@ -1,7 +1,9 @@
 """Seeded random instances for property suites and regressions.
 
 Numerators and denominators stay small (<= 8) so exact arithmetic stays
-fast across thousands of instances.
+fast across thousands of instances.  Functionals and their maps are drawn
+as configs in the CLI's JSON schema and built by `jsonio`'s decoders, so
+each family's formulas are written once.
 """
 
 from __future__ import annotations
@@ -11,25 +13,17 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
-from .constructions import (
-    Measure,
-    MultisetCombiner,
-    PotentialSpec,
-    SchurSpec,
-    SetRelation,
-    integral_of_product,
-    product_of_integrals,
-    relation_image_measure,
-    schur_construct,
-    tensor_multiadditive,
-    multiadd_symmetric_sum,
-    perm_orderstat_check,
-    verify_multiadditive,
-)
+from .constructions import Measure, PotentialSpec, perm_orderstat_check
 from .correlation import ExplicitSublattice
+from .jsonio import (
+    function_from_json,
+    functional_from_json,
+    lattice_from_json,
+    potential_spec_from_json,
+)
 from .lattice import FnLattice
 from .report import CheckReport
-from .scalars import INF
+from .scalars import INF, scalar_to_json
 from .semimod import TupleFunctional
 
 
@@ -42,6 +36,10 @@ def rand_fraction(rng: random.Random, max_num: int = 8, max_den: int = 8,
 def rand_measure(rng: random.Random, size: int, positive: bool = True) -> Measure:
     return Measure(tuple(rand_fraction(rng, allow_zero=not positive)
                          for _ in range(size)))
+
+
+def _measure_json(rng: random.Random, size: int) -> list:
+    return [scalar_to_json(w) for w in rand_measure(rng, size).weights]
 
 
 def rand_nonneg_fn(rng: random.Random, width: int, *, max_num: int = 6,
@@ -58,87 +56,63 @@ def rand_nonneg_fn(rng: random.Random, width: int, *, max_num: int = 6,
     return tuple(out)
 
 
-# --- one-argument maps for Schur compositions ---
-
-def _modular_lam(rng: random.Random, width: int) -> tuple[Callable, str]:
-    ws = [Fraction(rng.randint(0, 4)) for _ in range(width)]
-
-    def lam(f):
-        return sum((w * v for w, v in zip(ws, f)), Fraction(0))
-
-    return lam, f"modular{ws}"
-
-
-def _capped_modular_lam(rng: random.Random, width: int) -> tuple[Callable, str]:
-    ws = [Fraction(rng.randint(1, 4)) for _ in range(width)]
-    cap = Fraction(rng.randint(1, 6))
-
-    def lam(f):
-        return min(cap, sum((w * v for w, v in zip(ws, f)), Fraction(0)))
-
-    return lam, f"capped{ws}@{cap}"
-
-
-def _max_value_lam(rng: random.Random, width: int) -> tuple[Callable, str]:
-    shift = Fraction(rng.randint(0, 2))
-
-    def lam(f):
-        return max(f) + shift
-
-    return lam, f"max+{shift}"
-
-
-def _relation_image_lam(rng: random.Random, width: int) -> tuple[Callable, str]:
-    target = rng.randint(1, 3)
-    pairs = frozenset((s, t) for s in range(width) for t in range(target)
-                      if rng.random() < 0.6)
-    rel = SetRelation(pairs, width, target)
-    weights = tuple(Fraction(rng.randint(1, 4)) for _ in range(target))
-    return relation_image_measure(rel, weights), f"image({sorted(pairs)})"
-
-
-def _random_carrier(rng: random.Random) -> tuple[int, int, int]:
-    """(n, width, top): an arity and a `FnLattice.zero_to(width, top)` carrier."""
+def _random_carrier(rng: random.Random) -> tuple[int, dict]:
+    """An arity n and a small function-lattice carrier config."""
     n = rng.choice((3, 4))
     # n = 4 keeps |L|^4 scans at desk scale
-    return (n, *rng.choice(((1, 2), (1, 1), (2, 1)) if n == 4 else ((1, 2), (2, 1), (2, 2))))
+    width, top = rng.choice(((1, 2), (1, 1), (2, 1)) if n == 4 else ((1, 2), (2, 1), (2, 2)))
+    return n, {"kind": "fn", "ground_size": width, "chain_max": top}
+
+
+def _schur_lambda(rng: random.Random, width: int, top: int) -> dict:
+    """A one-argument map config: on a 0/1 carrier, a relation image with
+    probability 0.4; else a modular, capped modular or max-value map."""
+    if top == 1 and rng.random() < 0.4:
+        target = rng.randint(1, 3)
+        return {"kind": "relation_image",
+                "pairs": [[s, t] for s in range(width) for t in range(target)
+                          if rng.random() < 0.6],
+                "target_weights": [rng.randint(1, 4) for _ in range(target)]}
+    kind = rng.choice(("modular", "capped_modular", "max_value"))
+    if kind == "modular":
+        return {"kind": kind, "point_weights": [rng.randint(0, 4) for _ in range(width)]}
+    if kind == "capped_modular":
+        return {"kind": kind, "point_weights": [rng.randint(1, 4) for _ in range(width)],
+                "cap": rng.randint(1, 6)}
+    return {"kind": kind, "shift": rng.randint(0, 2)}
 
 
 def random_schur_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctional]:
     """A random verified Schur composition on a small function lattice."""
-    n, width, top = _random_carrier(rng)
-    lattice = FnLattice.zero_to(width, top)
-    if top == 1 and rng.random() < 0.4:
-        lam, lam_name = _relation_image_lam(rng, width)
-    else:
-        lam, lam_name = rng.choice((_modular_lam, _capped_modular_lam, _max_value_lam))(
-            rng, width)
-    k = rng.randint(1, n)
-    spec = SchurSpec(lattice, lam, MultisetCombiner("sum_smallest", k),
-                     lam_name=lam_name, combiner_name=f"sum_of_{k}_smallest")
-    return lattice, schur_construct(spec, n, seed=rng.randrange(2 ** 30))
+    n, carrier = _random_carrier(rng)
+    lam = _schur_lambda(rng, carrier["ground_size"], carrier["chain_max"])
+    config = {"family": "schur", "n": n, "lambda": lam,
+              "F": {"kind": "sum_smallest", "k": rng.randint(1, n)},
+              "seed": rng.randrange(2 ** 30)}
+    lattice = lattice_from_json(carrier)
+    return lattice, functional_from_json(config, lattice)
 
 
 def random_multiadd_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctional]:
     """A random verified symmetric sum of a nonnegative multiadditive form."""
-    n, width, top = _random_carrier(rng)
-    lattice = FnLattice.zero_to(width, top)
+    n, carrier = _random_carrier(rng)
+    width = carrier["ground_size"]
     k = rng.randint(1, min(n, 3))
-    kind = rng.choice(("prod-integrals", "integral-of-product", "tensor"))
-    if kind == "prod-integrals":
-        m = product_of_integrals([rand_measure(rng, width) for _ in range(k)])
-    elif kind == "integral-of-product":
-        m = integral_of_product(rand_measure(rng, width), k)
-    else:
-        keys = set()
-        for key in product(range(width), repeat=k):
-            if rng.random() < 0.6:
-                keys.add(key)
-        weights = {key: rand_fraction(rng, allow_zero=False) for key in keys}
-        m = tensor_multiadditive(weights, k, width) if weights else \
-            integral_of_product(rand_measure(rng, width), k)
-    verify_multiadditive(m, lattice, seed=rng.randrange(2 ** 30), samples=20)
-    return lattice, multiadd_symmetric_sum(m, n, lattice)
+    kind = rng.choice(("prod_integrals", "integral_of_product", "tensor"))
+    m = None
+    if kind == "prod_integrals":
+        m = {"kind": kind, "measures": [_measure_json(rng, width) for _ in range(k)]}
+    elif kind == "tensor":
+        keys = {key for key in product(range(width), repeat=k) if rng.random() < 0.6}
+        if keys:  # weights are drawn in the set's iteration order
+            m = {"kind": kind, "weights": [
+                [list(key), scalar_to_json(rand_fraction(rng, allow_zero=False))]
+                for key in keys]}
+    if m is None:
+        m = {"kind": "integral_of_product", "weights": _measure_json(rng, width)}
+    config = {"family": "multiadd", "n": n, "k": k, "m": m, "seed": rng.randrange(2 ** 30)}
+    lattice = lattice_from_json(carrier)
+    return lattice, functional_from_json(config, lattice)
 
 
 def random_verified_functional(rng: random.Random) -> tuple[FnLattice, TupleFunctional]:
@@ -148,47 +122,28 @@ def random_verified_functional(rng: random.Random) -> tuple[FnLattice, TupleFunc
     return random_multiadd_functional(rng)
 
 
-# --- potentials ---
-
-def _affine(a: Fraction, b: Fraction) -> Callable:
-    return lambda u: a * u + b
-
-
 def random_potential_spec(rng: random.Random, curvature: str,
                           *, width: Optional[int] = None) -> PotentialSpec:
     """Random monotone inner map and strictly curved piecewise-affine outer
-    map on a symmetric-chain carrier."""
+    map (min of affine pieces when concave, max when convex) on a
+    symmetric-chain carrier."""
     if width is None:
         width = rng.choice((1, 2))
-    carrier = FnLattice.symmetric(width, 1)
-    measure = Measure(tuple(Fraction(rng.randint(1, 3)) for _ in range(width)))
-    shift = Fraction(rng.randint(-1, 1))
-    scale = Fraction(rng.randint(1, 3))
-    phi_kind = rng.choice(("relu", "step"))
-    if phi_kind == "relu":
-        def phi(u, _s=shift, _c=scale):
-            return max(_c * (u - _s), Fraction(0))
-        phi_name = f"relu(scale={scale},shift={shift})"
+    measure = [rng.randint(1, 3) for _ in range(width)]
+    shift, scale = rng.randint(-1, 1), rng.randint(1, 3)
+    if rng.choice(("relu", "step")) == "relu":
+        phi = {"kind": "relu", "scale": scale, "shift": shift}
     else:
-        def phi(u, _s=shift):
-            return Fraction(1) if u > _s else Fraction(0)
-        phi_name = f"step(shift={shift})"
-    slopes = sorted({Fraction(rng.randint(1, 5)) for _ in range(3)})
+        phi = {"kind": "step", "shift": shift}
+    slopes = sorted({rng.randint(1, 5) for _ in range(3)})
     while len(slopes) < 2:
         slopes.append(slopes[-1] + 1)
-    pieces = []
-    anchor = Fraction(rng.randint(0, 3))
-    for s in slopes:
-        pieces.append(_affine(s, anchor - s * Fraction(rng.randint(0, 2))))
-    if curvature == "concave":
-        def psi(u, _p=tuple(pieces)):
-            return min(f(u) for f in _p)
-    else:
-        def psi(u, _p=tuple(pieces)):
-            return max(f(u) for f in _p)
-    return PotentialSpec(carrier=carrier, measure=measure, phi=phi, psi=psi,
-                         curvature=curvature, phi_name=phi_name,
-                         psi_name=f"{curvature}-pl{slopes}")
+    anchor = rng.randint(0, 3)
+    psi = {"kind": {"concave": "min_affine", "convex": "max_affine"}.get(curvature),
+           "pieces": [[s, anchor - s * rng.randint(0, 2)] for s in slopes]}
+    carrier = lattice_from_json({"kind": "fn", "ground_size": width,
+                                 "chain_min": -1, "chain_max": 1})
+    return potential_spec_from_json({"measure": measure, "phi": phi, "psi": psi}, carrier)
 
 
 # --- sublattices and families for correlation suites ---
@@ -207,13 +162,9 @@ def random_sublattice(rng: random.Random, *, width: int = None,
 def random_monotone_func(rng: random.Random, width: int) -> Callable:
     """Nonnegative coefficients on coordinates plus a constant; nondecreasing
     on any function lattice."""
-    coeffs = [Fraction(rng.randint(0, 3)) for _ in range(width)]
-    const = Fraction(rng.randint(0, 2))
-
-    def func(h):
-        return sum((c * v for c, v in zip(coeffs, h)), const)
-
-    return func
+    coeffs = [rng.randint(0, 3) for _ in range(width)]
+    return function_from_json({"kind": "linear", "coeffs": coeffs,
+                               "const": rng.randint(0, 2)}, width)
 
 
 def random_families(rng: random.Random, *, n: int, width: int,

@@ -44,7 +44,6 @@ from .correlation import (
     corollary_fkg_check,
     fkg_check,
 )
-from .generators import perm_orderstat_batch
 from .lattice import DEFAULT_BUDGET, FnLattice, TableLattice, lattice_from_order
 from .report import CheckReport, Witness
 from .scalars import (
@@ -379,6 +378,19 @@ def _potential_psi_from_json(obj, ptr: str):
     return (lambda u: max(a * u + b for a, b in pieces)), "convex"
 
 
+def potential_spec_from_json(obj, lattice, ptr: str = "") -> PotentialSpec:
+    """The spec that a potential config's "measure", "phi" and "psi" give
+    on `lattice`; the caller validates the config's field names."""
+    if not isinstance(lattice, FnLattice):
+        raise InputError(f"{ptr}: potential functionals need a function lattice")
+    measure = measure_from_json(obj["measure"], f"{ptr}/measure",
+                                width=lattice.ground.size, finite=True)
+    phi, phi_name = _potential_phi_from_json(obj["phi"], f"{ptr}/phi")
+    psi, curvature = _potential_psi_from_json(obj["psi"], f"{ptr}/psi")
+    return PotentialSpec(carrier=lattice, measure=measure, phi=phi, psi=psi,
+                         curvature=curvature, phi_name=phi_name, psi_name=obj["psi"]["kind"])
+
+
 def functional_from_json(obj, lattice, budget: int = DEFAULT_BUDGET,
                          ptr: str = "") -> TupleFunctional:
     """Decode a functional on `lattice`, charging its verification to `budget`."""
@@ -413,16 +425,7 @@ def functional_from_json(obj, lattice, budget: int = DEFAULT_BUDGET,
     if family == "potential":
         _expect_object(obj, ptr, ("family", "n", "phi", "psi", "measure"), ("lattice",))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
-        if not isinstance(lattice, FnLattice):
-            raise InputError(f"{ptr}: potential functionals need a function lattice")
-        measure = measure_from_json(obj["measure"], f"{ptr}/measure",
-                                    width=lattice.ground.size, finite=True)
-        phi, phi_name = _potential_phi_from_json(obj["phi"], f"{ptr}/phi")
-        psi, curvature = _potential_psi_from_json(obj["psi"], f"{ptr}/psi")
-        spec = PotentialSpec(carrier=lattice, measure=measure, phi=phi, psi=psi,
-                             curvature=curvature, phi_name=phi_name,
-                             psi_name=obj["psi"]["kind"])
-        return potential_construct(spec, n, budget)
+        return potential_construct(potential_spec_from_json(obj, lattice, ptr), n, budget)
     if family == "multiadd":
         _expect_object(obj, ptr, ("family", "n", "k", "m"), ("lattice", "seed"))
         n = _expect_int(obj["n"], f"{ptr}/n", 1)
@@ -495,7 +498,9 @@ def _lookup(entries: list, ptr: str):
     return func
 
 
-def _function_from_json(obj, width: Optional[int], ptr: str, finite: bool = False):
+def function_from_json(obj, width: Optional[int], ptr: str = "", finite: bool = False):
+    """A "linear" or a "table" function of function elements of `width`
+    values: an fkg F or G, an ahke alpha or beta."""
     kind = _expect_kind(obj, ptr, "function", {
         "linear": (("coeffs",), ("const",)), "table": (("values",), ())})
     if kind == "table":
@@ -532,8 +537,8 @@ def fkg_config_from_json(path: str) -> partial:
     cfg = parse_config(path, ("elements", "F", "G", "weight"))
     sub = ExplicitSublattice(fn_elems_from_json(cfg["elements"], "/elements",
                                                 decode=_finite_scalar))
-    F = _function_from_json(cfg["F"], sub.width, "/F", finite=True)
-    G = _function_from_json(cfg["G"], sub.width, "/G", finite=True)
+    F = function_from_json(cfg["F"], sub.width, "/F", finite=True)
+    G = function_from_json(cfg["G"], sub.width, "/G", finite=True)
     weight = _weight_from_json(cfg["weight"], sub.width, ("power", "inf", "table"))
     if weight is not None:
         return partial(corollary_fkg_check, sub, F, G, **weight)
@@ -583,7 +588,7 @@ def ahke_config_from_json(path: str, budget: int = DEFAULT_FAMILY_BUDGET) -> par
                        **_weight_from_json(cfg["weight"], width, ("power", "inf")))
     if "alphas" in cfg and "betas" in cfg:
         alphas, betas = (_list_of(cfg[key], f"/{key}",
-                                  lambda a, p: _function_from_json(a, width, p))
+                                  lambda a, p: function_from_json(a, width, p))
                          for key in ("alphas", "betas"))
         return partial(aharoni_keich_check, alphas, betas, fams, mode=ConventionMode.ZERO,
                        budget=budget)
@@ -628,6 +633,7 @@ def corollary_config_from_json(name: str, path: str, budget: int = DEFAULT_BUDGE
                      max_rows=_expect_int(spec.get("max_rows", 5), "/random/max_rows", 1),
                      max_cols=_expect_int(spec.get("max_cols", 7), "/random/max_cols", 1))
         _charge_permanents(batch["count"], batch["max_rows"], batch["max_cols"], budget)
+        from .generators import perm_orderstat_batch  # generators imports this module
         return partial(perm_orderstat_batch, **batch)
     if name == "esym":
         cfg = parse_config(path, ("measure", "tuple"), ("k",))

@@ -258,10 +258,12 @@ def leq(L, a, b) -> bool:
 
 # --- structural checks ---
 
-def validate_table_lattice(t: TableLattice) -> CheckReport:
+def validate_table_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Exhaustively verify the lattice axioms on the tables: commutativity,
-    idempotence, absorption, associativity.  Reports the first violation."""
+    idempotence, absorption, associativity.  Reports the first violation.
+    The n^3 triples are charged to the budget first."""
     n = t.n
+    charge(n ** 3, budget, "lattice axiom triples")
     checked = 0
     for a in range(n):
         checked += 2
@@ -295,9 +297,9 @@ def _axiom_fail(args, lhs, rhs, law, checked) -> CheckReport:
                        witness=Witness(args=args, lhs=lhs, rhs=rhs, note=law))
 
 
-def require_lattice(t: TableLattice) -> None:
+def require_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> None:
     """Refuse tables that break a lattice axiom, naming the first broken law."""
-    ok = validate_table_lattice(t)
+    ok = validate_table_lattice(t, budget)
     if not ok.holds:
         raise InputError(f"not a lattice: {ok.witness.note} at {ok.witness.args}")
 
@@ -535,9 +537,10 @@ def birkhoff_embed(t: TableLattice, budget: int = DEFAULT_BUDGET):
     elements below it.  Returns (ambient FnLattice, id -> element map,
     tuple of join-irreducible ids forming the ground set).  Refuses
     non-distributive input, quoting the violating triple; the budget bounds
-    the distributivity triples (`is_distributive`).
+    the lattice axiom triples (`validate_table_lattice`) and then the
+    distributivity triples (`is_distributive`).
     """
-    require_lattice(t)
+    require_lattice(t, budget)
     dist = is_distributive(t, budget)
     if not dist.holds:
         raise InputError(

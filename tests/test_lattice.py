@@ -617,6 +617,15 @@ def test_birkhoff_refuses_m3(m3):
     assert "distributive" in str(err.value)
 
 
+def test_birkhoff_charges_the_axiom_triples_before_checking_them():
+    chain = product_of_chains([40])
+    with pytest.raises(BudgetExceededError, match="64000 lattice axiom triples"):
+        birkhoff_embed(chain, budget=40 ** 3 - 1)
+    with pytest.raises(BudgetExceededError, match="lattice axiom triples"):
+        validate_table_lattice(chain, budget=40 ** 3 - 1)
+    assert validate_table_lattice(chain, budget=40 ** 3).holds
+
+
 # --- constructors ---
 
 def test_build_m3_order_relation(m3):
