@@ -52,6 +52,7 @@ from .lattice import (
     pointwise_order_statistics,
     product_of_chains,
 )
+from .scalars import INF, ConventionMode
 from .semimod import (
     TransitiveRelation,
     chain_point_multisets_conserved,
@@ -202,7 +203,6 @@ def _criterion_6(budget: int) -> str:
 
 def _power_corners(width: int):
     zero = tuple(Fraction(0) for _ in range(width))
-    from .scalars import INF
     inf_elem = tuple(INF for _ in range(width))
     mixed = tuple(Fraction(0) if i % 2 == 0 else INF for i in range(width))
     return [zero, inf_elem, mixed]
@@ -266,7 +266,6 @@ def _criterion_9(budget: int) -> str:
     for i in range(100):
         sub = random_sublattice(rng, positive=bool(i % 2))
         mu = rand_measure(rng, sub.width)
-        from .scalars import ConventionMode
         rep_inf = is_log_supermodular(inf_weight(), sub, ConventionMode.INF)
         _require(rep_inf.holds, rep_inf.witness)
         rep_pow = is_log_supermodular(power_weight(mu, -1), sub, ConventionMode.INF)

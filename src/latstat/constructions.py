@@ -208,7 +208,7 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
     pair-window check (>=) on any distributive carrier.  Its on_ids reads
     lam by id through `id_table`, from the values its verification computed
-    (`known`) on the carrier's own elements: on their integer scale for a
+    on the carrier's elements (`vals`): on their integer scale for a
     `MultisetCombiner` when the limit allows the m values (other combiners
     need not commute with a scale), else as Fractions.  With the combiner
     "sum" it is the sum of the unary terms (values, (i,))."""
@@ -221,8 +221,7 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
         return combiner(tuple(vals[a] for a in f))
 
     def on_ids(elems, limit=None):
-        known = dict(enumerate(by_id)) if elems == spec.lattice.elements() else None
-        scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None, known)
+        scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None)
         at = values.__getitem__
         sums = scale is not None and combiner == MultisetCombiner("sum")
         terms = [(values, (i,)) for i in range(n)] if sums else None
@@ -639,6 +638,27 @@ def perm_orderstat_check(matrix: Sequence[Sequence]) -> CheckReport:
         witness = Witness(args=(tuple(map(tuple, rows)),), lhs=perm_cols, rhs=base,
                           note="columns")
     return CheckReport(instances_checked=2, witness=witness, detail=detail)
+
+
+def perm_orderstat_batch(count: int, seed: int, max_rows: int,
+                         max_cols: int) -> CheckReport:
+    """Run `perm_orderstat_check` on `count` seeded random matrices (rows of
+    random lengths, padded with zeros); returns the first failing report,
+    else the last, with the batch size in its detail."""
+    rng = random.Random(seed)
+    failed = None
+    for _ in range(count):
+        matrix = [[Fraction(rng.randint(0, 6), rng.randint(1, 4))
+                   for _ in range(rng.randint(1, max_cols))]
+                  for _ in range(rng.randint(1, max_rows))]
+        width = max(len(r) for r in matrix)
+        matrix = [r + [Fraction(0)] * (width - len(r)) for r in matrix]
+        one = perm_orderstat_check(matrix)
+        if not one.holds and failed is None:
+            failed = one
+    report = failed if failed is not None else one
+    report.detail["batch"] = count
+    return report
 
 
 # --- elementary symmetric functions ---

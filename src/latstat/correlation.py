@@ -135,31 +135,17 @@ def is_log_supermodular(nu, L, mode: Optional[ConventionMode] = None) -> CheckRe
     before g in element order are tested; `instances_checked` counts the
     |L|^2 ordered pairs they cover.  The first violation in row order has f
     at or before g, so the witness is that of the full scan, and row 0 meets
-    every element as g, in the same order."""
-    elems = L.elements()
-    first = None
-    for i, f in enumerate(elems):
-        for g in elems[i:]:
-            lhs = ext_mul(as_scalar(nu(L.meet(f, g))), as_scalar(nu(L.join(f, g))), mode)
-            rhs = ext_mul(as_scalar(nu(f)), as_scalar(nu(g)), mode)
-            if not lhs >= rhs and first is None:
-                first = Witness(args=(f, g), lhs=lhs, rhs=rhs)
-    return CheckReport(instances_checked=len(elems) ** 2, witness=first)
-
-
-def _check_nondecreasing(func, name, L) -> Optional[Witness]:
-    elems = L.elements()
-    for f in elems:
-        for g in elems:
-            if L.leq(f, g) and not as_scalar(func(f)) <= as_scalar(func(g)):
-                return Witness(args=(f, g), lhs=func(f), rhs=func(g),
-                               note=f"{name} is not nondecreasing")
-    return None
+    every element as g, in the same order.  The weight is evaluated once
+    per element id, in the order the pairs first read it, and meet and
+    join are read from L's id tables by `_log_supermodular`, the executor
+    that `fkg_check` also runs."""
+    compiled = _CompiledLattice.of(L).whole()
+    elems = compiled.elems
+    return _log_supermodular(compiled, _Memo(lambda i: nu(elems[i])), mode)
 
 
 def _log_supermodular(compiled, nu: _Memo, mode) -> CheckReport:
-    """`is_log_supermodular`, its oracle, on a whole compiled carrier and
-    the weight by id."""
+    """`is_log_supermodular` on a whole compiled carrier and the weight by id."""
     elems, meet, join, m = compiled.elems, compiled.meet, compiled.join, compiled.m
     first = None
     for i, f in enumerate(elems):
@@ -173,8 +159,8 @@ def _log_supermodular(compiled, nu: _Memo, mode) -> CheckReport:
 
 
 def _first_decrease(compiled, func: _Memo, name: str) -> Optional[Witness]:
-    """`_check_nondecreasing`, its oracle, on a whole compiled carrier and
-    func by id: f <= g exactly when the meet of f and g is f."""
+    """The first pair f <= g with func(f) > func(g), on a whole compiled
+    carrier and func by id: f <= g exactly when the meet of f and g is f."""
     elems, meet, m = compiled.elems, compiled.meet, compiled.m
     for i in range(m):
         for j in range(m):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
-from .constructions import Measure, PotentialSpec, perm_orderstat_check
+from .constructions import Measure, PotentialSpec
 from .correlation import ExplicitSublattice
 from .jsonio import (
     function_from_json,
@@ -22,7 +22,6 @@ from .jsonio import (
     potential_spec_from_json,
 )
 from .lattice import FnLattice
-from .report import CheckReport
 from .scalars import INF, scalar_to_json
 from .semimod import TupleFunctional
 
@@ -178,24 +177,3 @@ def random_families(rng: random.Random, *, n: int, width: int,
         fam = {tuple(rng.choice(vals) for _ in range(width)) for _ in range(size)}
         fams.append(sorted(fam))
     return fams
-
-
-def perm_orderstat_batch(count: int, seed: int, max_rows: int,
-                         max_cols: int) -> CheckReport:
-    """Run `perm_orderstat_check` on `count` seeded random matrices (rows of
-    random lengths, padded with zeros); returns the first failing report,
-    else the last, with the batch size in its detail."""
-    rng = random.Random(seed)
-    failed = None
-    for _ in range(count):
-        matrix = [[rand_fraction(rng, max_num=6, max_den=4)
-                   for _ in range(rng.randint(1, max_cols))]
-                  for _ in range(rng.randint(1, max_rows))]
-        width = max(len(r) for r in matrix)
-        matrix = [r + [Fraction(0)] * (width - len(r)) for r in matrix]
-        one = perm_orderstat_check(matrix)
-        if not one.holds and failed is None:
-            failed = one
-    report = failed if failed is not None else one
-    report.detail["batch"] = count
-    return report

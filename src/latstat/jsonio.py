@@ -20,6 +20,7 @@ from .constructions import (
     esym_orderstat_check,
     indep_association_check,
     integral_of_product,
+    perm_orderstat_batch,
     perm_orderstat_check,
     potential_construct,
     power_inequality_check,
@@ -613,10 +614,10 @@ def _charge_permanents(count: int, rows: int, cols: int, budget: int) -> None:
 
 def corollary_config_from_json(name: str, path: str, budget: int = DEFAULT_BUDGET) -> partial:
     """Decode the config of `latstat corollary <name>` into the call of its
-    checker: a random permanent batch calls
-    `generators.perm_orderstat_batch`, and an esym config without "k"
-    calls `esym_orderstat_check` for every order.  perm and esym charge
-    their work to the budget from sizes, before the call is built."""
+    checker: a random permanent batch calls `perm_orderstat_batch`, and an
+    esym config without "k" calls `esym_orderstat_check` for every order.
+    perm and esym charge their work to the budget from sizes, before the
+    call is built."""
     if name == "perm":
         cfg = parse_config(path, (), ("matrix", "random"))
         if "matrix" in cfg:
@@ -633,7 +634,6 @@ def corollary_config_from_json(name: str, path: str, budget: int = DEFAULT_BUDGE
                      max_rows=_expect_int(spec.get("max_rows", 5), "/random/max_rows", 1),
                      max_cols=_expect_int(spec.get("max_cols", 7), "/random/max_cols", 1))
         _charge_permanents(batch["count"], batch["max_rows"], batch["max_cols"], budget)
-        from .generators import perm_orderstat_batch  # generators imports this module
         return partial(perm_orderstat_batch, **batch)
     if name == "esym":
         cfg = parse_config(path, ("measure", "tuple"), ("k",))

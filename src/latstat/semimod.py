@@ -342,22 +342,7 @@ def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
             if stop:
                 break
     rel.check_transitive(list(memo.values()))
-    return _reported(lam, rel, first, elems, scale, oracle)
-
-
-def _reported(lam: TupleFunctional, rel: TransitiveRelation, first, elems: list,
-              scale: Optional[int], oracle: Callable[[int], tuple]) -> Optional[Witness]:
-    """The witness of a scan's first violation ((f, g, j), lhs, rhs) on ids
-    and on the scan's scale, or None: values mapped back as
-    Fraction(v, scale), then replayed (`_replayed`)."""
-    if first is None:
-        return None
-    (f, g, j), a, b = first
-    if scale is not None:
-        a, b = Fraction(a, scale), Fraction(b, scale)
-    move, note = oracle(j)
-    return _replayed(lam, rel, tuple(elems[i] for i in f),
-                     tuple(elems[i] for i in g), a, b, move, note)
+    return _replayed(lam, rel, first, elems, scale, oracle)
 
 
 def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
@@ -440,14 +425,23 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
     return None
 
 
-def _replayed(lam: TupleFunctional, rel: TransitiveRelation, f: tuple, g: tuple,
-              lhs, rhs, move: Callable[[tuple], tuple], note: str) -> Witness:
-    """The witness (f, lhs, rhs) of a scan's first violation f -> g,
-    re-proved through the element oracle: `move` recomputes the moved tuple
-    from f through the public order statistics (or meet and join), and both
-    values are recomputed with fn and compared again.  A disagreement is a
-    fault of a fast path, so it raises InternalError and is never reported
-    as a violation."""
+def _replayed(lam: TupleFunctional, rel: TransitiveRelation, first, elems: list,
+              scale: Optional[int], oracle: Callable[[int], tuple]) -> Optional[Witness]:
+    """The witness of a scan's first violation ((f, g, j), lhs, rhs) on ids
+    and on the scan's scale, or None, re-proved through the element oracle:
+    the values are mapped back as Fraction(v, scale), oracle(j) gives the
+    `move` that recomputes the moved tuple from f through the public order
+    statistics (or meet and join) and the witness note, and both values are
+    recomputed with fn and compared again.  A disagreement is a fault of a
+    fast path, so it raises InternalError and is never reported as a
+    violation."""
+    if first is None:
+        return None
+    (f, g, j), lhs, rhs = first
+    if scale is not None:
+        lhs, rhs = Fraction(lhs, scale), Fraction(rhs, scale)
+    f, g = (tuple(elems[i] for i in ids) for ids in (f, g))
+    move, note = oracle(j)
     oracle_g = move(f)
     want = lam.fn(f), lam.fn(oracle_g)
     if g != oracle_g or (lhs, rhs) != want or rel.holds(*want):
@@ -532,7 +526,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
 
     terms = form[2]
     if mode == "exhaustive" and k == 2 and rel.kind != "custom" and terms is not None:
-        witness = _reported(lam, rel, _pair_windows(rel, terms, m, n, stats),
+        witness = _replayed(lam, rel, _pair_windows(rel, terms, m, n, stats),
                             compiled.elems, form[1], oracle)
     else:
         # at k = n the multisets come sorted, and the insertion chain's

@@ -22,7 +22,8 @@ from latstat import (
     pointwise_order_statistics,
     power_inequality_check,
 )
-from latstat.correlation import _check_nondecreasing, inf_weight, power_weight
+from latstat.correlation import inf_weight, power_weight
+from latstat.lattice import FnLattice, product_of_chains
 from latstat.report import CheckReport, Witness
 from latstat.scalars import (
     INF, as_scalar, ext_mul, ext_prod, ext_sum, is_inf, require_nonneg,
@@ -364,11 +365,36 @@ def test_two_family_case_specializes_to_four_sum_regime():
 
 # --- per-element memo against unmemoized reference copies ---
 
+def _ref_log_supermodular(nu, L, mode=None):
+    """`is_log_supermodular` on elements, without a memo: meet and join by
+    L's element operations, and every lookup calls the weight again."""
+    elems = L.elements()
+    first = None
+    for i, f in enumerate(elems):
+        for g in elems[i:]:
+            lhs = ext_mul(as_scalar(nu(L.meet(f, g))), as_scalar(nu(L.join(f, g))), mode)
+            rhs = ext_mul(as_scalar(nu(f)), as_scalar(nu(g)), mode)
+            if not lhs >= rhs and first is None:
+                first = Witness(args=(f, g), lhs=lhs, rhs=rhs)
+    return CheckReport(instances_checked=len(elems) ** 2, witness=first)
+
+
+def _check_nondecreasing(func, name, L):
+    """`fkg_check`'s monotonicity precondition on elements, without a memo."""
+    elems = L.elements()
+    for f in elems:
+        for g in elems:
+            if L.leq(f, g) and not as_scalar(func(f)) <= as_scalar(func(g)):
+                return Witness(args=(f, g), lhs=func(f), rhs=func(g),
+                               note=f"{name} is not nondecreasing")
+    return None
+
+
 def _ref_fkg_check(L, nu, F, G, mode=None):
     """The four-sum check as it reads without a memo: every lookup calls
     the function again."""
     elems = L.elements()
-    logsup = is_log_supermodular(nu, L, mode)
+    logsup = _ref_log_supermodular(nu, L, mode)
     if not logsup.holds:
         return CheckReport(instances_checked=logsup.instances_checked,
                            witness=logsup.witness,
@@ -459,6 +485,51 @@ def _random_table(rng, elems, values):
 
 
 _WEIGHT_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+
+
+def test_log_supermodular_matches_element_reference_and_calls_once_per_element():
+    rng = random.Random(1019)
+    chains = product_of_chains([2, 3], labels=True)
+    carriers = [random_sublattice(rng, width=rng.randint(1, 3), positive=bool(i % 2),
+                                  seeds=rng.randint(2, 4)) for i in range(20)]
+    carriers += [FnLattice.zero_to(2, 2), chains]
+    seen = Counter()
+    for L in carriers:
+        elems = L.elements()
+        # a table's ids read as the function elements its labels name
+        as_fn = (lambda e: chains.labels[e]) if L is chains else (lambda e: e)
+        width = len(as_fn(elems[0]))
+        for kind in range(4):
+            if kind == 0:
+                weight = power_weight(rand_measure(rng, width, positive=False), -1)
+            elif kind == 1:
+                weight = inf_weight()
+            else:
+                weight = _random_table(rng, [as_fn(e) for e in elems],
+                                       _WEIGHT_VALUES + (INF,) * (kind == 3))
+            nu = (lambda e, w=weight: w(as_fn(e)))
+            for mode in (None, ConventionMode.ZERO, ConventionMode.INF):
+                calls = Counter()
+                try:
+                    got = is_log_supermodular(_counted(nu, calls), L, mode)
+                except InputError as exc:
+                    got = str(exc)
+                try:
+                    want = _ref_log_supermodular(nu, L, mode)
+                except InputError as exc:
+                    want = str(exc)
+                assert all(count == 1 for count in calls.values())
+                if isinstance(want, str):
+                    assert got == want
+                    seen["error"] += 1
+                    continue
+                assert (got.holds, got.witness, got.instances_checked) == \
+                    (want.holds, want.witness, want.instances_checked)
+                seen[got.holds, mode] += 1
+    # both verdicts under every mode, and errors (0 * inf with no mode)
+    for key in ["error"] + [(v, mode) for v in (True, False)
+                            for mode in (None, ConventionMode.ZERO, ConventionMode.INF)]:
+        assert seen[key] > 0, (key, seen)
 
 
 def test_fkg_memo_matches_reference_and_calls_once_per_element():

@@ -27,7 +27,7 @@ from latstat import (
 )
 from latstat.correlation import ExplicitSublattice
 from latstat.lattice import (_CompiledLattice, _insertion_swaps, _subset_rows, fn_diff,
-                             fn_join, fn_meet)
+                             fn_join, fn_meet, lattice_from_order)
 from latstat.scalars import INF
 
 
@@ -603,18 +603,38 @@ def test_birkhoff_two_atom_boolean():
 
 
 def test_birkhoff_preserves_structure():
-    L = product_of_chains([2, 3])
-    _, mapping, _ = birkhoff_embed(L)
-    for a in L.elements():
-        for b in L.elements():
-            assert mapping[L.meet(a, b)] == fn_meet(mapping[a], mapping[b])
-            assert mapping[L.join(a, b)] == fn_join(mapping[a], mapping[b])
+    # ids relabelled by a seeded shuffle, so the bottom is not id 0 and the
+    # tables are not in product order: birkhoff_embed does not re-check its map
+    rng = random.Random(5)
+    for sizes in ([2, 3], [2, 2, 2], [3, 3], [2, 2, 3]):
+        chains = product_of_chains(sizes)
+        n = chains.n
+        for perm in (list(range(n)), rng.sample(range(n), n)):
+            tables = [[[0] * n for _ in range(n)] for _ in range(2)]
+            for a, b in product(range(n), repeat=2):
+                tables[0][perm[a]][perm[b]] = perm[chains.meet(a, b)]
+                tables[1][perm[a]][perm[b]] = perm[chains.join(a, b)]
+            L = TableLattice(n, *tables)
+            _, mapping, _ = birkhoff_embed(L)
+            assert len(set(mapping.values())) == n
+            for a in L.elements():
+                for b in L.elements():
+                    assert mapping[L.meet(a, b)] == fn_meet(mapping[a], mapping[b])
+                    assert mapping[L.join(a, b)] == fn_join(mapping[a], mapping[b])
 
 
 def test_birkhoff_refuses_m3(m3):
     with pytest.raises(InputError) as err:
         birkhoff_embed(m3)
     assert "distributive" in str(err.value)
+
+
+def test_birkhoff_refuses_the_pentagon():
+    # N5: bottom 0 < 1 < 2 < top 4, and 0 < 3 < 4 beside that chain
+    n5 = lattice_from_order(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4),
+                                (2, 4), (3, 4)])
+    with pytest.raises(InputError, match="not distributive"):
+        birkhoff_embed(n5)
 
 
 def test_birkhoff_charges_the_axiom_triples_before_checking_them():
