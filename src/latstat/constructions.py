@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
@@ -406,24 +405,24 @@ class MultiadditiveFn:
 
 
 def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 0,
-                         samples: int = 60) -> dict:
+                         samples: int = 60) -> MultiadditiveFn:
     """Spot-check slotwise additivity and nonnegativity on sampled tuples;
     raises with a witness on failure.  Elements are int ids: a carrier
     element its `lattice.index`, and an `fn_diff` result off the carrier
     the next free id.  The (meet, diff) split is computed once per id pair,
-    the meet read from the carrier's id table, and m once per id tuple; an
+    the meet read from the carrier's id table, and m once per tuple; an
     integral Fraction is added and compared as an int, which gives the same
-    results and the same text.  Returns m's values on the carrier tuples it
-    evaluated, keyed by their ids read as a base-|L| number: the entries
-    `id_table` then reads instead of evaluating m again
-    (`multiadd_symmetric_sum`)."""
+    results and the same text.  Returns m, with its arity and tag, as a
+    form that reads m's values from a memo keyed by element tuples and
+    seeded with every value the samples computed, so a scan of
+    `multiadd_symmetric_sum` of it evaluates m once per tuple in all."""
     rng = random.Random(seed)
     carrier = _CompiledLattice.of(lattice)
     elems = list(carrier.elems)
     size, k = len(elems), m.arity
     outside: dict = {}
-    values = _Memo(lambda key: m.fn(*(elems[i] for i in key)))
-    value = _Memo(lambda key: _as_int(values[key])).__getitem__
+    known = _Memo(lambda args: m.fn(*args))
+    value = _Memo(lambda ids: _as_int(known[tuple(elems[i] for i in ids)])).__getitem__
 
     def id_of(e):
         try:
@@ -458,8 +457,7 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
                 f"{lhs} != {rhs} at f={elems[f]}, g={elems[g]}")
         if lhs < 0:
             raise InputError(f"{m.tag or 'map'} is negative at {[elems[i] for i in with_f]}")
-    return {reduce(lambda key, i: key * size + i, ids): v
-            for ids, v in values.items() if max(ids) < size}
+    return MultiadditiveFn(arity=k, fn=lambda *args: known[tuple(map(tuple, args))], tag=m.tag)
 
 
 def _as_int(v):
@@ -483,20 +481,18 @@ def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:
 
 
 def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
-                           lattice: Optional[FnLattice] = None,
-                           known: Optional[dict] = None) -> TupleFunctional:
+                           lattice: Optional[FnLattice] = None) -> TupleFunctional:
     """Sum of m over all injective placements of k of the n arguments, in
     `itertools.permutations` order: a `form_sum` of the one value m.fn.
     Nonnegative multiadditive m makes this pass the pair-window check (>=);
-    with k <= 2 exhaustive k = 2 checks enumerate no tuples.  known holds
-    m's values already computed on lattice, as `verify_multiadditive`
-    returns them; scans read them instead of evaluating m again."""
+    with k <= 2 exhaustive k = 2 checks enumerate no tuples.  Values a
+    verification computed reach the scan through m.fn itself (the form
+    `verify_multiadditive` returns)."""
     k = m.arity
     if k > n:
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
     return form_sum(n, [(m.fn, places) for places in permutations(range(n), k)],
-                    tag=f"multiadd({m.tag},k={k})", lattice=lattice, symmetric=True,
-                    known={m.fn: known} if known else None)
+                    tag=f"multiadd({m.tag},k={k})", lattice=lattice, symmetric=True)
 
 
 def product_of_integrals(measures: Sequence[Measure]) -> MultiadditiveFn:

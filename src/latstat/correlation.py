@@ -98,7 +98,10 @@ class ExplicitSublattice:
         return self._index[a]
 
     def contains(self, a) -> bool:
-        return tuple(a) in self._index
+        try:
+            return tuple(a) in self._index
+        except TypeError:  # not iterable, or holds unhashable values
+            return False
 
     def meet(self, a, b):
         return fn_meet(a, b)

@@ -434,9 +434,8 @@ def functional_from_json(obj, lattice, budget: int = DEFAULT_BUDGET,
         if not isinstance(lattice, FnLattice):
             raise InputError(f"{ptr}: multiadditive functionals need a function lattice")
         m = _multiadditive_from_json(obj["m"], k, lattice, f"{ptr}/m")
-        known = verify_multiadditive(m, lattice,
-                                     seed=_expect_int(obj.get("seed", 0), f"{ptr}/seed"))
-        return multiadd_symmetric_sum(m, n, lattice, known)
+        seed = _expect_int(obj.get("seed", 0), f"{ptr}/seed")
+        return multiadd_symmetric_sum(verify_multiadditive(m, lattice, seed=seed), n, lattice)
     raise InputError(f"{ptr}/family: unknown family {family!r}")
 
 

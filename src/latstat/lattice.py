@@ -16,8 +16,9 @@ engines, chosen by the carrier's kind.  An `FnLattice` is a product of
 chains, so distributive, and there the paper's insertion chain sorts any
 window by n(n - 1)/2 adjacent (meet, join) swaps on the id tables
 (`_insertion_swaps`).  Every other carrier (M3, any `TableLattice`) runs
-the `_subset_formula` plan, memoized by the sorted window: off a
-distributive lattice the swaps need not give the order statistics.
+`_subset_rows`, the formula's one executor, on id-table lookups, memoized
+by the sorted window: off a distributive lattice the swaps need not give
+the order statistics.
 """
 
 from __future__ import annotations
@@ -337,8 +338,9 @@ def _subset_formula(n: int) -> tuple:
     j - 1 and the index i = J[-1] it adds.  Level j holds inner(entry p of
     level j - 1, f[i]), one inner call per subset in the literal bracketing
     and argument order (so equal even on tables that break the axioms), and
-    row j is its left `outer` fold.  `_subset_rows` runs the plan on
-    callables and is the oracle; `_CompiledLattice` runs it on id tables."""
+    row j is its left `outer` fold.  `_subset_rows` is the plan's one
+    executor: the public functions run it on the lattice's meet and join,
+    as the oracle, and `_CompiledLattice` on lookups in its id tables."""
     plan, lasts = [None], range(n)
     for _ in range(1, n):
         steps = tuple((p, i) for p, last in enumerate(lasts) for i in range(last + 1, n))
@@ -479,9 +481,9 @@ class _CompiledLattice:
         order statistics, read off the meet and join id tables.  With
         `by_swaps`, the `_insertion_swaps` plan runs on a copy of the window,
         with no memo: an exhaustive scan of a symmetric functional meets
-        each window once.  Otherwise the `_subset_formula` plan runs, each
-        entry read inline; that formula is symmetric in its arguments on
-        every lattice, so its results are memoized by the sorted window."""
+        each window once.  Otherwise `_subset_rows` runs the plan of
+        `_subset_formula` on table lookups; that formula is symmetric in its
+        arguments on every lattice, so rows are memoized by the sorted window."""
         meet, join, m = self.meet, self.join, self.m
         if self.by_swaps:
             def chain(w):
@@ -492,24 +494,9 @@ class _CompiledLattice:
                     row[i + 1] = join[key]
                 return tuple(row)
             return chain
-        memo: dict = {}
-
-        def stats(w):
-            w = tuple(sorted(w))
-            out = memo.get(w)
-            if out is None:
-                level, out = w, []
-                for steps in _subset_formula(len(w)):
-                    if steps is not None:
-                        level = [join[level[p] * m + w[i]] for p, i in steps]
-                    it = iter(level)
-                    acc = next(it)
-                    for b in it:
-                        acc = meet[acc * m + b]
-                    out.append(acc)
-                out = memo[w] = tuple(out)
-            return out
-        return stats
+        rows = _Memo(lambda w: tuple(_subset_rows(
+            w, lambda a, b: join[a * m + b], lambda a, b: meet[a * m + b])))
+        return lambda w: rows[tuple(sorted(w))]
 
 
 def pointwise_order_statistics(fs: Sequence[tuple]) -> tuple:

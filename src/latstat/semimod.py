@@ -200,7 +200,7 @@ class TupleFunctional:
 
 
 def form_sum(n: int, forms: list, *, tag: str, lattice=None,
-             symmetric: bool = False, known: Optional[dict] = None) -> TupleFunctional:
+             symmetric: bool = False) -> TupleFunctional:
     """The functional of arity n that sums its forms, a list of (value,
     places): value takes len(places) elements, places is a tuple of 0-based
     argument positions, and fn adds value(f at places) in list order from
@@ -208,16 +208,14 @@ def form_sum(n: int, forms: list, *, tag: str, lattice=None,
     puts all tables on the lcm of their scales, or, with no limit or when
     one has none, keeps fn's own values in all.  Its terms are the (table,
     places) list, declared with a scale when no form has over two places.
-    known maps a value to entries of its table already computed on
-    `lattice.elements()` (a verification's, say), which on_ids reads when
-    it is given that list, instead of calling the value again."""
+    A value reads any entries already computed (a verification's, say)
+    itself: the tables call it for every entry."""
     def fn(f):
         return sum((value(*(f[i] for i in places)) for value, places in forms), Fraction(0))
 
     def on_ids(elems, limit=None):
         distinct = {id(value): (value, len(places)) for value, places in forms}
-        have = known if known and lattice is not None and elems is lattice.elements() else {}
-        filled = {key: id_table(value, elems, k, limit, have.get(value))
+        filled = {key: id_table(value, elems, k, limit)
                   for key, (value, k) in distinct.items()}
         scales = [s for s, _ in filled.values()]
         scale = None if limit is None or None in scales else math.lcm(*scales)
@@ -254,26 +252,21 @@ def _term_sum(terms: list, m: int) -> Callable[[tuple], object]:
     return evaluate
 
 
-def id_table(value: Callable, elems: list, arity: int, limit: Optional[int],
-             known: Optional[dict] = None) -> tuple:
+def id_table(value: Callable, elems: list, arity: int, limit: Optional[int]) -> tuple:
     """(scale, table) of value on arity-tuples of elems, keyed by their ids
     read as a base-m number (a * m + b for a pair).  When the limit allows
     all m^arity entries, they are computed before the scan into a list and
     scaled to integers over the lcm of their denominators
     (`integer_scale`), or kept as value's results with scale None when one
     is not a finite rational.  Otherwise scale is None and the table holds
-    value's results, each computed on the first use of its key.  Entries
-    in known, keyed the same way, are read instead of computed."""
+    value's results, each computed on the first use of its key.  Verified
+    values reach the table through value itself (Schur's `vals`, say)."""
     m = len(elems)
-    known = known or {}
     if limit is not None and m ** arity <= limit:
-        values = [known[key] if key in known else value(*args)
-                  for key, args in enumerate(product(elems, repeat=arity))]
+        values = [value(*args) for args in product(elems, repeat=arity)]
         return integer_scale(values) or (None, values)
     digits = [m ** p for p in reversed(range(arity))]
-    table = _Memo(lambda key: value(*(elems[key // w % m] for w in digits)))
-    table.update(known)
-    return None, table
+    return None, _Memo(lambda key: value(*(elems[key // w % m] for w in digits)))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from latstat import (
     supinf_check,
     symmetrize,
 )
-from latstat import constructions
+from latstat import constructions, jsonio
 from latstat.constructions import (
     MultisetCombiner,
     PotentialSpec,
@@ -48,6 +48,7 @@ from latstat.constructions import (
     verify_schur_spec,
 )
 from latstat.generators import rand_fraction, random_potential_spec
+from latstat.jsonio import functional_from_json
 from latstat.lattice import (
     build_m3,
     fn_diff,
@@ -225,7 +226,7 @@ def test_one_check_evaluates_each_value_once():
     calls = []
     form = integral_of_product(MU, 2)
     m = MultiadditiveFn(2, lambda *args: calls.append(args) or form.fn(*args), "counted")
-    lam = multiadd_symmetric_sum(m, 3, FN9, verify_multiadditive(m, FN9, seed=7))
+    lam = multiadd_symmetric_sum(verify_multiadditive(m, FN9, seed=7), 3, FN9)
     assert 0 < len(calls) < 81  # the samples met some of the 81 pairs
     assert check_generalized_n(FN9, lam, GE).holds
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 81
@@ -247,6 +248,25 @@ def test_one_check_evaluates_each_value_once():
                          MultisetCombiner("min"))
         assert check_generalized_n(FN9, schur_construct(spec, 3), rel).holds
         assert sorted(seen) == sorted(set(seen)) and len(seen) == FN9.size
+
+
+def test_functional_from_json_evaluates_each_multiadd_value_once(monkeypatch):
+    # the decoded form too: once per carrier tuple across the verification
+    # that functional_from_json runs and one exhaustive check
+    calls = []
+    decode = jsonio._multiadditive_from_json
+
+    def counted(obj, k, lattice, ptr):
+        form = decode(obj, k, lattice, ptr)
+        return MultiadditiveFn(k, lambda *args: calls.append(args) or form.fn(*args), form.tag)
+
+    monkeypatch.setattr(jsonio, "_multiadditive_from_json", counted)
+    lam = functional_from_json({"family": "multiadd", "n": 3, "k": 2, "seed": 7, "m": {
+        "kind": "prod_integrals", "measures": [[1, 2], [3, 1]]}}, FN9)
+    assert 0 < len(calls) < 81
+    assert check_generalized_n(FN9, lam, GE).holds
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 81
+    assert lam(([0, 1], [1, 2], [2, 2])) == lam(((0, 1), (1, 2), (2, 2))) == 107
 
 
 def test_schur_refuses_schur_convex_combiner():

@@ -18,6 +18,7 @@ from latstat import (
     fkg_check,
     is_log_supermodular,
     nonreversibility_demo,
+    order_statistics_tuple,
     orderstat_family,
     pointwise_order_statistics,
     power_inequality_check,
@@ -53,6 +54,15 @@ def test_sublattice_contains():
     sub = boolean_square()
     assert sub.contains((0, 1)) and sub.contains([Fraction(1), Fraction(1)])
     assert not sub.contains((0, 2)) and not sub.contains((1,))
+
+
+def test_sublattice_contains_never_raises():
+    # a non-member is refused like on every other carrier, whatever its type
+    sub = boolean_square()
+    for bad in (5, None, ([0], 1), [[0], {}], "ab"):
+        assert not sub.contains(bad)
+    with pytest.raises(InputError, match=r"^element 5 is not in the lattice$"):
+        order_statistics_tuple(sub, (5, (0, 1)))
 
 
 def test_sublattice_closure_budget():

@@ -8,6 +8,7 @@ verdict, instance count and first witness.
 """
 
 import dataclasses
+import json
 import random
 import time
 from fractions import Fraction
@@ -40,7 +41,11 @@ from latstat.constructions import (
     schur_construct,
     tensor_multiadditive,
 )
-from latstat.generators import random_potential_spec, random_schur_functional
+from latstat.generators import (
+    random_potential_spec,
+    random_schur_functional,
+    random_verified_functional,
+)
 from latstat.jsonio import dump_report, functional_from_json, lattice_from_json, make_report
 from latstat.report import CheckReport, Witness
 from latstat.scalars import INF, InputError, integer_scale, is_inf
@@ -474,6 +479,25 @@ def _fallback_runs(L, lam, rel):
              _reference_bytes(L, lam, rel, n, False)),
             (_report_bytes(check_generalized_nk(L, lam, 2, rel)),
              _reference_bytes(L, lam, rel, 2, True))]
+
+
+def test_id_scan_matches_reference_on_acceptance_generators():
+    # criterion 3's verified Schur and multiadditive draws and criterion
+    # 11's potentials at n = 3, each under ge and le, at k = 2 and k = n
+    rng = random.Random(3)
+    cases = [random_verified_functional(rng) for _ in range(12)]
+    for curvature in ("concave", "convex"):
+        for _ in range(6):
+            spec = random_potential_spec(rng, curvature)
+            cases.append((spec.carrier, potential_construct(spec, 3)))
+    notes = []
+    for L, lam in cases:
+        for rel in (RELATIONS["ge"], RELATIONS["le"]):
+            for got, want in _fallback_runs(L, lam, rel):
+                assert got == want, (lam.tag, rel.name)
+                witness = json.loads(got)["result"]["witness"]
+                notes += [witness["note"]] if witness else []
+    assert len(notes) == 12 and sum(note.startswith("window start") for note in notes) == 6
 
 
 def test_non_fraction_functionals_keep_fn_values():
