@@ -14,6 +14,7 @@ and the rest of the check carries the rounded value exactly.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .scalars import (
     is_inf,
     require_nonneg,
 )
-from .semimod import TupleFunctional, form_sum, id_table
+from .semimod import KeyedValue, TupleFunctional, form_sum, id_table
 
 
 # --- measures on a finite ground set ---
@@ -206,13 +207,16 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
     pair-window check (>=) on any distributive carrier.  Its on_ids reads
-    lam by id through `id_table`, from the values its verification computed
-    on the carrier's elements (`vals`): on their integer scale for a
-    `MultisetCombiner` when the limit allows the m values (other combiners
-    need not commute with a scale), else as Fractions.  With the combiner
-    "sum" it is the sum of the unary terms (values, (i,))."""
+    lam by id through `id_table`, from the by-id list its verification
+    returned, handed over as a `KeyedValue` on that list's integer scale:
+    on that scale for a `MultisetCombiner` when the limit allows the m
+    values (other combiners need not commute with a scale), else as
+    Fractions.  With the combiner "sum" it is the sum of the unary terms
+    (values, (i,))."""
     by_id = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
     vals = dict(zip(spec.lattice.elements(), by_id))
+    scale, ints = integer_scale(by_id)  # Fractions always have a scale
+    lam = KeyedValue(vals.__getitem__, spec.lattice, scale, ints.__getitem__)
     combiner = spec.combiner
     multiset = isinstance(combiner, MultisetCombiner)
 
@@ -220,7 +224,7 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
         return combiner(tuple(vals[a] for a in f))
 
     def on_ids(elems, limit=None):
-        scale, values = id_table(vals.__getitem__, elems, 1, limit if multiset else None)
+        scale, values = id_table(lam, elems, 1, limit if multiset else None)
         at = values.__getitem__
         sums = scale is not None and combiner == MultisetCombiner("sum")
         terms = [(values, (i,)) for i in range(n)] if sums else None
@@ -295,15 +299,23 @@ class PotentialSpec:
             raise InputError("measure and carrier ground sets differ")
 
 
-def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> dict:
+def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> tuple:
     """Check the inner map is monotone on all achievable differences and the
     outer map has the declared curvature on all achievable integral values.
     Raises with a witness on failure.  The d^g integrals, of the d
     differences at the g ground points, are charged to the budget first.
     phi is computed once per difference and psi once per integral value.
-    Returns the transform's table: each difference function g whose phi
-    values are finite, mapped to psi(measure(phi o g))
-    (`_potential_transform` reads it)."""
+
+    A difference function g is read by its code: the base-d number, point
+    0 first, of the positions of its values in the sorted differences.  The
+    integrals are summed one point at a time over the codes, as integers on
+    the common scale of the weights and the finite phi values (with
+    `Measure.integral`, per code, when a weight is infinite); a code with an
+    infinite phi value has none.  Returns (position, psi_vals, point_of):
+    each difference's position in increasing order, psi at each distinct
+    integral value in increasing order, and each code's index into
+    psi_vals, or None (`_potential_transform` and `_pair_digits` read
+    them)."""
     chain = spec.carrier.chain
     diffs = sorted({a - b for a in chain for b in chain})
     ground = spec.carrier.ground.size
@@ -315,13 +327,24 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
     nonincr = all(phi_vals[i] >= phi_vals[i + 1] for i in range(len(phi_vals) - 1))
     if not (nondecr or nonincr):
         raise InputError(f"{spec.phi_name} is not monotone on the difference range")
-    integrals = {}
-    for g, vals in zip(product(diffs, repeat=ground), product(phi_vals, repeat=ground)):
-        if not any(is_inf(v) for v in vals):
-            integrals[g] = spec.measure.integral(vals)
-    points = sorted(set(integrals.values()))
+    weights = spec.measure.weights
+    if any(is_inf(w) for w in weights):
+        integrals = [None if any(is_inf(v) for v in vals) else spec.measure.integral(vals)
+                     for vals in product(phi_vals, repeat=ground)]
+        real = points = sorted(set(integrals) - {None})
+    else:
+        (ws, weights), (ps, finite) = (integer_scale(weights),
+                                       integer_scale(v for v in phi_vals if not is_inf(v)))
+        finite = iter(finite)
+        phis = [None if is_inf(v) else next(finite) for v in phi_vals]
+        integrals = [0]
+        for w in weights:  # the next point's digit is the code's next digit
+            integrals = [None if u is None or p is None else u + w * p
+                         for u in integrals for p in phis]
+        points = sorted(set(integrals) - {None})
+        real = [Fraction(u, ws * ps) for u in points]
     psi = _Memo(spec.psi)  # filled in the order the triples first read it
-    for u1, u2, u3 in zip(points, points[1:], points[2:]):
+    for u1, u2, u3 in zip(real, real[1:], real[2:]):
         left = (psi[u2] - psi[u1]) * (u3 - u2)
         right = (psi[u3] - psi[u2]) * (u2 - u1)
         if spec.curvature == "concave" and left < right:
@@ -330,18 +353,57 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
         if spec.curvature == "convex" and left > right:
             raise InputError(
                 f"{spec.psi_name} is not convex at ({u1},{u2},{u3})")
-    return {g: psi[u] for g, u in integrals.items()}
+    point = dict(zip(points, range(len(points))))
+    return (dict(zip(diffs, range(len(diffs)))), [psi[u] for u in real],
+            [None if u is None else point[u] for u in integrals])
 
 
-def _potential_transform(spec: PotentialSpec, table: dict) -> Callable[[tuple], Fraction]:
+def _potential_transform(spec: PotentialSpec, verified: tuple) -> Callable[[tuple], Fraction]:
     """The curved integral transform g -> psi(measure(phi o g)) of a
-    difference function: read from `verify_potential_spec`'s table, and
-    computed, then memoized, only for a g it leaves out."""
+    difference function: read from `verify_potential_spec`'s values by g's
+    code, and computed, then memoized, only for a g they leave out."""
+    position, psi_vals, point_of = verified
+    ground = spec.carrier.ground.size
+
     def transform(g: tuple) -> Fraction:
+        if len(g) == ground and all(x in position for x in g):
+            code = 0
+            for x in g:
+                code = code * len(position) + position[x]
+            if point_of[code] is not None:
+                return psi_vals[point_of[code]]
         return spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
-    memo = _Memo(transform)
-    memo.update(table)
-    return memo.__getitem__
+    return _Memo(transform).__getitem__
+
+
+def _pair_digits(spec: PotentialSpec, verified: tuple, pair: Callable) -> Callable:
+    """The potential's pair value, as a `KeyedValue` that reads each id key
+    a * m + b by its difference code, built from the two ids' chain digits
+    (one difference position per digit pair), when every code has a psi
+    value and psi's values are finite rationals; else pair itself."""
+    position, psi_vals, point_of = verified
+    scaled = integer_scale(psi_vals)
+    if scaled is None or None in point_of:
+        return pair
+    scale, ints = scaled
+    chain, d = spec.carrier.chain, len(position)
+    c, ground = len(chain), spec.carrier.ground.size
+    step = [position[x - y] for x in chain for y in chain]  # keyed x * c + y
+    zero = 0
+    for _ in range(ground):
+        zero = zero * d + position[0]
+    base = ints[point_of[zero]]
+    entry = [ints[p] - base for p in point_of]
+    powers = [c ** p for p in reversed(range(ground))]
+    m = c ** ground
+
+    def at(key):
+        a, b = divmod(key, m)
+        code = 0
+        for p in powers:
+            code = code * d + step[a // p % c * c + b // p % c]
+        return entry[code]
+    return KeyedValue(pair, spec.carrier, scale, at)
 
 
 def _symmetrized(transform: Callable[[tuple], Fraction], g: tuple) -> Fraction:
@@ -352,14 +414,17 @@ def potential_construct(spec: PotentialSpec, n: int,
                         budget: int = DEFAULT_BUDGET) -> TupleFunctional:
     """Sum over all ordered argument pairs of the curved integral transform of
     their difference, normalized so the zero difference contributes zero
-    (constant tuples evaluate to 0): a `form_sum` of one pair value."""
-    transform = _potential_transform(spec, verify_potential_spec(spec, budget))
+    (constant tuples evaluate to 0): a `form_sum` of one pair value, which
+    scans read by difference code (`_pair_digits`)."""
+    verified = verify_potential_spec(spec, budget)
+    transform = _potential_transform(spec, verified)
     base = transform(tuple(Fraction(0) for _ in range(spec.carrier.ground.size)))
 
     def pair(e, f):
         return transform(tuple(a - b for a, b in zip(e, f))) - base
 
-    return form_sum(n, [(pair, (j, k)) for j in range(n) for k in range(n) if j != k],
+    value = _pair_digits(spec, verified, pair)
+    return form_sum(n, [(value, (j, k)) for j in range(n) for k in range(n) if j != k],
                     tag=f"potential({spec.phi_name},{spec.psi_name},{spec.curvature})",
                     lattice=spec.carrier, symmetric=True)
 
@@ -394,11 +459,23 @@ def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
 @dataclass
 class MultiadditiveFn:
     """A map on k-tuples of nonnegative function elements that is additive in
-    every slot under the split f = (f meet g) + (f minus-below g)."""
+    every slot under the split f = (f meet g) + (f minus-below g).
+
+    multilinear declares that fn is a multilinear form in the pointwise
+    values of its arguments with finite nonnegative coefficients: each slot
+    is linear under pointwise +, so the split holds exactly, and its values
+    on nonnegative finite elements are nonnegative.  Only the JSON kinds'
+    constructors set it (`product_of_integrals` with finite weights,
+    `integral_of_product`, `tensor_multiadditive`); like
+    `TupleFunctional.symmetric`, it is never inferred, and a wrong
+    declaration gives wrong verdicts.  A multilinear form is given by its
+    coefficients, its values at tuples of point indicators, so its scan
+    tables are read from chain digits (`_multilinear_digits`)."""
 
     arity: int
     fn: Callable[..., Fraction]
     tag: str = ""
+    multilinear: bool = False
 
     def __call__(self, *args):
         return self.fn(*args)
@@ -406,16 +483,26 @@ class MultiadditiveFn:
 
 def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 0,
                          samples: int = 60) -> MultiadditiveFn:
-    """Spot-check slotwise additivity and nonnegativity on sampled tuples;
-    raises with a witness on failure.  Elements are int ids: a carrier
-    element its `lattice.index`, and an `fn_diff` result off the carrier
-    the next free id.  The (meet, diff) split is computed once per id pair,
-    the meet read from the carrier's id table, and m once per tuple; an
-    integral Fraction is added and compared as an int, which gives the same
-    results and the same text.  Returns m, with its arity and tag, as a
-    form that reads m's values from a memo keyed by element tuples and
-    seeded with every value the samples computed, so a scan of
+    """Check slotwise additivity and nonnegativity.  A `multilinear` m on a
+    carrier whose chain values are finite and nonnegative passes by
+    theorem, and m itself is returned without a draw: each slot is linear,
+    f = (f meet g) + (f minus-below g) holds exactly, and the coefficients
+    are finite and nonnegative, so no sample could fail.
+
+    Any other m (a user callable, or any form on a chain with a negative or
+    infinite value) is spot-checked on sampled tuples, a falsification
+    filter; raises with a witness on failure.  Elements are int ids: a
+    carrier element its `lattice.index`, and an `fn_diff` result off the
+    carrier the next free id.  The (meet, diff) split is computed once per
+    id pair, the meet read from the carrier's id table, and m once per
+    tuple; an integral Fraction is added and compared as an int, which
+    gives the same results and the same text.  Returns m, with its arity
+    and tag, as a form that reads m's values from a memo keyed by element
+    tuples and seeded with every value the samples computed, so a scan of
     `multiadd_symmetric_sum` of it evaluates m once per tuple in all."""
+    if m.multilinear and isinstance(lattice, FnLattice) and all(
+            not is_inf(v) and v >= 0 for v in lattice.chain):
+        return m
     rng = random.Random(seed)
     carrier = _CompiledLattice.of(lattice)
     elems = list(carrier.elems)
@@ -485,14 +572,59 @@ def multiadd_symmetric_sum(m: MultiadditiveFn, n: int,
     """Sum of m over all injective placements of k of the n arguments, in
     `itertools.permutations` order: a `form_sum` of the one value m.fn.
     Nonnegative multiadditive m makes this pass the pair-window check (>=);
-    with k <= 2 exhaustive k = 2 checks enumerate no tuples.  Values a
-    verification computed reach the scan through m.fn itself (the form
-    `verify_multiadditive` returns)."""
+    with k <= 2 exhaustive k = 2 checks enumerate no tuples.  A
+    `multilinear` m on an `FnLattice` with finite chain values and no more
+    than m coefficients (g^k <= m for g ground points, so a table entry
+    never costs more than a pass over the carrier) hands its tables over
+    from chain digits (`_multilinear_digits`); any other m's values reach
+    the scan through m.fn itself (the memo form a sampled
+    `verify_multiadditive` returns, say)."""
     k = m.arity
     if k > n:
         raise InputError(f"multiadditive arity {k} exceeds tuple length {n}")
-    return form_sum(n, [(m.fn, places) for places in permutations(range(n), k)],
+    value = m.fn
+    if (m.multilinear and isinstance(lattice, FnLattice) and lattice.ground.size ** k
+            <= lattice.size and not any(is_inf(v) for v in lattice.chain)):
+        value = KeyedValue(m.fn, lattice, *_multilinear_digits(m, lattice))
+    return form_sum(n, [(value, places) for places in permutations(range(n), k)],
                     tag=f"multiadd({m.tag},k={k})", lattice=lattice, symmetric=True)
+
+
+def _multilinear_digits(m: MultiadditiveFn, lattice: FnLattice) -> tuple:
+    """(scale, at) of a multilinear m on lattice, for `KeyedValue`: at(key)
+    is m at the key's k ids times scale, an int.  m's coefficients are its
+    values at the g^k tuples of point indicators, and an id's values at the
+    points are its chain digits' values, both on an integer scale; the
+    coefficients are contracted with one slot's values at a time, each
+    partial contraction memoized by the ids of the slots it has read (the
+    key's leading digits), so a table filled whole costs about g
+    multiply-adds per entry."""
+    k, g, c = m.arity, lattice.ground.size, len(lattice.chain)
+    size = c ** g
+    unit = [tuple(Fraction(int(s == t)) for t in range(g)) for s in range(g)]
+    coef_scale, coefs = integer_scale([m.fn(*args) for args in product(unit, repeat=k)])
+    chain_scale, chain = integer_scale(lattice.chain)
+    powers = [c ** p for p in reversed(range(g))]
+    values = _Memo(lambda a: [chain[a // p % c] for p in powers])
+
+    def contract(rows, xs):
+        width = len(rows) // g
+        out = [0] * width
+        for x, start in zip(xs, range(0, len(rows), width)):
+            if x:
+                out = [u + x * r for u, r in zip(out, rows[start:start + width])]
+        return out
+
+    def deeper(level):
+        return _Memo(lambda ids: contract(level(ids // size), values[ids % size])).__getitem__
+
+    level = [coefs].__getitem__  # no slot read yet: the prefix is 0
+    for _ in range(k - 1):
+        level = deeper(level)
+
+    def at(key):
+        return sum(map(operator.mul, values[key % size], level(key // size)))
+    return coef_scale * chain_scale ** k, at
 
 
 def product_of_integrals(measures: Sequence[Measure]) -> MultiadditiveFn:
@@ -510,7 +642,8 @@ def product_of_integrals(measures: Sequence[Measure]) -> MultiadditiveFn:
             out *= v
         return out
 
-    return MultiadditiveFn(arity=len(ms), fn=fn, tag="prod-integrals")
+    return MultiadditiveFn(arity=len(ms), fn=fn, tag="prod-integrals",
+                           multilinear=not any(is_inf(w) for mu in ms for w in mu.weights))
 
 
 def integral_of_product(measure: Measure, k: int) -> MultiadditiveFn:
@@ -530,7 +663,7 @@ def integral_of_product(measure: Measure, k: int) -> MultiadditiveFn:
             total += term
         return total
 
-    return MultiadditiveFn(arity=k, fn=fn, tag="integral-of-product")
+    return MultiadditiveFn(arity=k, fn=fn, tag="integral-of-product", multilinear=True)
 
 
 def _point_weights(weights: dict, k: int, ground_size: int, noun: str) -> dict:
@@ -565,7 +698,7 @@ def tensor_multiadditive(weights: dict, k: int, ground_size: int) -> Multiadditi
             total += term
         return total
 
-    return MultiadditiveFn(arity=k, fn=fn, tag="tensor")
+    return MultiadditiveFn(arity=k, fn=fn, tag="tensor", multilinear=True)
 
 
 # --- permanents ---

@@ -208,8 +208,9 @@ def form_sum(n: int, forms: list, *, tag: str, lattice=None,
     puts all tables on the lcm of their scales, or, with no limit or when
     one has none, keeps fn's own values in all.  Its terms are the (table,
     places) list, declared with a scale when no form has over two places.
-    A value reads any entries already computed (a verification's, say)
-    itself: the tables call it for every entry."""
+    Values a verification computed reach the tables by `id_table`'s one
+    rule: a `KeyedValue` gives them from ids, any other value through its
+    own calls."""
     def fn(f):
         return sum((value(*(f[i] for i in places)) for value, places in forms), Fraction(0))
 
@@ -252,17 +253,47 @@ def _term_sum(terms: list, m: int) -> Callable[[tuple], object]:
     return evaluate
 
 
+@dataclass(frozen=True)
+class KeyedValue:
+    """A form value that also gives its entries straight from ids on one
+    carrier: for a base-m key of ids into `_CompiledLattice.of(lattice)`'s
+    element list (`id_table`), at(key) is the value at those elements times
+    scale, an int, read from chain digits or from a verification's by-id
+    list, with no element built or hashed.  Calling it calls fn, which
+    serves elements of any carrier."""
+
+    fn: Callable
+    lattice: object
+    scale: int
+    at: Callable[[int], int]
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
 def id_table(value: Callable, elems: list, arity: int, limit: Optional[int]) -> tuple:
     """(scale, table) of value on arity-tuples of elems, keyed by their ids
-    read as a base-m number (a * m + b for a pair).  When the limit allows
-    all m^arity entries, they are computed before the scan into a list and
-    scaled to integers over the lcm of their denominators
-    (`integer_scale`), or kept as value's results with scale None when one
-    is not a finite rational.  Otherwise scale is None and the table holds
-    value's results, each computed on the first use of its key.  Verified
-    values reach the table through value itself (Schur's `vals`, say)."""
+    read as a base-m number (a * m + b for a pair).  A `KeyedValue` whose
+    carrier lists elems gives each entry from its key; any other value is
+    called on the key's elements.  When the limit allows all m^arity
+    entries, they are computed before the scan into a list and scaled to
+    integers over the lcm of their denominators (`integer_scale`), or kept
+    as value's results with scale None when one is not a finite rational; a
+    keyed value's ints are divided by their gcd with its scale, which gives
+    the same scale and integers.  Otherwise scale is None and the table
+    holds value's results, each computed on the first use of its key (a
+    keyed value's as Fraction(at(key), scale)).  This is the one rule by
+    which verified values reach a scan."""
     m = len(elems)
-    if limit is not None and m ** arity <= limit:
+    eager = limit is not None and m ** arity <= limit
+    if isinstance(value, KeyedValue) and elems is _CompiledLattice.of(value.lattice).elems:
+        scale, at = value.scale, value.at
+        if not eager:
+            return None, _Memo(lambda key: Fraction(at(key), scale))
+        ints = list(map(at, range(m ** arity)))
+        common = math.gcd(scale, *ints)
+        return scale // common, ints if common == 1 else [v // common for v in ints]
+    if eager:
         values = [value(*args) for args in product(elems, repeat=arity)]
         return integer_scale(values) or (None, values)
     digits = [m ** p for p in reversed(range(arity))]

@@ -25,6 +25,7 @@ from latstat import (
     check_generalized_nk,
     check_relaxed_hypothesis,
     constructions,
+    jsonio,
     order_statistics_tuple,
     product_of_chains,
     semimod,
@@ -566,30 +567,43 @@ def test_custom_relation_receives_fn_values(family):
         reference_relaxed(L, lam, rel)
 
 
-@pytest.mark.parametrize("family", ["potential", "multiadd"])
+@pytest.mark.parametrize("family", ["potential", "multiadd", "multiadd-multilinear"])
 def test_sampled_scan_with_more_table_than_trials_stays_lazy(family, monkeypatch):
-    calls = []
-    L = FnLattice.zero_to(2, 2)  # m = 9: 81 pair terms or 2-tuples
+    # the scan's one table, recorded as id_table returns it, holds only the
+    # entries the drawn tuples read; a potential's entries are read by
+    # difference code and a multilinear form's from digits, so neither
+    # calls its element path (a callable form is called once per entry)
+    tables, calls = [], []
+    real_id_table = semimod.id_table
+
+    def recorded(*args):
+        scale, table = real_id_table(*args)
+        tables.append(table)
+        return scale, table
+
+    monkeypatch.setattr(semimod, "id_table", recorded)
     real_transform = constructions._potential_transform
 
-    def counted_transform(spec, table):
-        # a potential's pair entry is one transform lookup: its verification
-        # computed every phi and psi value, so the scan calls neither
-        transform = real_transform(spec, table)
+    def counted_transform(spec, verified):
+        transform = real_transform(spec, verified)
         return lambda g: calls.append(g) or transform(g)
 
     monkeypatch.setattr(constructions, "_potential_transform", counted_transform)
+    L = FnLattice.zero_to(2, 2)  # m = 9: 81 pair terms or 2-tuples
 
     def make():
         # the potential's transform memo lives in its functional: build afresh
+        form = _multiadd_forms()["integral-of-product"]
         if family == "multiadd":
-            form = _multiadd_forms()["integral-of-product"]
-            counted = MultiadditiveFn(2, lambda *a: calls.append(a) or form.fn(*a), "counted")
-            lam = multiadd_symmetric_sum(counted, 3, L)
+            lam = multiadd_symmetric_sum(
+                MultiadditiveFn(2, lambda *a: calls.append(a) or form.fn(*a), "counted"), 3, L)
+        elif family == "multiadd-multilinear":
+            lam = multiadd_symmetric_sum(form, 3, L)
         else:
             spec = random_potential_spec(random.Random(4), "convex", width=2)
             lam = potential_construct(dataclasses.replace(spec, carrier=L), 3)
         calls.clear()
+        tables.clear()
         return lam
 
     m = len(L.elements())
@@ -599,7 +613,9 @@ def test_sampled_scan_with_more_table_than_trials_stays_lazy(family, monkeypatch
     lam = make()
     rel = RELATIONS["le" if family == "potential" else "ge"]
     report = check_generalized_n(L, lam, rel, mode="sampled", seed=5, trials=4)
-    filled = len(calls)  # the pair entries the scan filled
+    (table,) = tables
+    filled = len(table)  # the pair entries the scan filled
+    assert len(calls) == (filled if family == "multiadd" else 0)
     assert (report.holds, report.instances_checked, report.witness) == \
         reference_scan(L, lam, rel, 3, False, "sampled", seed=5, trials=4)
     assert report.holds
@@ -808,3 +824,154 @@ def test_each_check_calls_on_ids_once():
     one = _spied(scalar_quadratic(build_m3(), ((1, 1, 1),), 1), calls)
     check_generalized_n(build_m3(), one, RELATIONS["ge"])
     assert calls == []  # the vacuous 1-ary check evaluates nothing
+
+
+# --- multilinear forms by theorem, potentials by difference code ---
+
+HALF_CHAIN = [Fraction(0), Fraction(1, 2), Fraction(3)]
+
+
+def _json_forms(rng, k, width):
+    """The three JSON m kinds of arity k on `width` ground points, with
+    random rational weights."""
+    def weight(low=0):
+        return {"num": rng.randint(low, 4), "den": rng.randint(1, 3)}
+    return [{"kind": "prod_integrals",
+             "measures": [[weight() for _ in range(width)] for _ in range(k)]},
+            {"kind": "integral_of_product", "weights": [weight() for _ in range(width)]},
+            {"kind": "tensor", "weights": [[list(key), weight(1)]
+                                           for key in product(range(width), repeat=k)
+                                           if rng.random() < 0.6] or [[[0] * k, 1]]}]
+
+
+def _unflagged(m):
+    return MultiadditiveFn(m.arity, m.fn, m.tag)
+
+
+def test_multilinear_json_forms_pass_by_theorem_and_keep_every_report():
+    # on nonnegative finite chains the JSON kinds skip the 60 draws: the
+    # sampler, run on an unflagged copy, never fails there, and the checks
+    # report the same bytes whether the form's tables come from chain
+    # digits or from the sampler's memo form on elements
+    rng = random.Random(27)
+    carriers = [FnLattice.zero_to(1, 2), FnLattice.zero_to(2, 1), FnLattice.zero_to(2, 2),
+                FnLattice(1, HALF_CHAIN), FnLattice(2, HALF_CHAIN)]
+    digit_routes = 0
+    for L in carriers:
+        for k in (1, 2, 3):
+            for obj in _json_forms(rng, k, L.ground.size):
+                m = jsonio._multiadditive_from_json(obj, k, L, "/m")
+                assert m.multilinear and constructions.verify_multiadditive(m, L, seed=k) is m
+                plain = constructions.verify_multiadditive(_unflagged(m), L, seed=k)
+                calls = []
+                counted = MultiadditiveFn(k, lambda *a, m=m: calls.append(a) or m.fn(*a),
+                                          m.tag, multilinear=True)
+                theorem = multiadd_symmetric_sum(counted, 3, L)
+                sampled = multiadd_symmetric_sum(plain, 3, L)
+                calls.clear()  # the coefficients, read once at construction
+                digits = L.ground.size ** k <= L.size
+                for rel in (RELATIONS["ge"], RELATIONS["le"]):
+                    for width in (2, 3):
+                        got, want = (_report_bytes(check_generalized_nk(L, lam, width, rel))
+                                     for lam in (theorem, sampled))
+                        assert got == want, (L, k, obj["kind"], rel.kind, width)
+                    if rel.kind == "ge":  # holds: no witness replays through fn
+                        assert (not calls) == digits, (L, k, obj["kind"])
+                digit_routes += digits
+    assert digit_routes == 42  # all but k = 3 on the 4-element carrier
+
+
+def test_multilinear_forms_on_negative_chains_keep_the_sampler():
+    # a negative chain value voids the theorem: the same draws run, with the
+    # same calls and the same first message as for an unflagged copy
+    rng = random.Random(4)
+    carriers = [FnLattice.symmetric(2, 1), FnLattice.symmetric(1, 2),
+                lattice_from_json({"kind": "fn", "ground_size": 2, "chain_min": -1,
+                                   "chain_max": 1})]
+    messages = set()
+    for L in carriers:
+        for k in (1, 2, 3):
+            for obj in _json_forms(rng, k, L.ground.size):
+                m = jsonio._multiadditive_from_json(obj, k, L, "/m")
+                outcomes = []
+                for form in (m, _unflagged(m)):
+                    calls = []
+                    counted = MultiadditiveFn(k, lambda *a, f=form: calls.append(a) or f.fn(*a),
+                                              form.tag, multilinear=form.multilinear)
+                    try:
+                        constructions.verify_multiadditive(counted, L, seed=k)
+                        outcomes.append((None, calls))
+                    except InputError as exc:
+                        outcomes.append((str(exc), calls))
+                assert outcomes[0] == outcomes[1] and outcomes[0][1], (L, k, obj["kind"])
+                messages.add(outcomes[0][0] and outcomes[0][0].split()[1])
+    assert messages == {None, "is"}  # some pass, some are "... is negative at ..."
+
+
+def _pair_oracle(spec):
+    """The potential's pair value computed from the spec alone, with no
+    table: psi(measure(phi o (e - f))) - psi(measure(phi o 0))."""
+    def transform(g):
+        return spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
+    base = transform((Fraction(0),) * spec.carrier.ground.size)
+    return lambda e, f: transform(tuple(a - b for a, b in zip(e, f))) - base
+
+
+def _potential_specs():
+    """Criterion 11's 100 draws, and specs on FN9, FN16, the {0, 1/2, 3}
+    chain and symmetric chains."""
+    rng = random.Random(111111)
+    specs = []
+    for curvature in ("concave", "convex"):
+        for _ in range(50):
+            specs.append(random_potential_spec(rng, curvature))
+            rng.randrange(2 ** 30)  # the criterion's pair-check seed
+    fn16 = lattice_from_json({"kind": "fn", "ground_size": 2, "chain_max": 3})
+    specs.append(jsonio.potential_spec_from_json(
+        {"measure": [2, 2], "phi": {"kind": "relu", "scale": 1, "shift": -1},
+         "psi": {"kind": "min_affine", "pieces": [[4, -2], [1, 2]]}}, fn16))
+    draw = random.Random(5)
+    for carrier in (FnLattice.zero_to(2, 2), FnLattice(2, HALF_CHAIN), FnLattice(1, HALF_CHAIN),
+                    FnLattice.symmetric(2, 1), FnLattice.symmetric(1, 2)):
+        for curvature in ("concave", "convex"):
+            spec = random_potential_spec(draw, curvature, width=carrier.ground.size)
+            specs.append(dataclasses.replace(spec, carrier=carrier))
+    return specs
+
+
+def test_potential_pair_table_matches_the_spec_entry_by_entry():
+    # eager and lazy tables, and the element transform that reads the same
+    # values by code, against the pair value recomputed from the spec; a
+    # swap of the two ids' digits or a dropped point weight fails
+    for spec in _potential_specs():
+        lam = potential_construct(spec, 3)
+        pair = _pair_oracle(spec)
+        transform = constructions._potential_transform(
+            spec, constructions.verify_potential_spec(spec))
+        zero = transform((Fraction(0),) * spec.carrier.ground.size)
+        elems = spec.carrier.elements()
+        m = len(elems)
+        _, scale, terms = lam.on_ids(elems, m * m)
+        lazy, no_scale, _ = lam.on_ids(elems, m * m - 1)
+        table = terms[0][0]
+        assert no_scale is None
+        for a, e in enumerate(elems):
+            for b, f in enumerate(elems):
+                want = pair(e, f)
+                assert Fraction(table[a * m + b], scale) == want, (spec.carrier, e, f)
+                assert transform(tuple(x - y for x, y in zip(e, f))) - zero == want
+                assert lam.fn((e, f, e)) == lazy((a, b, a)) == 2 * want + 2 * pair(f, e), \
+                    (spec.carrier, e, f)
+
+
+def test_potential_sampled_scans_match_the_element_path():
+    # a few trials read the lazy table by difference code; without on_ids
+    # the same scan evaluates fn on elements
+    for spec in _potential_specs()[::7]:
+        lam = potential_construct(spec, 3)
+        plain = dataclasses.replace(lam, on_ids=None)
+        for rel in RELATIONS.values():
+            for seed in (1, 2):
+                got, want = (check_generalized_n(spec.carrier, f, rel, mode="sampled",
+                                                 seed=seed, trials=6) for f in (lam, plain))
+                assert _report_bytes(got) == _report_bytes(want)
