@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
@@ -307,15 +307,12 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
     phi is computed once per difference and psi once per integral value.
 
     A difference function g is read by its code: the base-d number, point
-    0 first, of the positions of its values in the sorted differences.  The
-    integrals are summed one point at a time over the codes, as integers on
-    the common scale of the weights and the finite phi values (with
-    `Measure.integral`, per code, when a weight is infinite); a code with an
-    infinite phi value has none.  Returns (position, psi_vals, point_of):
-    each difference's position in increasing order, psi at each distinct
-    integral value in increasing order, and each code's index into
-    psi_vals, or None (`_potential_transform` and `_pair_digits` read
-    them)."""
+    0 first, of the positions of its values in the sorted differences; a
+    code with an infinite phi value has no integral.  Returns (position,
+    psi_vals, point_of): each difference's position in increasing order,
+    psi at each distinct integral value in increasing order, and each
+    code's index into psi_vals, or None (`_potential_transform` and
+    `_pair_digits` read them)."""
     chain = spec.carrier.chain
     diffs = sorted({a - b for a in chain for b in chain})
     ground = spec.carrier.ground.size
@@ -327,24 +324,11 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
     nonincr = all(phi_vals[i] >= phi_vals[i + 1] for i in range(len(phi_vals) - 1))
     if not (nondecr or nonincr):
         raise InputError(f"{spec.phi_name} is not monotone on the difference range")
-    weights = spec.measure.weights
-    if any(is_inf(w) for w in weights):
-        integrals = [None if any(is_inf(v) for v in vals) else spec.measure.integral(vals)
-                     for vals in product(phi_vals, repeat=ground)]
-        real = points = sorted(set(integrals) - {None})
-    else:
-        (ws, weights), (ps, finite) = (integer_scale(weights),
-                                       integer_scale(v for v in phi_vals if not is_inf(v)))
-        finite = iter(finite)
-        phis = [None if is_inf(v) else next(finite) for v in phi_vals]
-        integrals = [0]
-        for w in weights:  # the next point's digit is the code's next digit
-            integrals = [None if u is None or p is None else u + w * p
-                         for u in integrals for p in phis]
-        points = sorted(set(integrals) - {None})
-        real = [Fraction(u, ws * ps) for u in points]
+    integrals = [None if any(is_inf(v) for v in vals) else spec.measure.integral(vals)
+                 for vals in product(phi_vals, repeat=ground)]  # in code order
+    points = sorted(set(integrals) - {None})
     psi = _Memo(spec.psi)  # filled in the order the triples first read it
-    for u1, u2, u3 in zip(real, real[1:], real[2:]):
+    for u1, u2, u3 in zip(points, points[1:], points[2:]):
         left = (psi[u2] - psi[u1]) * (u3 - u2)
         right = (psi[u3] - psi[u2]) * (u2 - u1)
         if spec.curvature == "concave" and left < right:
@@ -354,7 +338,7 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
             raise InputError(
                 f"{spec.psi_name} is not convex at ({u1},{u2},{u3})")
     point = dict(zip(points, range(len(points))))
-    return (dict(zip(diffs, range(len(diffs)))), [psi[u] for u in real],
+    return (dict(zip(diffs, range(len(diffs)))), [psi[u] for u in points],
             [None if u is None else point[u] for u in integrals])
 
 
@@ -464,21 +448,30 @@ class MultiadditiveFn:
     multilinear declares that fn is a multilinear form in the pointwise
     values of its arguments with finite nonnegative coefficients: each slot
     is linear under pointwise +, so the split holds exactly, and its values
-    on nonnegative finite elements are nonnegative.  Only the JSON kinds'
-    constructors set it (`product_of_integrals` with finite weights,
-    `integral_of_product`, `tensor_multiadditive`); like
-    `TupleFunctional.symmetric`, it is never inferred, and a wrong
-    declaration gives wrong verdicts.  A multilinear form is given by its
+    on nonnegative finite elements are nonnegative.  It is not a
+    constructor argument: only the JSON kinds' constructors set it
+    (`product_of_integrals` with finite weights, `integral_of_product`,
+    `tensor_multiadditive`, through `_multilinear`), since a wrong
+    declaration gives wrong verdicts; like `TupleFunctional.symmetric`, it
+    is never inferred.  A multilinear form is given by its
     coefficients, its values at tuples of point indicators, so its scan
     tables are read from chain digits (`_multilinear_digits`)."""
 
     arity: int
     fn: Callable[..., Fraction]
     tag: str = ""
-    multilinear: bool = False
+    multilinear: bool = field(default=False, init=False)
 
     def __call__(self, *args):
         return self.fn(*args)
+
+
+def _multilinear(arity: int, fn: Callable[..., Fraction], tag: str) -> MultiadditiveFn:
+    """A `MultiadditiveFn` declared multilinear: fn must be a multilinear
+    form with finite nonnegative coefficients."""
+    m = MultiadditiveFn(arity, fn, tag)
+    m.multilinear = True
+    return m
 
 
 def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 0,
@@ -642,8 +635,8 @@ def product_of_integrals(measures: Sequence[Measure]) -> MultiadditiveFn:
             out *= v
         return out
 
-    return MultiadditiveFn(arity=len(ms), fn=fn, tag="prod-integrals",
-                           multilinear=not any(is_inf(w) for mu in ms for w in mu.weights))
+    finite = not any(is_inf(w) for mu in ms for w in mu.weights)
+    return (_multilinear if finite else MultiadditiveFn)(len(ms), fn, "prod-integrals")
 
 
 def integral_of_product(measure: Measure, k: int) -> MultiadditiveFn:
@@ -663,7 +656,7 @@ def integral_of_product(measure: Measure, k: int) -> MultiadditiveFn:
             total += term
         return total
 
-    return MultiadditiveFn(arity=k, fn=fn, tag="integral-of-product", multilinear=True)
+    return _multilinear(k, fn, "integral-of-product")
 
 
 def _point_weights(weights: dict, k: int, ground_size: int, noun: str) -> dict:
@@ -698,7 +691,7 @@ def tensor_multiadditive(weights: dict, k: int, ground_size: int) -> Multiadditi
             total += term
         return total
 
-    return MultiadditiveFn(arity=k, fn=fn, tag="tensor", multilinear=True)
+    return _multilinear(k, fn, "tensor")
 
 
 # --- permanents ---

@@ -251,22 +251,34 @@ def test_one_check_evaluates_each_value_once():
 
 
 def test_functional_from_json_evaluates_each_multiadd_value_once(monkeypatch):
-    # the decoded form too: once per carrier tuple across the verification
-    # that functional_from_json runs and one exhaustive check
+    # the decoded form as declared reads m only at the point-indicator
+    # tuples, its coefficients, and a check that holds adds no call; an
+    # unflagged copy is evaluated once per carrier tuple across the sampled
+    # verification that functional_from_json runs and one exhaustive check
     calls = []
     decode = jsonio._multiadditive_from_json
+    units = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    for multilinear in (True, False):
+        def counted(obj, k, lattice, ptr, multilinear=multilinear):
+            form = decode(obj, k, lattice, ptr)
+            assert form.multilinear
+            build = constructions._multilinear if multilinear else MultiadditiveFn
+            return build(k, lambda *args: calls.append(args) or form.fn(*args), form.tag)
 
-    def counted(obj, k, lattice, ptr):
-        form = decode(obj, k, lattice, ptr)
-        return MultiadditiveFn(k, lambda *args: calls.append(args) or form.fn(*args), form.tag)
-
-    monkeypatch.setattr(jsonio, "_multiadditive_from_json", counted)
-    lam = functional_from_json({"family": "multiadd", "n": 3, "k": 2, "seed": 7, "m": {
-        "kind": "prod_integrals", "measures": [[1, 2], [3, 1]]}}, FN9)
-    assert 0 < len(calls) < 81
-    assert check_generalized_n(FN9, lam, GE).holds
-    assert sorted(calls) == sorted(set(calls)) and len(calls) == 81
-    assert lam(([0, 1], [1, 2], [2, 2])) == lam(((0, 1), (1, 2), (2, 2))) == 107
+        monkeypatch.setattr(jsonio, "_multiadditive_from_json", counted)
+        calls.clear()
+        lam = functional_from_json({"family": "multiadd", "n": 3, "k": 2, "seed": 7, "m": {
+            "kind": "prod_integrals", "measures": [[1, 2], [3, 1]]}}, FN9)
+        if multilinear:
+            assert calls == list(product(units, repeat=2))
+        else:
+            assert 0 < len(calls) < 81
+        assert check_generalized_n(FN9, lam, GE).holds
+        if multilinear:
+            assert len(calls) == 4
+        else:
+            assert sorted(calls) == sorted(set(calls)) and len(calls) == 81
+        assert lam(([0, 1], [1, 2], [2, 2])) == lam(((0, 1), (1, 2), (2, 2))) == 107
 
 
 def test_schur_refuses_schur_convex_combiner():

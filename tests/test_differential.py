@@ -864,8 +864,8 @@ def test_multilinear_json_forms_pass_by_theorem_and_keep_every_report():
                 assert m.multilinear and constructions.verify_multiadditive(m, L, seed=k) is m
                 plain = constructions.verify_multiadditive(_unflagged(m), L, seed=k)
                 calls = []
-                counted = MultiadditiveFn(k, lambda *a, m=m: calls.append(a) or m.fn(*a),
-                                          m.tag, multilinear=True)
+                counted = constructions._multilinear(
+                    k, lambda *a, m=m: calls.append(a) or m.fn(*a), m.tag)
                 theorem = multiadd_symmetric_sum(counted, 3, L)
                 sampled = multiadd_symmetric_sum(plain, 3, L)
                 calls.clear()  # the coefficients, read once at construction
@@ -896,8 +896,8 @@ def test_multilinear_forms_on_negative_chains_keep_the_sampler():
                 outcomes = []
                 for form in (m, _unflagged(m)):
                     calls = []
-                    counted = MultiadditiveFn(k, lambda *a, f=form: calls.append(a) or f.fn(*a),
-                                              form.tag, multilinear=form.multilinear)
+                    build = constructions._multilinear if form.multilinear else MultiadditiveFn
+                    counted = build(k, lambda *a, f=form: calls.append(a) or f.fn(*a), form.tag)
                     try:
                         constructions.verify_multiadditive(counted, L, seed=k)
                         outcomes.append((None, calls))
