@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Optional, Sequence
 
-from .lattice import (DEFAULT_BUDGET, FnLattice, _CompiledLattice, _Memo, fn_diff,
+from .lattice import (DEFAULT_BUDGET, FnLattice, _CompiledLattice, _Memo, fn_diff, fn_meet,
                       pointwise_order_statistics)
 from .report import CheckReport, Witness
 from .scalars import (
@@ -483,66 +483,38 @@ def verify_multiadditive(m: MultiadditiveFn, lattice: FnLattice, *, seed: int = 
     are finite and nonnegative, so no sample could fail.
 
     Any other m (a user callable, or any form on a chain with a negative or
-    infinite value) is spot-checked on sampled tuples, a falsification
-    filter; raises with a witness on failure.  Elements are int ids: a
-    carrier element its `lattice.index`, and an `fn_diff` result off the
-    carrier the next free id.  The (meet, diff) split is computed once per
-    id pair, the meet read from the carrier's id table, and m once per
-    tuple; an integral Fraction is added and compared as an int, which
-    gives the same results and the same text.  Returns m, with its arity
-    and tag, as a form that reads m's values from a memo keyed by element
-    tuples and seeded with every value the samples computed, so a scan of
+    infinite value) is spot-checked on sampled tuples of carrier elements,
+    a falsification filter; raises with a witness on failure.  m is called
+    once per element tuple, through a memo keyed by element tuples.
+    Returns m, with its arity and tag, as a form that reads m's values
+    from that memo, seeded with every value the samples computed, so a scan of
     `multiadd_symmetric_sum` of it evaluates m once per tuple in all."""
     if m.multilinear and isinstance(lattice, FnLattice) and all(
             not is_inf(v) and v >= 0 for v in lattice.chain):
         return m
     rng = random.Random(seed)
-    carrier = _CompiledLattice.of(lattice)
-    elems = list(carrier.elems)
-    size, k = len(elems), m.arity
-    outside: dict = {}
+    elems = _CompiledLattice.of(lattice).elems
+    k = m.arity
     known = _Memo(lambda args: m.fn(*args))
-    value = _Memo(lambda ids: _as_int(known[tuple(elems[i] for i in ids)])).__getitem__
 
-    def id_of(e):
-        try:
-            return lattice.index(e)
-        except KeyError:  # a value off the chain: the next free id
-            i = outside.setdefault(e, len(elems))
-            if i == len(elems):
-                elems.append(e)
-            return i
-
-    def meet_and_diff(key):
-        f, g = divmod(key, size)
-        return carrier.meet[key], id_of(fn_diff(elems[f], elems[g]))
-    split = _Memo(meet_and_diff).__getitem__
+    def pick():
+        return elems[rng.randrange(len(elems))]
 
     for _ in range(samples):
         slot = rng.randrange(k)
-        fixed = [rng.randrange(size) for _ in range(k)]
-        f, g = rng.randrange(size), rng.randrange(size)
-        low, rest = split(f * size + g)
-        fixed[slot] = f
-        with_f = tuple(fixed)
-        fixed[slot] = low
-        with_meet = tuple(fixed)
-        fixed[slot] = rest
-        with_rest = tuple(fixed)
-        lhs = value(with_f)
-        rhs = value(with_meet) + value(with_rest)
+        fixed = [pick() for _ in range(k)]
+        f, g = pick(), pick()
+        with_f, with_meet, with_rest = list(fixed), list(fixed), list(fixed)
+        with_f[slot], with_meet[slot], with_rest[slot] = f, fn_meet(f, g), fn_diff(f, g)
+        lhs = known[tuple(with_f)]
+        rhs = known[tuple(with_meet)] + known[tuple(with_rest)]
         if lhs != rhs:
             raise InputError(
                 f"{m.tag or 'map'} is not additive in slot {slot}: "
-                f"{lhs} != {rhs} at f={elems[f]}, g={elems[g]}")
+                f"{lhs} != {rhs} at f={f}, g={g}")
         if lhs < 0:
-            raise InputError(f"{m.tag or 'map'} is negative at {[elems[i] for i in with_f]}")
+            raise InputError(f"{m.tag or 'map'} is negative at {with_f}")
     return MultiadditiveFn(arity=k, fn=lambda *args: known[tuple(map(tuple, args))], tag=m.tag)
-
-
-def _as_int(v):
-    """v as an int when it is an integral Fraction, else v itself."""
-    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 def symmetrize(m: MultiadditiveFn) -> MultiadditiveFn:

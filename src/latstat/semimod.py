@@ -10,17 +10,20 @@ exactly, with deterministic first witnesses.
 All three checks run through one scan engine, `_scan`, in a single process:
 the full check is the one window of width n, the windowed check slides a
 k-wide window, and the relaxed check feeds its sorted-prefix instances.
-Scans run on element ids in `L.elements()` order, so they visit tuples in
-the same order as a scan of elements would and report the same first
-witness, mapped back to elements.  Order statistics are read off the
-lattice's one set of id tables (`lattice._CompiledLattice.of`), which an
-exhaustive scan fills whole first and a sampled one fills per pair drawn:
-by the insertion chain's swaps on a function lattice, by the subset
-formula, memoized by the sorted window, on any other; a functional with
-`on_ids` is evaluated on ids directly.  A scan of integer values over a scale under
-ge, le or eq ends at its first violation, which settles the verdict
+Every route, `_scan` and `_pair_windows` alike, returns its first violation
+on ids (for a window check the odometer's first), and each check replays
+it once (`_replayed`).  Scans run on element ids in `L.elements()` order,
+so they visit tuples in the same order as a scan of elements would and
+report the same first witness, mapped back to elements.  Order statistics
+are read off the lattice's one set of id tables
+(`lattice._CompiledLattice.of`), which an exhaustive scan fills whole
+first and a sampled one fills per pair drawn: by the insertion chain's
+swaps on a function lattice, by the subset formula, memoized by the
+sorted window, on any other; a functional with `on_ids` is evaluated on
+ids directly.  A scan of integer values over a scale under ge, le or eq
+ends at its first violation, which settles the verdict
 (`_scan`); `instances_checked` counts the tuples covered, not the tuples
-visited.
+visited, and the budget is charged the same count, or the sampled trials.
 
 A `symmetric` functional is evaluated once per multiset: every scan keys its
 value memo by the sorted id tuple and evaluates on that key.  Its exhaustive
@@ -48,8 +51,9 @@ is no scale, and the scan compares fn's own values, when a value is not a
 finite rational, when the relation is custom, and for a functional without
 `on_ids`.  Before a witness is reported it is replayed through the element
 oracle (`_replayed`): the moved tuple is recomputed by
-`order_statistics_tuple`, or by meet and join for the relaxed check, both
-values by fn, and the relation is tested again; a disagreement raises
+`order_statistics_tuple` of the window (for the relaxed check, of the
+swapped pair, whose order statistics are its meet and join), both values
+by fn, and the relation is tested again; a disagreement raises
 InternalError (CLI exit 4), never a verdict.
 
 A functional whose `on_ids` gives terms is a sum of integer terms with
@@ -324,29 +328,19 @@ def _evaluator(lam: TupleFunctional, rel: TransitiveRelation, elems: list,
     return (lambda ids: fn(tuple(map(at, ids)))), None, None
 
 
-def _by_multiset(lam: TupleFunctional, rel: TransitiveRelation) -> bool:
-    """Whether scans of lam under rel may evaluate once per multiset."""
-    return lam.symmetric and rel.kind != "custom"
-
-
-def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
-          form: tuple, oracle: Callable[[int], tuple],
-          presorted: bool = False) -> Optional[Witness]:
-    """Compare rel(lam(f), lam(g)) over (f, g, j) instances of id tuples
-    with one value memo, keyed by the sorted tuple when `_by_multiset`
-    (f and g are their own keys when the caller knows both come sorted).
-    Values come from form, the (evaluate, scale, terms) that `_evaluator`
-    gives for the scan's instance total, and are compared on its scale.
-    Returns the first witness in instance order, or None.  The scan ends at
-    that witness when the relation is ge, le or eq and there is a scale:
-    every value is then an integer fixed before the scan, so no later
-    evaluation can raise, and there is no transitivity filter to feed.
-    Otherwise every instance is compared.  Ends with the transitivity
-    filter on the values seen, then replays the witness (`_replayed`):
-    oracle(j) gives the move of an instance tagged j, on element tuples,
-    and its note."""
-    fn, scale, _ = form
-    sort = _by_multiset(lam, rel) and not presorted
+def _scan(rel: TransitiveRelation, instances, evaluate: Callable[[tuple], object],
+          scale: Optional[int], sort: bool):
+    """The first violation ((f, g, j), lhs, rhs) of rel(evaluate(f),
+    evaluate(g)) over (f, g, j) instances of id tuples, in instance order, or None, as
+    `_pair_windows` gives it.  Values come from evaluate, on the scale that
+    `_evaluator` gives for the scan's instance total, through one value
+    memo, keyed by the sorted tuple when sort.  The scan ends at the first
+    violation when the relation is ge, le or eq and there is a scale: every
+    value is then an integer fixed before the scan, so no later evaluation
+    can raise, and there is no transitivity filter to feed.  Otherwise
+    every instance is compared, and the scan ends with the transitivity
+    filter on the values seen.  The caller replays the violation
+    (`_replayed`)."""
     holds = _OPERATORS.get(rel.kind, rel.holds)
     stop = scale is not None and rel.kind in _OPERATORS
     memo: dict = {}
@@ -356,17 +350,17 @@ def _scan(lam: TupleFunctional, rel: TransitiveRelation, instances, elems: list,
         key = tuple(sorted(f)) if sort else f
         a = memo.get(key)
         if a is None:
-            a = memo[key] = fn(key)
+            a = memo[key] = evaluate(key)
         key = tuple(sorted(g)) if sort else g
         b = memo.get(key)
         if b is None:
-            b = memo[key] = fn(key)
+            b = memo[key] = evaluate(key)
         if not holds(a, b) and first is None:
             first = instance, a, b
             if stop:
                 break
     rel.check_transitive(list(memo.values()))
-    return _replayed(lam, rel, first, elems, scale, oracle)
+    return first
 
 
 def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
@@ -449,24 +443,29 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
     return None
 
 
+def _window_move(L, f: tuple, j: int, k: int) -> tuple:
+    """f with its k-wide window at j replaced by the window's order
+    statistics, from the public `order_statistics_tuple`: the move that a
+    replay recomputes."""
+    return f[:j] + order_statistics_tuple(L, f[j:j + k]) + f[j + k:]
+
+
 def _replayed(lam: TupleFunctional, rel: TransitiveRelation, first, elems: list,
-              scale: Optional[int], oracle: Callable[[int], tuple]) -> Optional[Witness]:
+              scale: Optional[int], oracle: Callable[[tuple, int], tuple]) -> Optional[Witness]:
     """The witness of a scan's first violation ((f, g, j), lhs, rhs) on ids
     and on the scan's scale, or None, re-proved through the element oracle:
-    the values are mapped back as Fraction(v, scale), oracle(j) gives the
-    `move` that recomputes the moved tuple from f through the public order
-    statistics (or meet and join) and the witness note, and both values are
-    recomputed with fn and compared again.  A disagreement is a fault of a
-    fast path, so it raises InternalError and is never reported as a
-    violation."""
+    the values are mapped back as Fraction(v, scale), oracle(f, j) gives
+    the moved tuple, recomputed from f on elements (`_window_move`), and the
+    witness note, and both values are recomputed with fn and compared
+    again.  A disagreement is a fault of a fast path, so it raises
+    InternalError and is never reported as a violation."""
     if first is None:
         return None
     (f, g, j), lhs, rhs = first
     if scale is not None:
         lhs, rhs = Fraction(lhs, scale), Fraction(rhs, scale)
     f, g = (tuple(elems[i] for i in ids) for ids in (f, g))
-    move, note = oracle(j)
-    oracle_g = move(f)
+    oracle_g, note = oracle(f, j)
     want = lam.fn(f), lam.fn(oracle_g)
     if g != oracle_g or (lhs, rhs) != want or rel.holds(*want):
         raise InternalError(
@@ -493,10 +492,12 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     exhaustive scan of a symmetric functional under ge, le or eq enumerates
     window 0 as sorted window times sorted rest, and an exhaustive k = 2
     scan with integer terms under ge, le or eq enumerates nothing
-    (`_pair_windows`; see the module docstring).  A witness is replayed
-    through `order_statistics_tuple` and fn before it is reported
-    (`_replayed`).  A scan with k = 1 is vacuous: it validates mode and
-    seed, then checks nothing."""
+    (`_pair_windows`; see the module docstring).  Whichever route ran, its
+    first violation is replayed once, through `order_statistics_tuple` and
+    fn, before it is reported (`_replayed`).  Every scan is charged the
+    instances its report counts: the exhaustive tuples or the sampled
+    trials.  A scan with k = 1 is vacuous: it validates mode and seed, then
+    checks nothing."""
     if mode == "sampled":
         if seed is None:
             raise InputError("sampled mode requires a seed")
@@ -514,18 +515,15 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     n = lam.arity
     m = L.size
     windows = n - k + 1
-    if mode == "exhaustive":
-        total = windows * m ** n
-        what = "exhaustive windowed scan" if windowed else "exhaustive scan"
-        charge(total, budget, f"tuples of the {what} of L^{n}")
-    else:
-        total = trials
+    total, unit = ((windows * m ** n, "tuples of the exhaustive") if mode == "exhaustive"
+                   else (trials, "trials of the sampled"))
+    charge(total, budget, f"{unit} {'windowed scan' if windowed else 'scan'} of L^{n}")
     compiled = _CompiledLattice.of(L)
     if mode == "exhaustive":  # every pair is read, and the m^2 reads are charged
         compiled.whole()
     stats = compiled.order_statistics()
-    form = _evaluator(lam, rel, compiled.elems, total)
-    notes = [f"window start {j}" if windowed else "" for j in range(windows)]
+    evaluate, scale, terms = _evaluator(lam, rel, compiled.elems, total)
+    sort = lam.symmetric and rel.kind != "custom"  # once per multiset
 
     def instance(j: int, f: tuple):
         return f, f[:j] + stats(f[j:j + k]) + f[j + k:], j
@@ -537,7 +535,7 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
                 j = rng.randrange(windows) if windowed else 0
                 yield instance(j, tuple(rng.randrange(m) for _ in range(n)))
         instances = draws()
-    elif _by_multiset(lam, rel):
+    elif sort:
         instances = (instance(0, w + r) for w, r in product(
             combinations_with_replacement(range(m), k),
             combinations_with_replacement(range(m), n - k)))
@@ -545,18 +543,15 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
         instances = (instance(j, f) for j in range(windows)
                      for f in product(range(m), repeat=n))
 
-    def oracle(j: int):
-        return (lambda f: f[:j] + order_statistics_tuple(L, f[j:j + k]) + f[j + k:]), notes[j]
-
-    terms = form[2]
     if mode == "exhaustive" and k == 2 and rel.kind != "custom" and terms is not None:
-        witness = _replayed(lam, rel, _pair_windows(rel, terms, m, n, stats),
-                            compiled.elems, form[1], oracle)
+        first = _pair_windows(rel, terms, m, n, stats)
     else:
         # at k = n the multisets come sorted, and the insertion chain's
         # order statistics are sorted by id: a chain has nondecreasing digits
         presorted = mode == "exhaustive" and k == n and compiled.by_swaps
-        witness = _scan(lam, rel, instances, compiled.elems, form, oracle, presorted)
+        first = _scan(rel, instances, evaluate, scale, sort and not presorted)
+    witness = _replayed(lam, rel, first, compiled.elems, scale, lambda f, j: (
+        _window_move(L, f, j, k), f"window start {j}" if windowed else ""))
     # total counts every tuple covered, also when multisets or pair tables
     # stand for them and when the scan ended at its first violation
     return CheckReport(instances_checked=total, witness=witness, mode=mode, seed=seed)
@@ -621,16 +616,15 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
                     key = f[j - 1] * m + f[j]
                     yield f, f[:j - 1] + (meet[key], join[key]) + f[j + 1:], j
 
-    def oracle(j: int):
-        def swap(f):
-            if not all(L.leq(f[i], f[i + 1]) for i in range(j - 1)):
-                raise InternalError(f"witness replay: the prefix of {f!r} is not a chain")
-            a, b = f[j - 1], f[j]
-            return f[:j - 1] + (L.meet(a, b), L.join(a, b)) + f[j + 1:]
-        return swap, f"sorted prefix length {j}"
+    def oracle(f: tuple, j: int):
+        if not all(L.leq(f[i], f[i + 1]) for i in range(j - 1)):
+            raise InternalError(f"witness replay: the prefix of {f!r} is not a chain")
+        # a pair's order statistics are (meet, join) on every lattice
+        return _window_move(L, f, j - 1, 2), f"sorted prefix length {j}"
 
-    form = _evaluator(lam, rel, compiled.elems, total)
-    witness = _scan(lam, rel, instances(), compiled.elems, form, oracle)
+    evaluate, scale, _ = _evaluator(lam, rel, compiled.elems, total)
+    first = _scan(rel, instances(), evaluate, scale, lam.symmetric and rel.kind != "custom")
+    witness = _replayed(lam, rel, first, compiled.elems, scale, oracle)
     # the instances covered, also when the scan ended at its first violation
     count = sum(len(list(chains(j))) * m ** (n - j) for j in range(1, n))
     return CheckReport(instances_checked=count, witness=witness)

@@ -152,6 +152,19 @@ def test_check_budget_exceeded_exit_3(write, capsys):
     assert "budget" in err
 
 
+def test_sampled_trials_are_charged_to_the_budget(write, capsys):
+    # a sampled scan is charged its trials, the instances its report counts
+    lat = write("fn16.json", {"kind": "fn", "ground_size": 2, "chain_max": 3})
+    fun = write("schur4.json", dict(SCHUR_FUNCTIONAL, n=4))
+    for k, scan in (("n", "sampled scan"), ("2", "sampled windowed scan")):
+        check = ("check", "--lattice", lat, "--functional", fun, "--k", k, "--mode", "sampled",
+                 "--seed", "1", "--budget", "1000")
+        assert run_cli(capsys, *check, "--trials", "1001") == (
+            3, "", f"budget exceeded: 1001 trials of the {scan} of L^4 exceed budget 1000\n")
+        code, out, _ = run_cli(capsys, *check, "--trials", "1000")
+        assert (code, json.loads(out)["result"]["instances_checked"]) == (0, 1000)
+
+
 def test_check_env_budget(write, capsys, monkeypatch):
     lat = write("m3.json", M3_ORDER)
     fun = write("f.json", M3_FUNCTIONAL)

@@ -555,8 +555,10 @@ def test_verify_multiadditive_failure_messages(m, message):
 
 
 def element_keyed_verify(m, lattice, *, seed=0, samples=60):
-    """verify_multiadditive with its memo keyed by tuples of elements, as
-    before elements became int ids: the oracle of the differential test."""
+    """The frozen reference of verify_multiadditive's sampler, the same
+    algorithm on elements with its memo keyed by element tuples: the
+    oracle of the differential test, which keeps the draws, the m calls
+    and their order, and the messages from drifting."""
     rng = random.Random(seed)
     elems = lattice.elements()
     k = m.arity

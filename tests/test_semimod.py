@@ -612,6 +612,34 @@ def test_witness_replay_refuses_wrong_order_statistics(monkeypatch):
         check_generalized_nk(L, lam, 2, GE)
 
 
+@pytest.mark.parametrize("route", ["sampled", "multiset"])
+def test_witness_replay_refuses_wrong_order_statistics_on_every_route(monkeypatch, route):
+    # a window filled with its join changes the window's multiset, as a
+    # reversal does not, so a symmetric functional sees it too; both
+    # functionals are nondecreasing and hold, so it is a false violation
+    real = lattice._CompiledLattice.order_statistics
+
+    def join_filled(self):
+        stats = real(self)
+        return lambda w: (stats(w)[-1],) * len(w)
+
+    if route == "sampled":
+        L, lam = build_m3(), m3_quadratic()
+
+        def check():
+            return check_generalized_nk(L, lam, 2, GE, mode="sampled", seed=3, trials=50)
+    else:  # a symmetric k = n check on a function lattice enumerates sorted multisets
+        L = FnLattice.zero_to(2, 2)
+        lam = TupleFunctional(arity=3, fn=lambda f: sum(sum(e) for e in f), symmetric=True)
+
+        def check():
+            return check_generalized_n(L, lam, GE)
+    assert check().holds
+    monkeypatch.setattr(lattice._CompiledLattice, "order_statistics", join_filled)
+    with pytest.raises(InternalError, match="witness replay disagrees"):
+        check()
+
+
 def test_witness_replay_refuses_wrong_relaxed_swap(monkeypatch):
     # with strictly decreasing weights the meet must come first; swapped
     # meet and join tables turn every strict swap into a false violation
