@@ -146,12 +146,13 @@ class SchurSpec:
 
 
 def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
-                      spot_checks: int = 40, budget: int = DEFAULT_BUDGET) -> list:
+                      spot_checks: int = 40, budget: int = DEFAULT_BUDGET) -> tuple:
     """Exhaustively check the one-argument map (submodular, nondecreasing) and
     spot-check the combiner on generated majorization pairs.  The combiner
     check is a falsification filter, not a proof, and is skipped for a
     `MultisetCombiner`, whose properties are theorems.  Raises with a
-    witness on failure; returns lam's values, as Fractions, by id in
+    witness on failure; returns (scale, ints): lam's values times scale,
+    the least positive integer that makes them all integers, by id in
     `spec.lattice.elements()` order.  The map is read on the carrier's meet
     and join id tables, filled whole, with f <= g exactly when the meet of
     f and g is f, and compared as those integers; a failure maps its sums
@@ -177,7 +178,7 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
                     f"{spec.lam_name} is not nondecreasing: {elems[i]!r} <= {elems[j]!r} "
                     f"but {vals[i]} > {vals[j]}")
     if isinstance(spec.combiner, MultisetCombiner):
-        return vals
+        return scale, ints
     rng = random.Random(seed)
     pool = sorted(set(vals))
     for _ in range(spot_checks):
@@ -200,28 +201,28 @@ def verify_schur_spec(spec: SchurSpec, n: int, *, seed: int = 0,
         bumped = tuple(v + (1 if k == i else 0) for k, v in enumerate(y))
         if spec.combiner(bumped) < spec.combiner(y):
             raise InputError(f"{spec.combiner_name} is not nondecreasing in argument {i}")
-    return vals
+    return scale, ints
 
 
 def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> TupleFunctional:
     """Functional F(lam(f_1), ..., lam(f_n)); verified spec makes it pass the
-    pair-window check (>=) on any distributive carrier.  Its on_ids reads
-    lam by id through `id_table`, from the by-id list its verification
-    returned, handed over as a `KeyedValue` on that list's integer scale:
-    on that scale for a `MultisetCombiner` when the limit allows the m
-    values (other combiners need not commute with a scale), else as
-    Fractions.  With the combiner "sum" it is the sum of the unary terms
-    (values, (i,))."""
-    by_id = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
-    vals = dict(zip(spec.lattice.elements(), by_id))
-    scale, ints = integer_scale(by_id)  # Fractions always have a scale
-    lam = KeyedValue(vals.__getitem__, spec.lattice, scale, ints.__getitem__)
+    pair-window check (>=) on any distributive carrier.  fn computes lam
+    on each argument, on any element, and never reads the verification's
+    values, so a witness replay re-proves what the scan found.  Only
+    on_ids reads them: lam by id through `id_table`, from the by-id
+    integers its verification returned, handed over as a `KeyedValue` on
+    their scale: on that scale for a `MultisetCombiner` when the limit
+    allows the m values (other combiners need not commute with a scale),
+    else as Fractions.  With the combiner "sum" it is the sum of the unary
+    terms (values, (i,))."""
+    scale, ints = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
+    lam = KeyedValue(lambda e: Fraction(spec.lam(e)), spec.lattice, scale, ints.__getitem__)
     combiner = spec.combiner
     multiset = isinstance(combiner, MultisetCombiner)
 
     def fn(f):
-        return combiner(tuple(vals[a] for a in f))
+        return combiner(tuple(map(lam, f)))
 
     def on_ids(elems, limit=None):
         scale, values = id_table(lam, elems, 1, limit if multiset else None)
@@ -309,10 +310,8 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
     A difference function g is read by its code: the base-d number, point
     0 first, of the positions of its values in the sorted differences; a
     code with an infinite phi value has no integral.  Returns (position,
-    psi_vals, point_of): each difference's position in increasing order,
-    psi at each distinct integral value in increasing order, and each
-    code's index into psi_vals, or None (`_potential_transform` and
-    `_pair_digits` read them)."""
+    by_code): each difference's position in increasing order, and psi at
+    each code's integral value, or None (`_pair_digits` reads them)."""
     chain = spec.carrier.chain
     diffs = sorted({a - b for a in chain for b in chain})
     ground = spec.carrier.ground.size
@@ -337,37 +336,28 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
         if spec.curvature == "convex" and left > right:
             raise InputError(
                 f"{spec.psi_name} is not convex at ({u1},{u2},{u3})")
-    point = dict(zip(points, range(len(points))))
-    return (dict(zip(diffs, range(len(diffs)))), [psi[u] for u in points],
-            [None if u is None else point[u] for u in integrals])
+    return (dict(zip(diffs, range(len(diffs)))),
+            [None if u is None else psi[u] for u in integrals])
 
 
-def _potential_transform(spec: PotentialSpec, verified: tuple) -> Callable[[tuple], Fraction]:
+def _potential_transform(spec: PotentialSpec) -> Callable[[tuple], Fraction]:
     """The curved integral transform g -> psi(measure(phi o g)) of a
-    difference function: read from `verify_potential_spec`'s values by g's
-    code, and computed, then memoized, only for a g they leave out."""
-    position, psi_vals, point_of = verified
-    ground = spec.carrier.ground.size
-
-    def transform(g: tuple) -> Fraction:
-        if len(g) == ground and all(x in position for x in g):
-            code = 0
-            for x in g:
-                code = code * len(position) + position[x]
-            if point_of[code] is not None:
-                return psi_vals[point_of[code]]
-        return spec.psi(spec.measure.integral(tuple(spec.phi(x) for x in g)))
-    return _Memo(transform).__getitem__
+    difference function, computed from the spec and memoized; it reads no
+    verification table, so a witness replay re-proves what the scan found
+    on `_pair_digits`' values."""
+    return _Memo(lambda g: spec.psi(spec.measure.integral(tuple(map(spec.phi, g))))).__getitem__
 
 
 def _pair_digits(spec: PotentialSpec, verified: tuple, pair: Callable) -> Callable:
     """The potential's pair value, as a `KeyedValue` that reads each id key
     a * m + b by its difference code, built from the two ids' chain digits
-    (one difference position per digit pair), when every code has a psi
-    value and psi's values are finite rationals; else pair itself."""
-    position, psi_vals, point_of = verified
-    scaled = integer_scale(psi_vals)
-    if scaled is None or None in point_of:
+    (one difference position per digit pair), in `verify_potential_spec`'s
+    psi values by code, when every code has one and they are finite
+    rationals; else pair itself.  Only the scan reads these values; pair
+    computes its own."""
+    position, by_code = verified
+    scaled = None if None in by_code else integer_scale(by_code)
+    if scaled is None:
         return pair
     scale, ints = scaled
     chain, d = spec.carrier.chain, len(position)
@@ -376,8 +366,7 @@ def _pair_digits(spec: PotentialSpec, verified: tuple, pair: Callable) -> Callab
     zero = 0
     for _ in range(ground):
         zero = zero * d + position[0]
-    base = ints[point_of[zero]]
-    entry = [ints[p] - base for p in point_of]
+    entry = [v - ints[zero] for v in ints]
     powers = [c ** p for p in reversed(range(ground))]
     m = c ** ground
 
@@ -399,13 +388,15 @@ def potential_construct(spec: PotentialSpec, n: int,
     """Sum over all ordered argument pairs of the curved integral transform of
     their difference, normalized so the zero difference contributes zero
     (constant tuples evaluate to 0): a `form_sum` of one pair value, which
-    scans read by difference code (`_pair_digits`)."""
+    scans read by difference code (`_pair_digits`).  The pair value itself
+    is the transform of the difference minus the transform of zero, both
+    computed from the spec on first use."""
     verified = verify_potential_spec(spec, budget)
-    transform = _potential_transform(spec, verified)
-    base = transform(tuple(Fraction(0) for _ in range(spec.carrier.ground.size)))
+    transform = _potential_transform(spec)
+    zero = tuple(Fraction(0) for _ in range(spec.carrier.ground.size))
 
     def pair(e, f):
-        return transform(tuple(a - b for a, b in zip(e, f))) - base
+        return transform(tuple(a - b for a, b in zip(e, f))) - transform(zero)
 
     value = _pair_digits(spec, verified, pair)
     return form_sum(n, [(value, (j, k)) for j in range(n) for k in range(n) if j != k],
@@ -418,7 +409,8 @@ def potential_pair_inequality_check(spec: PotentialSpec, *, seed: int = 0,
     """Compare the symmetrized transform at f1 - f2 against its value at
     |f1 - f2| on sampled carrier pairs: <= under a convex outer map, >=
     under a concave one."""
-    transform = _potential_transform(spec, verify_potential_spec(spec))
+    verify_potential_spec(spec)
+    transform = _potential_transform(spec)
     rng = random.Random(seed)
     elems = spec.carrier.elements()
     want_le = spec.curvature == "convex"

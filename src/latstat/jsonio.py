@@ -266,7 +266,7 @@ def lattice_from_json(obj, ptr: str = "", budget: int = DEFAULT_BUDGET):
         kw["max_ground"] = _expect_int(obj["max_ground"], f"{ptr}/max_ground", 1)
     if "max_chain" in obj:
         kw["max_chain"] = _expect_int(obj["max_chain"], f"{ptr}/max_chain", 1)
-    return FnLattice(size, [Fraction(v) for v in range(lo, top + 1)], **kw)
+    return FnLattice(size, range(lo, top + 1), **kw)
 
 
 # --- measures ---

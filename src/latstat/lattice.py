@@ -92,19 +92,19 @@ class FnLattice:
         if isinstance(ground, int):
             ground = GroundSet(ground)
         self.ground = ground
+        if ground.size > max_ground:
+            raise InputError(
+                f"ground size {ground.size} exceeds cap {max_ground} "
+                "(pass max_ground to override)")
+        if len(chain) > max_chain:  # before any value is converted
+            raise InputError(
+                f"chain length {len(chain)} exceeds cap {max_chain} "
+                "(pass max_chain to override)")
         vals = tuple(as_scalar(v) for v in chain)
         if len(vals) < 1:
             raise InputError("value chain must be nonempty")
         if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
             raise InputError("value chain must be strictly increasing")
-        if ground.size > max_ground:
-            raise InputError(
-                f"ground size {ground.size} exceeds cap {max_ground} "
-                "(pass max_ground to override)")
-        if len(vals) > max_chain:
-            raise InputError(
-                f"chain length {len(vals)} exceeds cap {max_chain} "
-                "(pass max_chain to override)")
         self.chain = vals
         self._digit = {v: d for d, v in enumerate(vals)}
         self._elements: Optional[list] = None

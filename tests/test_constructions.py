@@ -57,7 +57,7 @@ from latstat.lattice import (
     pointwise_order_statistics,
     product_of_chains,
 )
-from latstat.scalars import ext_pow
+from latstat.scalars import InternalError, ext_pow
 
 GE = TransitiveRelation.ge()
 EQ = TransitiveRelation.eq()
@@ -428,6 +428,46 @@ def test_potential_spec_refuses_bad_maps(phi, psi, curvature, message):
         verify_potential_spec(spec)
 
 
+FN16 = {"kind": "fn", "ground_size": 2, "chain_max": 3}
+SCHUR6 = {"family": "schur", "n": 6, "seed": 202142728,
+          "lambda": {"kind": "capped_modular", "point_weights": [3, 2], "cap": 4},
+          "F": {"kind": "sum_smallest", "k": 2}}
+POT6 = {"family": "potential", "n": 6, "measure": [2, 2],
+        "phi": {"kind": "relu", "scale": 1, "shift": -1},
+        "psi": {"kind": "min_affine", "pieces": [[4, -2], [1, 2]]}}
+
+
+def _checks_on_corrupt_tables(monkeypatch, name, corrupt, config):
+    # the verification's table reaches the scan only; fn computes the
+    # family's formula, so the replay refuses the false witness the
+    # corrupt table makes the scan find, at k = 2 and at k = n
+    L = jsonio.lattice_from_json(FN16)
+    config = dict(config, n=4)
+    for check in (lambda lam: check_generalized_nk(L, lam, 2, GE),
+                  lambda lam: check_generalized_n(L, lam, GE)):
+        assert check(functional_from_json(config, L)).holds
+    real = getattr(constructions, name)
+    monkeypatch.setattr(constructions, name, lambda *a, **kw: corrupt(real(*a, **kw)))
+    for check in (lambda lam: check_generalized_nk(L, lam, 2, GE),
+                  lambda lam: check_generalized_n(L, lam, GE)):
+        with pytest.raises(InternalError, match="witness replay disagrees"):
+            check(functional_from_json(config, L))
+
+
+def test_corrupt_potential_table_is_refused_by_the_replay(monkeypatch):
+    def corrupt(verified):
+        position, by_code = verified
+        return position, [by_code[0] + 7] + by_code[1:]
+    _checks_on_corrupt_tables(monkeypatch, "verify_potential_spec", corrupt, POT6)
+
+
+def test_corrupt_schur_table_is_refused_by_the_replay(monkeypatch):
+    def corrupt(verified):
+        scale, ints = verified
+        return scale, ints[:2] + [ints[2] + 3 * scale] + ints[3:]
+    _checks_on_corrupt_tables(monkeypatch, "verify_schur_spec", corrupt, SCHUR6)
+
+
 # --- multiadditive machinery ---
 
 def make_counting_measure(width):
@@ -603,9 +643,7 @@ def verify_outcome(verify, m, lattice, seed):
     return None, calls
 
 
-def test_id_keyed_verify_multiadditive_matches_the_element_keyed_one():
-    # fn_diff leaves the {0, 1/2, 3} chain (3 - 1/2) and the symmetric one
-    # (1 - (-1)), so those results take ids past the carrier
+def test_verify_multiadditive_matches_its_element_keyed_reference():
     rng = random.Random(23)
     lattices = [FnLattice.zero_to(2, 2), FnLattice.symmetric(2, 1),
                 FnLattice(2, [Fraction(0), Fraction(1, 2), Fraction(3)]),

@@ -584,8 +584,8 @@ def test_sampled_scan_with_more_table_than_trials_stays_lazy(family, monkeypatch
     monkeypatch.setattr(semimod, "id_table", recorded)
     real_transform = constructions._potential_transform
 
-    def counted_transform(spec, verified):
-        transform = real_transform(spec, verified)
+    def counted_transform(spec):
+        transform = real_transform(spec)
         return lambda g: calls.append(g) or transform(g)
 
     monkeypatch.setattr(constructions, "_potential_transform", counted_transform)
@@ -946,8 +946,7 @@ def test_potential_pair_table_matches_the_spec_entry_by_entry():
     for spec in _potential_specs():
         lam = potential_construct(spec, 3)
         pair = _pair_oracle(spec)
-        transform = constructions._potential_transform(
-            spec, constructions.verify_potential_spec(spec))
+        transform = constructions._potential_transform(spec)
         zero = transform((Fraction(0),) * spec.carrier.ground.size)
         elems = spec.carrier.elements()
         m = len(elems)

@@ -684,6 +684,24 @@ def test_fn_lattice_guards():
     FnLattice.zero_to(7, 1, max_ground=8)  # override allowed
 
 
+def test_fn_lattice_refuses_a_long_chain_before_converting_it(monkeypatch):
+    # the cap is decided from the chain's length, so a 10^6-value chain
+    # from JSON is refused with no value converted
+    from latstat import jsonio, lattice
+    real, calls = lattice.as_scalar, []
+
+    def counted(x):
+        calls.append(x)
+        if len(calls) > 100:
+            raise AssertionError("chain values converted before the cap was checked")
+        return real(x)
+
+    monkeypatch.setattr(lattice, "as_scalar", counted)
+    with pytest.raises(InputError, match=r"chain length 1000001 exceeds cap 6 "):
+        jsonio.lattice_from_json({"kind": "fn", "ground_size": 1, "chain_max": 10 ** 6})
+    assert calls == []
+
+
 def test_fn_diff():
     assert fn_diff((3, 1), (2, 5)) == (1, 0)
     assert fn_diff((2, 2), (2, 2)) == (0, 0)

@@ -432,6 +432,15 @@ def test_sortedness_rejects_bogus_rows():
     assert (k, j, s) == (1, 1, 0)
 
 
+def test_sortedness_compares_the_positions_around_the_moved_one():
+    # row 1 is sorted at its adjacent pair (2, 3) but not at positions
+    # 1 and 3, which the chain also guarantees
+    rows = tuple(tuple((Fraction(v),) for v in row) for row in ((0, 0, 0), (2, 0, 1), (0, 1, 2)))
+    report = verify_chain_sortedness(InsertionChain(rows))
+    assert report.witness == Witness(args=(1, 1, 0), lhs=2, rhs=1,
+                                     note="row 1: position 1 above position 3 at point 0")
+
+
 def test_sortedness_input_validation():
     with pytest.raises(InputError):
         verify_chain_sortedness(InsertionChain(rows=(((1,), (2,)),)))
@@ -472,6 +481,16 @@ def test_reduction_regression_reports_m3_as_falsification():
     assert not report.holds
     assert report.witness.lhs == 148
     assert report.witness.rhs == 160
+
+
+def test_reduction_regression_flags_a_functional_failing_its_precondition():
+    # -ab fails the M3 pair windows, so no trial reaches the full check
+    L = build_m3()
+    report = reduction_regression(lambda rng: (L, scalar_quadratic(L, [(-1, 1, 2)], 3)),
+                                  trials=3, seed=0)
+    assert report.holds
+    assert report.instances_checked == 0
+    assert report.detail == {"trials": 3, "precondition_failures": 3}
 
 
 # --- modes, budgets, relations ---
