@@ -126,11 +126,21 @@ class MultisetCombiner:
             raise InputError("sum_smallest needs k >= 1")
 
     def __call__(self, xs):
+        return self.over(_identity)(xs)
+
+    def over(self, at: Callable):
+        """The combiner of at's values, as a map of argument tuples, bound
+        once: min, sum or the sum of the k smallest over map(at, args)."""
         if self.kind == "min":
-            return min(xs)
+            return lambda args: min(map(at, args))
         if self.kind == "sum":
-            return sum(xs)
-        return sum(sorted(xs)[:self.k])
+            return lambda args: sum(map(at, args))
+        k = self.k
+        return lambda args: sum(sorted(map(at, args))[:k])
+
+
+def _identity(x):
+    return x
 
 
 @dataclass
@@ -214,8 +224,9 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
     integers its verification returned, handed over as a `KeyedValue` on
     their scale: on that scale for a `MultisetCombiner` when the limit
     allows the m values (other combiners need not commute with a scale),
-    else as Fractions.  With the combiner "sum" it is the sum of the unary
-    terms (values, (i,))."""
+    else as Fractions, and a `MultisetCombiner` is bound to that table
+    once (`MultisetCombiner.over`).  With the combiner "sum" it is the sum
+    of the unary terms (values, (i,))."""
     scale, ints = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
     lam = KeyedValue(lambda e: Fraction(spec.lam(e)), spec.lattice, scale, ints.__getitem__)
     combiner = spec.combiner
@@ -229,6 +240,8 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
         at = values.__getitem__
         sums = scale is not None and combiner == MultisetCombiner("sum")
         terms = [(values, (i,)) for i in range(n)] if sums else None
+        if multiset:
+            return combiner.over(at), scale, terms
         return (lambda ids: combiner(tuple(map(at, ids)))), scale, terms
 
     return TupleFunctional(arity=n, fn=fn,

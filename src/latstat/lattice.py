@@ -111,11 +111,11 @@ class FnLattice:
 
     @classmethod
     def zero_to(cls, ground_size: int, top: int, **kw) -> "FnLattice":
-        return cls(ground_size, [Fraction(v) for v in range(top + 1)], **kw)
+        return cls(ground_size, range(top + 1), **kw)
 
     @classmethod
     def symmetric(cls, ground_size: int, absmax: int, **kw) -> "FnLattice":
-        return cls(ground_size, [Fraction(v) for v in range(-absmax, absmax + 1)], **kw)
+        return cls(ground_size, range(-absmax, absmax + 1), **kw)
 
     @property
     def size(self) -> int:

@@ -24,6 +24,10 @@ ids directly.  A scan of integer values over a scale under ge, le or eq
 ends at its first violation, which settles the verdict
 (`_scan`); `instances_checked` counts the tuples covered, not the tuples
 visited, and the budget is charged the same count, or the sampled trials.
+The full check's instances are (f, order statistics of f) with no
+slicing, and since its odometer meets each f once, such a scan of a
+functional that is not symmetric evaluates f without the memo; the
+windowed and relaxed scans memoize both tuples.
 
 A `symmetric` functional is evaluated once per multiset: every scan keys its
 value memo by the sorted id tuple and evaluates on that key.  Its exhaustive
@@ -66,7 +70,12 @@ holds for every rest exactly when P + sum_r min_x Q_r >= 0 for each (a, b)
 window instead of m^n tuples.  The first failing window's witness is built
 greedily, position by position, as the least value that still has a
 violating completion, which is the odometer's first violation; it is
-replayed like any other.  `instances_checked` and the budget still count
+replayed like any other.  The terms are read merged by place pair
+(`_merged`): a potential or multiadditive sum has one table per pair of
+positions, not one per ordered pair, and each distinct table's rows are
+built once.  A symmetric functional is decided at window 0 alone, by the
+argument above: window 0 holds exactly when every window does, and the
+odometer meets it first.  `instances_checked` and the budget still count
 the windows * m^n tuples covered.  Sampled checks, custom relations, k >= 3,
 the relaxed check and functionals without a scale keep enumerating, and the
 enumerating scan stays the route's oracle in the tests.
@@ -84,6 +93,7 @@ from typing import Callable, Optional, Sequence
 
 from .lattice import (
     DEFAULT_BUDGET,
+    FnLattice,
     TableLattice,
     birkhoff_embed,
     build_m3,
@@ -212,14 +222,19 @@ def form_sum(n: int, forms: list, *, tag: str, lattice=None,
     puts all tables on the lcm of their scales, or, with no limit or when
     one has none, keeps fn's own values in all.  Its terms are the (table,
     places) list, declared with a scale when no form has over two places.
-    Values a verification computed reach the tables by `id_table`'s one
-    rule: a `KeyedValue` gives them from ids, any other value through its
-    own calls."""
+    With a scale its evaluator reads the terms merged by place pair
+    (`_merged`); fn's own values keep fn's order of addition.  Values a
+    verification computed reach the tables by `id_table`'s one rule: a
+    `KeyedValue` gives them from ids, any other value through its own
+    calls."""
+    distinct = {id(value): (value, len(places)) for value, places in forms}
+    pairs = all(len(places) <= 2 for _, places in forms)
+
     def fn(f):
         return sum((value(*(f[i] for i in places)) for value, places in forms), Fraction(0))
 
     def on_ids(elems, limit=None):
-        distinct = {id(value): (value, len(places)) for value, places in forms}
+        m = len(elems)
         filled = {key: id_table(value, elems, k, limit)
                   for key, (value, k) in distinct.items()}
         scales = [s for s, _ in filled.values()]
@@ -228,8 +243,9 @@ def form_sum(n: int, forms: list, *, tag: str, lattice=None,
                   [Fraction(v, s) if scale is None else v * (scale // s) for v in table]
                   for key, (s, table) in filled.items()}
         terms = [(tables[id(value)], places) for value, places in forms]
-        pairs = scale is not None and all(len(places) <= 2 for _, places in forms)
-        return _term_sum(terms, len(elems)), scale, terms if pairs else None
+        if scale is None:
+            return _term_sum(terms, m), None, None
+        return _term_sum(_merged(terms, m), m), scale, terms if pairs else None
 
     return TupleFunctional(arity=n, fn=fn, tag=tag, lattice=lattice, on_ids=on_ids,
                            symmetric=symmetric)
@@ -239,7 +255,8 @@ def _term_sum(terms: list, m: int) -> Callable[[tuple], object]:
     """The evaluator of the sum, in list order, of each (table, places)
     term's table at the ids at places read as a base-m key (`id_table`):
     the leading pair terms as table[a * m + b], then the rest digit by
-    digit, so inexact values (floats) still add up in fn's order."""
+    digit, so inexact values (floats) still add up in fn's order.  A
+    scaled sum hands it `_merged` terms, whose pair terms all lead."""
     lead = next((p for p, (_, places) in enumerate(terms) if len(places) != 2), len(terms))
     pairs = [(table, i, j) for table, (i, j) in terms[:lead]]
     rest = terms[lead:]
@@ -255,6 +272,42 @@ def _term_sum(terms: list, m: int) -> Callable[[tuple], object]:
             total += table[key]
         return total
     return evaluate
+
+
+def _merged(terms: list, m: int) -> list:
+    """Integer (table, places) terms with the same sum, merged by place
+    pair: a pair term at (j, i) with j > i reads its table transposed at
+    (i, j), one at (i, i) its diagonal as a unary term at i, and the terms
+    at the same places add into one table, so a sum over all ordered pairs
+    of n positions reads C(n, 2) tables, not n(n - 1).  Equal sums share
+    one list, and a place's only table is kept as it is.  The pair terms
+    come first, then the unary ones, then any term of more places, as
+    given.  Only integer tables are merged: their sum does not depend on
+    the order of addition."""
+    parts: dict = {}  # places -> ((id of table, how it is read), ...)
+    tables = {}
+    wider = []
+    for table, places in terms:
+        how = "as is"
+        if len(places) == 2:
+            i, j = places
+            if i >= j:
+                places, how = ((i,), "diagonal") if i == j else ((j, i), "transposed")
+        elif len(places) > 2:
+            wider.append((table, places))
+            continue
+        tables[id(table)] = table
+        parts[places] = parts.get(places, ()) + ((id(table), how),)
+    read = {"as is": lambda t: t, "diagonal": lambda t: t[::m + 1],
+            "transposed": lambda t: [v for a in range(m) for v in t[a::m]]}
+    sums: dict = {}  # equal parts -> their one summed table
+    merged = [], []
+    for places, key in parts.items():
+        if key not in sums:
+            read_in = [read[how](tables[i]) for i, how in key]
+            sums[key] = read_in[0] if len(key) == 1 else list(map(sum, zip(*read_in)))
+        merged[len(places) - 1].append((sums[key], places))
+    return merged[1] + merged[0] + wider
 
 
 @dataclass(frozen=True)
@@ -329,7 +382,7 @@ def _evaluator(lam: TupleFunctional, rel: TransitiveRelation, elems: list,
 
 
 def _scan(rel: TransitiveRelation, instances, evaluate: Callable[[tuple], object],
-          scale: Optional[int], sort: bool):
+          scale: Optional[int], sort: bool, once: bool = False):
     """The first violation ((f, g, j), lhs, rhs) of rel(evaluate(f),
     evaluate(g)) over (f, g, j) instances of id tuples, in instance order, or None, as
     `_pair_windows` gives it.  Values come from evaluate, on the scale that
@@ -337,24 +390,30 @@ def _scan(rel: TransitiveRelation, instances, evaluate: Callable[[tuple], object
     memo, keyed by the sorted tuple when sort.  The scan ends at the first
     violation when the relation is ge, le or eq and there is a scale: every
     value is then an integer fixed before the scan, so no later evaluation
-    can raise, and there is no transitivity filter to feed.  Otherwise
-    every instance is compared, and the scan ends with the transitivity
-    filter on the values seen.  The caller replays the violation
-    (`_replayed`)."""
+    can raise, and there is no transitivity filter to feed.  Such a scan
+    evaluates f without the memo when once declares that no f comes twice
+    (an exhaustive full check's odometer); g, which repeats, is memoized.
+    Otherwise every instance is compared, and the scan ends with the
+    transitivity filter on the values seen.  The caller replays the
+    violation (`_replayed`)."""
     holds = _OPERATORS.get(rel.kind, rel.holds)
     stop = scale is not None and rel.kind in _OPERATORS
+    once = once and stop
     memo: dict = {}
     first = None
     for instance in instances:
         f, g, _ = instance
-        key = tuple(sorted(f)) if sort else f
-        a = memo.get(key)
-        if a is None:
-            a = memo[key] = evaluate(key)
-        key = tuple(sorted(g)) if sort else g
-        b = memo.get(key)
+        if sort:
+            f, g = tuple(sorted(f)), tuple(sorted(g))
+        if once:
+            a = evaluate(f)
+        else:
+            a = memo.get(f)
+            if a is None:
+                a = memo[f] = evaluate(f)
+        b = memo.get(g)
         if b is None:
-            b = memo[key] = evaluate(key)
+            b = memo[g] = evaluate(g)
         if not holds(a, b) and first is None:
             first = instance, a, b
             if stop:
@@ -364,7 +423,7 @@ def _scan(rel: TransitiveRelation, instances, evaluate: Callable[[tuple], object
 
 
 def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
-                  stats: Callable[[tuple], tuple]):
+                  stats: Callable[[tuple], tuple], symmetric: bool):
     """The odometer-first violation ((f, g, j), lhs, rhs) of the exhaustive
     k = 2 check of a sum of integer terms with one or two places (see
     `form_sum`) under ge, le or eq, or None, without enumerating tuples.
@@ -373,26 +432,29 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
     lam(f) - lam(g) = P(a, b) + sum over rest positions r of
     Q_r(a, b, f_r): terms whose places all lie in the window make P, terms
     joining the window to r make Q_r, and the others, unary terms at rest
-    positions included, cancel.  So the smallest and the largest difference
-    over all rests add up the smallest and the largest Q_r of each r; ge
-    fails exactly when some (a, b) gives a negative smallest, le a positive
-    largest, and eq either.  Windows are tried in order, and the failing
-    window's lex-least tuple is built greedily: at each position the least
-    value that keeps a violating completion."""
+    positions included, cancel.  The terms are read merged by place pair
+    (`_merged`), and each distinct table's rows are built once.  So the
+    smallest and the largest difference over all rests add up the smallest
+    and the largest Q_r of each r; ge fails exactly when some (a, b) gives a
+    negative smallest, le a positive largest, and eq either.  Windows are
+    tried in order, and the failing window's lex-least tuple is built
+    greedily: at each position the least value that keeps a violating
+    completion.  A symmetric functional is tried at window 0 only: by
+    symmetry window 0 holds exactly when every window holds, and it is the
+    odometer's first (see the module docstring)."""
     low, high = rel.kind in ("ge", "eq"), rel.kind in ("le", "eq")
+    terms = _merged(terms, m)
     cells = range(m)
     zero = [[0] * m] * m
-    # link[w, r][y][x]: the terms joining position w at value y to r at x
+    # link[w, r][y][x]: the term joining position w at value y to r at x
     link: dict = {}
+    rows_of: dict = {}
     for table, places in terms:
-        if len(set(places)) < 2:
-            continue
-        i, j = places
-        for w, r, rows in ((i, j, [[table[y * m + x] for x in cells] for y in cells]),
-                           (j, i, [[table[x * m + y] for x in cells] for y in cells])):
-            have = link.get((w, r))
-            link[w, r] = rows if have is None else [
-                [u + v for u, v in zip(row, extra)] for row, extra in zip(have, rows)]
+        if len(places) == 2:
+            if id(table) not in rows_of:
+                rows = [table[y * m:(y + 1) * m] for y in cells]
+                rows_of[id(table)] = rows, [list(col) for col in zip(*rows)]
+            link[places], link[places[::-1]] = rows_of[id(table)]
 
     def fails(lo, hi):
         return (low and lo < 0) or (high and hi > 0)
@@ -401,22 +463,27 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
     moves = [(a, b) + stats((a, b)) for a in cells for b in cells]
     moves = [(a, b, s, t) for a, b, s, t in moves if (s, t) != (a, b)]
 
-    for p in range(n - 1):
+    for p in range(1 if symmetric else n - 1):
         q = p + 1
         inner = _term_sum([(table, tuple(i - p for i in places)) for table, places in terms
                            if set(places) <= {p, q}], m)
-        rest = [(r, link.get((p, r), zero), link.get((q, r), zero))
-                for r in range(n) if r not in (p, q)]
+        # rest positions joined to the window by the same tables share Q_r
+        joins: dict = {}
+        for r in range(n):
+            if r not in (p, q):
+                up, uq = link.get((p, r), zero), link.get((q, r), zero)
+                joins.setdefault((id(up), id(uq)), (up, uq, []))[2].append(r)
         # [a, b, low sum, high sum, {r: (Q_r row over x, its min, its max)}]
         cands = []
         for a, b, s, t in moves:
             lo = hi = inner((a, b)) - inner((s, t))
             rows = {}
-            for r, up, uq in rest:
+            for up, uq, rs in joins.values():
                 row = [w + x - y - z for w, x, y, z in zip(up[a], uq[b], up[s], uq[t])]
-                rows[r] = row, min(row), max(row)
-                lo += rows[r][1]
-                hi += rows[r][2]
+                part = row, min(row), max(row)
+                lo += part[1] * len(rs)
+                hi += part[2] * len(rs)
+                rows.update(dict.fromkeys(rs, part))
             cands.append([a, b, lo, hi, rows])
         if not any(fails(c[2], c[3]) for c in cands):
             continue
@@ -535,8 +602,12 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
                 j = rng.randrange(windows) if windowed else 0
                 yield instance(j, tuple(rng.randrange(m) for _ in range(n)))
         instances = draws()
+    elif k == n:  # the one window is the whole tuple: nothing to slice
+        tuples = (combinations_with_replacement(range(m), n) if sort
+                  else product(range(m), repeat=n))
+        instances = ((f, stats(f), 0) for f in tuples)
     elif sort:
-        instances = (instance(0, w + r) for w, r in product(
+        instances = ((w + r, stats(w) + r, 0) for w, r in product(
             combinations_with_replacement(range(m), k),
             combinations_with_replacement(range(m), n - k)))
     else:
@@ -544,12 +615,14 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
                      for f in product(range(m), repeat=n))
 
     if mode == "exhaustive" and k == 2 and rel.kind != "custom" and terms is not None:
-        first = _pair_windows(rel, terms, m, n, stats)
+        first = _pair_windows(rel, terms, m, n, stats, lam.symmetric)
     else:
         # at k = n the multisets come sorted, and the insertion chain's
         # order statistics are sorted by id: a chain has nondecreasing digits
         presorted = mode == "exhaustive" and k == n and compiled.by_swaps
-        first = _scan(rel, instances, evaluate, scale, sort and not presorted)
+        # the odometer of a full check meets each tuple once
+        once = mode == "exhaustive" and k == n and not sort
+        first = _scan(rel, instances, evaluate, scale, sort and not presorted, once)
     witness = _replayed(lam, rel, first, compiled.elems, scale, lambda f, j: (
         _window_move(L, f, j, k), f"window start {j}" if windowed else ""))
     # total counts every tuple covered, also when multisets or pair tables
@@ -713,7 +786,13 @@ def chain_point_multisets_conserved(chain: InsertionChain) -> bool:
 def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
     """Functional sum of c * v(f_i) * v(f_j) over the given (c, i, j) terms,
     where v is the element's numeric value and i, j are 1-based argument
-    positions: a `form_sum` with one pair value per coefficient."""
+    positions: a `form_sum` with one pair value per coefficient.  On a
+    `TableLattice` (v its numeric labels, or its ids) and on an `FnLattice`
+    of one ground point (v its chain values), each pair value is a
+    `KeyedValue` read on integers: c's numerator times the two elements' v
+    over their common scale, with no `Fraction` product per entry; a chain
+    with an infinite value, and every other carrier, calls the value on
+    elements."""
     if isinstance(L, TableLattice):
         numeric = {a: L.element_value(a) for a in L.elements()}.__getitem__
     else:
@@ -721,6 +800,19 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
             if len(a) != 1:
                 raise InputError("quadratic functionals need scalar-valued elements")
             return a[0]
+    keyed = isinstance(L, TableLattice) or (isinstance(L, FnLattice) and L.ground.size == 1)
+    scaled = integer_scale(map(numeric, L.elements())) if keyed else None
+    m = L.size
+
+    def value_of(c):
+        def value(a, b):
+            return c * numeric(a) * numeric(b)
+        if scaled is None:
+            return value
+        scale, ints = scaled
+        row = [c.numerator * v for v in ints]
+        return KeyedValue(value, L, c.denominator * scale ** 2,
+                          lambda key: row[key // m] * ints[key % m])
 
     values = {}
     forms = []
@@ -728,8 +820,9 @@ def scalar_quadratic(L, terms: Sequence, n: int) -> TupleFunctional:
         if not 1 <= i <= n or not 1 <= j <= n:
             raise InputError(f"term indices ({i},{j}) out of range 1..{n}")
         c = Fraction(c)
-        value = values.setdefault(c, lambda a, b, c=c: c * numeric(a) * numeric(b))
-        forms.append((value, (i - 1, j - 1)))
+        if c not in values:
+            values[c] = value_of(c)
+        forms.append((values[c], (i - 1, j - 1)))
     return form_sum(n, forms, tag="quadratic", lattice=L)
 
 

@@ -720,22 +720,36 @@ def test_fkg_inf_table_weight_without_mode(write, capsys):
 
 
 def test_corrupt_integer_table_exits_4(write, capsys, monkeypatch):
-    # the M3 pair windows hold; a negated integer table makes the scan find
-    # a false violation, which the witness replay refuses
-    real = semimod.integer_scale
+    # the M3 pair windows hold; negating the integer tables that the scan
+    # reads (the quadratic's, keyed on labels) makes it find a false
+    # violation, which the witness replay refuses
+    real = semimod.id_table
 
-    def negated(values):
-        scale, ints = real(values)
-        return scale, [-v for v in ints]
+    def negated(*args):
+        scale, table = real(*args)
+        return scale, [-v for v in table]
 
     args = ("check", "--lattice", write("m3.json", M3_ORDER),
             "--functional", write("q.json", M3_FUNCTIONAL), "--k", "2")
     assert run_cli(capsys, *args)[0] == 0
-    monkeypatch.setattr(semimod, "integer_scale", negated)
+    monkeypatch.setattr(semimod, "id_table", negated)
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (4, "")
     assert err.startswith("internal error: InternalError: witness replay disagrees at ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", ["2", "n"])
+def test_quadratic_refusals_keep_their_messages(write, capsys, k):
+    # a non-numeric label and elements of two ground points have no
+    # scalar value, on the integer-keyed tables as on elements
+    q = write("q.json", M3_FUNCTIONAL)
+    lettered = dict(M3_ORDER, labels=[1, "a", 3, 4, 5])
+    for lattice, message in ((lettered, "label 'a' is not numeric"),
+                             (FN_LATTICE, "quadratic functionals need scalar-valued elements")):
+        code, out, err = run_cli(capsys, "check", "--lattice", write("l.json", lattice),
+                                 "--functional", q, "--k", k)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_corrupt_pair_table_exits_4(write, capsys, monkeypatch):

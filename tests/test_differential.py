@@ -9,6 +9,7 @@ verdict, instance count and first witness.
 
 import dataclasses
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -48,6 +49,7 @@ from latstat.generators import (
     random_verified_functional,
 )
 from latstat.jsonio import dump_report, functional_from_json, lattice_from_json, make_report
+from latstat.lattice import lattice_from_order
 from latstat.report import CheckReport, Witness
 from latstat.scalars import INF, InputError, integer_scale, is_inf
 from latstat.semimod import _derive_seed, m3_quadratic, scalar_quadratic
@@ -974,3 +976,170 @@ def test_potential_sampled_scans_match_the_element_path():
                 got, want = (check_generalized_n(spec.carrier, f, rel, mode="sampled",
                                                  seed=seed, trials=6) for f in (lam, plain))
                 assert _report_bytes(got) == _report_bytes(want)
+
+
+# --- integer terms merged by place pair ---
+
+def _merge_cases(n):
+    """(name, carrier, functional of arity n with integer pair terms) for
+    each family whose terms are merged: tables that are not symmetric,
+    terms at (i, i), at (j, i) with j > i and at repeated places."""
+    m3 = build_m3()
+    chain = FnLattice.symmetric(1, 1)
+    fn4 = FnLattice.zero_to(2, 1)
+    # psi of a relu difference: the pair value is not symmetric
+    potential = functional_from_json({
+        "family": "potential", "n": n, "measure": [2, 1],
+        "phi": {"kind": "relu", "scale": 1, "shift": 0},
+        "psi": {"kind": "min_affine", "pieces": [[1, 0], [3, -2]]}}, fn4)
+    # m(f, g) = mu_1(f) * mu_2(g): not symmetric in its two slots
+    form = product_of_integrals([Measure((1, 2)), Measure((3, 1))])
+    table = {}
+
+    def pair(a, b):
+        return table.setdefault((a, b), Fraction(3 * a[0] - 2 * b[0] * b[0] + a[0] * b[0], 2))
+
+    def unary(a):
+        return Fraction(a[0] - 1, 3)
+
+    forms = [(unary, (1,)), (pair, (0, n - 1)), (pair, (n - 1, 0)), (pair, (1, 1)),
+             (unary, (1,)), (pair, (0, n - 1)), (unary, (n - 1,)), (pair, (n - 1, 1))]
+    return [
+        ("quadratic-m3", m3, scalar_quadratic(m3, semimod.M3_QUADRATIC_TERMS, n)),
+        # the last term reaches no position of window 0 for n >= 4
+        ("quadratic-fn", chain, scalar_quadratic(
+            chain, [(2, 1, 2), ("-3/2", 2, 1), (1, 3, 3), ("1/3", 1, 2), (1, n - 1, n)], n)),
+        ("potential", fn4, potential),
+        ("multiadd", fn4, multiadd_symmetric_sum(form, n, fn4)),
+        ("form-sum", chain, semimod.form_sum(n, forms, tag="form-sum", lattice=chain)),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_merged_evaluator_equals_fn_on_every_tuple(n):
+    for name, L, lam in _merge_cases(n):
+        elems = L.elements()
+        m = len(elems)
+        evaluate, scale, terms = lam.on_ids(elems, 10 ** 9)
+        assert type(scale) is int and terms is not None, name
+        for ids in product(range(m), repeat=n):
+            got = evaluate(ids)
+            assert type(got) is int, (name, ids)
+            assert Fraction(got, scale) == lam.fn(tuple(elems[i] for i in ids)), (name, ids)
+        merged = semimod._merged(terms, m)
+        places = [p for _, p in merged]
+        assert len(set(places)) == len(places), name
+        assert all(len(p) == 1 or p[0] < p[1] for p in places), name
+        if name in ("potential", "multiadd"):
+            # C(n, 2) lookups, all in one shared table
+            assert sorted(places) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert len({id(t) for t, _ in merged}) == 1, name
+    # unary terms, (i, i) terms and transposed terms land at their places
+    _, _, lam = _merge_cases(4)[-1]
+    _, _, terms = lam.on_ids(FnLattice.symmetric(1, 1).elements(), 10 ** 9)
+    assert [p for _, p in semimod._merged(terms, 3)] == [(0, 3), (1, 3), (1,), (3,)]
+
+
+def _first_violations(L, lam, n):
+    """The element-level reports of the exhaustive k = 2 check under each
+    relation, as bytes: every value from lam.fn, every move from the public
+    `order_statistics_tuple`, each tuple evaluated once."""
+    value = {}
+    firsts = dict.fromkeys(RELATIONS)
+    for j in range(n - 1):
+        for f in product(L.elements(), repeat=n):
+            g = f[:j] + order_statistics_tuple(L, f[j:j + 2]) + f[j + 2:]
+            a, b = (value[t] if t in value else value.setdefault(t, lam.fn(t)) for t in (f, g))
+            for name, rel in RELATIONS.items():
+                if firsts[name] is None and not rel.holds(a, b):
+                    firsts[name] = Witness(args=f, lhs=a, rhs=b, note=f"window start {j}")
+    count = (n - 1) * L.size ** n
+    return {name: _report_bytes(CheckReport(instances_checked=count, witness=w,
+                                            mode="exhaustive"))
+            for name, w in firsts.items()}
+
+
+def test_merged_pair_windows_match_the_enumerating_scan_byte_for_byte(routes):
+    violated = set()
+    for n in (3, 4, 5):
+        for name, L, lam in _merge_cases(n):
+            want = _first_violations(L, lam, n)
+            for relation, rel in RELATIONS.items():
+                runs = len(routes)
+                got = _report_bytes(check_generalized_nk(L, lam, 2, rel))
+                assert len(routes) == runs + 1, name  # the pairwise route ran
+                assert got == _report_bytes(check_generalized_nk(L, _enumerating(lam), 2, rel))
+                assert got == want[relation], (name, n, relation)
+                if not json.loads(got)["result"]["holds"]:
+                    violated.add(name)
+    assert violated == {name for name, _, _ in _merge_cases(3)}
+    # the fn quadratic's term at (n - 1, n) fails at a window after 0
+    _, L, lam = _merge_cases(5)[1]
+    witness = check_generalized_nk(L, lam, 2, RELATIONS["ge"]).witness
+    assert witness.note != "window start 0"
+
+
+# --- quadratic tables on integer labels ---
+
+QUADRATIC_TERMS = ((Fraction(12, 5), 1, 2), (Fraction(-3, 7), 2, 3), (1, 1, 3), (2, 2, 2),
+                   ("-1/3", 3, 1), (1, 2, 1))
+
+
+def _quadratic_carriers():
+    """(name, carrier, v): carriers whose quadratic tables are read on
+    integers, with v the numeric value of an element."""
+    labelled = [("int-labels", build_m3()),
+                ("fractional-labels", lattice_from_order(
+                    3, [[0, 1], [1, 2], [0, 2]], labels=[Fraction(-1, 2), Fraction(2, 3), 3])),
+                ("negative-labels", lattice_from_order(
+                    4, [[0, 1], [0, 2], [1, 3], [2, 3], [0, 3]], labels=[-3, -1, 2, 5])),
+                ("unlabelled", product_of_chains([2, 3]))]
+    out = [(name, L, L.element_value) for name, L in labelled]
+    out.append(("negative-chain", FnLattice(1, [-2, Fraction(-1, 2), 0, 3]), lambda a: a[0]))
+    return out
+
+
+@pytest.mark.parametrize("carrier", [name for name, _, _ in _quadratic_carriers()])
+def test_quadratic_tables_are_keyed_on_integer_labels(carrier, monkeypatch):
+    _, L, v = next(c for c in _quadratic_carriers() if c[0] == carrier)
+    seen = _spy_forms(monkeypatch)
+    lam = scalar_quadratic(L, QUADRATIC_TERMS, 3)
+    elems = L.elements()
+    m = len(elems)
+    coeffs = [Fraction(c) for c, _, _ in QUADRATIC_TERMS]
+    products = [[c * v(a) * v(b) for a in elems for b in elems] for c in coeffs]
+    for c, (value, _), want in zip(coeffs, seen[0], products):
+        assert isinstance(value, semimod.KeyedValue) and value.lattice is L
+        assert [Fraction(value.at(key), value.scale) for key in range(m * m)] == want, c
+        assert [value(a, b) for a in elems for b in elems] == want, c
+    # the tables scanned are today's Fraction products on the lcm of their scales
+    evaluate, scale, terms = lam.on_ids(semimod._CompiledLattice.of(L).elems, m ** 3)
+    assert scale == math.lcm(*(integer_scale(p)[0] for p in products))
+    for (table, _), want in zip(terms, products):
+        assert [Fraction(x, scale) for x in table] == want
+    for ids in product(range(m), repeat=3):
+        assert Fraction(evaluate(ids), scale) == lam.fn(tuple(elems[i] for i in ids)), ids
+
+
+def _spy_forms(monkeypatch) -> list:
+    """The forms list of every `form_sum` call, in call order."""
+    seen = []
+    real = semimod.form_sum
+
+    def spy(n, forms, **kw):
+        seen.append(forms)
+        return real(n, forms, **kw)
+    monkeypatch.setattr(semimod, "form_sum", spy)
+    return seen
+
+
+def test_quadratic_on_other_carriers_calls_its_value_on_elements(monkeypatch):
+    # an infinite chain value has no integer scale; several ground points
+    # have no scalar value, and are refused when the value is first called
+    seen = _spy_forms(monkeypatch)
+    wide = FnLattice(2, [0, 1])
+    lam = scalar_quadratic(wide, QUADRATIC_TERMS[:2], 3)
+    scalar_quadratic(FnLattice(1, [0, 1, INF]), QUADRATIC_TERMS[:2], 3)
+    assert not any(isinstance(value, semimod.KeyedValue) for forms in seen for value, _ in forms)
+    with pytest.raises(InputError, match="quadratic functionals need scalar-valued elements"):
+        check_generalized_nk(wide, lam, 2, RELATIONS["ge"])

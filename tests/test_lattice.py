@@ -702,6 +702,38 @@ def test_fn_lattice_refuses_a_long_chain_before_converting_it(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("build, length", [
+    (lambda: FnLattice.zero_to(1, 10 ** 6), 10 ** 6 + 1),
+    (lambda: FnLattice.symmetric(1, 10 ** 6), 2 * 10 ** 6 + 1),
+], ids=["zero_to", "symmetric"])
+def test_fn_lattice_constructors_refuse_a_long_chain_before_converting_it(
+        monkeypatch, build, length):
+    # the library constructors hand the range itself to FnLattice, so the
+    # cap refuses it before any value is converted or built as a Fraction
+    from latstat import lattice
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(args)
+            if len(calls) > 100:
+                raise AssertionError("chain values converted before the cap was checked")
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(lattice, "as_scalar", counted(lattice.as_scalar))
+    monkeypatch.setattr(lattice, "Fraction", counted(Fraction))
+    with pytest.raises(InputError, match=rf"chain length {length} exceeds cap 6 "):
+        build()
+    assert calls == []
+    monkeypatch.undo()
+    # within the cap the chain holds the same Fractions as before
+    assert FnLattice.zero_to(2, 2).chain == tuple(Fraction(v) for v in range(3))
+    chain = FnLattice.symmetric(1, 2).chain
+    assert chain == tuple(Fraction(v) for v in range(-2, 3))
+    assert all(type(v) is Fraction for v in chain)
+
+
 def test_fn_diff():
     assert fn_diff((3, 1), (2, 5)) == (1, 0)
     assert fn_diff((2, 2), (2, 2)) == (0, 0)
