@@ -1,4 +1,4 @@
-"""The acceptance suite: eleven exactly-specified criteria, each with a fixed
+"""The acceptance suite: twelve exactly-specified criteria, each with a fixed
 seed, an exact (or stated-tolerance) assertion set, and a wall-clock limit.
 `run_all` prints one pass/fail line per criterion; pytest drives the same
 functions from tests/test_acceptance.py.
@@ -6,6 +6,7 @@ functions from tests/test_acceptance.py.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from dataclasses import dataclass
@@ -14,14 +15,18 @@ from itertools import product
 from typing import Callable, Optional
 
 from .constructions import (
+    MultisetCombiner,
+    SchurSpec,
     elementary_symmetric,
     esym_orderstat_check,
     indep_association_check,
+    majorizes,
     perm_orderstat_check,
     permanent,
     potential_construct,
     potential_pair_inequality_check,
     power_inequality_check,
+    schur_construct,
     supinf_check,
 )
 from .correlation import (
@@ -56,6 +61,7 @@ from .scalars import INF, ConventionMode
 from .semimod import (
     TransitiveRelation,
     chain_point_multisets_conserved,
+    check_generalized_n,
     check_generalized_nk,
     insertion_chain,
     reduction_regression,
@@ -326,6 +332,62 @@ def _criterion_11(budget: int) -> str:
             "pair-transform inequality holds under each curvature")
 
 
+def _criterion_12(budget: int) -> str:
+    """The Muirhead analogue on FN9 at n = 3, for seeded modular and capped
+    modular lam: each (meet, join) swap of every tuple's insertion chain,
+    the chains of its prefixes included, is a T-step on lam's values (the
+    lower value falls to at most both, the upper rises to at least both,
+    and their sum does not rise, nor fall for a modular lam); so every sum
+    of the j smallest lam values of f* is at most f's, and a modular lam's
+    values of f* majorize f's.  Schur compositions of each lam with each
+    `MultisetCombiner` then hold under ge by theorem, and the theorem route
+    reports what enumeration reports."""
+    rng = random.Random(121212)
+    L = FnLattice.zero_to(2, 2)
+    n = 3
+    elems = L.elements()
+    maps = []
+    for modular in (True, False) * 3:
+        ws = [rng.randint(0 if modular else 1, 4) for _ in range(2)]
+        cap = rng.randint(1, 6)
+        maps.append((modular, {e: ws[0] * e[0] + ws[1] * e[1] if modular
+                               else min(cap, ws[0] * e[0] + ws[1] * e[1]) for e in elems}))
+    swaps = 0
+    for f in product(elems, repeat=n):
+        for t in range(2, n + 1):  # the chain of f[:t], with f[t:] fixed
+            rows = insertion_chain(L, f[:t]).rows
+            for i in range(t - 1):
+                p = t - i - 2  # row i + 1 swaps positions p, p + 1
+                a, b = rows[i][p:p + 2]
+                low, high = L.meet(a, b), L.join(a, b)
+                _require(rows[i + 1] == rows[i][:p] + (low, high) + rows[i][p + 2:], (f, t, i))
+                for modular, lam in maps:
+                    old, new = lam[a] + lam[b], lam[low] + lam[high]
+                    _require(lam[low] <= min(lam[a], lam[b]) and lam[high] >= max(lam[a], lam[b])
+                             and new <= old and (new == old or not modular), (f, t, i))
+                swaps += 1
+        stats = rows[-1]
+        for modular, lam in maps:
+            x, y = sorted(map(lam.__getitem__, f)), sorted(map(lam.__getitem__, stats))
+            _require(all(sum(y[:j]) <= sum(x[:j]) for j in range(1, n + 1)), (f, x, y))
+            _require(majorizes(x, y) or not modular, (f, x, y))
+    ge = TransitiveRelation.ge()
+    checks = 0
+    for _, lam in maps:
+        for combiner in (MultisetCombiner("min"), MultisetCombiner("sum"),
+                         MultisetCombiner("sum_smallest", 2)):
+            schur = schur_construct(SchurSpec(L, lam.__getitem__, combiner), n, budget=budget)
+            enumerated = dataclasses.replace(schur, ge_by_theorem=False)
+            for check in (lambda lam: check_generalized_nk(L, lam, 2, ge, budget=budget),
+                          lambda lam: check_generalized_n(L, lam, ge, budget=budget)):
+                report = check(schur)
+                _require(report.holds and report == check(enumerated), (combiner, report))
+                checks += 1
+    return (f"{L.size ** n} tuples on FN9: {swaps} chain swaps are T-steps for "
+            f"{len(maps)} maps; no sum of j smallest rises, modular totals kept; "
+            f"the ge route matches enumeration in {checks} checks")
+
+
 CRITERIA: list[tuple[int, str, float, Callable[[int], str]]] = [
     (1, "diamond counterexample reproduction", 1.0, _criterion_1),
     (2, "primal/dual order-statistic agreement", 30.0, _criterion_2),
@@ -338,6 +400,7 @@ CRITERIA: list[tuple[int, str, float, Callable[[int], str]]] = [
     (9, "FKG and family correlation instances", 120.0, _criterion_9),
     (10, "non-reversibility demonstration", 1.0, _criterion_10),
     (11, "one-sided potential directions per curvature", 120.0, _criterion_11),
+    (12, "Muirhead analogue along the insertion chain", 5.0, _criterion_12),
 ]
 
 

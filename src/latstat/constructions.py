@@ -226,7 +226,10 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
     allows the m values (other combiners need not commute with a scale),
     else as Fractions, and a `MultisetCombiner` is bound to that table
     once (`MultisetCombiner.over`).  With the combiner "sum" it is the sum
-    of the unary terms (values, (i,))."""
+    of the unary terms (values, (i,)).  A `MultisetCombiner` also declares
+    `ge_by_theorem` (the proof is in `TupleFunctional`), so exhaustive ge
+    checks on spec.lattice, when it is a function lattice, hold with no
+    scan; other combiners are only spot-checked, and enumerate."""
     scale, ints = verify_schur_spec(spec, n, seed=seed, budget=budget)  # charged first
     lam = KeyedValue(lambda e: Fraction(spec.lam(e)), spec.lattice, scale, ints.__getitem__)
     combiner = spec.combiner
@@ -246,7 +249,8 @@ def schur_construct(spec: SchurSpec, n: int, *, seed: int = 0,
 
     return TupleFunctional(arity=n, fn=fn,
                            tag=f"schur({spec.lam_name},{spec.combiner_name})",
-                           lattice=spec.lattice, on_ids=on_ids, symmetric=multiset)
+                           lattice=spec.lattice, on_ids=on_ids, symmetric=multiset,
+                           ge_by_theorem=multiset)
 
 
 # --- set functions from relations ---

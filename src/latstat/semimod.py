@@ -70,8 +70,9 @@ holds for every rest exactly when P + sum_r min_x Q_r >= 0 for each (a, b)
 window instead of m^n tuples.  The first failing window's witness is built
 greedily, position by position, as the least value that still has a
 violating completion, which is the odometer's first violation; it is
-replayed like any other.  The terms are read merged by place pair
-(`_merged`): a potential or multiadditive sum has one table per pair of
+replayed like any other.  The terms are merged by place pair once, by
+`on_ids` (`_merged`), and the route reads the merged terms the evaluator
+reads: a potential or multiadditive sum has one table per pair of
 positions, not one per ordered pair, and each distinct table's rows are
 built once.  A symmetric functional is decided at window 0 alone, by the
 argument above: window 0 holds exactly when every window does, and the
@@ -79,6 +80,16 @@ odometer meets it first.  `instances_checked` and the budget still count
 the windows * m^n tuples covered.  Sampled checks, custom relations, k >= 3,
 the relaxed check and functionals without a scale keep enumerating, and the
 enumerating scan stays the route's oracle in the tests.
+
+A functional that declares `ge_by_theorem` (a Schur composition with a
+`constructions.MultisetCombiner`; the proof, an analogue of Muirhead's
+lemma, is in `TupleFunctional`) holds under ge at every window width on
+the function lattice its lam was verified on.  An exhaustive check with
+the built-in ge relation on that same `FnLattice` object returns `holds`
+after the budget charge and the k = 1 vacuous return, with
+`instances_checked` = windows * m^n, and compiles and visits nothing.  le,
+eq, custom relations, sampled checks, other carriers and functionals
+without the declaration take the routes above.
 """
 
 from __future__ import annotations
@@ -188,10 +199,12 @@ class TupleFunctional:
     to find it (`id_table`).  A factory declares no scale when any value is
     not a finite rational.  terms, given only with a scale, declares that
     fn is a sum of integer terms (table, places) of one or two places
-    (`form_sum`); exhaustive k = 2 checks under ge, le or eq then decide
-    each pair window from the tables instead of enumerating tuples (see the
-    module docstring).  Schur sums and the `form_sum`s of quadratic forms,
-    potentials and multiadditive forms of arity 1 or 2 give terms.
+    (`form_sum`), already merged by place pair (`_merged`): they are the
+    terms the evaluator reads.  Exhaustive k = 2 checks under ge, le or eq
+    then decide each pair window from the tables instead of enumerating
+    tuples (see the module docstring).  Schur sums and the `form_sum`s of
+    quadratic forms, potentials and multiadditive forms of arity 1 or 2
+    give terms.
 
     symmetric declares that fn is invariant under every permutation of its
     arguments; scans then evaluate it once per multiset of ids (see the
@@ -200,7 +213,30 @@ class TupleFunctional:
     only with a `constructions.MultisetCombiner`, since an arbitrary
     combiner is only spot-checked for Schur-concavity and may read argument
     order.  Like terms, it is declared by the constructor and never
-    inferred: a wrong declaration gives wrong verdicts."""
+    inferred: a wrong declaration gives wrong verdicts.
+
+    ge_by_theorem declares that fn(f) >= fn(g) whenever g is f with any
+    window sorted into its order statistics on the function lattice
+    `lattice`, so an exhaustive ge check there holds at every width with
+    nothing enumerated (`_window_scan`).  Only `constructions.schur_construct`
+    sets it, for a `MultisetCombiner`: fn(f) = F(lam(f_1), ..., lam(f_n))
+    with lam submodular and nondecreasing on `lattice` (verified on all m^2
+    pairs) and F = S_j, the sum of the j smallest values: "min" is S_1,
+    "sum_smallest" k is S_min(k, n) and "sum" is S_n.  Proof, the analogue of
+    Muirhead's lemma (Hardy, Littlewood and Polya 1929; Marshall, Olkin and
+    Arnold, Inequalities, 2nd ed., 3.A): a swap of positions p, q from
+    (a, b) to (a meet b, a join b) never raises S_j.  Write P, Q for
+    lam(a), lam(b) and P', Q' for the new values; monotonicity gives
+    P' <= min(P, Q), submodularity P' + Q' <= P + Q.  Take j positions
+    whose old values sum to S_j.  If they hold both p and q, the same
+    positions sum to at most that after the swap, by submodularity; if
+    they hold one of them, trading it for p does, since P' is at most
+    either old value; if neither, their sum is unchanged.  On a function
+    lattice, which is distributive, the window's insertion chain
+    (`insertion_chain`) reaches its order statistics by such swaps with
+    the rest fixed, so S_j(lam(g)) <= S_j(lam(f)).  Like symmetric, it is
+    declared and never inferred, and a wrong declaration gives wrong
+    verdicts."""
 
     arity: int
     fn: Callable[[tuple], object]
@@ -208,6 +244,7 @@ class TupleFunctional:
     lattice: object = None
     on_ids: Optional[Callable[[list, Optional[int]], tuple]] = None
     symmetric: bool = False
+    ge_by_theorem: bool = False
 
     def __call__(self, args: tuple):
         return self.fn(args)
@@ -220,10 +257,10 @@ def form_sum(n: int, forms: list, *, tag: str, lattice=None,
     argument positions, and fn adds value(f at places) in list order from
     Fraction(0).  on_ids fills one `id_table` per distinct value object and
     puts all tables on the lcm of their scales, or, with no limit or when
-    one has none, keeps fn's own values in all.  Its terms are the (table,
-    places) list, declared with a scale when no form has over two places.
-    With a scale its evaluator reads the terms merged by place pair
-    (`_merged`); fn's own values keep fn's order of addition.  Values a
+    one has none, keeps fn's own values in all.  With a scale the (table,
+    places) terms are merged by place pair once (`_merged`); the evaluator
+    reads the merged terms, and they are the terms declared when no form
+    has over two places.  fn's own values keep fn's order of addition.  Values a
     verification computed reach the tables by `id_table`'s one rule: a
     `KeyedValue` gives them from ids, any other value through its own
     calls."""
@@ -245,7 +282,8 @@ def form_sum(n: int, forms: list, *, tag: str, lattice=None,
         terms = [(tables[id(value)], places) for value, places in forms]
         if scale is None:
             return _term_sum(terms, m), None, None
-        return _term_sum(_merged(terms, m), m), scale, terms if pairs else None
+        merged = _merged(terms, m)
+        return _term_sum(merged, m), scale, merged if pairs else None
 
     return TupleFunctional(arity=n, fn=fn, tag=tag, lattice=lattice, on_ids=on_ids,
                            symmetric=symmetric)
@@ -432,8 +470,9 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
     lam(f) - lam(g) = P(a, b) + sum over rest positions r of
     Q_r(a, b, f_r): terms whose places all lie in the window make P, terms
     joining the window to r make Q_r, and the others, unary terms at rest
-    positions included, cancel.  The terms are read merged by place pair
-    (`_merged`), and each distinct table's rows are built once.  So the
+    positions included, cancel.  The terms come merged by place pair, as
+    `TupleFunctional.on_ids` declares them (`_merged`), and each distinct
+    table's rows are built once.  So the
     smallest and the largest difference over all rests add up the smallest
     and the largest Q_r of each r; ge fails exactly when some (a, b) gives a
     negative smallest, le a positive largest, and eq either.  Windows are
@@ -443,7 +482,6 @@ def _pair_windows(rel: TransitiveRelation, terms: list, m: int, n: int,
     symmetry window 0 holds exactly when every window holds, and it is the
     odometer's first (see the module docstring)."""
     low, high = rel.kind in ("ge", "eq"), rel.kind in ("le", "eq")
-    terms = _merged(terms, m)
     cells = range(m)
     zero = [[0] * m] * m
     # link[w, r][y][x]: the term joining position w at value y to r at x
@@ -559,7 +597,9 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     exhaustive scan of a symmetric functional under ge, le or eq enumerates
     window 0 as sorted window times sorted rest, and an exhaustive k = 2
     scan with integer terms under ge, le or eq enumerates nothing
-    (`_pair_windows`; see the module docstring).  Whichever route ran, its
+    (`_pair_windows`; see the module docstring).  An exhaustive ge scan of a
+    functional that declares `ge_by_theorem` for this function lattice
+    holds with nothing compiled or enumerated.  Whichever route ran, its
     first violation is replayed once, through `order_statistics_tuple` and
     fn, before it is reported (`_replayed`).  Every scan is charged the
     instances its report counts: the exhaustive tuples or the sampled
@@ -585,6 +625,10 @@ def _window_scan(L, lam: TupleFunctional, k: int, rel: TransitiveRelation,
     total, unit = ((windows * m ** n, "tuples of the exhaustive") if mode == "exhaustive"
                    else (trials, "trials of the sampled"))
     charge(total, budget, f"{unit} {'windowed scan' if windowed else 'scan'} of L^{n}")
+    if (mode == "exhaustive" and rel.kind == "ge" and lam.ge_by_theorem
+            and lam.lattice is L and isinstance(L, FnLattice)):
+        # holds by theorem (see `TupleFunctional`): nothing to enumerate
+        return CheckReport(instances_checked=total)
     compiled = _CompiledLattice.of(L)
     if mode == "exhaustive":  # every pair is read, and the m^2 reads are charged
         compiled.whole()

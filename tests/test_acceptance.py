@@ -40,6 +40,9 @@ EXPECTED_LINES = {
     11: ('criterion 11 [PASS] (limit 120s) one-sided potential directions per curvature: 50+50 '
          "specs: concave realizes >= (['both', 'ge']), convex realizes <= (['both', 'le']); "
          'pair-transform inequality holds under each curvature'),
+    12: ('criterion 12 [PASS] (limit 5s) Muirhead analogue along the insertion chain: 729 tuples '
+         'on FN9: 2187 chain swaps are T-steps for 6 maps; no sum of j smallest rises, modular '
+         'totals kept; the ge route matches enumeration in 36 checks'),
 }
 
 

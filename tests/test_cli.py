@@ -675,7 +675,7 @@ def test_reproduce_subset(capsys):
 def test_reproduce_unknown_criterion_exits_2(capsys, criteria, entry):
     code, out, err = run_cli(capsys, "reproduce", "--criteria", criteria)
     assert (code, out) == (2, "")
-    assert err == f"input error: --criteria: {entry} is not a criterion number 1..11\n"
+    assert err == f"input error: --criteria: {entry} is not a criterion number 1..12\n"
 
 
 def test_reproduce_tiny_budget_exits_3(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -61,6 +62,7 @@ from latstat.scalars import InternalError, ext_pow
 
 GE = TransitiveRelation.ge()
 EQ = TransitiveRelation.eq()
+LE = TransitiveRelation.le()
 
 
 # --- majorization ---
@@ -462,10 +464,35 @@ def test_corrupt_potential_table_is_refused_by_the_replay(monkeypatch):
 
 
 def test_corrupt_schur_table_is_refused_by_the_replay(monkeypatch):
-    def corrupt(verified):
-        scale, ints = verified
-        return scale, ints[:2] + [ints[2] + 3 * scale] + ints[3:]
-    _checks_on_corrupt_tables(monkeypatch, "verify_schur_spec", corrupt, SCHUR6)
+    # under le and eq the scan reads the verification's table and fn
+    # computes the formula, so the replay refuses the false witness that a
+    # corrupt entry (id 1, the element (0, 1)) makes the scan find, at
+    # k = 2 and at k = n; under ge the check holds by theorem and reads no
+    # table, corrupt or not
+    L = jsonio.lattice_from_json(FN16)
+    config = dict(SCHUR6, n=4)
+    assert L.elements()[1] == (0, 1)
+    checks = [lambda lam, rel: check_generalized_nk(L, lam, 2, rel),
+              lambda lam, rel: check_generalized_n(L, lam, rel)]
+    for check in checks:
+        for rel in (LE, EQ):
+            assert not check(functional_from_json(config, L), rel).holds
+    real = constructions.verify_schur_spec
+
+    def corrupt(*args, **kw):
+        scale, ints = real(*args, **kw)
+        return scale, ints[:1] + [ints[1] + 3 * scale] + ints[2:]
+    monkeypatch.setattr(constructions, "verify_schur_spec", corrupt)
+    for check in checks:
+        for rel in (LE, EQ):
+            with pytest.raises(InternalError, match="witness replay disagrees"):
+                check(functional_from_json(config, L), rel)
+    reads = []
+    lam = functional_from_json(config, L)
+    lam = dataclasses.replace(lam, on_ids=lambda *args: reads.append(args))
+    for check in checks:
+        assert check(lam, GE).holds
+    assert reads == []
 
 
 # --- multiadditive machinery ---

@@ -18,6 +18,7 @@ from itertools import product
 import pytest
 
 from latstat import (
+    BudgetExceededError,
     FnLattice,
     TransitiveRelation,
     TupleFunctional,
@@ -941,25 +942,34 @@ def _potential_specs():
     return specs
 
 
-def test_potential_pair_table_matches_the_spec_entry_by_entry():
-    # eager and lazy tables, and the element transform that reads the same
-    # values by code, against the pair value recomputed from the spec; a
-    # swap of the two ids' digits or a dropped point weight fails
+def test_potential_pair_table_matches_the_spec_entry_by_entry(monkeypatch):
+    # the pair value's own table, the merged table the scan reads, the
+    # lazy evaluator, and the element transform that reads the same values
+    # by code, against the pair value recomputed from the spec; a swap of
+    # the two ids' digits or a dropped point weight fails
+    seen = _spy_forms(monkeypatch, constructions)
     for spec in _potential_specs():
         lam = potential_construct(spec, 3)
+        value = seen[-1][0][0]
         pair = _pair_oracle(spec)
         transform = constructions._potential_transform(spec)
         zero = transform((Fraction(0),) * spec.carrier.ground.size)
         elems = spec.carrier.elements()
         m = len(elems)
+        own_scale, own = semimod.id_table(value, elems, 2, m * m)
         _, scale, terms = lam.on_ids(elems, m * m)
         lazy, no_scale, _ = lam.on_ids(elems, m * m - 1)
+        # one table, pair(e, f) + pair(f, e), read at each of the C(3, 2) place pairs
+        assert [places for _, places in terms] == [(0, 1), (0, 2), (1, 2)]
+        assert len({id(table) for table, _ in terms}) == 1
         table = terms[0][0]
         assert no_scale is None
         for a, e in enumerate(elems):
             for b, f in enumerate(elems):
                 want = pair(e, f)
-                assert Fraction(table[a * m + b], scale) == want, (spec.carrier, e, f)
+                assert Fraction(own[a * m + b], own_scale) == want, (spec.carrier, e, f)
+                assert Fraction(table[a * m + b], scale) == want + pair(f, e), \
+                    (spec.carrier, e, f)
                 assert transform(tuple(x - y for x, y in zip(e, f))) - zero == want
                 assert lam.fn((e, f, e)) == lazy((a, b, a)) == 2 * want + 2 * pair(f, e), \
                     (spec.carrier, e, f)
@@ -1026,18 +1036,35 @@ def test_merged_evaluator_equals_fn_on_every_tuple(n):
             got = evaluate(ids)
             assert type(got) is int, (name, ids)
             assert Fraction(got, scale) == lam.fn(tuple(elems[i] for i in ids)), (name, ids)
-        merged = semimod._merged(terms, m)
-        places = [p for _, p in merged]
+        # the declared terms come merged, once
+        places = [p for _, p in terms]
         assert len(set(places)) == len(places), name
         assert all(len(p) == 1 or p[0] < p[1] for p in places), name
         if name in ("potential", "multiadd"):
             # C(n, 2) lookups, all in one shared table
             assert sorted(places) == [(i, j) for i in range(n) for j in range(i + 1, n)]
-            assert len({id(t) for t, _ in merged}) == 1, name
+            assert len({id(t) for t, _ in terms}) == 1, name
     # unary terms, (i, i) terms and transposed terms land at their places
     _, _, lam = _merge_cases(4)[-1]
     _, _, terms = lam.on_ids(FnLattice.symmetric(1, 1).elements(), 10 ** 9)
-    assert [p for _, p in semimod._merged(terms, 3)] == [(0, 3), (1, 3), (1,), (3,)]
+    assert [p for _, p in terms] == [(0, 3), (1, 3), (1,), (3,)]
+
+
+def test_pair_route_reads_the_terms_merged_once(monkeypatch):
+    # on_ids merges the terms for its evaluator and declares the merged
+    # terms; the pairwise route reads them as they are
+    calls = []
+    real = semimod._merged
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(semimod, "_merged", counted)
+    for name, L, lam in _merge_cases(4):
+        for rel in RELATIONS.values():
+            before = len(calls)
+            check_generalized_nk(L, lam, 2, rel)
+            assert len(calls) == before + 1, (name, rel.name)
 
 
 def _first_violations(L, lam, n):
@@ -1112,24 +1139,37 @@ def test_quadratic_tables_are_keyed_on_integer_labels(carrier, monkeypatch):
         assert isinstance(value, semimod.KeyedValue) and value.lattice is L
         assert [Fraction(value.at(key), value.scale) for key in range(m * m)] == want, c
         assert [value(a, b) for a in elems for b in elems] == want, c
-    # the tables scanned are today's Fraction products on the lcm of their scales
+    # the tables scanned are today's Fraction products on the lcm of their
+    # scales, merged by place pair: a (j, i) term transposed onto (i, j),
+    # an (i, i) term's diagonal onto (i,)
     evaluate, scale, terms = lam.on_ids(semimod._CompiledLattice.of(L).elems, m ** 3)
     assert scale == math.lcm(*(integer_scale(p)[0] for p in products))
-    for (table, _), want in zip(terms, products):
-        assert [Fraction(x, scale) for x in table] == want
+    merged = {}
+    for (_, i, j), p in zip(QUADRATIC_TERMS, products):
+        i, j = i - 1, j - 1
+        if i == j:
+            places, p = (i,), p[::m + 1]
+        elif i > j:
+            places, p = (j, i), [p[b * m + a] for a in range(m) for b in range(m)]
+        else:
+            places = (i, j)
+        merged[places] = [x + y for x, y in zip(merged.get(places, [0] * len(p)), p)]
+    assert len(terms) == len(merged)
+    assert {places: [Fraction(x, scale) for x in table] for table, places in terms} == merged
     for ids in product(range(m), repeat=3):
         assert Fraction(evaluate(ids), scale) == lam.fn(tuple(elems[i] for i in ids)), ids
 
 
-def _spy_forms(monkeypatch) -> list:
-    """The forms list of every `form_sum` call, in call order."""
+def _spy_forms(monkeypatch, module=semimod) -> list:
+    """The forms list of every `form_sum` call made from module, in call
+    order."""
     seen = []
     real = semimod.form_sum
 
     def spy(n, forms, **kw):
         seen.append(forms)
         return real(n, forms, **kw)
-    monkeypatch.setattr(semimod, "form_sum", spy)
+    monkeypatch.setattr(module, "form_sum", spy)
     return seen
 
 
@@ -1143,3 +1183,161 @@ def test_quadratic_on_other_carriers_calls_its_value_on_elements(monkeypatch):
     assert not any(isinstance(value, semimod.KeyedValue) for forms in seen for value, _ in forms)
     with pytest.raises(InputError, match="quadratic functionals need scalar-valued elements"):
         check_generalized_nk(wide, lam, 2, RELATIONS["ge"])
+
+
+# --- the ge theorem route of Schur compositions with a multiset combiner ---
+
+SCHUR_LAMBDAS = {
+    "modular": {"kind": "modular", "point_weights": [3, 1]},
+    "capped_modular": {"kind": "capped_modular", "point_weights": [3, 2], "cap": 4},
+    "max_value": {"kind": "max_value", "shift": 1},
+    "relation_image": {"kind": "relation_image", "pairs": [[0, 0], [0, 1], [1, 1]],
+                       "target_weights": [2, 1]},
+}
+SCHUR_COMBINERS = ({"kind": "min"}, {"kind": "sum"}, {"kind": "sum_smallest", "k": 2})
+
+
+def _declared_off(lam):
+    """lam with its ge theorem declaration cleared: its checks enumerate,
+    the oracle of the theorem route."""
+    return dataclasses.replace(lam, ge_by_theorem=False)
+
+
+def _checks(L, lam, rel, **kw):
+    """The report bytes of the full check and of the k = 2, 3 and n window
+    checks."""
+    n = lam.arity
+    reports = [check_generalized_n(L, lam, rel, **kw)]
+    reports += [check_generalized_nk(L, lam, k, rel, **kw) for k in sorted({2, 3, n})]
+    return [_report_bytes(r) for r in reports]
+
+
+def _refuse_enumeration(mp):
+    """Make every enumerating route, and compiling the carrier, raise."""
+    class Uncompiled:
+        @classmethod
+        def of(cls, L):
+            raise AssertionError("the theorem route compiled the carrier")
+
+    def refuse(*args, **kw):
+        raise AssertionError("the theorem route enumerated")
+    mp.setattr(semimod, "_scan", refuse)
+    mp.setattr(semimod, "_pair_windows", refuse)
+    mp.setattr(semimod, "_CompiledLattice", Uncompiled)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """One entry per run of an enumerating route, `_scan` or `_pair_windows`."""
+    runs = []
+    for name in ("_scan", "_pair_windows"):
+        def spy(*args, real=getattr(semimod, name), name=name):
+            runs.append(name)
+            return real(*args)
+        monkeypatch.setattr(semimod, name, spy)
+    return runs
+
+
+@pytest.mark.parametrize("chain_max", [2, 3])  # FN9 and FN16
+def test_ge_theorem_route_matches_enumeration_byte_for_byte(chain_max, monkeypatch):
+    L = FnLattice.zero_to(2, chain_max)
+    for n in (3, 4):
+        for kind, lam_json in SCHUR_LAMBDAS.items():
+            for F in SCHUR_COMBINERS:
+                config = {"family": "schur", "n": n, "lambda": lam_json, "F": F}
+                lam = functional_from_json(config, L)
+                assert lam.ge_by_theorem and lam.lattice is L, (kind, F)
+                want = _checks(L, _declared_off(lam), RELATIONS["ge"])
+                with monkeypatch.context() as mp:
+                    _refuse_enumeration(mp)
+                    got = _checks(L, lam, RELATIONS["ge"])
+                assert got == want, (kind, F, n)
+                assert all(json.loads(b)["result"]["holds"] for b in got), (kind, F, n)
+
+
+def test_ge_theorem_route_keeps_budget_refusals_and_vacuous_checks(monkeypatch):
+    L = FnLattice.zero_to(2, 3)
+    lam = functional_from_json({"family": "schur", "n": 4, "lambda": SCHUR_LAMBDAS["modular"],
+                                "F": {"kind": "sum"}}, L)
+    with monkeypatch.context() as mp:
+        _refuse_enumeration(mp)
+        for check in (lambda lam: check_generalized_n(L, lam, RELATIONS["ge"], budget=10),
+                      lambda lam: check_generalized_nk(L, lam, 2, RELATIONS["ge"], budget=10)):
+            with pytest.raises(BudgetExceededError) as got:
+                check(lam)
+            with pytest.raises(BudgetExceededError) as want:
+                check(_declared_off(lam))
+            assert str(got.value) == str(want.value)
+        vacuous = check_generalized_nk(L, lam, 1, RELATIONS["ge"])
+    assert vacuous == check_generalized_nk(L, _declared_off(lam), 1, RELATIONS["ge"])
+    assert vacuous.detail == {"vacuous": "1-wide windows equal their order statistics"}
+
+
+def test_le_eq_custom_and_sampled_schur_checks_still_enumerate(enumerations):
+    # a route that accepted le or eq would report a holding check here
+    L = FnLattice.zero_to(2, 2)
+    lam = functional_from_json({"family": "schur", "n": 3, "lambda": SCHUR_LAMBDAS["modular"],
+                                "F": {"kind": "sum_smallest", "k": 2}}, L)
+    custom = TransitiveRelation.custom(lambda a, b: a >= b, name="ge")
+    runs = [(RELATIONS["le"], {}), (RELATIONS["eq"], {}), (custom, {}),
+            (RELATIONS["ge"], {"mode": "sampled", "seed": 7, "trials": 40})]
+    for rel, kw in runs:
+        before = len(enumerations)
+        got = _checks(L, lam, rel, **kw)
+        assert len(enumerations) - before == len(got), rel.name  # every check enumerated
+        assert got == _checks(L, _declared_off(lam), rel, **kw), rel.name
+        if rel.kind in ("le", "eq"):
+            assert not any(json.loads(b)["result"]["holds"] for b in got), rel.name
+    want = [_reference_bytes(L, lam, RELATIONS["le"], 3, False),
+            _reference_bytes(L, lam, RELATIONS["le"], 2, True)]
+    assert _checks(L, lam, RELATIONS["le"])[:2] == want
+
+
+def test_callable_combiners_declare_no_theorem_and_enumerate(enumerations):
+    # a library callable is only spot-checked for Schur-concavity, so it
+    # declares nothing and its ge checks enumerate, even when it is min
+    L = FnLattice.zero_to(2, 2)
+    lam = schur_construct(SchurSpec(L, lambda e: Fraction(sum(e)), lambda xs: min(xs)), 3)
+    assert not lam.ge_by_theorem and lam.lattice is L
+    got = _checks(L, lam, RELATIONS["ge"])
+    assert len(enumerations) == len(got)
+    assert got == [_reference_bytes(L, lam, RELATIONS["ge"], 3, False)] + [
+        _reference_bytes(L, lam, RELATIONS["ge"], k, True) for k in (2, 3)]
+
+
+def test_ge_theorem_route_needs_the_function_lattice_lam_was_verified_on(enumerations):
+    # lam is verified on the 0/1 carrier, where it is modular; on the 0..2
+    # carrier it jumps at the top, so the ge check fails there
+    small, big = FnLattice.zero_to(2, 1), FnLattice.zero_to(2, 2)
+
+    def lam(e):
+        return Fraction(min(e[0], 1) + min(e[1], 1) + (3 if e == (2, 2) else 0))
+    schur = schur_construct(SchurSpec(small, lam, MultisetCombiner("sum")), 2)
+    assert schur.ge_by_theorem and schur.lattice is small
+    report = check_generalized_n(big, schur, RELATIONS["ge"])
+    assert len(enumerations) == 1
+    assert _report_bytes(report) == _reference_bytes(big, schur, RELATIONS["ge"], 2, False)
+    assert report.witness.args == ((0, 2), (2, 0))
+    assert (report.witness.lhs, report.witness.rhs) == (2, 5)
+
+
+def test_ge_theorem_route_needs_a_function_lattice(enumerations):
+    # M3 with lam 0 on the bottom, 1 on the atoms and 2 on the top, which is
+    # submodular and nondecreasing there; M3 is not distributive, and the
+    # sum fails ge at n = 3 at labels (2, 3, 4)
+    L = build_m3()
+    spec = SchurSpec(L, lambda e: Fraction({0: 0, 4: 2}.get(e, 1)), MultisetCombiner("sum"))
+    lam = schur_construct(spec, 3)
+    assert lam.ge_by_theorem and lam.lattice is L
+    report = check_generalized_n(L, lam, RELATIONS["ge"])
+    assert enumerations == ["_scan"]
+    assert report.witness.args == (1, 2, 3)
+    assert tuple(L.label_of(a) for a in report.witness.args) == (2, 3, 4)
+    assert (report.witness.lhs, report.witness.rhs) == (3, 4)
+    assert _report_bytes(report) == _reference_bytes(L, lam, RELATIONS["ge"], 3, False)
+    # a distributive table enumerates too, until a certificate says more
+    chains = product_of_chains([2, 3])
+    lam = schur_construct(SchurSpec(chains, _rank_cap(chains, 2), MultisetCombiner("min")), 3)
+    before = len(enumerations)
+    assert check_generalized_n(chains, lam, RELATIONS["ge"]).holds
+    assert len(enumerations) == before + 1

@@ -759,9 +759,15 @@ def test_form_sum_puts_tables_on_the_lcm_of_their_scales():
     evaluate, scale, terms = lam.on_ids(elems, 9)
     # scales 2 and 3 go onto 6; the pair value shared by two forms fills one table
     assert scale == 6 and len(calls) == 9
-    assert [places for _, places in terms] == [(1,), (0, 2), (1, 1)]
-    assert terms[1][0] is terms[2][0]
-    assert terms[0][0] == [0, 3, 6]
+    # the terms come merged: the pair table as it is at (0, 2), and its
+    # diagonal, read at (1, 1), added to the unary table at 1
+    assert [places for _, places in terms] == [(0, 2), (1,)]
+    assert terms[0][0] == [2 * (a - 2 * b) for a in range(3) for b in range(3)]
+    assert terms[1][0] == [3 * a - 2 * a for a in range(3)]
+    # each form's own table, before the merge, on its own scale
+    assert semimod.id_table(forms[0][0], elems, 1, 9) == (2, [0, 1, 2])
+    assert semimod.id_table(forms[1][0], elems, 2, 9) == \
+        (3, [a - 2 * b for a in range(3) for b in range(3)])
     for ids in product(range(3), repeat=3):
         want = lam.fn(tuple(elems[i] for i in ids))
         assert Fraction(evaluate(ids), scale) == want, ids
