@@ -320,29 +320,40 @@ class PotentialSpec:
 def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> tuple:
     """Check the inner map is monotone on all achievable differences and the
     outer map has the declared curvature on all achievable integral values.
-    Raises with a witness on failure.  The d^g integrals, of the d
-    differences at the g ground points, are charged to the budget first.
-    phi is computed once per difference and psi once per integral value.
+    Raises with a witness on failure; a chain with an infinite value is
+    refused before any arithmetic.  The d^g integrals, of the d differences
+    at the g ground points, are charged to the budget first.  phi is
+    computed once per difference and psi once per integral value.
 
-    A difference function g is read by its code: the base-d number, point
-    0 first, of the positions of its values in the sorted differences; a
-    code with an infinite phi value has no integral.  Returns (position,
-    by_code): each difference's position in increasing order, and psi at
-    each code's integral value, or None (`_pair_digits` reads them)."""
+    The differences are taken on the chain's integer scale.  A difference
+    function g is read by its code: the base-d number, point 0 first, of
+    the positions of its values in the sorted differences; a code with an
+    infinite phi value has no integral.  With finite weights the integrals
+    are summed as integers over one scale, phi's times the weights', and
+    each distinct value becomes one Fraction before psi reads it; an
+    infinite weight keeps `Measure.integral`.  Returns (step, by_code):
+    the difference position of each pair of chain digits (x, y), keyed
+    x * c + y, and psi at each code's integral value, or None
+    (`_pair_digits` reads them)."""
     chain = spec.carrier.chain
-    diffs = sorted({a - b for a in chain for b in chain})
+    scaled = integer_scale(chain)
+    if scaled is None:
+        raise InputError("potential carrier chain holds an infinite value, "
+                         "and differences need finite ones")
+    chain_scale, ints = scaled
+    int_diffs = sorted({a - b for a in ints for b in ints})
+    position = {v: i for i, v in enumerate(int_diffs)}
     ground = spec.carrier.ground.size
-    charge(len(diffs) ** ground, budget, "integrals of the potential check")
-    phi_vals = [as_scalar(spec.phi(d)) for d in diffs]
+    charge(len(int_diffs) ** ground, budget, "integrals of the potential check")
+    phi_vals = [as_scalar(spec.phi(Fraction(v, chain_scale))) for v in int_diffs]
     for v in phi_vals:
         require_nonneg(v, f"{spec.phi_name} value")
     nondecr = all(phi_vals[i] <= phi_vals[i + 1] for i in range(len(phi_vals) - 1))
     nonincr = all(phi_vals[i] >= phi_vals[i + 1] for i in range(len(phi_vals) - 1))
     if not (nondecr or nonincr):
         raise InputError(f"{spec.phi_name} is not monotone on the difference range")
-    integrals = [None if any(is_inf(v) for v in vals) else spec.measure.integral(vals)
-                 for vals in product(phi_vals, repeat=ground)]  # in code order
-    points = sorted(set(integrals) - {None})
+    keys, value = _integrals(phi_vals, spec.measure, ground)
+    points = sorted(u for u in value.values() if u is not None)
     psi = _Memo(spec.psi)  # filled in the order the triples first read it
     for u1, u2, u3 in zip(points, points[1:], points[2:]):
         left = (psi[u2] - psi[u1]) * (u3 - u2)
@@ -353,8 +364,36 @@ def verify_potential_spec(spec: PotentialSpec, budget: int = DEFAULT_BUDGET) -> 
         if spec.curvature == "convex" and left > right:
             raise InputError(
                 f"{spec.psi_name} is not convex at ({u1},{u2},{u3})")
-    return (dict(zip(diffs, range(len(diffs)))),
-            [None if u is None else psi[u] for u in integrals])
+    by_key = {key: None if u is None else psi[u] for key, u in value.items()}
+    return [position[a - b] for a in ints for b in ints], [by_key[key] for key in keys]
+
+
+def _integrals(phi_vals: list, measure: Measure, ground: int) -> tuple:
+    """The measure's integral of each difference function (see
+    `verify_potential_spec`), from phi's value at each difference position,
+    as (keys, value): a key per code, in code order, and the map, in the
+    order of each key's first code, from key to its integral, or None where
+    a phi value is infinite.  With finite weights a key is the integral as
+    an integer over the scale D of phi's lcm times the weights' lcm, summed
+    a point at a time, point 0 outermost, and maps to the one Fraction
+    key / D; an infinite weight keeps `Measure.integral`, with its
+    0 * inf refusal, and a key is the integral itself."""
+    weights = integer_scale(measure.weights)
+    finite = [v for v in phi_vals if not is_inf(v)]
+    if weights is None or not finite:
+        keys = [None if any(is_inf(v) for v in vals) else measure.integral(vals)
+                for vals in product(phi_vals, repeat=ground)]
+        return keys, {u: u for u in keys}
+    weight_scale, weights = weights
+    phi_scale, _ = integer_scale(finite)
+    phi_ints = [None if is_inf(v) else v.numerator * (phi_scale // v.denominator)
+                for v in phi_vals]
+    keys = [0]
+    for w in weights:
+        terms = [None if v is None else v * w for v in phi_ints]
+        keys = [None if s is None or t is None else s + t for s in keys for t in terms]
+    scale = phi_scale * weight_scale
+    return keys, {s: None if s is None else Fraction(s, scale) for s in dict.fromkeys(keys)}
 
 
 def _potential_transform(spec: PotentialSpec) -> Callable[[tuple], Fraction]:
@@ -368,21 +407,20 @@ def _potential_transform(spec: PotentialSpec) -> Callable[[tuple], Fraction]:
 def _pair_digits(spec: PotentialSpec, verified: tuple, pair: Callable) -> Callable:
     """The potential's pair value, as a `KeyedValue` that reads each id key
     a * m + b by its difference code, built from the two ids' chain digits
-    (one difference position per digit pair), in `verify_potential_spec`'s
-    psi values by code, when every code has one and they are finite
-    rationals; else pair itself.  Only the scan reads these values; pair
-    computes its own."""
-    position, by_code = verified
+    (one difference position per digit pair, `step`), in
+    `verify_potential_spec`'s psi values by code, when every code has one
+    and they are finite rationals; else pair itself.  Only the scan reads
+    these values; pair computes its own."""
+    step, by_code = verified
     scaled = None if None in by_code else integer_scale(by_code)
     if scaled is None:
         return pair
     scale, ints = scaled
-    chain, d = spec.carrier.chain, len(position)
-    c, ground = len(chain), spec.carrier.ground.size
-    step = [position[x - y] for x in chain for y in chain]  # keyed x * c + y
+    c, ground = len(spec.carrier.chain), spec.carrier.ground.size
+    d = max(step) + 1  # every difference is some chain value minus another
     zero = 0
     for _ in range(ground):
-        zero = zero * d + position[0]
+        zero = zero * d + step[0]
     entry = [v - ints[zero] for v in ints]
     powers = [c ** p for p in reversed(range(ground))]
     m = c ** ground

@@ -40,7 +40,10 @@ DEFAULT_FAMILY_BUDGET = 10 ** 6
 
 class ExplicitSublattice:
     """A finite set of function elements verified closed under pointwise
-    min and max; the check keeps each pair's meet and join ids as rows."""
+    min and max; the check keeps each pair's meet and join ids as rows.
+    Closed under a lattice's meet and join, it is a lattice (`_lattice`)."""
+
+    _lattice = True
 
     def __init__(self, elements: Sequence[tuple]):
         elems = []

@@ -236,8 +236,9 @@ def _labels_from_json(obj, ptr: str):
 
 
 def lattice_from_json(obj, ptr: str = "", budget: int = DEFAULT_BUDGET):
-    """Decode a carrier.  An `order` carrier's n^3 lattice axiom triples,
-    which `lattice_from_order` loops over, are charged to `budget` first."""
+    """Decode a carrier.  An `order` carrier is charged n^3 lattice axiom
+    triples to `budget` first, though `lattice_from_order` builds it in
+    O(n^2) steps on bitmasks."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{ptr}/kind: missing lattice kind")
     kind = _expect_kind(obj, ptr, "lattice", {

@@ -11,21 +11,25 @@ through `_CompiledLattice` instead, one per lattice for its lifetime,
 shared by verification and every scan: elements become ids in `elements()`
 order, and meet and join become id tables, from chain digits on an
 `FnLattice` (filled lazily per pair, or whole by `_CompiledLattice.whole`),
-else from the carrier's own id rows.  Its order statistics take one of two
-engines, chosen by the carrier's kind.  An `FnLattice` is a product of
-chains, so distributive, and there the paper's insertion chain sorts any
-window by n(n - 1)/2 adjacent (meet, join) swaps on the id tables
-(`_insertion_swaps`).  Every other carrier (M3, any `TableLattice`) runs
-`_subset_rows`, the formula's one executor, on id-table lookups, memoized
-by the sorted window: off a distributive lattice the swaps need not give
-the order statistics.
+else from the carrier's own id rows.  Its order statistics take one of three
+engines.  An `FnLattice` is a product of chains, so distributive, and there
+the paper's insertion chain sorts any window by n(n - 1)/2 adjacent
+(meet, join) swaps on the id tables (`_insertion_swaps`); off a
+distributive lattice the swaps need not give the order statistics.  A table
+known to be a lattice (its `_lattice` flag: set by the constructors that
+build glb/lub tables, by `validate_table_lattice` when the axioms hold, and
+on every `ExplicitSublattice`) reads a window of width n with m < 2^n by the
+up-set identity (`_CompiledLattice.order_statistics`), one count per
+element.  Every other window, and every bare `TableLattice`, runs
+`_subset_rows`, the formula's one executor, on id-table lookups.  Both
+table engines are memoized by the sorted window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import islice, product
 from typing import Optional, Sequence
 
@@ -173,6 +177,7 @@ class TableLattice:
                 raise InputError("labels must be distinct and match the element count")
         self.labels = labels
         self._embeds = False  # set once birkhoff_embed accepts this table (insertion_chain)
+        self._lattice = False  # set once the tables are known to form a lattice
 
     @property
     def size(self) -> int:
@@ -262,7 +267,9 @@ def leq(L, a, b) -> bool:
 def validate_table_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Exhaustively verify the lattice axioms on the tables: commutativity,
     idempotence, absorption, associativity.  Reports the first violation.
-    The n^3 triples are charged to the budget first."""
+    The n^3 triples are charged to the budget first.  When the axioms hold,
+    t is flagged a lattice (`_lattice`) for the carriers compiled from it
+    afterwards."""
     n = t.n
     charge(n ** 3, budget, "lattice axiom triples")
     checked = 0
@@ -290,6 +297,7 @@ def validate_table_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> Che
         if t.join(a, t.join(b, c)) != t.join(t.join(a, b), c):
             return _axiom_fail((a, b, c), t.join(a, t.join(b, c)),
                                t.join(t.join(a, b), c), "join associativity", checked)
+    t._lattice = True
     return CheckReport(instances_checked=checked)
 
 
@@ -442,14 +450,17 @@ class _CompiledLattice:
     lazy (`L.pick_id`), so a sampled scan fills only the pairs it draws,
     until a caller that reads every pair calls `whole`; every other carrier
     hands over its own id rows (`_meet`, `_join`), flattened once.
-    `by_swaps` records the order-statistic engine, chosen once: the
-    insertion chain on an `FnLattice`, distributive by construction, and
-    the subset formula on every other carrier."""
+    `by_swaps` records the order-statistic engine of an `FnLattice`,
+    distributive by construction: the insertion chain.  On every other
+    carrier `lattice` records its `_lattice` flag, read once here: on a
+    lattice, wide windows take the up-set identity (`ups` is built on its
+    first use)."""
 
     def __init__(self, L):
         elems = self.elems = L.elements()
         m = self.m = len(elems)
         self.by_swaps = isinstance(L, FnLattice)
+        self.lattice = getattr(L, "_lattice", False)
         if self.by_swaps:
             # held apart from L: whole tables keep no reference to L, so L
             # and its tables go with L's last user
@@ -481,9 +492,15 @@ class _CompiledLattice:
         order statistics, read off the meet and join id tables.  With
         `by_swaps`, the `_insertion_swaps` plan runs on a copy of the window,
         with no memo: an exhaustive scan of a symmetric functional meets
-        each window once.  Otherwise `_subset_rows` runs the plan of
-        `_subset_formula` on table lookups; that formula is symmetric in its
-        arguments on every lattice, so rows are memoized by the sorted window."""
+        each window once.  Otherwise rows are memoized by the sorted window,
+        and a window of width n takes one of two engines by a fixed rule.
+        On a carrier known to be a lattice with m < 2^n, the up-set identity
+        (`_upset_rows`) reads about the sum of the up-set sizes plus m
+        entries, against the formula's 2(2^n - n - 1) lookups.  Every other
+        window runs `_subset_rows` on the plan of `_subset_formula` by table
+        lookups; that formula is symmetric in its arguments on every
+        lattice, and the identity needs the lattice axioms, so a bare table
+        keeps the formula at every width."""
         meet, join, m = self.meet, self.join, self.m
         if self.by_swaps:
             def chain(w):
@@ -494,9 +511,46 @@ class _CompiledLattice:
                     row[i + 1] = join[key]
                 return tuple(row)
             return chain
-        rows = _Memo(lambda w: tuple(_subset_rows(
-            w, lambda a, b: join[a * m + b], lambda a, b: meet[a * m + b])))
+
+        def formula(w):
+            return tuple(_subset_rows(w, lambda a, b: join[a * m + b],
+                                      lambda a, b: meet[a * m + b]))
+        lattice, upsets = self.lattice, self._upset_rows
+        rows = _Memo(lambda w: upsets(w) if lattice and m < 1 << len(w) else formula(w))
         return lambda w: rows[tuple(sorted(w))]
+
+    @cached_property
+    def ups(self) -> list:
+        """Per id x, the ids u with x <= u: those whose meet with x is x."""
+        meet, m = self.meet, self.m
+        return [[u for u, low in enumerate(meet[x * m:(x + 1) * m]) if low == x]
+                for x in range(m)]
+
+    def _upset_rows(self, w) -> tuple:
+        """Rows j = 1..n of the window w of ids, on a lattice, by the up-set
+        identity: with c(u) the number of positions i with w_i <= u, row j
+        is the meet of every u with c(u) >= j.  Proof, for A_j the ids with
+        c >= j and row j the meet over j-subsets J of the join of w_J:
+        each join of w_J lies above the j entries w_J, so lies in A_j, and
+        the meet of A_j is at most row j; each u in A_j lies above j
+        entries, so above their join, which is at least row j, and row j
+        is at most the meet of A_j.  The counts come from the up-sets
+        `ups`, the ids bucketed by count, and the meets folded from j = n,
+        whose bucket holds the top, down to 1."""
+        meet, ups, m, n = self.meet, self.ups, self.m, len(w)
+        counts = [0] * m
+        for x in w:
+            for u in ups[x]:
+                counts[u] += 1
+        by_count = [[] for _ in range(n + 1)]
+        for u, c in enumerate(counts):
+            by_count[c].append(u)
+        low, rows = by_count[n][0], [0] * n
+        for j in range(n, 0, -1):
+            for u in by_count[j]:
+                low = meet[low * m + u]
+            rows[j - 1] = low
+        return tuple(rows)
 
 
 def pointwise_order_statistics(fs: Sequence[tuple]) -> tuple:
@@ -562,43 +616,62 @@ def birkhoff_embed(t: TableLattice, budget: int = DEFAULT_BUDGET):
 
 # --- constructors ---
 
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def lattice_from_order(n: int, leq_pairs, labels: Optional[Sequence] = None) -> TableLattice:
     """Build the meet/join tables from an explicit order relation on ids
-    0..n-1.  Verifies the relation is a partial order and that every pair
-    has a meet and a join."""
-    rel = [[False] * n for _ in range(n)]
+    0..n-1, in O(n^2) steps on bitmasks: bit b of up[a], and bit a of
+    down[b], is set when a <= b, reflexively.  Verifies the relation is a
+    partial order, naming the first failure in id order: antisymmetry at
+    the first a != b in both up[a] and down[a]; transitivity at the first
+    (a, b, c) with a <= b <= c but not a <= c, c the lowest bit of
+    up[b] & ~up[a] for each b in up[a].  Then every pair needs a meet, the
+    element whose down-set is down[a] & down[b] (an element whose down-set
+    is the common lower bounds is one of them and above them all), and a
+    join, the same on up-sets; the first pair in id order that lacks one
+    is named, meet before join.  A pair and its mirror have the same meet
+    and join, so only pairs a <= b are looked up.  The result is flagged a
+    lattice."""
+    up, down = [1 << a for a in range(n)], [1 << a for a in range(n)]
     for k, pair in enumerate(leq_pairs):
         pair = list(pair)
         if len(pair) != 2 or any(not isinstance(v, int) or isinstance(v, bool)
                                  or not 0 <= v < n for v in pair):
             raise InputError(f"leq_pairs[{k}] = {pair!r} is not a valid id pair")
-        rel[pair[0]][pair[1]] = True
+        a, b = pair
+        up[a] |= 1 << b
+        down[b] |= 1 << a
     for a in range(n):
-        rel[a][a] = True
+        both = up[a] & down[a] & ~(1 << a)
+        if both:
+            raise InputError(f"order is not antisymmetric at ({a},{_low_bit(both)})")
     for a in range(n):
-        for b in range(n):
-            if a != b and rel[a][b] and rel[b][a]:
-                raise InputError(f"order is not antisymmetric at ({a},{b})")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if rel[a][b] and rel[b][c] and not rel[a][c]:
-                    raise InputError(f"order is not transitive at ({a},{b},{c})")
+        rest = up[a]
+        while rest:
+            b = _low_bit(rest)
+            rest &= rest - 1
+            missing = up[b] & ~up[a]
+            if missing:
+                raise InputError(f"order is not transitive at ({a},{b},{_low_bit(missing)})")
+    by_down = {mask: x for x, mask in enumerate(down)}
+    by_up = {mask: x for x, mask in enumerate(up)}
     meet_t = [[0] * n for _ in range(n)]
     join_t = [[0] * n for _ in range(n)]
     for a in range(n):
-        for b in range(n):
-            lows = [c for c in range(n) if rel[c][a] and rel[c][b]]
-            tops = [m for m in lows if all(rel[c][m] for c in lows)]
-            if len(tops) != 1:
+        for b in range(a, n):
+            low = by_down.get(down[a] & down[b])
+            if low is None:
                 raise InputError(f"elements ({a},{b}) have no meet")
-            meet_t[a][b] = tops[0]
-            ups = [c for c in range(n) if rel[a][c] and rel[b][c]]
-            bots = [m for m in ups if all(rel[m][c] for c in ups)]
-            if len(bots) != 1:
+            high = by_up.get(up[a] & up[b])
+            if high is None:
                 raise InputError(f"elements ({a},{b}) have no join")
-            join_t[a][b] = bots[0]
-    return TableLattice(n, meet_t, join_t, labels=labels)
+            meet_t[a][b] = meet_t[b][a] = low
+            join_t[a][b] = join_t[b][a] = high
+    L = TableLattice(n, meet_t, join_t, labels=labels)
+    L._lattice = True
+    return L
 
 
 def build_m3() -> TableLattice:
@@ -610,7 +683,8 @@ def build_m3() -> TableLattice:
 
 
 def product_of_chains(sizes: Sequence[int], labels: bool = False) -> TableLattice:
-    """Table lattice for a product of chains (a convenient distributive family)."""
+    """Table lattice for a product of chains (a convenient distributive
+    family), flagged a lattice."""
     if not sizes or any(s < 1 for s in sizes):
         raise InputError("chain sizes must be positive")
     elems = [tuple(v) for v in product(*(range(s) for s in sizes))]
@@ -622,4 +696,6 @@ def product_of_chains(sizes: Sequence[int], labels: bool = False) -> TableLattic
         for j, b in enumerate(elems):
             meet_t[i][j] = index[tuple(min(x, y) for x, y in zip(a, b))]
             join_t[i][j] = index[tuple(max(x, y) for x, y in zip(a, b))]
-    return TableLattice(n, meet_t, join_t, labels=elems if labels else None)
+    L = TableLattice(n, meet_t, join_t, labels=elems if labels else None)
+    L._lattice = True
+    return L

@@ -346,6 +346,59 @@ def test_potential_arity_one_and_constant_tuples_are_zero():
         assert lam3.fn((e, e, e)) == 0
 
 
+def test_potential_integrals_match_the_measure_integral():
+    # the integer sums over one scale, against Measure.integral on each
+    # code's phi values: seeded phi values with infinities and zeros,
+    # finite weights with zeros; an infinite weight takes Measure.integral
+    rng = random.Random(37)
+    for _ in range(300):
+        ground = rng.randint(1, 3)
+        phi_vals = [INF if rng.random() < 0.1 else rand_fraction(rng)
+                    for _ in range(rng.randint(1, 5))]
+        weights = [Fraction(0) if rng.random() < 0.2 else rand_fraction(rng, allow_zero=False)
+                   for _ in range(ground)]
+        measure = Measure(tuple(abs(w) for w in weights))
+        phi_vals = [v if v is INF else abs(v) for v in phi_vals]
+        keys, value = constructions._integrals(phi_vals, measure, ground)
+        expected = [None if any(v is INF for v in vals) else measure.integral(vals)
+                    for vals in product(phi_vals, repeat=ground)]
+        got = [value[key] for key in keys]
+        assert got == expected
+        assert all(u is None or type(u) is Fraction for u in got)
+        assert list(value) == list(dict.fromkeys(keys))
+    infinite = Measure((Fraction(1), INF))
+    phi_vals = [Fraction(1), Fraction(2)]
+    keys, value = constructions._integrals(phi_vals, infinite, 2)
+    assert [value[key] for key in keys] == [INF] * 4
+    with pytest.raises(InputError, match=r"0 \* inf is undefined"):
+        constructions._integrals([Fraction(0)], infinite, 2)
+
+
+def test_potential_verification_matches_its_fraction_reference():
+    # step reads each chain-digit pair's position among the sorted
+    # Fraction differences, and by_code is psi at Measure.integral by code
+    rng = random.Random(12)
+    for _ in range(40):
+        spec = random_potential_spec(rng, rng.choice(("concave", "convex")))
+        chain, ground = spec.carrier.chain, spec.carrier.ground.size
+        diffs = sorted({a - b for a in chain for b in chain})
+        step, by_code = verify_potential_spec(spec)
+        assert step == [diffs.index(a - b) for a in chain for b in chain]
+        phi_vals = [spec.phi(d) for d in diffs]
+        assert by_code == [spec.psi(spec.measure.integral(vals))
+                           for vals in product(phi_vals, repeat=ground)]
+
+
+def test_potential_on_a_chain_with_infinity_is_refused():
+    spec = PotentialSpec(carrier=FnLattice(1, [0, 1, INF]), measure=Measure.counting(1),
+                         phi=lambda d: max(d, Fraction(0)), psi=lambda u: u,
+                         curvature="concave")
+    for build in (verify_potential_spec, lambda s: potential_construct(s, 2),
+                  potential_pair_inequality_check):
+        with pytest.raises(InputError, match="carrier chain holds an infinite value"):
+            build(spec)
+
+
 @pytest.mark.parametrize("kind", ["min", "sum", "sum_smallest"])
 def test_multiset_combiners_pass_the_combiner_spot_check(kind, monkeypatch):
     # verify_schur_spec skips its spot check for a MultisetCombiner, whose

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,7 @@ from latstat import (
     product_of_chains,
     validate_table_lattice,
 )
+from latstat import lattice as lattice_mod
 from latstat.correlation import ExplicitSublattice
 from latstat.lattice import (_CompiledLattice, _insertion_swaps, _subset_rows, fn_diff,
                              fn_join, fn_meet, lattice_from_order)
@@ -536,9 +537,9 @@ def test_swaps_return_windows_sorted_by_id(make):
 
 @pytest.mark.parametrize("make", [build_m3, lambda: product_of_chains([2, 3])],
                          ids=["m3", "chains"])
-def test_tables_keep_the_subset_formula(make):
+def test_tables_stay_off_the_swaps(make):
     # the swaps sort M3's (2, 3, 4) to (1, 4, 5), not its order statistics
-    # (1, 5, 5); a distributive table keeps the formula too
+    # (1, 5, 5); a distributive table stays off them too
     L = make()
     compiled = _CompiledLattice(L)
     assert not compiled.by_swaps
@@ -549,6 +550,136 @@ def test_tables_keep_the_subset_formula(make):
     if L.size == 5:
         compiled.by_swaps = True
         assert compiled.order_statistics()((1, 2, 3)) == (0, 3, 4)
+
+
+# --- the up-set identity on tables known to be lattices ---
+
+def pentagon():
+    # N5: bottom 0 < 1 < 2 < top 4, and 0 < 3 < 4 beside that chain
+    return lattice_from_order(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4),
+                                  (2, 4), (3, 4)])
+
+
+def hand_built_diamond():
+    # M3 by hand with shuffled ids: bottom 4, atoms 0, 2, 3, top 1
+    bottom, top = 4, 1
+
+    def meet(a, b):
+        if a == b or b == top:
+            return a
+        return b if a == top else bottom
+
+    def join(a, b):
+        if a == b or b == bottom:
+            return a
+        return b if a == bottom else top
+    L = TableLattice(5, *([[op(a, b) for b in range(5)] for a in range(5)] for op in (meet, join)))
+    assert validate_table_lattice(L).holds
+    return L
+
+
+def random_lattice(rng):
+    """A lattice from a seeded random order that `lattice_from_order`
+    accepts: random relations on up to 7 middle elements, closed
+    transitively, between a bottom and a top, drawn until one has every
+    meet and join."""
+    while True:
+        size = rng.randint(1, 7)
+        rel = {(a, b) for a in range(size) for b in range(a + 1, size) if rng.random() < 0.4}
+        rel |= {(0, b) for b in range(1, size)} | {(a, size + 1) for a in range(size + 1)}
+        rel |= {(size, size + 1)} | {(a, size) for a in range(size) if rng.random() < 0.3}
+        while True:
+            more = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+            if not more:
+                break
+            rel |= more
+        try:
+            return lattice_from_order(size + 2, sorted(rel))
+        except InputError:
+            continue
+
+
+LATTICE_TABLES = [
+    build_m3,
+    pentagon,
+    lambda: product_of_chains([2, 2, 3]),
+    lambda: product_of_chains([4, 4, 4]),
+    lambda: ExplicitSublattice.closure([(0, 2, 1), (1, 1, 0), (2, 0, 2)]),
+    hand_built_diamond,
+] + [lambda seed=seed: random_lattice(random.Random(seed)) for seed in range(4)]
+LATTICE_IDS = ["m3", "n5", "chains-223", "chains-444", "sublattice", "hand-built"] + [
+    f"random-order-{seed}" for seed in range(4)]
+
+
+@pytest.mark.parametrize("make", LATTICE_TABLES, ids=LATTICE_IDS)
+def test_lattice_tables_match_the_literal_subset_formula(make):
+    # every sorted window, or a seeded sample where there are too many, at
+    # n = 1..9, so on both sides of the rule m < 2^n; the up-set identity
+    # itself at every width as well
+    L = make()
+    compiled = _CompiledLattice(L)
+    assert compiled.lattice and not compiled.by_swaps
+    elems, m, stats = compiled.elems, compiled.m, compiled.order_statistics()
+    rng = random.Random(len(elems))
+    sides = set()
+    for n in range(1, 10):
+        sides.add(m < 2 ** n)
+        windows = list(islice(combinations_with_replacement(range(m), n), 201))
+        if len(windows) > 200:
+            windows = [tuple(sorted(rng.randrange(m) for _ in range(n))) for _ in range(25)]
+        for w in windows:
+            expected = literal_subset_formula(L, tuple(elems[i] for i in w))
+            assert tuple(elems[i] for i in stats(w)) == expected
+            assert tuple(elems[i] for i in compiled._upset_rows(w)) == expected
+    assert sides == {True, False} or m == 1
+
+
+def test_the_rule_picks_the_engine_by_width(monkeypatch):
+    # product_of_chains([8, 8, 4]) has m = 256: the formula at n = 3, the
+    # identity at n = 9; a bare table with the rows of a 12-element product
+    # keeps the formula at every width until it is validated
+    calls = []
+    real = lattice_mod._subset_rows
+    monkeypatch.setattr(lattice_mod, "_subset_rows",
+                        lambda *a: calls.append(len(a[0])) or real(*a))
+    chains = product_of_chains([8, 8, 4])
+    rng = random.Random(13)
+    for n, formula in ((3, True), (9, False)):
+        stats = _CompiledLattice(chains).order_statistics()
+        for _ in range(5):
+            w = tuple(rng.randrange(chains.n) for _ in range(n))
+            calls.clear()
+            rows = stats(w)
+            assert calls == ([n] if formula else [])
+            assert rows == order_statistics_tuple(chains, w)
+    small = product_of_chains([2, 2, 3])
+    bare = TableLattice(small.n, small._meet, small._join)
+    for n in (3, 9):
+        calls.clear()
+        _CompiledLattice(bare).order_statistics()(tuple(range(n)))
+        assert calls == [n]
+    assert validate_table_lattice(bare).holds and bare._lattice
+    calls.clear()
+    _CompiledLattice(bare).order_statistics()(tuple(range(9)))
+    assert calls == []
+
+
+def test_a_non_lattice_table_needs_the_guard():
+    # the identity assumes the lattice axioms: on random tables, flagged by
+    # force, it parts from the formula, so the flag is what keeps them apart
+    rng = random.Random(41)
+    differ = 0
+    for _ in range(20):
+        L = random_table(rng, rng.randint(3, 5))
+        assert not _CompiledLattice(L).lattice
+        L._lattice = True
+        compiled = _CompiledLattice(L)
+        w = tuple(sorted(rng.randrange(L.n) for _ in range(6)))
+        try:
+            differ += compiled.order_statistics()(w) != literal_subset_formula(L, w)
+        except IndexError:  # no id lies above every entry
+            differ += 1
+    assert differ > 0
 
 
 @pytest.mark.parametrize("make", [
@@ -672,6 +803,90 @@ def test_lattice_from_order_rejects_non_orders(pairs, message):
     from latstat.lattice import lattice_from_order
     with pytest.raises(InputError, match=message):
         lattice_from_order(3, pairs)
+
+
+def reference_lattice_from_order(n, leq_pairs, labels=None):
+    """The builder by the definitions, in O(n^3) loops over a boolean
+    relation, kept as the reference: the first failure in id order is
+    named the same way, and the tables are the same."""
+    rel = [[False] * n for _ in range(n)]
+    for k, pair in enumerate(leq_pairs):
+        pair = list(pair)
+        if len(pair) != 2 or any(not isinstance(v, int) or isinstance(v, bool)
+                                 or not 0 <= v < n for v in pair):
+            raise InputError(f"leq_pairs[{k}] = {pair!r} is not a valid id pair")
+        rel[pair[0]][pair[1]] = True
+    for a in range(n):
+        rel[a][a] = True
+    for a in range(n):
+        for b in range(n):
+            if a != b and rel[a][b] and rel[b][a]:
+                raise InputError(f"order is not antisymmetric at ({a},{b})")
+    for a, b, c in product(range(n), repeat=3):
+        if rel[a][b] and rel[b][c] and not rel[a][c]:
+            raise InputError(f"order is not transitive at ({a},{b},{c})")
+    meet_t = [[0] * n for _ in range(n)]
+    join_t = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            lows = [c for c in range(n) if rel[c][a] and rel[c][b]]
+            tops = [m for m in lows if all(rel[c][m] for c in lows)]
+            if len(tops) != 1:
+                raise InputError(f"elements ({a},{b}) have no meet")
+            meet_t[a][b] = tops[0]
+            ups = [c for c in range(n) if rel[a][c] and rel[b][c]]
+            bots = [m for m in ups if all(rel[m][c] for c in ups)]
+            if len(bots) != 1:
+                raise InputError(f"elements ({a},{b}) have no join")
+            join_t[a][b] = bots[0]
+    return TableLattice(n, meet_t, join_t, labels=labels)
+
+
+def random_relation(rng, n):
+    """Seeded relations of every kind the builder meets: random pairs,
+    sometimes closed transitively, sometimes bounded by a bottom and a top
+    (so often a lattice), sometimes with one invalid id pair inserted."""
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    if rng.random() < 0.6:  # mostly upward, so antisymmetry often holds
+        pairs = [(min(p), max(p)) for p in pairs]
+    if rng.random() < 0.5:
+        pairs += [(0, b) for b in range(n)] + [(a, n - 1) for a in range(n)]
+    if rng.random() < 0.6:
+        rel = set(pairs)
+        while True:
+            more = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+            if not more:
+                break
+            rel |= more
+        pairs = sorted(rel)
+        rng.shuffle(pairs)
+    pairs = [list(p) for p in pairs]
+    if rng.random() < 0.1:
+        pairs.insert(rng.randint(0, len(pairs)), rng.choice(
+            [[n, 0], [0, -1], [0], [0, 1, 2], [True, 0], [0, 1.0]]))
+    return pairs
+
+
+def test_lattice_from_order_matches_the_reference_builder():
+    # identical tables, or the identical first error, and every kind of each
+    kinds = ("valid id pair", "antisymmetric", "transitive", "no meet", "no join")
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        pairs = random_relation(rng, n)
+        try:
+            expected = reference_lattice_from_order(n, pairs)
+        except InputError as err:
+            with pytest.raises(InputError) as got:
+                lattice_from_order(n, pairs)
+            assert str(got.value) == str(err)
+            outcomes.update(kind for kind in kinds if kind in str(err))
+            continue
+        L = lattice_from_order(n, pairs)
+        assert (L._meet, L._join, L._lattice) == (expected._meet, expected._join, True)
+        outcomes.add("lattice")
+    assert outcomes == {"lattice", *kinds}
 
 
 def test_fn_lattice_guards():
