@@ -145,9 +145,8 @@ def _cmd_ordstats(args):
 def _cmd_check(args):
     _require_positive(args, "trials", "jobs")
     budget = _budget(args)
-    carrier = load_json_file(args.lattice)
-    lattice = lattice_from_json(carrier, budget=budget)
-    if carrier["kind"] == "table":  # order and fn carriers are lattices by construction
+    lattice = lattice_from_json(load_json_file(args.lattice), budget=budget)
+    if lattice.certified is None:  # order and fn carriers are lattices by construction
         require_lattice(lattice, budget)
     functional = functional_from_json(load_json_file(args.functional), lattice, budget)
     rel = TransitiveRelation.from_name(args.relation)

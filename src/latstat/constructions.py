@@ -663,19 +663,8 @@ def integral_of_product(measure: Measure, k: int) -> MultiadditiveFn:
     weights must be finite."""
     if any(is_inf(w) for w in measure.weights):
         raise InputError("integral-of-product weights must be finite")
-
-    def fn(*args):
-        if len(args) != k:
-            raise InputError(f"expected {k} arguments")
-        total = Fraction(0)
-        for s, w in enumerate(measure.weights):
-            term = w
-            for f in args:
-                term *= f[s]
-            total += term
-        return total
-
-    return _multilinear(k, fn, "integral-of-product")
+    return _tensor([((s,) * k, w) for s, w in enumerate(measure.weights)], k,
+                   "integral-of-product")
 
 
 def _point_weights(weights: dict, k: int, ground_size: int, noun: str) -> dict:
@@ -697,20 +686,25 @@ def _point_weights(weights: dict, k: int, ground_size: int, noun: str) -> dict:
 def tensor_multiadditive(weights: dict, k: int, ground_size: int) -> MultiadditiveFn:
     """General multilinear form from sparse nonnegative weights on k-tuples of
     ground points."""
-    table = _point_weights(weights, k, ground_size, "tensor")
+    return _tensor(list(_point_weights(weights, k, ground_size, "tensor").items()), k, "tensor")
+
+
+def _tensor(terms: list, k: int, tag: str) -> MultiadditiveFn:
+    """The multilinear form adding w * prod f_i[key_i] over (key, w) in
+    terms, in order; diagonal keys give `integral_of_product`."""
 
     def fn(*args):
         if len(args) != k:
             raise InputError(f"expected {k} arguments")
         total = Fraction(0)
-        for key, w in table.items():
+        for key, w in terms:
             term = w
             for f, s in zip(args, key):
                 term *= f[s]
             total += term
         return total
 
-    return _multilinear(k, fn, "tensor")
+    return _multilinear(k, fn, tag)
 
 
 # --- permanents ---

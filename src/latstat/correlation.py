@@ -41,9 +41,10 @@ DEFAULT_FAMILY_BUDGET = 10 ** 6
 class ExplicitSublattice:
     """A finite set of function elements verified closed under pointwise
     min and max; the check keeps each pair's meet and join ids as rows.
-    Closed under a lattice's meet and join, it is a lattice (`_lattice`)."""
+    Closed under the meet and join of a product of chains, it is a
+    distributive lattice (`certified`, see `lattice`)."""
 
-    _lattice = True
+    certified = "distributive"
 
     def __init__(self, elements: Sequence[tuple]):
         elems = []

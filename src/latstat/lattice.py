@@ -15,14 +15,18 @@ else from the carrier's own id rows.  Its order statistics take one of three
 engines.  An `FnLattice` is a product of chains, so distributive, and there
 the paper's insertion chain sorts any window by n(n - 1)/2 adjacent
 (meet, join) swaps on the id tables (`_insertion_swaps`); off a
-distributive lattice the swaps need not give the order statistics.  A table
-known to be a lattice (its `_lattice` flag: set by the constructors that
-build glb/lub tables, by `validate_table_lattice` when the axioms hold, and
-on every `ExplicitSublattice`) reads a window of width n with m < 2^n by the
-up-set identity (`_CompiledLattice.order_statistics`), one count per
-element.  Every other window, and every bare `TableLattice`, runs
-`_subset_rows`, the formula's one executor, on id-table lookups.  Both
-table engines are memoized by the sorted window.
+distributive lattice the swaps need not give the order statistics.  Every
+carrier holds one certificate, `certified`, written only in this module:
+None, "lattice" or "distributive".  `FnLattice` and
+`correlation.ExplicitSublattice` declare "distributive"; a `TableLattice`
+starts at None, `validate_table_lattice`, `lattice_from_order` and
+`product_of_chains` raise it to "lattice", `birkhoff_embed` to
+"distributive", and nothing lowers it.  A certified table reads a window
+of width n with m < 2^n by the up-set identity
+(`_CompiledLattice.order_statistics`), one count per element.  Every other
+window, and every uncertified `TableLattice`, runs `_subset_rows`, the
+formula's one executor, on id-table lookups.  Both table engines are
+memoized by the sorted window.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ class FnLattice:
     A product of chains, hence always distributive; closed under pointwise
     min and max by construction.
     """
+
+    certified = "distributive"
 
     def __init__(self, ground, chain: Sequence, *, max_ground: int = DEFAULT_MAX_GROUND,
                  max_chain: int = DEFAULT_MAX_CHAIN):
@@ -176,8 +182,7 @@ class TableLattice:
             if len(labels) != n_elems or len(set(labels)) != n_elems:
                 raise InputError("labels must be distinct and match the element count")
         self.labels = labels
-        self._embeds = False  # set once birkhoff_embed accepts this table (insertion_chain)
-        self._lattice = False  # set once the tables are known to form a lattice
+        self.certified: Optional[str] = None
 
     @property
     def size(self) -> int:
@@ -268,8 +273,8 @@ def validate_table_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> Che
     """Exhaustively verify the lattice axioms on the tables: commutativity,
     idempotence, absorption, associativity.  Reports the first violation.
     The n^3 triples are charged to the budget first.  When the axioms hold,
-    t is flagged a lattice (`_lattice`) for the carriers compiled from it
-    afterwards."""
+    an uncertified t is certified "lattice" for the carriers compiled from
+    it afterwards; a "distributive" t keeps its certificate."""
     n = t.n
     charge(n ** 3, budget, "lattice axiom triples")
     checked = 0
@@ -297,7 +302,7 @@ def validate_table_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> Che
         if t.join(a, t.join(b, c)) != t.join(t.join(a, b), c):
             return _axiom_fail((a, b, c), t.join(a, t.join(b, c)),
                                t.join(t.join(a, b), c), "join associativity", checked)
-    t._lattice = True
+    t.certified = t.certified or "lattice"
     return CheckReport(instances_checked=checked)
 
 
@@ -452,15 +457,15 @@ class _CompiledLattice:
     hands over its own id rows (`_meet`, `_join`), flattened once.
     `by_swaps` records the order-statistic engine of an `FnLattice`,
     distributive by construction: the insertion chain.  On every other
-    carrier `lattice` records its `_lattice` flag, read once here: on a
-    lattice, wide windows take the up-set identity (`ups` is built on its
-    first use)."""
+    carrier `lattice` records whether it is certified at all, read once
+    here: on a lattice, wide windows take the up-set identity (`ups` is
+    built on its first use)."""
 
     def __init__(self, L):
         elems = self.elems = L.elements()
         m = self.m = len(elems)
         self.by_swaps = isinstance(L, FnLattice)
-        self.lattice = getattr(L, "_lattice", False)
+        self.lattice = L.certified is not None
         if self.by_swaps:
             # held apart from L: whole tables keep no reference to L, so L
             # and its tables go with L's last user
@@ -494,13 +499,13 @@ class _CompiledLattice:
         with no memo: an exhaustive scan of a symmetric functional meets
         each window once.  Otherwise rows are memoized by the sorted window,
         and a window of width n takes one of two engines by a fixed rule.
-        On a carrier known to be a lattice with m < 2^n, the up-set identity
+        On a certified carrier with m < 2^n, the up-set identity
         (`_upset_rows`) reads about the sum of the up-set sizes plus m
         entries, against the formula's 2(2^n - n - 1) lookups.  Every other
         window runs `_subset_rows` on the plan of `_subset_formula` by table
         lookups; that formula is symmetric in its arguments on every
-        lattice, and the identity needs the lattice axioms, so a bare table
-        keeps the formula at every width."""
+        lattice, and the identity needs the lattice axioms, so an uncertified
+        table keeps the formula at every width."""
         meet, join, m = self.meet, self.join, self.m
         if self.by_swaps:
             def chain(w):
@@ -579,7 +584,8 @@ def birkhoff_embed(t: TableLattice, budget: int = DEFAULT_BUDGET):
     tuple of join-irreducible ids forming the ground set).  Refuses
     non-distributive input, quoting the violating triple; the budget bounds
     the lattice axiom triples (`validate_table_lattice`) and then the
-    distributivity triples (`is_distributive`).
+    distributivity triples (`is_distributive`).  Once both pass, t is
+    certified "distributive"; a refused t keeps its certificate.
     """
     require_lattice(t, budget)
     dist = is_distributive(t, budget)
@@ -587,6 +593,7 @@ def birkhoff_embed(t: TableLattice, budget: int = DEFAULT_BUDGET):
         raise InputError(
             f"lattice is not distributive: witness triple {dist.witness.args} "
             f"gives {dist.witness.lhs} != {dist.witness.rhs}")
+    t.certified = "distributive"
     bottom = 0
     for a in range(t.n):
         bottom = t.meet(bottom, a)
@@ -632,8 +639,8 @@ def lattice_from_order(n: int, leq_pairs, labels: Optional[Sequence] = None) -> 
     is the common lower bounds is one of them and above them all), and a
     join, the same on up-sets; the first pair in id order that lacks one
     is named, meet before join.  A pair and its mirror have the same meet
-    and join, so only pairs a <= b are looked up.  The result is flagged a
-    lattice."""
+    and join, so only pairs a <= b are looked up.  The result is certified
+    "lattice"."""
     up, down = [1 << a for a in range(n)], [1 << a for a in range(n)]
     for k, pair in enumerate(leq_pairs):
         pair = list(pair)
@@ -670,7 +677,7 @@ def lattice_from_order(n: int, leq_pairs, labels: Optional[Sequence] = None) -> 
             meet_t[a][b] = meet_t[b][a] = low
             join_t[a][b] = join_t[b][a] = high
     L = TableLattice(n, meet_t, join_t, labels=labels)
-    L._lattice = True
+    L.certified = "lattice"
     return L
 
 
@@ -684,7 +691,7 @@ def build_m3() -> TableLattice:
 
 def product_of_chains(sizes: Sequence[int], labels: bool = False) -> TableLattice:
     """Table lattice for a product of chains (a convenient distributive
-    family), flagged a lattice."""
+    family), certified "lattice"."""
     if not sizes or any(s < 1 for s in sizes):
         raise InputError("chain sizes must be positive")
     elems = [tuple(v) for v in product(*(range(s) for s in sizes))]
@@ -697,5 +704,5 @@ def product_of_chains(sizes: Sequence[int], labels: bool = False) -> TableLattic
             meet_t[i][j] = index[tuple(min(x, y) for x, y in zip(a, b))]
             join_t[i][j] = index[tuple(max(x, y) for x, y in zip(a, b))]
     L = TableLattice(n, meet_t, join_t, labels=elems if labels else None)
-    L._lattice = True
+    L.certified = "lattice"
     return L

@@ -100,7 +100,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .lattice import (
     DEFAULT_BUDGET,
@@ -162,7 +162,7 @@ class TransitiveRelation:
         op = _OPERATORS.get(self.kind)
         return op(a, b) if op is not None else bool(self.pred(a, b))
 
-    def check_transitive(self, values: Sequence) -> None:
+    def check_transitive(self, values: Iterable) -> None:
         """Raise InputError if the relation is visibly non-transitive on values."""
         if self.kind != "custom":
             return
@@ -456,7 +456,7 @@ def _scan(rel: TransitiveRelation, instances, evaluate: Callable[[tuple], object
             first = instance, a, b
             if stop:
                 break
-    rel.check_transitive(list(memo.values()))
+    rel.check_transitive(memo.values())
     return first
 
 
@@ -743,7 +743,7 @@ def check_relaxed_hypothesis(L, lam: TupleFunctional, rel: TransitiveRelation, *
     first = _scan(rel, instances(), evaluate, scale, lam.symmetric and rel.kind != "custom")
     witness = _replayed(lam, rel, first, compiled.elems, scale, oracle)
     # the instances covered, also when the scan ended at its first violation
-    count = sum(len(list(chains(j))) * m ** (n - j) for j in range(1, n))
+    count = sum(sum(1 for _ in chains(j)) * m ** (n - j) for j in range(1, n))
     return CheckReport(instances_checked=count, witness=witness)
 
 
@@ -753,16 +753,14 @@ def insertion_chain(L, f: Sequence) -> InsertionChain:
     """Build the adjacent meet/join rearrangement that sorts f into its order
     statistics, by the `_insertion_swaps` plan on L.meet and L.join; its
     rows are the last n: before and after each of the last entry's swaps.
-    A table lattice must have a Birkhoff embedding (non-lattice and
-    non-distributive tables are refused); the chain then runs on its own
-    meet/join tables, giving the rows the embedding would map back, since
-    the embedding is an injective lattice homomorphism."""
+    A table lattice must have a Birkhoff embedding: `birkhoff_embed` runs
+    until it certifies the table "distributive", refusing a non-lattice or
+    non-distributive table on every call.  The chain then runs on the
+    table's own meet/join tables, giving the rows the embedding would map
+    back, since the embedding is an injective lattice homomorphism."""
     _validate_tuple(L, f)
-    if isinstance(L, TableLattice) and not L._embeds:
-        # flagged only once it succeeds, so a refused table is refused on
-        # every call
+    if isinstance(L, TableLattice) and L.certified != "distributive":
         birkhoff_embed(L)
-        L._embeds = True
     row, rows = list(f), [tuple(f)]
     for i in _insertion_swaps(len(row)):
         a, b = row[i], row[i + 1]

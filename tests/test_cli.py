@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latstat import build_m3, semimod
+from latstat import build_m3, cli, semimod
 from latstat.cli import main
+from latstat.lattice import require_lattice
 
 M3_ORDER = {
     "kind": "order",
@@ -294,6 +295,23 @@ def test_check_refuses_a_table_that_is_not_a_lattice(write, capsys):
                              "--budget", "26")
     assert (code, out, err) == (3, "", "budget exceeded: 27 lattice axiom triples exceed "
                                        "budget 26\n")
+
+
+def test_check_validates_table_carriers_only(write, capsys, monkeypatch):
+    # order and fn carriers are certified as built; only a table is checked
+    calls = []
+    monkeypatch.setattr(cli, "require_lattice",
+                        lambda t, budget: calls.append(t.n) or require_lattice(t, budget))
+    fun = write("f.json", {"family": "quadratic", "coeffs": {"1": [1, 2]}, "n": 2})
+    carriers = {"table": {"kind": "table", "n": 2, "meet": [[0, 0], [0, 1]],
+                          "join": [[0, 1], [1, 1]]},
+                "order": {"kind": "order", "n": 3, "leq_pairs": [[0, 1], [1, 2], [0, 2]]},
+                "fn": {"kind": "fn", "ground_size": 1, "chain_max": 3}}
+    for kind, carrier in carriers.items():
+        lat = write(f"{kind}.json", carrier)
+        assert run_cli(capsys, "check", "--k", "n", "--lattice", lat,
+                       "--functional", fun)[0] == 0
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("k", ["2", "n"])

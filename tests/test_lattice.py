@@ -658,21 +658,21 @@ def test_the_rule_picks_the_engine_by_width(monkeypatch):
         calls.clear()
         _CompiledLattice(bare).order_statistics()(tuple(range(n)))
         assert calls == [n]
-    assert validate_table_lattice(bare).holds and bare._lattice
+    assert validate_table_lattice(bare).holds and bare.certified == "lattice"
     calls.clear()
     _CompiledLattice(bare).order_statistics()(tuple(range(9)))
     assert calls == []
 
 
 def test_a_non_lattice_table_needs_the_guard():
-    # the identity assumes the lattice axioms: on random tables, flagged by
-    # force, it parts from the formula, so the flag is what keeps them apart
+    # the identity assumes the lattice axioms: on random tables, certified by
+    # force, it parts from the formula, so the certificate keeps them apart
     rng = random.Random(41)
     differ = 0
     for _ in range(20):
         L = random_table(rng, rng.randint(3, 5))
         assert not _CompiledLattice(L).lattice
-        L._lattice = True
+        L.certified = "lattice"
         compiled = _CompiledLattice(L)
         w = tuple(sorted(rng.randrange(L.n) for _ in range(6)))
         try:
@@ -760,12 +760,15 @@ def test_birkhoff_refuses_m3(m3):
     assert "distributive" in str(err.value)
 
 
+def build_n5():
+    # the pentagon: bottom 0 < 1 < 2 < top 4, and 0 < 3 < 4 beside that chain
+    return lattice_from_order(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4),
+                                  (2, 4), (3, 4)])
+
+
 def test_birkhoff_refuses_the_pentagon():
-    # N5: bottom 0 < 1 < 2 < top 4, and 0 < 3 < 4 beside that chain
-    n5 = lattice_from_order(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4),
-                                (2, 4), (3, 4)])
     with pytest.raises(InputError, match="not distributive"):
-        birkhoff_embed(n5)
+        birkhoff_embed(build_n5())
 
 
 def test_birkhoff_charges_the_axiom_triples_before_checking_them():
@@ -775,6 +778,52 @@ def test_birkhoff_charges_the_axiom_triples_before_checking_them():
     with pytest.raises(BudgetExceededError, match="lattice axiom triples"):
         validate_table_lattice(chain, budget=40 ** 3 - 1)
     assert validate_table_lattice(chain, budget=40 ** 3).holds
+
+
+# --- the certificate ---
+
+# the join table is not commutative at (1, 2): no lattice
+NON_LATTICE = ([[0, 0, 0], [0, 1, 2], [0, 2, 2]], [[0, 1, 2], [1, 1, 1], [2, 2, 2]])
+
+
+def test_every_carrier_holds_one_certificate():
+    chains = product_of_chains([2, 3])
+    assert TableLattice(chains.n, chains._meet, chains._join).certified is None
+    assert TableLattice(3, *NON_LATTICE).certified is None
+    for L in (build_m3(), build_n5(), chains):
+        assert L.certified == "lattice"
+    assert FnLattice.zero_to(2, 3).certified == "distributive"
+    assert ExplicitSublattice.closure([(0, 2), (2, 0)]).certified == "distributive"
+
+
+def test_a_failed_check_leaves_the_certificate():
+    bare = TableLattice(3, *NON_LATTICE)
+    assert not validate_table_lattice(bare).holds
+    with pytest.raises(InputError, match="not a lattice"):
+        birkhoff_embed(bare)
+    assert bare.certified is None
+    for L in (build_m3(), build_n5()):
+        with pytest.raises(InputError, match="not distributive"):
+            birkhoff_embed(L)
+        assert L.certified == "lattice"
+    broken = build_m3()
+    broken._join[1][2] = 1
+    assert not validate_table_lattice(broken).holds
+    assert broken.certified == "lattice"
+
+
+def test_only_birkhoff_embed_certifies_a_table_distributive():
+    chains = product_of_chains([2, 3])
+    bare = TableLattice(chains.n, chains._meet, chains._join)
+    for L in (chains, bare):
+        birkhoff_embed(L)
+        assert L.certified == "distributive"
+        assert validate_table_lattice(L).holds
+        assert L.certified == "distributive"
+    over = product_of_chains([40])
+    with pytest.raises(BudgetExceededError):
+        birkhoff_embed(over, budget=40 ** 3 - 1)
+    assert over.certified == "lattice"
 
 
 # --- constructors ---
@@ -884,7 +933,7 @@ def test_lattice_from_order_matches_the_reference_builder():
             outcomes.update(kind for kind in kinds if kind in str(err))
             continue
         L = lattice_from_order(n, pairs)
-        assert (L._meet, L._join, L._lattice) == (expected._meet, expected._join, True)
+        assert (L._meet, L._join, L.certified) == (expected._meet, expected._join, "lattice")
         outcomes.add("lattice")
     assert outcomes == {"lattice", *kinds}
 

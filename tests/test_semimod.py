@@ -36,7 +36,7 @@ from latstat.generators import (
     random_potential_spec,
     random_schur_functional,
 )
-from latstat.lattice import birkhoff_embed, lattice_from_order
+from latstat.lattice import TableLattice, birkhoff_embed, lattice_from_order
 from latstat.report import CheckReport, Witness
 from latstat.scalars import InternalError
 from latstat.semimod import (
@@ -377,6 +377,35 @@ def test_chain_caches_table_embedding(monkeypatch):
 def test_chain_refuses_non_distributive():
     with pytest.raises(InputError):
         insertion_chain(build_m3(), (1, 2, 3))
+
+
+@pytest.mark.parametrize("make, message", [
+    (build_m3, "lattice is not distributive: witness triple (1, 2, 3) gives 1 != 0"),
+    (lambda: lattice_from_order(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4),
+                                    (2, 4), (3, 4)]),
+     "lattice is not distributive: witness triple (2, 1, 3) gives 2 != 1"),
+    (lambda: TableLattice(3, [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+                          [[0, 1, 2], [1, 1, 1], [2, 2, 2]]),
+     "not a lattice: join commutativity at (1, 2)"),
+], ids=["m3", "n5", "non_lattice"])
+def test_chain_refuses_a_table_on_every_call(make, message):
+    L = make()
+    for _ in range(2):
+        with pytest.raises(InputError) as err:
+            insertion_chain(L, (1, 2, 0))
+        assert str(err.value) == message
+
+
+def test_chain_never_embeds_a_distributive_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(semimod, "birkhoff_embed", calls.append)
+    L = product_of_chains([2, 3])
+    birkhoff_embed(L)
+    f = (5, 1, 3, 2)
+    assert insertion_chain(L, f).rows[-1] == order_statistics_tuple(L, f)
+    insertion_chain(L, f)
+    insertion_chain(FnLattice.zero_to(1, 2), ((2,), (0,)))
+    assert calls == []
 
 
 def test_chain_step_relation_for_pair_window_functionals():
