@@ -113,6 +113,8 @@ def _cmd_lattice(args):
         }
         return command, echo, result, True
     if args.action == "distributive":
+        if lattice.certified is None:  # as in `check`: tables are validated first
+            require_lattice(lattice, budget)
         report = is_distributive(lattice, budget=budget)
     elif isinstance(lattice, TableLattice):
         report = validate_table_lattice(lattice, budget)

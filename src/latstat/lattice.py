@@ -21,8 +21,14 @@ None, "lattice" or "distributive".  `FnLattice` and
 `correlation.ExplicitSublattice` declare "distributive"; a `TableLattice`
 starts at None, `validate_table_lattice`, `lattice_from_order` and
 `product_of_chains` raise it to "lattice", `birkhoff_embed` to
-"distributive", and nothing lowers it.  A certified table reads a window
-of width n with m < 2^n by the up-set identity
+"distributive", and nothing lowers it.  `validate_table_lattice`,
+`is_distributive` and `birkhoff_embed` trust no certificate on a table:
+each call decides a table by `_birkhoff_certificate`, which checks in
+O(m^2) reads that Birkhoff's map into bitsets of join-irreducibles is an
+injective meet and join homomorphism, so that the table is a distributive
+lattice.  A table that fails it goes through the m^3 loops, which stay the
+oracle and name the first broken law or triple.  A certified table reads
+a window of width n with m < 2^n by the up-set identity
 (`_CompiledLattice.order_statistics`), one count per element.  Every other
 window, and every uncertified `TableLattice`, runs `_subset_rows`, the
 formula's one executor, on id-table lookups.  Both table engines are
@@ -34,13 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import islice, product
+from itertools import compress, islice, product
+from operator import eq
 from typing import Optional, Sequence
 
 from .report import CheckReport, Witness
 from .scalars import (
     INF,
     InputError,
+    InternalError,
     as_scalar,
     charge,
     is_inf,
@@ -270,13 +278,28 @@ def leq(L, a, b) -> bool:
 # --- structural checks ---
 
 def validate_table_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> CheckReport:
-    """Exhaustively verify the lattice axioms on the tables: commutativity,
-    idempotence, absorption, associativity.  Reports the first violation.
-    The n^3 triples are charged to the budget first.  When the axioms hold,
-    an uncertified t is certified "lattice" for the carriers compiled from
-    it afterwards; a "distributive" t keeps its certificate."""
+    """Verify the lattice axioms on the tables: commutativity, idempotence,
+    absorption, associativity.  The m^3 triples are charged to the budget
+    first.  Tables that pass `_birkhoff_certificate` hold every axiom, in
+    O(m^2) reads; any others go through `_broken_axiom`'s loops, which name
+    the first violation.  A holding report counts the 2m + 4m^2 + 2m^3
+    checks of the loops either way.  When the axioms hold, an uncertified t
+    is certified "lattice" for the carriers compiled from it afterwards; a
+    "distributive" t keeps its certificate."""
     n = t.n
     charge(n ** 3, budget, "lattice axiom triples")
+    if _birkhoff_certificate(t) is None:
+        broken = _broken_axiom(t)
+        if broken is not None:
+            return broken
+    t.certified = t.certified or "lattice"
+    return CheckReport(instances_checked=2 * n + 4 * n ** 2 + 2 * n ** 3)
+
+
+def _broken_axiom(t: TableLattice) -> Optional[CheckReport]:
+    """The oracle of `validate_table_lattice`: every axiom instance in turn,
+    a report of the first violation and the checks made up to it, or None."""
+    n = t.n
     checked = 0
     for a in range(n):
         checked += 2
@@ -302,8 +325,7 @@ def validate_table_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> Che
         if t.join(a, t.join(b, c)) != t.join(t.join(a, b), c):
             return _axiom_fail((a, b, c), t.join(a, t.join(b, c)),
                                t.join(t.join(a, b), c), "join associativity", checked)
-    t.certified = t.certified or "lattice"
-    return CheckReport(instances_checked=checked)
+    return None
 
 
 def _axiom_fail(args, lhs, rhs, law, checked) -> CheckReport:
@@ -321,17 +343,69 @@ def require_lattice(t: TableLattice, budget: int = DEFAULT_BUDGET) -> None:
 def is_distributive(L, budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Check a meet (b join c) == (a meet b) join (a meet c) over all triples.
     The |L|^3 triples are charged, and counted, before any element is
-    listed; the check ends at the first witness."""
+    listed.  A `TableLattice` that passes `_birkhoff_certificate` holds, in
+    O(m^2) reads, and a carrier distributive by construction (its class
+    declares `certified = "distributive"`) holds at once; every other
+    carrier runs the triple loop, which ends at the first witness."""
     total = L.size ** 3
     charge(total, budget, "distributivity triples")
+    if isinstance(L, TableLattice):
+        holds = _birkhoff_certificate(L) is not None
+    else:
+        holds = getattr(type(L), "certified", None) == "distributive"
+    return CheckReport(instances_checked=total,
+                       witness=None if holds else _nondistributive_triple(L))
+
+
+def _nondistributive_triple(L) -> Optional[Witness]:
+    """The oracle of `is_distributive`: the first triple, in element order,
+    that breaks the distributive law, or None."""
     for a, b, c in product(L.elements(), repeat=3):
         lhs = L.meet(a, L.join(b, c))
         rhs = L.join(L.meet(a, b), L.meet(a, c))
         if lhs != rhs:
-            return CheckReport(instances_checked=total, witness=Witness(
-                args=(a, b, c), lhs=lhs, rhs=rhs,
-                note="a meet (b join c) != (a meet b) join (a meet c)"))
-    return CheckReport(instances_checked=total)
+            return Witness(args=(a, b, c), lhs=lhs, rhs=rhs,
+                           note="a meet (b join c) != (a meet b) join (a meet c)")
+    return None
+
+
+def _birkhoff_certificate(t: TableLattice) -> Optional[tuple]:
+    """Birkhoff's representation of t's tables, checked: (J, phi), or None.
+
+    J lists, in id order, the ids x other than the bottom (the meet of all
+    ids, folded from id 0) that are not the join of the ids strictly below
+    them, folded from the bottom, where y <= x when meet[x][y] = y.
+    phi[x] is the int whose bit k is set when J[k] <= x.  The certificate
+    passes when phi is injective and phi(meet[a][b]) = phi(a) & phi(b) and
+    phi(join[a][b]) = phi(a) | phi(b) on all m^2 pairs.  The tables are
+    then isomorphic to the ring of the sets phi(x) under & and |, so every
+    lattice axiom and the distributive law hold, whatever J was computed to
+    be: nothing here is trusted but the final checks.  Conversely, on a
+    distributive lattice J is its join-irreducibles and phi the map
+    x -> {j in J : j <= x}, which passes by Birkhoff's representation
+    theorem (G. Birkhoff, "Rings of sets", 1937).  O(m^2) reads of the
+    table's own `_meet` and `_join` rows, on every call."""
+    meet, join, m = t._meet, t._join, t.n
+    ids = range(m)
+    bottom = reduce(lambda low, a: meet[low][a], ids, 0)
+    ground = []
+    for x, row in enumerate(meet):
+        if x == bottom:
+            continue
+        v = bottom
+        for y in compress(ids, map(eq, row, ids)):
+            if y != x:
+                v = join[v][y]
+        if v != x:
+            ground.append(x)
+    phi = [sum(1 << k for k, j in enumerate(ground) if row[j] == j) for row in meet]
+    if len(set(phi)) < m:
+        return None
+    for p, meets, joins in zip(phi, meet, join):
+        if ([phi[v] for v in meets] != [p & q for q in phi]
+                or [phi[v] for v in joins] != [p | q for q in phi]):
+            return None
+    return tuple(ground), phi
 
 
 # --- order statistics ---
@@ -581,41 +655,37 @@ def birkhoff_embed(t: TableLattice, budget: int = DEFAULT_BUDGET):
 
     Each element maps to the indicator of the set of join-irreducible
     elements below it.  Returns (ambient FnLattice, id -> element map,
-    tuple of join-irreducible ids forming the ground set).  Refuses
-    non-distributive input, quoting the violating triple; the budget bounds
-    the lattice axiom triples (`validate_table_lattice`) and then the
-    distributivity triples (`is_distributive`).  Once both pass, t is
-    certified "distributive"; a refused t keeps its certificate.
+    tuple of join-irreducible ids forming the ground set).  The budget is
+    charged the lattice axiom triples and then the distributivity triples,
+    m^3 each, before any work.  The map is the J and phi of a passing
+    `_birkhoff_certificate`, which proves it an injective lattice
+    homomorphism.  A table that fails the certificate is refused by the
+    loops of `require_lattice` and then `is_distributive`, quoting the
+    first broken law or violating triple.  Once the certificate passes, t
+    is certified "distributive"; a refused t keeps its certificate, or
+    becomes "lattice" if only distributivity failed.
     """
-    require_lattice(t, budget)
-    dist = is_distributive(t, budget)
-    if not dist.holds:
+    n = t.n
+    charge(n ** 3, budget, "lattice axiom triples")
+    charge(n ** 3, budget, "distributivity triples")
+    certificate = _birkhoff_certificate(t)
+    if certificate is None:
+        require_lattice(t, budget)
+        dist = is_distributive(t, budget)
+        if dist.holds:
+            raise InternalError("the Birkhoff certificate failed on a distributive lattice")
         raise InputError(
             f"lattice is not distributive: witness triple {dist.witness.args} "
             f"gives {dist.witness.lhs} != {dist.witness.rhs}")
     t.certified = "distributive"
-    bottom = 0
-    for a in range(t.n):
-        bottom = t.meet(bottom, a)
-    irreducibles = []
-    for x in range(t.n):
-        if x == bottom:
-            continue
-        below = [y for y in range(t.n) if y != x and t.leq(y, x)]
-        v = bottom
-        for y in below:
-            v = t.join(v, y)
-        if v != x:
-            irreducibles.append(x)
-    ground = tuple(irreducibles)
+    ground, phi = certificate
+    one, zero = Fraction(1), Fraction(0)
     if not ground:
         # one-element lattice embeds on a single dummy point
-        ambient = FnLattice(1, [Fraction(0), Fraction(1)])
-        return ambient, {bottom: (Fraction(0),)}, ground
-    one, zero = Fraction(1), Fraction(0)
-    # a verified distributive lattice embeds injectively, preserving meet and
-    # join (Birkhoff's representation theorem): no check of the map is needed
-    mapping = {x: tuple(one if t.leq(g, x) else zero for g in ground) for x in range(t.n)}
+        ambient = FnLattice(1, [zero, one])
+        return ambient, {0: (zero,)}, ground
+    mapping = {x: tuple(one if p >> k & 1 else zero for k in range(len(ground)))
+               for x, p in enumerate(phi)}
     ambient = FnLattice(len(ground), [zero, one],
                         max_ground=max(DEFAULT_MAX_GROUND, len(ground)))
     return ambient, mapping, ground

@@ -297,6 +297,24 @@ def test_check_refuses_a_table_that_is_not_a_lattice(write, capsys):
                                        "budget 26\n")
 
 
+def test_distributive_refuses_a_table_that_is_not_a_lattice(write, capsys):
+    # the distributive law holds on all 27 triples of these tables, which
+    # break join commutativity at (1, 2): like `check`, the command
+    # validates the table first, charging its axiom triples before its
+    # distributivity triples
+    lat = write("t.json", {"kind": "table", "n": 3, "meet": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+                           "join": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]})
+    argv = ("lattice", "distributive", "--lattice", lat)
+    assert run_cli(capsys, *argv) == (
+        2, "", "input error: not a lattice: join commutativity at (1, 2)\n")
+    assert run_cli(capsys, *argv, "--budget", "26") == (
+        3, "", "budget exceeded: 27 lattice axiom triples exceed budget 26\n")
+    chain = write("c.json", {"kind": "table", "n": 3, "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+                             "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]})
+    code, out, err = run_cli(capsys, "lattice", "distributive", "--lattice", chain)
+    result = json.loads(out)["result"]
+    assert (code, err, result["holds"], result["instances_checked"]) == (0, "", True, 27)
+
 def test_check_validates_table_carriers_only(write, capsys, monkeypatch):
     # order and fn carriers are certified as built; only a table is checked
     calls = []

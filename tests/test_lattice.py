@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, product
 
@@ -29,6 +30,7 @@ from latstat import lattice as lattice_mod
 from latstat.correlation import ExplicitSublattice
 from latstat.lattice import (_CompiledLattice, _insertion_swaps, _subset_rows, fn_diff,
                              fn_join, fn_meet, lattice_from_order)
+from latstat.report import CheckReport
 from latstat.scalars import INF
 
 
@@ -825,6 +827,154 @@ def test_only_birkhoff_embed_certifies_a_table_distributive():
         birkhoff_embed(over, budget=40 ** 3 - 1)
     assert over.certified == "lattice"
 
+
+# --- the Birkhoff certificate against the m^3 loops ---
+
+def relabelled(L, rng):
+    """L's tables with ids shuffled by a seeded permutation, uncertified."""
+    n = L.size
+    perm = rng.sample(range(n), n)
+    tables = [[[0] * n for _ in range(n)] for _ in range(2)]
+    for a, b in product(range(n), repeat=2):
+        tables[0][perm[a]][perm[b]] = perm[L.meet(a, b)]
+        tables[1][perm[a]][perm[b]] = perm[L.join(a, b)]
+    return TableLattice(n, *tables)
+
+
+def corrupted(L, rng):
+    """L's tables, uncertified, with one meet or join entry changed."""
+    n = L.size
+    tables = [[row[:] for row in L._meet], [row[:] for row in L._join]]
+    which, a, b = rng.randrange(2), rng.randrange(n), rng.randrange(n)
+    tables[which][a][b] = rng.choice([v for v in range(n) if v != tables[which][a][b]])
+    return TableLattice(n, *tables)
+
+
+def seeded_tables():
+    rng = random.Random(2026)
+    bases = [build_m3(), build_n5(), product_of_chains([1]), product_of_chains([2])]
+    bases += [random_lattice(rng) for _ in range(40)]
+    for sizes in ([2, 3], [2, 2, 2], [3, 3], [2, 2, 3], [4, 4], [2, 2, 2, 2]):
+        rng.shuffle(sizes)
+        bases += [relabelled(product_of_chains(sizes), rng) for _ in range(2)]
+    tables = []
+    for L in bases:
+        tables += [L] + [corrupted(L, rng) for _ in range(3) if L.size > 1]
+    return tables
+
+
+@contextmanager
+def loops_only(monkeypatch):
+    """The public checks with every certificate failing: the loops decide."""
+    with monkeypatch.context() as patched:
+        patched.setattr(lattice_mod, "_birkhoff_certificate", lambda t: None)
+        yield
+
+
+def copied(L):
+    return TableLattice(L.size, L._meet, L._join)
+
+
+def reference_embedding(L, monkeypatch):
+    """The embedding as built from the loops' verdicts: the first broken
+    law or triple, else the join-irreducibles and the map x -> {j <= x}."""
+    with loops_only(monkeypatch):
+        axioms, dist = validate_table_lattice(copied(L)), is_distributive(copied(L))
+    if not axioms.holds:
+        return f"not a lattice: {axioms.witness.note} at {axioms.witness.args}"
+    if not dist.holds:
+        w = dist.witness
+        return f"lattice is not distributive: witness triple {w.args} gives {w.lhs} != {w.rhs}"
+    n = L.size
+    bottom = 0
+    for a in range(n):
+        bottom = L.meet(bottom, a)
+    ground = []
+    for x in range(n):
+        v = bottom
+        for y in range(n):
+            if y != x and L.leq(y, x):
+                v = L.join(v, y)
+        if x != bottom and v != x:
+            ground.append(x)
+    if not ground:
+        return (), {bottom: (Fraction(0),)}
+    return tuple(ground), {x: tuple(Fraction(int(L.leq(g, x))) for g in ground)
+                           for x in range(n)}
+
+
+def test_the_certificate_matches_the_loops(monkeypatch):
+    passed = failed_on_lattices = 0
+    for L in seeded_tables():
+        fast_axioms, fast_dist = validate_table_lattice(copied(L)), is_distributive(copied(L))
+        with loops_only(monkeypatch):
+            slow_axioms, slow_dist = validate_table_lattice(copied(L)), is_distributive(copied(L))
+        assert fast_axioms == slow_axioms and fast_dist == slow_dist
+        try:
+            _, mapping, ground = birkhoff_embed(copied(L))
+            outcome = ground, mapping
+        except InputError as err:
+            outcome = str(err)
+        assert outcome == reference_embedding(L, monkeypatch)
+        certified = lattice_mod._birkhoff_certificate(L) is not None
+        assert certified == (slow_axioms.holds and slow_dist.holds)
+        passed += certified
+        failed_on_lattices += slow_axioms.holds and not certified
+    # both sides of the rule are exercised, M3 and N5 among the failures
+    assert passed >= 20 and failed_on_lattices >= 20
+
+
+def clone_of_the_top():
+    """The chain 0 < 1 < 2 with an id 3 whose meet and join rows copy 2's:
+    meet(3, 3) = 2, so no lattice, yet phi(3) = phi(2) satisfies every
+    meet and join equation."""
+    chain = product_of_chains([3])
+    meet_t, join_t = ([row + [row[2]] for row in rows] + [rows[2] + [rows[2][2]]]
+                      for rows in (chain._meet, chain._join))
+    return TableLattice(4, meet_t, join_t)
+
+
+def test_the_certificate_tests_that_phi_is_injective():
+    bad = clone_of_the_top()
+    assert lattice_mod._birkhoff_certificate(bad) is None
+    report = validate_table_lattice(bad)
+    assert (report.holds, report.witness.note, report.witness.args) == (
+        False, "meet idempotence", (3,))
+    with pytest.raises(InputError, match=r"^not a lattice: meet idempotence at \(3,\)$"):
+        birkhoff_embed(bad)
+
+
+def test_the_certificate_tests_the_join_equations():
+    # every meet equation holds on NON_LATTICE; join(2, 1) breaks one
+    bad = TableLattice(3, *NON_LATTICE)
+    assert lattice_mod._birkhoff_certificate(bad) is None
+    report = validate_table_lattice(bad)
+    assert (report.holds, report.witness.note, report.witness.args) == (
+        False, "join commutativity", (1, 2))
+
+
+def test_holding_reports_count_the_loops_checks():
+    L = product_of_chains([3, 4])
+    n = L.size
+    assert validate_table_lattice(L) == CheckReport(instances_checked=2 * n + 4 * n ** 2 + 2 * n ** 3)
+    assert is_distributive(L) == CheckReport(instances_checked=n ** 3)
+    ground, phi = lattice_mod._birkhoff_certificate(L)
+    assert ground == (1, 2, 3, 4, 8) and len(set(phi)) == n
+
+
+def test_only_carriers_distributive_by_construction_skip_the_triples(monkeypatch):
+    # an fn carrier and a closed sublattice answer from their class; a table
+    # runs its certificate, whatever its `certified` says, then the loop
+    calls = []
+    monkeypatch.setattr(lattice_mod, "_nondistributive_triple", calls.append)
+    assert is_distributive(FnLattice.zero_to(2, 3)).holds
+    assert is_distributive(ExplicitSublattice.closure([(0, 2), (2, 0)])).holds
+    assert is_distributive(product_of_chains([2, 3])).holds
+    assert calls == []
+    m3 = build_m3()
+    m3.certified = "distributive"
+    is_distributive(m3)
+    assert calls == [m3]
 
 # --- constructors ---
 
